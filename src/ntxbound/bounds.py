@@ -15,15 +15,13 @@ positive pairs; ``strict_bound <= paper_bound`` always.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, EmptyInputError, InvalidGridError, UnsupportedModeError
-from .loss import AnchorMode, LossBreakdown, LossConfig, anchor_indices, logsumexp, nt_xent_from_sims
-from .sim import EmbeddingBatch, similarity_matrix
+from .errors import EmptyInputError, InvalidGridError, UnsupportedModeError
+from .loss import AnchorMode, LossBreakdown, LossConfig, _breakdown, _nt_xent_pass, _Pass, logsumexp
+from .sim import EmbeddingBatch, _cosine_matrix
 
 #: Distributions understood by the Monte Carlo verifier.
 DISTRIBUTIONS = ("uniform_sphere", "gaussian", "clustered")
@@ -33,6 +31,10 @@ CLUSTERED_NOISE_SCALE = 0.1
 
 #: Absolute slack for declaring a bound violated; only rounding noise is tolerated.
 VIOLATION_SLACK = 1e-9
+
+#: Bytes of rows and similarity matrices a verify cell evaluates at once. Trials
+#: are stacked up to this budget, so peak memory does not grow with the trial count.
+CHUNK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -66,7 +68,8 @@ class BoundReport:
 
     Gap signs are deliberately not enforced at construction: the Monte Carlo
     verifier and the trainer exist to *observe* violations, so a violated
-    bound must surface as data, not as an exception.
+    bound must surface as data, not as an exception. Over a stack of
+    batches, each field holds one entry per batch.
     """
 
     avg_pos_sim: float
@@ -77,13 +80,13 @@ class BoundReport:
 
     def __post_init__(self):
         vals = (self.avg_pos_sim, self.paper_bound, self.strict_bound, self.paper_gap, self.strict_gap)
-        if not all(np.isfinite(v) for v in vals):
+        if not np.isfinite(vals).all():
             raise ValueError(f"bound report fields must be finite, got {vals}")
 
 
 @dataclass(frozen=True)
 class BatchEvaluation:
-    """Loss breakdown and bound report computed from one similarity matrix."""
+    """Loss breakdown and bound report computed from one similarity matrix (one per batch of a stack)."""
 
     breakdown: LossBreakdown
     report: BoundReport
@@ -102,12 +105,37 @@ def lse_bounds(xs) -> LseBounds:
     return LseBounds(lower=lower, upper=lower + math.log(n), value=logsumexp(arr), n=n)
 
 
+def _pair_sims(sims: np.ndarray) -> np.ndarray:
+    """Positive-pair entries ``sims[..., 2t, 2t+1]`` of similarity matrices, shape (..., N)."""
+    return np.diagonal(sims[..., 0::2, 1::2], axis1=-2, axis2=-1)
+
+
 def avg_positive_similarity(batch: EmbeddingBatch) -> float:
     """Mean cosine similarity over the N positive pairs (rows 2t and 2t+1)."""
     unit, _ = batch.unit_rows()
-    pair_sims = np.sum(unit[0::2] * unit[1::2], axis=1)
-    np.clip(pair_sims, -1.0, 1.0, out=pair_sims)
-    return float(np.mean(pair_sims))
+    return float(np.mean(_pair_sims(_cosine_matrix(unit))))
+
+
+def _evaluation(p: _Pass) -> BatchEvaluation:
+    """Loss, bounds and smallest similarity of every batch of a PAPER_N pass.
+
+    The self column always wins the paper variant's max at 1/tau, so that
+    variant takes its closed form ``tau log(2N) - tau L + 1``.
+    """
+    breakdown = _breakdown(p)
+    total, tau = breakdown.total, p.tau
+    n_rows = p.sims.shape[-1]
+    avg = _pair_sims(p.sims).mean(axis=-1)
+    paper = tau * math.log(n_rows) - tau * total + 1.0
+    strict = tau * math.log(n_rows - 1) - tau * total + tau * p.max_excl.mean(axis=-1)
+    report = BoundReport(
+        avg_pos_sim=avg,
+        paper_bound=paper,
+        strict_bound=strict,
+        paper_gap=paper - avg,
+        strict_gap=strict - avg,
+    )
+    return BatchEvaluation(breakdown=breakdown, report=report, min_similarity=p.sims.min(axis=(-2, -1)))
 
 
 def similarity_bound(batch: EmbeddingBatch, cfg: LossConfig) -> BoundReport:
@@ -123,27 +151,7 @@ def evaluate_batch(batch: EmbeddingBatch, cfg: LossConfig) -> BatchEvaluation:
     """
     if cfg.anchor_mode is not AnchorMode.PAPER_N:
         raise UnsupportedModeError(f"similarity bound requires PAPER_N anchors, got {cfg.anchor_mode}")
-    simmat = similarity_matrix(batch, cfg.tau)
-    breakdown = nt_xent_from_sims(simmat, cfg)
-
-    n_rows, n_pairs, tau = simmat.n_rows, simmat.n_pairs, cfg.tau
-    anchors, _ = anchor_indices(n_rows, cfg.anchor_mode)
-    masked = simmat.scaled.copy()
-    np.fill_diagonal(masked, -np.inf)
-    max_excl_self = np.max(masked[anchors], axis=1)
-    max_incl_self = np.max(simmat.scaled[anchors], axis=1)
-
-    avg = avg_positive_similarity(batch)
-    paper = tau * math.log(n_rows) - tau * breakdown.total + tau * float(np.mean(max_incl_self))
-    strict = tau * math.log(n_rows - 1) - tau * breakdown.total + tau * float(np.mean(max_excl_self))
-    report = BoundReport(
-        avg_pos_sim=avg,
-        paper_bound=paper,
-        strict_bound=strict,
-        paper_gap=paper - avg,
-        strict_gap=strict - avg,
-    )
-    return BatchEvaluation(breakdown=breakdown, report=report, min_similarity=float(np.min(simmat.sims)))
+    return _evaluation(_nt_xent_pass(batch.rows, cfg.tau, cfg.anchor_mode))
 
 
 def sample_embeddings(distribution: str, n_pairs: int, dim: int, rng: np.random.Generator) -> EmbeddingBatch:
@@ -153,15 +161,24 @@ def sample_embeddings(distribution: str, n_pairs: int, dim: int, rng: np.random.
     raw; ``clustered`` draws one base vector per pair plus small noise,
     mimicking a trained encoder. Draw order is fixed so runs reproduce.
     """
+    return EmbeddingBatch(_sample_rows(distribution, 1, n_pairs, dim, rng)[0])
+
+
+def _sample_rows(distribution: str, trials: int, n_pairs: int, dim: int, rng: np.random.Generator) -> np.ndarray:
+    """``trials`` batches as one (trials, 2N, m) array, drawn as ``trials`` single batches would be.
+
+    Each batch takes one contiguous run of standard normals (for ``clustered``,
+    N base rows then 2N noise rows), so one bulk draw reproduces the stream.
+    """
     if distribution == "uniform_sphere":
-        raw = rng.standard_normal((2 * n_pairs, dim))
-        return EmbeddingBatch(raw / np.linalg.norm(raw, axis=1, keepdims=True))
+        raw = rng.standard_normal((trials, 2 * n_pairs, dim))
+        return raw / np.linalg.norm(raw, axis=-1, keepdims=True)
     if distribution == "gaussian":
-        return EmbeddingBatch(rng.standard_normal((2 * n_pairs, dim)))
+        return rng.standard_normal((trials, 2 * n_pairs, dim))
     if distribution == "clustered":
-        bases = rng.standard_normal((n_pairs, dim))
-        noise = CLUSTERED_NOISE_SCALE * rng.standard_normal((2 * n_pairs, dim))
-        return EmbeddingBatch(np.repeat(bases, 2, axis=0) + noise)
+        draws = rng.standard_normal((trials, 3 * n_pairs, dim))
+        bases, noise = draws[:, :n_pairs], CLUSTERED_NOISE_SCALE * draws[:, n_pairs:]
+        return np.repeat(bases, 2, axis=1) + noise
     raise InvalidGridError(f"unknown embedding distribution {distribution!r}")
 
 
@@ -239,51 +256,42 @@ class VerifySummary:
 
 
 def _cell_rng(seed: int, cell_index: int) -> np.random.Generator:
-    """Independent, scheduling-invariant generator for one grid cell.
+    """Independent generator for one grid cell.
 
     PCG64 streams derived from SeedSequence(seed, spawn_key=(cell_index,)),
-    so the summary is identical however cells are distributed over workers.
+    so a cell's draws depend on neither the other cells nor the chunking.
     """
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(cell_index,))))
 
 
-def _run_cell(payload: tuple[int, int, int, int, float, str, int]) -> tuple[int, int, float, float, float]:
-    seed, index, n_pairs, dim, tau, distribution, trials = payload
-    rng = _cell_rng(seed, index)
-    cfg = LossConfig(tau=tau, anchor_mode=AnchorMode.PAPER_N)
+def _run_cell(
+    rng: np.random.Generator, n_pairs: int, dim: int, tau: float, distribution: str, trials: int
+) -> tuple[int, int, float, float, float]:
+    """Violation counts and minimum paper gap, strict gap and paper-strict margin over one cell.
+
+    Trials are drawn and evaluated as stacks of at most CHUNK_BYTES, through
+    the same constructors and checks as a single batch.
+    """
+    chunk = max(1, CHUNK_BYTES // (8 * 2 * n_pairs * (2 * n_pairs + dim)))
     viol_paper = viol_strict = 0
     min_paper = min_strict = min_margin = math.inf
-    for _ in range(trials):
-        batch = sample_embeddings(distribution, n_pairs, dim, rng)
-        report = similarity_bound(batch, cfg)
-        if report.paper_gap < -VIOLATION_SLACK:
-            viol_paper += 1
-        if report.strict_gap < -VIOLATION_SLACK:
-            viol_strict += 1
-        min_paper = min(min_paper, report.paper_gap)
-        min_strict = min(min_strict, report.strict_gap)
-        min_margin = min(min_margin, report.paper_bound - report.strict_bound)
+    for start in range(0, trials, chunk):
+        rows = _sample_rows(distribution, min(chunk, trials - start), n_pairs, dim, rng)
+        if not np.isfinite(rows).all():  # zero-norm rows are refused by the pass itself
+            raise ValueError("batch entries must be finite")
+        report = _evaluation(_nt_xent_pass(rows, tau, AnchorMode.PAPER_N)).report
+        viol_paper += int(np.count_nonzero(report.paper_gap < -VIOLATION_SLACK))
+        viol_strict += int(np.count_nonzero(report.strict_gap < -VIOLATION_SLACK))
+        min_paper = min(min_paper, float(report.paper_gap.min()))
+        min_strict = min(min_strict, float(report.strict_gap.min()))
+        min_margin = min(min_margin, float((report.paper_bound - report.strict_bound).min()))
     return viol_paper, viol_strict, min_paper, min_strict, min_margin
-
-
-def _worker_count(n_cells: int) -> int:
-    env = os.environ.get("NTXB_THREADS")
-    if env is None:
-        cap = os.cpu_count() or 1
-    else:
-        try:
-            cap = int(env)
-        except ValueError:
-            raise ConfigError(f"NTXB_THREADS must be a positive integer, got {env!r}") from None
-        if cap < 1:
-            raise ConfigError(f"NTXB_THREADS must be >= 1, got {cap}")
-    return max(1, min(n_cells, cap))
 
 
 def monte_carlo_verify(grid: VerifyGrid, trials: int, seed: int) -> VerifySummary:
     """Check both bound variants on random batches over the whole grid.
 
-    Deterministic given ``seed`` regardless of worker scheduling. Violations
+    Deterministic given ``seed``: each cell draws from its own stream. Violations
     are counted beyond an absolute slack of 1e-9; the minimum observed gap of
     each variant and the minimum paper-strict margin are recorded.
     """
@@ -292,13 +300,7 @@ def monte_carlo_verify(grid: VerifyGrid, trials: int, seed: int) -> VerifySummar
     if seed < 0 or seed >= 2**64:
         raise InvalidGridError(f"seed must fit in u64, got {seed}")
     cells = grid.cells()
-    payloads = [(seed, i, n, m, tau, dist, trials) for i, (n, m, tau, dist) in enumerate(cells)]
-    workers = _worker_count(len(cells))
-    if workers == 1:
-        results = [_run_cell(p) for p in payloads]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_cell, payloads))
+    results = [_run_cell(_cell_rng(seed, i), n, m, tau, dist, trials) for i, (n, m, tau, dist) in enumerate(cells)]
 
     viol_paper = sum(r[0] for r in results)
     viol_strict = sum(r[1] for r in results)

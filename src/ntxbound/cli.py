@@ -22,7 +22,7 @@ from .errors import (
     InvalidTemperatureError,
     NonFiniteLossError,
 )
-from .serialize import TRACE_COLUMNS, dumps, format_float, load_json, read_trace_csv, trace_to_csv, write_json
+from .serialize import TRACE_COLUMNS, format_float, load_json, read_trace_csv, trace_to_csv, write_json
 from .trainer import AugmentConfig, DatasetParams, TrainConfig, train
 
 _USAGE_ERRORS = (

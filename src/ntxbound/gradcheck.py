@@ -15,12 +15,15 @@ import numpy as np
 
 from .loss import LossConfig, nt_xent, nt_xent_grad
 from .sim import EmbeddingBatch
-from .trainer import Mlp, SimclrModel, TrainConfig, forward
+from .trainer import ForwardResult, Mlp, SimclrModel, TrainConfig, forward, loss_and_param_grads
 
 FD_STEP = 1e-5
 LOSS_LEVEL_TOL = 1e-5
 END_TO_END_TOL = 1e-4
 ABS_FLOOR = 1e-8
+
+#: Redraws allowed for an end-to-end trial whose hidden ReLU layer is dead on every row.
+DEAD_RELU_REDRAWS = 10
 
 
 def central_difference(f, x: np.ndarray, step: float = FD_STEP) -> np.ndarray:
@@ -145,24 +148,36 @@ def _tiny_config(seed: int) -> TrainConfig:
     )
 
 
-def end_to_end_check(trials: int, seed: int = 0) -> list[GradCheckTrial]:
-    """Full parameter gradient of the tiny model vs central differences."""
-    results = []
-    cfg_loss = LossConfig(tau=0.5)
-    for trial in range(trials):
-        rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(1, trial)))
-        )
-        cfg = _tiny_config(seed)
-        model = SimclrModel.init(cfg, rng)
-        views = _unit_rms(rng.standard_normal((2 * cfg.n_pairs, cfg.input_dim)))
+def _dead_relu(fwd: ForwardResult) -> bool:
+    """A hidden layer is zero on every row: all gradients vanish and the trial checks nothing."""
+    return any(not np.any(pre > 0) for trace in (fwd.encoder_trace, fwd.projector_trace) for pre in trace.pre[:-1])
 
-        fwd = forward(model.encoder, model.projector, views)
-        grad_z = nt_xent_grad(fwd.batch, cfg_loss)
-        pw, pb, grad_hidden = model.projector.backward(fwd.projector_trace, grad_z)
-        ew, eb, _ = model.encoder.backward(fwd.encoder_trace, grad_hidden)
-        analytic = flatten_param_grads(model, (ew, eb), (pw, pb))
-        ortho = float(np.max(np.abs(np.sum(grad_z * fwd.batch.rows, axis=1))))
+
+def end_to_end_check(trials: int, seed: int = 0) -> list[GradCheckTrial]:
+    """Full parameter gradient of the tiny model vs central differences.
+
+    Trial t draws its model and views from spawn key (1, t). A draw with a
+    dead hidden layer is replaced by one from (1, t, k), k = 1, 2, ...; a
+    trial still dead after DEAD_RELU_REDRAWS redraws reports an infinite error.
+    """
+    results = []
+    cfg = _tiny_config(seed)
+    cfg_loss = LossConfig(tau=cfg.tau)
+    for trial in range(trials):
+        for k in range(DEAD_RELU_REDRAWS + 1):
+            key = (1, trial) if k == 0 else (1, trial, k)
+            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=key)))
+            model = SimclrModel.init(cfg, rng)
+            views = _unit_rms(rng.standard_normal((2 * cfg.n_pairs, cfg.input_dim)))
+            out = loss_and_param_grads(model, views, cfg)
+            if not _dead_relu(out.forward):
+                break
+        else:
+            results.append(GradCheckTrial(trial=trial, worst_rel_err=math.inf, worst_index=(0,), orthogonality=0.0))
+            continue
+
+        analytic = flatten_param_grads(model, out.encoder_grads, out.projector_grads)
+        ortho = float(np.max(np.abs(np.sum(out.latent_grad * out.forward.batch.rows, axis=1))))
 
         def loss_at(vec: np.ndarray) -> float:
             probe = SimclrModel(
@@ -170,8 +185,7 @@ def end_to_end_check(trials: int, seed: int = 0) -> list[GradCheckTrial]:
                 projector=Mlp(model.projector.layer_dims, list(model.projector.weights), list(model.projector.biases)),
             )
             set_params(probe, vec)
-            out = forward(probe.encoder, probe.projector, views)
-            return nt_xent(out.batch, cfg_loss).total
+            return nt_xent(forward(probe.encoder, probe.projector, views).batch, cfg_loss).total
 
         numeric = central_difference(loss_at, flatten_params(model))
         err, idx = worst_error(analytic, numeric)

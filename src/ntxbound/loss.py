@@ -22,12 +22,13 @@ and ``distribution = (1/N) sum LSE`` (pushes everything apart).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EmptyInputError, InvalidTemperatureError
-from .sim import EmbeddingBatch, SimilarityMatrix, similarity_matrix
+from .sim import EmbeddingBatch, SimilarityMatrix, _cosine_matrix, _unit_rows
 
 
 class AnchorMode(enum.Enum):
@@ -53,7 +54,11 @@ class LossBreakdown:
 
     ``total`` is computed by summing per-anchor terms, the components by
     summing each part separately; the identity ``total = alignment +
-    distribution`` is validated to 1e-10 relative at construction.
+    distribution`` is validated at construction to 1e-10 relative to the
+    largest of the three magnitudes (at small tau the components reach
+    1/tau while the total stays O(1), and float64 resolves their sum only to
+    a few ulps of the components). Evaluated on a stack of batches, each
+    field holds one entry per batch and is validated entry by entry.
     """
 
     total: float
@@ -62,10 +67,11 @@ class LossBreakdown:
 
     def __post_init__(self):
         vals = (self.total, self.alignment, self.distribution)
-        if not all(np.isfinite(v) for v in vals):
+        scale = np.maximum(1.0, np.abs(vals).max(axis=0))  # finite iff every component is
+        if not (scale < math.inf).all():
             raise ValueError(f"loss components must be finite, got {vals}")
         residual = abs(self.total - (self.alignment + self.distribution))
-        if residual > 1e-10 * max(1.0, abs(self.total)):
+        if not (residual <= 1e-10 * scale).all():
             raise ValueError(
                 f"decomposition identity violated: total={self.total!r}, "
                 f"alignment+distribution={self.alignment + self.distribution!r}"
@@ -95,19 +101,64 @@ def anchor_indices(n_rows: int, mode: AnchorMode) -> tuple[np.ndarray, np.ndarra
     return anchors, anchors ^ 1  # 2t <-> 2t+1
 
 
-def _masked_lse_rows(scaled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row LSE over off-diagonal entries, and the softmax weights.
+class _Pass:
+    """One NT-Xent evaluation of a batch ``(2N, m)`` or a stack of batches ``(..., 2N, m)``.
 
-    Returns (lse, weights) where ``lse[i] = LSE({x[i, k] : k != i})`` and
-    ``weights[i, k] = exp(x[i, k]) / sum_{k' != i} exp(x[i, k'])`` with a zero
-    diagonal. Max-shifted throughout.
+    With ``x[a, k] = sims[a, k] / tau``, each anchor ``a`` gets ``lse`` =
+    LSE({x[a, k] : k != a}), ``pos`` = x[a, p(a)], ``max_excl`` =
+    max({x[a, k] : k != a}) and a row of ``weights``, the softmax over
+    k != a with a zero at k = a. ``unit`` and ``norms`` are None when the
+    pass starts from a similarity matrix rather than from rows.
     """
-    masked = scaled.copy()
-    np.fill_diagonal(masked, -np.inf)
-    rowmax = np.max(masked, axis=1)
-    expd = np.exp(masked - rowmax[:, None])  # diagonal exp(-inf) = 0
-    denom = np.sum(expd, axis=1)
-    return rowmax + np.log(denom), expd / denom[:, None]
+
+    def __init__(self, sims: np.ndarray, tau: float, mode: AnchorMode, unit=None, norms=None):
+        self.sims = sims
+        self.tau = tau
+        self.unit = unit
+        self.norms = norms
+        self.anchors, self.partners = anchor_indices(sims.shape[-1], mode)
+        x = sims / tau
+        diag = np.arange(sims.shape[-1])
+        x[..., diag, diag] = -np.inf  # the k != a exclusion; exp(-inf) = 0
+        self.pos = x[..., self.anchors, self.partners]
+        x = x[..., self.anchors, :]
+        self.max_excl = x.max(axis=-1)
+        expd = np.exp(x - self.max_excl[..., None])
+        denom = expd.sum(axis=-1)
+        self.lse = self.max_excl + np.log(denom)
+        self.weights = expd / denom[..., None]
+
+
+def _nt_xent_pass(rows: np.ndarray, tau: float, mode: AnchorMode) -> _Pass:
+    """Normalize the rows once, build their similarity matrix once, and evaluate it."""
+    unit, norms = _unit_rows(rows)
+    return _Pass(_cosine_matrix(unit), tau, mode, unit, norms)
+
+
+def _breakdown(p: _Pass) -> LossBreakdown:
+    n_pairs = p.sims.shape[-1] // 2
+    return LossBreakdown(
+        total=(p.lse - p.pos).sum(axis=-1) / n_pairs,
+        alignment=-p.pos.sum(axis=-1) / n_pairs,
+        distribution=p.lse.sum(axis=-1) / n_pairs,
+    )
+
+
+def _latent_grad(p: _Pass) -> np.ndarray:
+    """Gradient of the total loss w.r.t. the raw latent rows of a pass built from rows."""
+    # d(total)/d(sim[a, k]) for anchor rows a; zero elsewhere.
+    grad_s = np.zeros(p.sims.shape)
+    grad_s[..., p.anchors, :] = p.weights
+    grad_s[..., p.anchors, p.partners] -= 1.0
+    grad_s /= (p.sims.shape[-1] // 2) * p.tau
+
+    # sim[a, k] depends on unit rows a and k symmetrically.
+    grad_unit = (grad_s + np.swapaxes(grad_s, -1, -2)) @ p.unit
+    radial = np.sum(grad_unit * p.unit, axis=-1, keepdims=True)
+    grad = (grad_unit - radial * p.unit) / p.norms[..., None]
+    if not np.all(np.isfinite(grad)):
+        raise ValueError("gradient has non-finite entries")
+    return grad
 
 
 def nt_xent_from_sims(simmat: SimilarityMatrix, cfg: LossConfig) -> LossBreakdown:
@@ -116,19 +167,12 @@ def nt_xent_from_sims(simmat: SimilarityMatrix, cfg: LossConfig) -> LossBreakdow
         raise InvalidTemperatureError(
             f"similarity matrix was scaled with tau={simmat.tau}, config has tau={cfg.tau}"
         )
-    n_pairs = simmat.n_pairs
-    anchors, partners = anchor_indices(simmat.n_rows, cfg.anchor_mode)
-    lse, _ = _masked_lse_rows(simmat.scaled)
-    pos = simmat.scaled[anchors, partners]
-    total = float(np.sum(lse[anchors] - pos) / n_pairs)
-    alignment = float(-np.sum(pos) / n_pairs)
-    distribution = float(np.sum(lse[anchors]) / n_pairs)
-    return LossBreakdown(total=total, alignment=alignment, distribution=distribution)
+    return _breakdown(_Pass(simmat.sims, simmat.tau, cfg.anchor_mode))
 
 
 def nt_xent(batch: EmbeddingBatch, cfg: LossConfig) -> LossBreakdown:
     """NT-Xent loss of a batch of raw latents."""
-    return nt_xent_from_sims(similarity_matrix(batch, cfg.tau), cfg)
+    return _breakdown(_nt_xent_pass(batch.rows, cfg.tau, cfg.anchor_mode))
 
 
 def nt_xent_grad(batch: EmbeddingBatch, cfg: LossConfig) -> np.ndarray:
@@ -138,22 +182,4 @@ def nt_xent_grad(batch: EmbeddingBatch, cfg: LossConfig) -> np.ndarray:
     gradient row is orthogonal to its latent (the loss is scale-invariant
     per row). Returns a 2N x m array matching ``batch.rows``.
     """
-    unit, norms = batch.unit_rows()
-    simmat = similarity_matrix(batch, cfg.tau)
-    n_rows, n_pairs = simmat.n_rows, simmat.n_pairs
-    anchors, partners = anchor_indices(n_rows, cfg.anchor_mode)
-    _, weights = _masked_lse_rows(simmat.scaled)
-
-    # d(total)/d(sim[a, k]) for anchor rows a; zero elsewhere.
-    grad_s = np.zeros((n_rows, n_rows))
-    grad_s[anchors] = weights[anchors]
-    grad_s[anchors, partners] -= 1.0
-    grad_s /= n_pairs * cfg.tau
-
-    # sim[a, k] depends on unit rows a and k symmetrically.
-    grad_unit = (grad_s + grad_s.T) @ unit
-    radial = np.sum(grad_unit * unit, axis=1, keepdims=True)
-    grad = (grad_unit - radial * unit) / norms[:, None]
-    if not np.all(np.isfinite(grad)):
-        raise ValueError("gradient has non-finite entries")
-    return grad
+    return _latent_grad(_nt_xent_pass(batch.rows, cfg.tau, cfg.anchor_mode))

@@ -9,6 +9,7 @@ not a fixed digit budget, so a small writer is owned here instead.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 from .errors import ConfigError
@@ -92,7 +93,10 @@ def trace_to_csv(records) -> str:
 
 
 def parse_trace_csv(text: str) -> list[dict]:
-    """Parse a trace CSV back into row dicts; malformed input raises ConfigError."""
+    """Parse a trace CSV back into row dicts; malformed input raises ConfigError.
+
+    Every value must be finite and steps must strictly increase.
+    """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ConfigError("trace CSV is empty")
@@ -112,6 +116,10 @@ def parse_trace_csv(text: str) -> list[dict]:
                 row[col] = float(val)
         except ValueError as exc:
             raise ConfigError(f"trace line {lineno} is not numeric: {exc}") from exc
+        if not all(math.isfinite(row[col]) for col in TRACE_COLUMNS[1:]):
+            raise ConfigError(f"trace line {lineno} has a non-finite value")
+        if rows and row["step"] <= rows[-1]["step"]:
+            raise ConfigError(f"trace line {lineno}: step {row['step']} does not follow step {rows[-1]['step']}")
         rows.append(row)
     return rows
 

@@ -24,17 +24,31 @@ def _as_vector(v) -> np.ndarray:
 
 
 def _unit_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row-normalize a 2-D array, returning (unit rows, Euclidean norms).
+    """Normalize along the last axis, returning (unit rows, Euclidean norms).
 
     Rows are pre-scaled by their max-abs entry so norms never overflow even
     when entries approach the float64 range.
     """
-    scales = np.max(np.abs(rows), axis=1)
-    if np.any(scales == 0.0):
-        raise ZeroVectorError("row with zero Euclidean norm")
-    scaled = rows / scales[:, None]
-    partial = np.sqrt(np.sum(scaled * scaled, axis=1))
-    return scaled / partial[:, None], scales * partial
+    scales = np.abs(rows).max(axis=-1)
+    if (scales == 0.0).any():
+        raise ZeroVectorError("cannot normalize a zero vector")
+    scaled = rows / scales[..., None]
+    partial = np.sqrt((scaled * scaled).sum(axis=-1))
+    return scaled / partial[..., None], scales * partial
+
+
+def _cosine_matrix(unit: np.ndarray) -> np.ndarray:
+    """All-pairs cosines of unit rows ``(..., k, m)`` as ``(..., k, k)``.
+
+    Symmetry is enforced exactly by averaging, entries are clamped to
+    [-1, 1] and the diagonal is pinned to exactly 1.
+    """
+    sims = unit @ np.swapaxes(unit, -1, -2)
+    sims = 0.5 * (sims + np.swapaxes(sims, -1, -2))
+    np.clip(sims, -1.0, 1.0, out=sims)
+    diag = np.arange(sims.shape[-1])
+    sims[..., diag, diag] = 1.0
+    return sims
 
 
 class EmbeddingBatch:
@@ -56,9 +70,9 @@ class EmbeddingBatch:
             raise ValueError(f"row count must be even and >= 2, got {n}")
         if m < 1:
             raise DimensionMismatchError("latent dimension must be >= 1")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("batch entries must be finite")
-        if np.any(np.max(np.abs(arr), axis=1) == 0.0):
+        if (np.abs(arr).max(axis=1) == 0.0).any():
             raise ZeroVectorError("batch contains a zero-norm row")
         arr.setflags(write=False)
         self.rows = arr
@@ -115,12 +129,7 @@ def l2_normalize(v) -> np.ndarray:
 
     Raises ZeroVectorError when the norm is zero (no direction to preserve).
     """
-    arr = _as_vector(v)
-    scale = np.max(np.abs(arr))
-    if scale == 0.0:
-        raise ZeroVectorError("cannot normalize the zero vector")
-    u = arr / scale
-    return u / np.sqrt(np.sum(u * u))
+    return _unit_rows(_as_vector(v))[0]
 
 
 def cosine_sim(a, b) -> float:
@@ -146,8 +155,5 @@ def similarity_matrix(batch: EmbeddingBatch, tau: float) -> SimilarityMatrix:
     if not (np.isscalar(tau) and np.isfinite(tau) and tau > 0):
         raise InvalidTemperatureError(f"tau must be a finite positive scalar, got {tau!r}")
     unit, _ = batch.unit_rows()
-    sims = unit @ unit.T
-    sims = 0.5 * (sims + sims.T)
-    np.clip(sims, -1.0, 1.0, out=sims)
-    np.fill_diagonal(sims, 1.0)
+    sims = _cosine_matrix(unit)
     return SimilarityMatrix(sims=sims, tau=float(tau), scaled=sims / tau)

@@ -18,14 +18,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import evaluate_batch
+from .bounds import BatchEvaluation, _evaluation
 from .errors import (
     DimensionMismatchError,
     InvalidDatasetParamsError,
     NonFiniteLossError,
     ZeroVectorError,
 )
-from .loss import AnchorMode, LossConfig, nt_xent_grad
+from .loss import AnchorMode, _latent_grad, _nt_xent_pass
 from .sim import EmbeddingBatch
 
 #: All pairwise similarities at least this close to 1 counts as a collapsed batch.
@@ -95,9 +95,6 @@ class Mlp:
                 pre.append(z)
                 act.append(np.maximum(z, 0.0) if l < self.n_layers - 1 else z)
         return MlpTrace(pre=pre, act=act)
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        return self.forward_trace(x).act[-1]
 
     def backward(self, trace: MlpTrace, grad_out: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
         """Backpropagate ``grad_out`` (w.r.t. the output) through the trace.
@@ -314,6 +311,31 @@ class TrainTrace:
         return len(self.records)
 
 
+@dataclass
+class LossAndGrads:
+    """One forward and backward pass: diagnostics, latent gradient, and (weight, bias) grads per network."""
+
+    forward: ForwardResult
+    evaluation: BatchEvaluation
+    latent_grad: np.ndarray
+    encoder_grads: tuple[list[np.ndarray], list[np.ndarray]]
+    projector_grads: tuple[list[np.ndarray], list[np.ndarray]]
+
+
+def loss_and_param_grads(model: SimclrModel, views: np.ndarray, cfg: TrainConfig) -> LossAndGrads:
+    """Forward 2N views, take loss, bounds and latent gradient from one NT-Xent pass, and backpropagate.
+
+    Degenerate latents raise ZeroVectorError or ValueError.
+    """
+    fwd = forward(model.encoder, model.projector, views)
+    p = _nt_xent_pass(fwd.batch.rows, cfg.tau, AnchorMode.PAPER_N)
+    evaluation = _evaluation(p)
+    grad_z = _latent_grad(p)
+    pw, pb, grad_hidden = model.projector.backward(fwd.projector_trace, grad_z)
+    ew, eb, _ = model.encoder.backward(fwd.encoder_trace, grad_hidden)
+    return LossAndGrads(fwd, evaluation, grad_z, (ew, eb), (pw, pb))
+
+
 def train_step(
     model: SimclrModel,
     points: np.ndarray,
@@ -331,19 +353,10 @@ def train_step(
     """
     views = _augment_batch(np.asarray(points, dtype=np.float64), cfg.augment, rng)
     try:
-        fwd = forward(model.encoder, model.projector, views)
+        out = loss_and_param_grads(model, views, cfg)
     except (ZeroVectorError, ValueError) as exc:
-        raise NonFiniteLossError(step, f"degenerate latents: {exc}") from exc
-
-    loss_cfg = LossConfig(tau=cfg.tau, anchor_mode=AnchorMode.PAPER_N)
-    evaluation = evaluate_batch(fwd.batch, loss_cfg)
-    try:
-        grad_z = nt_xent_grad(fwd.batch, loss_cfg)
-    except ValueError as exc:
-        raise NonFiniteLossError(step, f"non-finite loss gradient: {exc}") from exc
-
-    pw, pb, grad_hidden = model.projector.backward(fwd.projector_trace, grad_z)
-    ew, eb, _ = model.encoder.backward(fwd.encoder_trace, grad_hidden)
+        raise NonFiniteLossError(step, f"degenerate latents or loss: {exc}") from exc
+    (ew, eb), (pw, pb) = out.encoder_grads, out.projector_grads
 
     sq = 0.0
     for g in (*pw, *pb, *ew, *eb):
@@ -358,7 +371,7 @@ def train_step(
             mlp.weights[l] -= lr * gws[l]
             mlp.biases[l] -= lr * gbs[l]
 
-    breakdown, report = evaluation.breakdown, evaluation.report
+    breakdown, report = out.evaluation.breakdown, out.evaluation.report
     return StepRecord(
         step=step,
         loss_total=breakdown.total,
@@ -370,7 +383,7 @@ def train_step(
         paper_gap=report.paper_gap,
         strict_gap=report.strict_gap,
         grad_norm=grad_norm,
-        collapsed=evaluation.min_similarity >= 1.0 - COLLAPSE_TOL,
+        collapsed=bool(out.evaluation.min_similarity >= 1.0 - COLLAPSE_TOL),
     )
 
 

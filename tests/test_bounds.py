@@ -21,6 +21,7 @@ from ntxbound import (
     sample_embeddings,
     similarity_bound,
 )
+from ntxbound.bounds import VIOLATION_SLACK, _run_cell
 from ntxbound.serialize import dumps
 
 LOG3 = 1.0986122886681098
@@ -222,6 +223,26 @@ class TestMonteCarloVerify:
         a = monte_carlo_verify(grid, trials=50, seed=1)
         b = monte_carlo_verify(grid, trials=50, seed=2)
         assert a.min_strict_gap != b.min_strict_gap
+
+    @pytest.mark.parametrize("distribution", ["uniform_sphere", "gaussian", "clustered"])
+    def test_stacked_cell_matches_per_trial_loop(self, distribution):
+        """The stacked cell draws and scores its trials as one batch at a time would."""
+        n_pairs, dim, tau, trials = 3, 4, 0.1, 300
+        got = _run_cell(np.random.default_rng(42), n_pairs, dim, tau, distribution, trials)
+
+        rng = np.random.default_rng(42)
+        reports = [
+            similarity_bound(sample_embeddings(distribution, n_pairs, dim, rng), LossConfig(tau=tau))
+            for _ in range(trials)
+        ]
+        assert got[0] == sum(r.paper_gap < -VIOLATION_SLACK for r in reports)
+        assert got[1] == sum(r.strict_gap < -VIOLATION_SLACK for r in reports)
+        want = (
+            min(r.paper_gap for r in reports),
+            min(r.strict_gap for r in reports),
+            min(r.paper_bound - r.strict_bound for r in reports),
+        )
+        np.testing.assert_allclose(got[2:], want, rtol=1e-12, atol=0.0)
 
     def test_cell_count(self):
         grid = VerifyGrid(ns=(2, 4), ms=(3, 5), taus=(0.5,), distributions=("gaussian", "clustered"))

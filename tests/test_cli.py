@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import ntxbound.bounds as bounds
 import ntxbound.cli as cli
 from ntxbound.cli import main, report_aggregates, train_config_to_dict
 from ntxbound.serialize import TRACE_COLUMNS, dumps, parse_trace_csv, trace_to_csv
@@ -68,13 +69,13 @@ class TestVerifyCommand:
         b = (tmp_path / "b" / "verify_summary.json").read_bytes()
         assert a == b
 
-    def test_worker_count_does_not_change_output(self, tmp_path, verify_config, monkeypatch):
-        monkeypatch.setenv("NTXB_THREADS", "1")
-        main(["verify", "--config", str(verify_config), "--out", str(tmp_path / "serial")])
-        monkeypatch.setenv("NTXB_THREADS", "3")
-        main(["verify", "--config", str(verify_config), "--out", str(tmp_path / "parallel")])
-        assert (tmp_path / "serial" / "verify_summary.json").read_bytes() == (
-            tmp_path / "parallel" / "verify_summary.json"
+    def test_small_chunks_do_not_change_output(self, tmp_path, verify_config, monkeypatch):
+        """A byte budget that splits every cell into several stacks gives the same bytes."""
+        main(["verify", "--config", str(verify_config), "--out", str(tmp_path / "default")])
+        monkeypatch.setattr(bounds, "CHUNK_BYTES", 700)  # 1 to 3 trials per stack on this grid
+        main(["verify", "--config", str(verify_config), "--out", str(tmp_path / "chunked")])
+        assert (tmp_path / "default" / "verify_summary.json").read_bytes() == (
+            tmp_path / "chunked" / "verify_summary.json"
         ).read_bytes()
 
     def test_malformed_json_exits_2(self, tmp_path):
@@ -208,6 +209,21 @@ class TestReportCommand:
         bad = tmp_path / "bad.csv"
         bad.write_text("step,loss_total\n0,oops\n", encoding="utf-8")
         assert main(["report", "--trace", str(bad), "--out", str(tmp_path)]) == 2
+
+    def test_non_finite_value_exits_2(self, tmp_path, capsys):
+        header = ",".join(TRACE_COLUMNS)
+        trace = tmp_path / "trace.csv"
+        trace.write_text(header + "\n0,nan," + ",".join(["1"] * 8) + "\n", encoding="utf-8")
+        assert main(["report", "--trace", str(trace), "--out", str(tmp_path / "rep")]) == 2
+        assert "non-finite" in capsys.readouterr().err
+
+    def test_repeated_step_exits_2(self, tmp_path, capsys):
+        header = ",".join(TRACE_COLUMNS)
+        row = ",".join(["1"] * 9)
+        trace = tmp_path / "trace.csv"
+        trace.write_text(f"{header}\n0,{row}\n1,{row}\n1,{row}\n", encoding="utf-8")
+        assert main(["report", "--trace", str(trace), "--out", str(tmp_path / "rep")]) == 2
+        assert "step 1" in capsys.readouterr().err
 
     def test_hand_built_trace_aggregates(self, tmp_path):
         """Two rows with easy numbers; min/mean/final computed by hand."""

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ntxbound import AnchorMode, EmbeddingBatch, LossConfig, nt_xent, nt_xent_grad
+from ntxbound.gradcheck import END_TO_END_TOL, end_to_end_check
 
 FD_STEP = 1e-5
 
@@ -93,3 +94,12 @@ class TestGradientUnderRescaling:
         grad = nt_xent_grad(EmbeddingBatch(rows), LossConfig(tau=0.3))
         assert grad.shape == rows.shape
         assert np.all(np.isfinite(grad))
+
+
+class TestEndToEndCheck:
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_no_vacuous_trials(self, seed):
+        """A dead hidden layer zeroes every gradient, so a trial would read error 0; such draws are redrawn."""
+        trials = end_to_end_check(20, seed=seed)
+        assert all(t.worst_rel_err != 0.0 for t in trials)
+        assert max(t.worst_rel_err for t in trials) <= END_TO_END_TOL

@@ -1,0 +1,69 @@
+"""Property tests of the loss, the bounds and the latent gradient over random shapes and temperatures."""
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st
+
+from ntxbound import EmbeddingBatch, LossConfig, evaluate_batch, nt_xent_grad
+from ntxbound.bounds import VIOLATION_SLACK, _evaluation
+from ntxbound.loss import AnchorMode, _nt_xent_pass
+
+SETTINGS = settings(max_examples=40, deadline=None)
+
+
+@st.composite
+def batches(draw, max_stack=1):
+    """Rows (T, 2N, m): pairs are a base row plus noise of a drawn spread, each row scaled by 10^[-3, 3]."""
+    stack = draw(st.integers(1, max_stack))
+    n_pairs = draw(st.integers(1, 8))
+    dim = draw(st.integers(1, 8))
+    spread = draw(st.floats(1e-9, 10.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bases = np.repeat(rng.standard_normal((stack, n_pairs, dim)), 2, axis=1)
+    rows = bases + spread * rng.standard_normal((stack, 2 * n_pairs, dim))
+    rows *= 10.0 ** rng.uniform(-3.0, 3.0, size=(stack, 2 * n_pairs, 1))
+    return rows
+
+
+taus = st.floats(1e-8, 10.0)
+
+
+@SETTINGS
+@given(rows=batches(), tau=taus)
+def test_avg_below_strict_below_paper(rows, tau):
+    report = evaluate_batch(EmbeddingBatch(rows[0]), LossConfig(tau=tau)).report
+    assert report.avg_pos_sim <= report.strict_bound + VIOLATION_SLACK
+    assert report.strict_bound <= report.paper_bound + VIOLATION_SLACK
+
+
+@SETTINGS
+@given(rows=batches(), tau=taus)
+def test_decomposition_identity(rows, tau):
+    breakdown = evaluate_batch(EmbeddingBatch(rows[0]), LossConfig(tau=tau)).breakdown
+    residual = abs(breakdown.total - (breakdown.alignment + breakdown.distribution))
+    # Relative to the largest term: at tau = 1e-8 the components reach 1e8 while the total stays O(1).
+    assert residual <= 1e-10 * max(1.0, abs(breakdown.total), abs(breakdown.alignment), abs(breakdown.distribution))
+
+
+@SETTINGS
+@given(rows=batches(), tau=taus, mode=st.sampled_from(AnchorMode))
+def test_gradient_rows_orthogonal_to_latents(rows, tau, mode):
+    grad = nt_xent_grad(EmbeddingBatch(rows[0]), LossConfig(tau=tau, anchor_mode=mode))
+    inner = np.abs(np.sum(grad * rows[0], axis=1))
+    # Rounding leaves a radial residue of a few ulps of the unit-row gradient, which scales as 1/tau.
+    assert np.max(inner) <= 1e-12 * (1.0 + 1.0 / tau)
+
+
+@SETTINGS
+@given(rows=batches(max_stack=5), tau=taus)
+def test_stacked_evaluation_matches_each_batch(rows, tau):
+    stacked = _evaluation(_nt_xent_pass(rows, tau, AnchorMode.PAPER_N))
+    for t in range(rows.shape[0]):
+        single = evaluate_batch(EmbeddingBatch(rows[t]), LossConfig(tau=tau))
+        for part in ("breakdown", "report"):
+            got, want = getattr(stacked, part), getattr(single, part)
+            for name in got.__dataclass_fields__:
+                np.testing.assert_allclose(getattr(got, name)[t], getattr(want, name), rtol=1e-12, atol=1e-12)
+        assert stacked.min_similarity[t] == pytest.approx(single.min_similarity, rel=1e-12, abs=1e-12)
