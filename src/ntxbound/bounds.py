@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyInputError, InvalidGridError, UnsupportedModeError
-from .loss import AnchorMode, LossBreakdown, LossConfig, _breakdown, _nt_xent_pass, _Pass, logsumexp
+from .loss import AnchorMode, LossBreakdown, LossConfig, _breakdown, _checked_pass, _nt_xent_pass, _Pass, logsumexp
 from .sim import EmbeddingBatch, _cosine_matrix
 
 #: Distributions understood by the Monte Carlo verifier.
@@ -32,9 +32,15 @@ CLUSTERED_NOISE_SCALE = 0.1
 #: Absolute slack for declaring a bound violated; only rounding noise is tolerated.
 VIOLATION_SLACK = 1e-9
 
-#: Bytes of rows and similarity matrices a verify cell evaluates at once. Trials
-#: are stacked up to this budget, so peak memory does not grow with the trial count.
+#: Bytes of rows and similarity matrices evaluated at once. Verify trials and
+#: gradcheck probes are stacked up to this budget, so peak memory does not grow
+#: with the trial or probe count.
 CHUNK_BYTES = 1 << 20
+
+
+def _stack_size(n_pairs: int, dim: int) -> int:
+    """Batches of 2N rows of dimension m per stack: their rows and 2N x 2N matrices fill CHUNK_BYTES."""
+    return max(1, CHUNK_BYTES // (8 * 2 * n_pairs * (2 * n_pairs + dim)))
 
 
 @dataclass(frozen=True)
@@ -272,14 +278,12 @@ def _run_cell(
     Trials are drawn and evaluated as stacks of at most CHUNK_BYTES, through
     the same constructors and checks as a single batch.
     """
-    chunk = max(1, CHUNK_BYTES // (8 * 2 * n_pairs * (2 * n_pairs + dim)))
+    chunk = _stack_size(n_pairs, dim)
     viol_paper = viol_strict = 0
     min_paper = min_strict = min_margin = math.inf
     for start in range(0, trials, chunk):
         rows = _sample_rows(distribution, min(chunk, trials - start), n_pairs, dim, rng)
-        if not np.isfinite(rows).all():  # zero-norm rows are refused by the pass itself
-            raise ValueError("batch entries must be finite")
-        report = _evaluation(_nt_xent_pass(rows, tau, AnchorMode.PAPER_N)).report
+        report = _evaluation(_checked_pass(rows, tau, AnchorMode.PAPER_N)).report
         viol_paper += int(np.count_nonzero(report.paper_gap < -VIOLATION_SLACK))
         viol_strict += int(np.count_nonzero(report.strict_gap < -VIOLATION_SLACK))
         min_paper = min(min_paper, float(report.paper_gap.min()))

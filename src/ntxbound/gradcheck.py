@@ -3,7 +3,10 @@
 Two levels are checked: the loss gradient with respect to raw latents, and
 the end-to-end parameter gradient through projector and encoder on a tiny
 model. Central differences with step 1e-5 on inputs pre-scaled to unit RMS
-balance truncation against rounding at 64-bit precision.
+balance truncation against rounding at 64-bit precision. All probes of a
+trial are evaluated as stacks in single NT-Xent passes, up to
+``bounds.CHUNK_BYTES`` per stack: latent probes as a stack of batches, and
+parameter probes as stacked weights run through one MLP forward.
 """
 
 from __future__ import annotations
@@ -13,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .loss import LossConfig, nt_xent, nt_xent_grad
-from .sim import EmbeddingBatch
-from .trainer import ForwardResult, Mlp, SimclrModel, TrainConfig, forward, loss_and_param_grads
+from .bounds import _stack_size
+from .loss import LossConfig, _breakdown, _checked_pass, _latent_grad
+from .trainer import ForwardResult, Mlp, SimclrModel, TrainConfig, loss_and_param_grads
 
 FD_STEP = 1e-5
 LOSS_LEVEL_TOL = 1e-5
@@ -26,19 +29,31 @@ ABS_FLOOR = 1e-8
 DEAD_RELU_REDRAWS = 10
 
 
-def central_difference(f, x: np.ndarray, step: float = FD_STEP) -> np.ndarray:
-    """Central-difference gradient of scalar f at x, one entry at a time."""
-    grad = np.zeros_like(x, dtype=np.float64)
-    out = grad.reshape(-1)
-    for j in range(x.size):
-        xp = x.copy()
-        xp.flat[j] += step
-        fp = f(xp)
-        xm = x.copy()
-        xm.flat[j] -= step
-        fm = f(xm)
-        out[j] = (fp - fm) / (2.0 * step)
-    return grad
+def central_difference(f, x: np.ndarray, step: float = FD_STEP, *, chunk: int) -> np.ndarray:
+    """Central-difference gradient of a scalar function at x, from stacked probes.
+
+    The 2 * x.size probes are x + step * e_j for every entry j, then
+    x - step * e_j. ``f`` maps a stack (K, *x.shape) of probes to their K
+    values. Probes are built and evaluated ``chunk`` at a time, so memory
+    stays bounded however large x is.
+    """
+    n = x.size
+    flat = x.reshape(-1)
+    k = np.arange(2 * n)
+    entry = k % n
+    delta = np.where(k < n, step, -step)  # x + (-step) rounds as x - step: probes match in-place edits bit for bit
+    values = np.empty(2 * n)
+    for start in range(0, 2 * n, chunk):
+        stop = min(start + chunk, 2 * n)
+        probes = np.tile(flat, (stop - start, 1))
+        probes[np.arange(stop - start), entry[start:stop]] += delta[start:stop]
+        values[start:stop] = f(probes.reshape(stop - start, *x.shape))
+    return ((values[:n] - values[n:]) / (2.0 * step)).reshape(x.shape)
+
+
+def _stack_losses(rows: np.ndarray, cfg: LossConfig) -> np.ndarray:
+    """Total loss of each batch in a stack (K, 2N, m), refusing what EmbeddingBatch refuses."""
+    return _breakdown(_checked_pass(rows, cfg.tau, cfg.anchor_mode)).total
 
 
 def worst_error(analytic: np.ndarray, numeric: np.ndarray, floor: float = ABS_FLOOR) -> tuple[float, tuple]:
@@ -90,16 +105,16 @@ def loss_level_check(
     """
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(0,))))
     cfg = LossConfig(tau=tau)
+    chunk = _stack_size(n_pairs, dim)
     results = []
     for trial in range(trials):
         rows = _unit_rms(rng.standard_normal((2 * n_pairs, dim)))
-        batch = EmbeddingBatch(rows)
-        analytic = nt_xent_grad(batch, cfg)
+        analytic = _latent_grad(_checked_pass(rows, cfg.tau, cfg.anchor_mode))
         ortho = float(np.max(np.abs(np.sum(analytic * rows, axis=1))))
         if corrupt and trial == 0:
             analytic = analytic.copy()
             analytic[0, 0] += 1e-2
-        numeric = central_difference(lambda r: nt_xent(EmbeddingBatch(r), cfg).total, rows)
+        numeric = central_difference(lambda stack: _stack_losses(stack, cfg), rows, chunk=chunk)
         err, idx = worst_error(analytic, numeric)
         results.append(GradCheckTrial(trial=trial, worst_rel_err=err, worst_index=idx, orthogonality=ortho))
     return results
@@ -115,13 +130,21 @@ def flatten_params(model: SimclrModel) -> np.ndarray:
 
 
 def set_params(model: SimclrModel, vec: np.ndarray) -> None:
+    """Unflatten a parameter vector (P,), in :func:`flatten_params` order, into the model.
+
+    A stack (K, P) of vectors gives stacked weights (K, fan_in, fan_out) and
+    biases (K, 1, fan_out), which :meth:`Mlp.forward_trace` runs as K models.
+    """
     offset = 0
     for mlp in (model.encoder, model.projector):
-        for l in range(mlp.n_layers):
-            for arr_list, l_idx in ((mlp.weights, l), (mlp.biases, l)):
-                size = arr_list[l_idx].size
-                arr_list[l_idx] = vec[offset : offset + size].reshape(arr_list[l_idx].shape).copy()
-                offset += size
+        mlp.weights, mlp.biases = [], []
+        for fan_in, fan_out in zip(mlp.layer_dims[:-1], mlp.layer_dims[1:]):
+            w = vec[..., offset : offset + fan_in * fan_out]
+            offset += fan_in * fan_out
+            b = vec[..., offset : offset + fan_out]
+            offset += fan_out
+            mlp.weights.append(w.reshape(*vec.shape[:-1], fan_in, fan_out).copy())
+            mlp.biases.append(b.reshape((fan_out,) if vec.ndim == 1 else (len(vec), 1, fan_out)).copy())
 
 
 def flatten_param_grads(model: SimclrModel, enc_grads, proj_grads) -> np.ndarray:
@@ -163,6 +186,7 @@ def end_to_end_check(trials: int, seed: int = 0) -> list[GradCheckTrial]:
     results = []
     cfg = _tiny_config(seed)
     cfg_loss = LossConfig(tau=cfg.tau)
+    chunk = _stack_size(cfg.n_pairs, cfg.latent_dim)
     for trial in range(trials):
         for k in range(DEAD_RELU_REDRAWS + 1):
             key = (1, trial) if k == 0 else (1, trial, k)
@@ -179,15 +203,16 @@ def end_to_end_check(trials: int, seed: int = 0) -> list[GradCheckTrial]:
         analytic = flatten_param_grads(model, out.encoder_grads, out.projector_grads)
         ortho = float(np.max(np.abs(np.sum(out.latent_grad * out.forward.batch.rows, axis=1))))
 
-        def loss_at(vec: np.ndarray) -> float:
-            probe = SimclrModel(
-                encoder=Mlp(model.encoder.layer_dims, list(model.encoder.weights), list(model.encoder.biases)),
-                projector=Mlp(model.projector.layer_dims, list(model.projector.weights), list(model.projector.biases)),
-            )
-            set_params(probe, vec)
-            return nt_xent(forward(probe.encoder, probe.projector, views).batch, cfg_loss).total
+        probe = SimclrModel(
+            encoder=Mlp(model.encoder.layer_dims, [], []), projector=Mlp(model.projector.layer_dims, [], [])
+        )
 
-        numeric = central_difference(loss_at, flatten_params(model))
+        def loss_at(vecs: np.ndarray) -> np.ndarray:
+            set_params(probe, vecs)
+            hidden = probe.encoder.forward_trace(views).act[-1]
+            return _stack_losses(probe.projector.forward_trace(hidden).act[-1], cfg_loss)
+
+        numeric = central_difference(loss_at, flatten_params(model), chunk=chunk)
         err, idx = worst_error(analytic, numeric)
         results.append(GradCheckTrial(trial=trial, worst_rel_err=err, worst_index=idx, orthogonality=ortho))
     return results

@@ -135,6 +135,17 @@ def _nt_xent_pass(rows: np.ndarray, tau: float, mode: AnchorMode) -> _Pass:
     return _Pass(_cosine_matrix(unit), tau, mode, unit, norms)
 
 
+def _checked_pass(rows: np.ndarray, tau: float, mode: AnchorMode) -> _Pass:
+    """:func:`_nt_xent_pass` on rows no :class:`EmbeddingBatch` has validated, such as a stack.
+
+    Non-finite entries raise ValueError here; zero-norm rows raise
+    ZeroVectorError in the pass.
+    """
+    if not np.isfinite(rows).all():
+        raise ValueError("batch entries must be finite")
+    return _nt_xent_pass(rows, tau, mode)
+
+
 def _breakdown(p: _Pass) -> LossBreakdown:
     n_pairs = p.sims.shape[-1] // 2
     return LossBreakdown(

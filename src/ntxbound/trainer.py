@@ -52,6 +52,9 @@ class Mlp:
 
     ``weights[l]`` has shape (fan_in, fan_out); forward maps a (batch, d) array
     through ``x @ W + b`` per layer. The ReLU subgradient at 0 is taken as 0.
+    Weights may also be stacked, (K, fan_in, fan_out) with biases (K, 1,
+    fan_out): the same forward then runs K networks at once and returns
+    (K, batch, d) activations. ``backward`` takes unstacked weights only.
     """
 
     layer_dims: tuple[int, ...]
@@ -83,7 +86,7 @@ class Mlp:
 
     def forward_trace(self, x: np.ndarray) -> MlpTrace:
         x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.layer_dims[0]:
+        if x.ndim < 2 or x.shape[-1] != self.layer_dims[0]:
             raise DimensionMismatchError(
                 f"input shape {x.shape} does not match first layer dim {self.layer_dims[0]}"
             )

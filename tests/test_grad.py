@@ -5,8 +5,12 @@ import math
 import numpy as np
 import pytest
 
+import ntxbound.bounds as bounds
 from ntxbound import AnchorMode, EmbeddingBatch, LossConfig, nt_xent, nt_xent_grad
-from ntxbound.gradcheck import END_TO_END_TOL, end_to_end_check
+from ntxbound.cli import main
+from ntxbound.errors import ZeroVectorError
+from ntxbound.gradcheck import END_TO_END_TOL, _stack_losses, central_difference, end_to_end_check
+from ntxbound.trainer import Mlp
 
 FD_STEP = 1e-5
 
@@ -103,3 +107,64 @@ class TestEndToEndCheck:
         trials = end_to_end_check(20, seed=seed)
         assert all(t.worst_rel_err != 0.0 for t in trials)
         assert max(t.worst_rel_err for t in trials) <= END_TO_END_TOL
+
+
+class TestStackedCentralDifference:
+    @pytest.mark.parametrize("chunk", [1, 5, 24])
+    def test_quadratic_gradient_is_exact(self, chunk):
+        """Central differences are exact on a quadratic, whatever the stack size (24 is one stack)."""
+        rng = np.random.default_rng(31)
+        a = rng.standard_normal((12, 12))
+        b = rng.standard_normal(12)
+        x = rng.standard_normal((3, 4))
+
+        def f(stack):
+            flat = stack.reshape(len(stack), -1)
+            return np.einsum("ki,ij,kj->k", flat, a, flat) + flat @ b
+
+        expected = ((a + a.T) @ x.ravel() + b).reshape(x.shape)
+        np.testing.assert_allclose(central_difference(f, x, chunk=chunk), expected, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("mode", list(AnchorMode))
+    def test_nt_xent_matches_per_entry_loop(self, mode):
+        rng = np.random.default_rng(32)
+        for chunk in (48, 3):
+            rows = unit_rms(rng.standard_normal((6, 4)))
+            cfg = LossConfig(tau=0.4, anchor_mode=mode)
+            numeric = central_difference(lambda stack: _stack_losses(stack, cfg), rows, chunk=chunk)
+            np.testing.assert_allclose(numeric, fd_gradient(rows, cfg), rtol=0, atol=1e-12)
+
+    def test_probes_are_refused_like_a_batch(self):
+        cfg = LossConfig(tau=0.5)
+        stack = np.ones((3, 4, 2))
+        stack[1, 2, 0] = np.nan
+        with pytest.raises(ValueError, match="batch entries must be finite"):
+            _stack_losses(stack, cfg)
+        stack[1, 2] = 0.0
+        with pytest.raises(ZeroVectorError):
+            _stack_losses(stack, cfg)
+
+    def test_stacked_mlp_forward_matches_each_slice(self):
+        rng = np.random.default_rng(33)
+        dims = (3, 5, 4)
+        x = rng.standard_normal((6, 3))
+        nets = [Mlp.init(dims, rng) for _ in range(4)]
+        weights = [np.stack(w) for w in zip(*(n.weights for n in nets))]
+        biases = [np.stack(b)[:, None, :] for b in zip(*(n.biases for n in nets))]
+        trace = Mlp(dims, weights, biases).forward_trace(x)
+        for k, net in enumerate(nets):
+            single = net.forward_trace(x)
+            for got, want in zip(trace.pre + trace.act[1:], single.pre + single.act[1:]):
+                np.testing.assert_allclose(got[k], want, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("seed", ["2", "35"])
+    def test_small_chunks_do_not_change_printout(self, seed, capsys, monkeypatch):
+        """A budget that splits every trial's probes into many stacks prints the same bytes."""
+        argv = ["gradcheck", "--trials", "20", "--seed", seed]
+        rc_default = main(argv)
+        default = capsys.readouterr().out
+        monkeypatch.setattr(bounds, "CHUNK_BYTES", 700)
+        assert bounds._stack_size(4, 8) == 1  # loss level: one probe per stack
+        assert bounds._stack_size(2, 2) == 3  # end to end: three probes per stack
+        assert main(argv) == rc_default == 1
+        assert capsys.readouterr().out == default
