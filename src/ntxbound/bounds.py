@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import EmptyInputError, InvalidGridError, UnsupportedModeError
 from .loss import AnchorMode, LossBreakdown, LossConfig, _breakdown, _checked_pass, _nt_xent_pass, _Pass, logsumexp
-from .sim import EmbeddingBatch, _cosine_matrix
+from .sim import EmbeddingBatch, _check_tau, _cosine_matrix
 
 #: Distributions understood by the Monte Carlo verifier.
 DISTRIBUTIONS = ("uniform_sphere", "gaussian", "clustered")
@@ -36,6 +36,16 @@ VIOLATION_SLACK = 1e-9
 #: gradcheck probes are stacked up to this budget, so peak memory does not grow
 #: with the trial or probe count.
 CHUNK_BYTES = 1 << 20
+
+
+def _stream(seed: int, *key: int) -> np.random.Generator:
+    """The PCG64 stream of SeedSequence(seed, spawn_key=key).
+
+    Streams under different keys are independent, so each consumer (a verify
+    cell, a training phase, a gradcheck trial) draws from its own key and
+    nothing one draws shifts another.
+    """
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
 def _stack_size(n_pairs: int, dim: int) -> int:
@@ -205,8 +215,8 @@ class VerifyGrid:
             raise InvalidGridError(f"pair counts must be >= 1, got {self.ns}")
         if any(m < 1 for m in self.ms):
             raise InvalidGridError(f"dimensions must be >= 1, got {self.ms}")
-        if any(not (math.isfinite(t) and t > 0) for t in self.taus):
-            raise InvalidGridError(f"temperatures must be positive, got {self.taus}")
+        for tau in self.taus:
+            _check_tau(tau, InvalidGridError)
         for d in self.distributions:
             if d not in DISTRIBUTIONS:
                 raise InvalidGridError(f"unknown distribution {d!r}; expected one of {DISTRIBUTIONS}")
@@ -261,15 +271,6 @@ class VerifySummary:
         }
 
 
-def _cell_rng(seed: int, cell_index: int) -> np.random.Generator:
-    """Independent generator for one grid cell.
-
-    PCG64 streams derived from SeedSequence(seed, spawn_key=(cell_index,)),
-    so a cell's draws depend on neither the other cells nor the chunking.
-    """
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(cell_index,))))
-
-
 def _run_cell(
     rng: np.random.Generator, n_pairs: int, dim: int, tau: float, distribution: str, trials: int
 ) -> tuple[int, int, float, float, float]:
@@ -295,7 +296,8 @@ def _run_cell(
 def monte_carlo_verify(grid: VerifyGrid, trials: int, seed: int) -> VerifySummary:
     """Check both bound variants on random batches over the whole grid.
 
-    Deterministic given ``seed``: each cell draws from its own stream. Violations
+    Deterministic given ``seed``: cell k draws from stream (k,), so its draws
+    depend on neither the other cells nor the chunking. Violations
     are counted beyond an absolute slack of 1e-9; the minimum observed gap of
     each variant and the minimum paper-strict margin are recorded.
     """
@@ -304,7 +306,7 @@ def monte_carlo_verify(grid: VerifyGrid, trials: int, seed: int) -> VerifySummar
     if seed < 0 or seed >= 2**64:
         raise InvalidGridError(f"seed must fit in u64, got {seed}")
     cells = grid.cells()
-    results = [_run_cell(_cell_rng(seed, i), n, m, tau, dist, trials) for i, (n, m, tau, dist) in enumerate(cells)]
+    results = [_run_cell(_stream(seed, i), n, m, tau, dist, trials) for i, (n, m, tau, dist) in enumerate(cells)]
 
     viol_paper = sum(r[0] for r in results)
     viol_strict = sum(r[1] for r in results)

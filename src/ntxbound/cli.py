@@ -9,7 +9,9 @@ seed; output files are byte-identical across repeated runs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
+import typing
 from pathlib import Path
 
 from . import gradcheck as gc
@@ -23,7 +25,7 @@ from .errors import (
     NonFiniteLossError,
 )
 from .serialize import TRACE_COLUMNS, format_float, load_json, read_trace_csv, trace_to_csv, write_json
-from .trainer import AugmentConfig, DatasetParams, TrainConfig, train
+from .trainer import TrainConfig, train
 
 _USAGE_ERRORS = (
     ConfigError,
@@ -63,95 +65,62 @@ def _as_num(value, ctx: str) -> float:
     return float(value)
 
 
-def _as_list(value, ctx: str) -> list:
-    if not isinstance(value, list) or not value:
+def _as_str(value, ctx: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{ctx}: expected a string, got {value!r}")
+    return value
+
+
+def _as_list(value, ctx: str) -> list | tuple:
+    if not isinstance(value, (list, tuple)) or not value:
         raise ConfigError(f"{ctx}: expected a nonempty array, got {value!r}")
     return value
 
 
+_SCALARS = {int: _as_int, float: _as_num, str: _as_str}
+
+
+def _load(hint, value, ctx: str):
+    """Check a document value against a field's type hint and convert it.
+
+    A dataclass is an object holding exactly its fields, each a required key;
+    ``tuple[T, ...]`` is a nonempty array of T; int, float and str are scalars.
+    """
+    if dataclasses.is_dataclass(hint):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{ctx} must be an object")
+        names = [f.name for f in dataclasses.fields(hint)]
+        _reject_unknown(value, names, ctx)
+        hints = typing.get_type_hints(hint)
+        return hint(**{name: _load(hints[name], _get(value, name, ctx), f"{ctx}: {name}") for name in names})
+    if typing.get_origin(hint) is tuple:
+        item = typing.get_args(hint)[0]
+        return tuple(_load(item, v, ctx) for v in _as_list(value, ctx))
+    return _SCALARS[hint](value, ctx)
+
+
 def parse_verify_config(doc: dict) -> tuple[VerifyGrid, int, int]:
-    """Validate a verify config document; returns (grid, trials, seed)."""
-    _reject_unknown(doc, {"ns", "ms", "taus", "distributions", "trials", "seed"}, "verify config")
-    ns = tuple(_as_int(v, "verify config: ns") for v in _as_list(_get(doc, "ns", "verify config"), "verify config: ns"))
-    ms = tuple(_as_int(v, "verify config: ms") for v in _as_list(_get(doc, "ms", "verify config"), "verify config: ms"))
-    taus = tuple(_as_num(v, "verify config: taus") for v in _as_list(_get(doc, "taus", "verify config"), "verify config: taus"))
-    dists = _as_list(_get(doc, "distributions", "verify config"), "verify config: distributions")
-    for d in dists:
-        if not isinstance(d, str):
-            raise ConfigError(f"verify config: distributions must be strings, got {d!r}")
-    trials = _as_int(_get(doc, "trials", "verify config"), "verify config: trials")
-    seed = _as_int(doc.get("seed", 0), "verify config: seed")
-    return VerifyGrid(ns=ns, ms=ms, taus=taus, distributions=tuple(dists)), trials, seed
+    """Validate a verify config document; returns (grid, trials, seed).
+
+    Besides the grid's fields, ``trials`` is required and ``seed`` defaults to 0.
+    """
+    ctx = "verify config"
+    grid_keys = [f.name for f in dataclasses.fields(VerifyGrid)]
+    _reject_unknown(doc, grid_keys + ["trials", "seed"], ctx)
+    grid = _load(VerifyGrid, {k: doc[k] for k in grid_keys if k in doc}, ctx)
+    trials = _as_int(_get(doc, "trials", ctx), f"{ctx}: trials")
+    seed = _as_int(doc.get("seed", 0), f"{ctx}: seed")
+    return grid, trials, seed
 
 
 def parse_train_config(doc: dict) -> TrainConfig:
     """Validate a train config document and build the TrainConfig."""
-    _reject_unknown(
-        doc,
-        {
-            "n_pairs",
-            "input_dim",
-            "encoder_dims",
-            "projector_dims",
-            "tau",
-            "learning_rate",
-            "steps",
-            "seed",
-            "augment",
-            "dataset",
-        },
-        "train config",
-    )
-    aug_doc = _get(doc, "augment", "train config")
-    if not isinstance(aug_doc, dict):
-        raise ConfigError("train config: augment must be an object")
-    _reject_unknown(aug_doc, {"noise_sigma", "dropout_prob"}, "train config: augment")
-    data_doc = _get(doc, "dataset", "train config")
-    if not isinstance(data_doc, dict):
-        raise ConfigError("train config: dataset must be an object")
-    _reject_unknown(data_doc, {"clusters", "spread", "points"}, "train config: dataset")
-
-    return TrainConfig(
-        n_pairs=_as_int(_get(doc, "n_pairs", "train config"), "train config: n_pairs"),
-        input_dim=_as_int(_get(doc, "input_dim", "train config"), "train config: input_dim"),
-        encoder_dims=tuple(
-            _as_int(v, "train config: encoder_dims")
-            for v in _as_list(_get(doc, "encoder_dims", "train config"), "train config: encoder_dims")
-        ),
-        projector_dims=tuple(
-            _as_int(v, "train config: projector_dims")
-            for v in _as_list(_get(doc, "projector_dims", "train config"), "train config: projector_dims")
-        ),
-        tau=_as_num(_get(doc, "tau", "train config"), "train config: tau"),
-        learning_rate=_as_num(_get(doc, "learning_rate", "train config"), "train config: learning_rate"),
-        steps=_as_int(_get(doc, "steps", "train config"), "train config: steps"),
-        seed=_as_int(_get(doc, "seed", "train config"), "train config: seed"),
-        augment=AugmentConfig(
-            noise_sigma=_as_num(_get(aug_doc, "noise_sigma", "train config: augment"), "train config: noise_sigma"),
-            dropout_prob=_as_num(_get(aug_doc, "dropout_prob", "train config: augment"), "train config: dropout_prob"),
-        ),
-        dataset=DatasetParams(
-            clusters=_as_int(_get(data_doc, "clusters", "train config: dataset"), "train config: clusters"),
-            spread=_as_num(_get(data_doc, "spread", "train config: dataset"), "train config: spread"),
-            points=_as_int(_get(data_doc, "points", "train config: dataset"), "train config: points"),
-        ),
-    )
+    return _load(TrainConfig, doc, "train config")
 
 
 def train_config_to_dict(cfg: TrainConfig) -> dict:
-    """Config document form of a TrainConfig (fixed key order)."""
-    return {
-        "n_pairs": cfg.n_pairs,
-        "input_dim": cfg.input_dim,
-        "encoder_dims": list(cfg.encoder_dims),
-        "projector_dims": list(cfg.projector_dims),
-        "tau": cfg.tau,
-        "learning_rate": cfg.learning_rate,
-        "steps": cfg.steps,
-        "seed": cfg.seed,
-        "augment": {"noise_sigma": cfg.augment.noise_sigma, "dropout_prob": cfg.augment.dropout_prob},
-        "dataset": {"clusters": cfg.dataset.clusters, "spread": cfg.dataset.spread, "points": cfg.dataset.points},
-    }
+    """Config document form of a TrainConfig, keys in field order."""
+    return dataclasses.asdict(cfg)
 
 
 # ----------------------------------------------------------------------
@@ -161,7 +130,10 @@ def train_config_to_dict(cfg: TrainConfig) -> dict:
 
 def _outdir(path: str) -> Path:
     out = Path(path)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file in the way, or no permission
+        raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
     return out
 
 
@@ -172,8 +144,8 @@ def cmd_verify(args) -> int:
         grid, trials, seed = parse_verify_config(load_json(args.config))
     if args.seed is not None:
         seed = args.seed
-    summary = monte_carlo_verify(grid, trials, seed)
     out = _outdir(args.out)
+    summary = monte_carlo_verify(grid, trials, seed)
     write_json(out / "verify_summary.json", summary.to_dict())
     print(
         f"verify: cells={summary.cells} total_trials={summary.total_trials} "
@@ -313,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gradcheck", help="finite-difference check of the analytic gradients")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=_seed_type, default=0)
-    p.add_argument("--n-pairs", type=int, default=4, dest="n_pairs")
+    p.add_argument("--n-pairs", type=int, default=4)
     p.add_argument("--dim", type=int, default=8)
     p.add_argument("--tau", type=float, default=0.5)
     p.add_argument("--corrupt-gradient", action="store_true", help=argparse.SUPPRESS)  # test hook

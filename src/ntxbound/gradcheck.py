@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import _stack_size
+from .bounds import _stack_size, _stream
 from .loss import LossConfig, _breakdown, _checked_pass, _latent_grad
 from .trainer import ForwardResult, Mlp, SimclrModel, TrainConfig, loss_and_param_grads
 
@@ -103,7 +103,7 @@ def loss_level_check(
     ``corrupt`` perturbs one gradient entry of the first trial by 1e-2; a test
     hook proving the check can fail.
     """
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(0,))))
+    rng = _stream(seed, 0)
     cfg = LossConfig(tau=tau)
     chunk = _stack_size(n_pairs, dim)
     results = []
@@ -189,8 +189,7 @@ def end_to_end_check(trials: int, seed: int = 0) -> list[GradCheckTrial]:
     chunk = _stack_size(cfg.n_pairs, cfg.latent_dim)
     for trial in range(trials):
         for k in range(DEAD_RELU_REDRAWS + 1):
-            key = (1, trial) if k == 0 else (1, trial, k)
-            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=key)))
+            rng = _stream(seed, 1, trial) if k == 0 else _stream(seed, 1, trial, k)
             model = SimclrModel.init(cfg, rng)
             views = _unit_rms(rng.standard_normal((2 * cfg.n_pairs, cfg.input_dim)))
             out = loss_and_param_grads(model, views, cfg)

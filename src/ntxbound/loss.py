@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyInputError, InvalidTemperatureError
-from .sim import EmbeddingBatch, SimilarityMatrix, _cosine_matrix, _unit_rows
+from .sim import EmbeddingBatch, SimilarityMatrix, _check_tau, _cosine_matrix, _unit_rows
 
 
 class AnchorMode(enum.Enum):
@@ -44,8 +44,7 @@ class LossConfig:
     anchor_mode: AnchorMode = AnchorMode.PAPER_N
 
     def __post_init__(self):
-        if not (np.isfinite(self.tau) and self.tau > 0):
-            raise InvalidTemperatureError(f"tau must be > 0, got {self.tau}")
+        _check_tau(self.tau)
 
 
 @dataclass(frozen=True)

@@ -68,17 +68,26 @@ def write_json(path, obj) -> None:
     Path(path).write_text(dumps(obj), encoding="utf-8")
 
 
-def load_json(path) -> dict:
-    """Parse a JSON config document; malformed input raises ConfigError."""
+def _read_text(path, kind: str) -> str:
+    """UTF-8 text of an input file; a missing, unreadable or non-UTF-8 file raises ConfigError."""
     p = Path(path)
     if not p.is_file():
-        raise ConfigError(f"config file not found: {p}")
+        raise ConfigError(f"{kind} file not found: {p}")
     try:
-        doc = json.loads(p.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot parse {p}: {exc}") from exc
+        return p.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {p}: {exc}") from exc
+
+
+def load_json(path) -> dict:
+    """Parse a JSON config document; malformed input raises ConfigError."""
+    text = _read_text(path, "config")
+    try:
+        doc = json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep
+        raise ConfigError(f"cannot parse {path}: {exc}") from exc
     if not isinstance(doc, dict):
-        raise ConfigError(f"top-level JSON value in {p} must be an object")
+        raise ConfigError(f"top-level JSON value in {path} must be an object")
     return doc
 
 
@@ -125,7 +134,4 @@ def parse_trace_csv(text: str) -> list[dict]:
 
 
 def read_trace_csv(path) -> list[dict]:
-    p = Path(path)
-    if not p.is_file():
-        raise ConfigError(f"trace file not found: {p}")
-    return parse_trace_csv(p.read_text(encoding="utf-8"))
+    return parse_trace_csv(_read_text(path, "trace"))

@@ -13,6 +13,20 @@ import numpy as np
 
 from .errors import DimensionMismatchError, InvalidTemperatureError, ZeroVectorError
 
+#: Accepted temperatures, inclusive. Logits reach 1/tau and the loss sums N
+#: of them: at tau = 1e-308 the loss overflows, and TAU_MIN keeps such sums,
+#: squares and finite differences far from float64's range. The bounds
+#: ``tau*log(n) - tau*L + ...`` lose about tau * 1e-15 to cancellation: at
+#: tau = 1e6 a collapsed batch shows a false violation beyond the 1e-9 slack,
+#: and at TAU_MAX the error stays near 1e-11.
+TAU_MIN, TAU_MAX = 1e-12, 1e4
+
+
+def _check_tau(tau, error: type[Exception] = InvalidTemperatureError) -> None:
+    """Raise ``error`` unless tau is one real number in [TAU_MIN, TAU_MAX]."""
+    if not (np.ndim(tau) == 0 and TAU_MIN <= tau <= TAU_MAX):
+        raise error(f"tau must be in [{TAU_MIN:g}, {TAU_MAX:g}], got {tau!r}")
+
 
 def _as_vector(v) -> np.ndarray:
     arr = np.asarray(v, dtype=np.float64)
@@ -112,8 +126,7 @@ class SimilarityMatrix:
     def __post_init__(self):
         if self.sims.ndim != 2 or self.sims.shape[0] != self.sims.shape[1]:
             raise DimensionMismatchError("similarity matrix must be square")
-        if not (np.isfinite(self.tau) and self.tau > 0):
-            raise InvalidTemperatureError(f"tau must be > 0, got {self.tau}")
+        _check_tau(self.tau)
 
     @property
     def n_rows(self) -> int:
@@ -152,8 +165,7 @@ def similarity_matrix(batch: EmbeddingBatch, tau: float) -> SimilarityMatrix:
     of the loss is applied downstream, because the bound variants need
     diagonal access. Symmetry is enforced exactly by averaging.
     """
-    if not (np.isscalar(tau) and np.isfinite(tau) and tau > 0):
-        raise InvalidTemperatureError(f"tau must be a finite positive scalar, got {tau!r}")
+    _check_tau(tau)
     unit, _ = batch.unit_rows()
     sims = _cosine_matrix(unit)
     return SimilarityMatrix(sims=sims, tau=float(tau), scaled=sims / tau)

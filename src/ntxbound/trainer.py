@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import BatchEvaluation, _evaluation
+from .bounds import BatchEvaluation, _evaluation, _stream
 from .errors import (
     DimensionMismatchError,
     InvalidDatasetParamsError,
@@ -26,16 +26,10 @@ from .errors import (
     ZeroVectorError,
 )
 from .loss import AnchorMode, _latent_grad, _nt_xent_pass
-from .sim import EmbeddingBatch
+from .sim import EmbeddingBatch, _check_tau
 
 #: All pairwise similarities at least this close to 1 counts as a collapsed batch.
 COLLAPSE_TOL = 1e-12
-
-
-def _rng_from(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.SeedSequence):
-        return np.random.Generator(np.random.PCG64(seed))
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
 
 @dataclass
@@ -167,8 +161,7 @@ class TrainConfig:
         dims = (self.input_dim, *self.encoder_dims, *self.projector_dims)
         if len(self.encoder_dims) < 1 or len(self.projector_dims) < 1 or any(d < 1 for d in dims):
             raise DimensionMismatchError(f"all layer dims must be >= 1, got {dims}")
-        if not (np.isfinite(self.tau) and self.tau > 0):
-            raise InvalidDatasetParamsError(f"tau must be > 0, got {self.tau}")
+        _check_tau(self.tau, InvalidDatasetParamsError)
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise InvalidDatasetParamsError(f"learning_rate must be > 0, got {self.learning_rate}")
         if self.steps < 1:
@@ -201,12 +194,14 @@ class SyntheticDataset:
 def gen_synthetic(dim: int, params: DatasetParams, seed) -> SyntheticDataset:
     """Gaussian-mixture points in R^dim, deterministic given the seed.
 
-    Cluster means are standard normal; point p belongs to cluster p % clusters
-    and equals its mean plus ``spread``-scaled Gaussian noise.
+    ``seed`` is anything ``np.random.default_rng`` takes: an int, a
+    SeedSequence or a Generator. Cluster means are standard normal; point p
+    belongs to cluster p % clusters and equals its mean plus ``spread``-scaled
+    Gaussian noise.
     """
     if dim < 1:
         raise InvalidDatasetParamsError(f"dim must be >= 1, got {dim}")
-    rng = _rng_from(seed)
+    rng = np.random.default_rng(seed)
     means = rng.standard_normal((params.clusters, dim))
     labels = np.arange(params.points) % params.clusters
     points = means[labels] + params.spread * rng.standard_normal((params.points, dim))
@@ -397,9 +392,9 @@ def train(cfg: TrainConfig) -> TrainTrace:
     applies :func:`train_step`. On divergence the NonFiniteLossError carries
     the trace accumulated so far in its ``trace`` attribute.
     """
-    dataset = gen_synthetic(cfg.input_dim, cfg.dataset, np.random.SeedSequence(entropy=cfg.seed, spawn_key=(0,)))
-    model = SimclrModel.init(cfg, _rng_from(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(1,))))
-    loop_rng = _rng_from(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(2,)))
+    dataset = gen_synthetic(cfg.input_dim, cfg.dataset, _stream(cfg.seed, 0))
+    model = SimclrModel.init(cfg, _stream(cfg.seed, 1))
+    loop_rng = _stream(cfg.seed, 2)
 
     records: list[StepRecord] = []
     for step in range(cfg.steps):

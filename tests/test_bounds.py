@@ -18,10 +18,12 @@ from ntxbound import (
     lse_bounds,
     monte_carlo_verify,
     nt_xent,
+    nt_xent_grad,
     sample_embeddings,
     similarity_bound,
 )
 from ntxbound.bounds import VIOLATION_SLACK, _run_cell
+from ntxbound.sim import TAU_MAX, TAU_MIN
 from ntxbound.serialize import dumps
 
 LOG3 = 1.0986122886681098
@@ -155,6 +157,16 @@ class TestSimilarityBound:
             assert report.paper_gap >= -1e-9
             assert report.strict_gap >= -1e-9
             assert report.avg_pos_sim == pytest.approx(base.avg_pos_sim, abs=1e-12)
+
+    def test_tau_range_ends(self):
+        """At TAU_MAX a near-collapsed batch, which attains the strict bound, keeps its
+        cancellation error within the slack; at TAU_MIN loss, bounds and gradient stay finite."""
+        rng = np.random.default_rng(0)
+        collapsed = EmbeddingBatch(1.0 + 1e-9 * rng.standard_normal((64, 8)))
+        assert similarity_bound(collapsed, LossConfig(tau=TAU_MAX)).strict_gap >= -VIOLATION_SLACK
+        spread = EmbeddingBatch(rng.standard_normal((64, 8)))
+        evaluate_batch(spread, LossConfig(tau=TAU_MIN))  # its constructors refuse non-finite values
+        assert np.isfinite(nt_xent_grad(spread, LossConfig(tau=TAU_MIN))).all()
 
     def test_evaluate_batch_consistency(self):
         rng = np.random.default_rng(10)

@@ -1,15 +1,19 @@
 """CLI contract: commands, exit codes, config validation, and file determinism."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ntxbound.bounds as bounds
 import ntxbound.cli as cli
-from ntxbound.cli import main, report_aggregates, train_config_to_dict
-from ntxbound.serialize import TRACE_COLUMNS, dumps, parse_trace_csv, trace_to_csv
+from ntxbound.bounds import default_grid
+from ntxbound.cli import main, parse_train_config, parse_verify_config, report_aggregates, train_config_to_dict
+from ntxbound.serialize import TRACE_COLUMNS, dumps, load_json, parse_trace_csv, trace_to_csv
 from ntxbound.trainer import AugmentConfig, DatasetParams, TrainConfig, train
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def write_json(path, doc):
@@ -33,22 +37,135 @@ def verify_config(tmp_path):
     return path
 
 
+QUICK = TrainConfig(
+    n_pairs=4,
+    input_dim=4,
+    encoder_dims=(8, 8),
+    projector_dims=(8, 4),
+    tau=0.5,
+    learning_rate=0.05,
+    steps=30,
+    seed=1,
+    augment=AugmentConfig(noise_sigma=0.1, dropout_prob=0.1),
+    dataset=DatasetParams(clusters=2, spread=0.2, points=32),
+)
+
+
 def quick_train_config(**overrides):
-    cfg = TrainConfig(
-        n_pairs=4,
-        input_dim=4,
-        encoder_dims=(8, 8),
-        projector_dims=(8, 4),
-        tau=0.5,
-        learning_rate=0.05,
-        steps=30,
-        seed=1,
-        augment=AugmentConfig(noise_sigma=0.1, dropout_prob=0.1),
-        dataset=DatasetParams(clusters=2, spread=0.2, points=32),
-    )
-    doc = train_config_to_dict(cfg)
+    doc = train_config_to_dict(QUICK)
     doc.update(overrides)
     return doc
+
+
+def assert_usage_error(argv, capsys):
+    """Exit 2 with one ``ntxb <command>: ...`` line on stderr and no traceback."""
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"ntxb {argv[0]}: ") and err.count("\n") == 1, err
+    return err
+
+
+VERIFY_DOC = {"ns": [2], "ms": [3], "taus": [1.0], "distributions": ["gaussian"], "trials": 5}
+TRAIN_DOC = train_config_to_dict(QUICK)
+
+
+def without(doc, key):
+    return {k: v for k, v in doc.items() if k != key}
+
+
+class TestConfigLoader:
+    def test_train_config_round_trips(self):
+        assert QUICK != TrainConfig()
+        assert parse_train_config(train_config_to_dict(QUICK)) == QUICK
+        assert parse_train_config(json.loads(dumps(train_config_to_dict(QUICK)))) == QUICK
+
+    def test_shipped_configs_are_the_defaults(self):
+        assert parse_train_config(load_json(CONFIGS / "train_desk.json")) == TrainConfig()
+        assert parse_verify_config(load_json(CONFIGS / "verify_default.json")) == (default_grid(), 1000, 0)
+
+    def test_verify_seed_defaults_to_zero(self):
+        assert parse_verify_config(VERIFY_DOC)[2] == 0
+
+    @pytest.mark.parametrize(
+        "command, doc",
+        [
+            ("train", {**TRAIN_DOC, "n_pairs": True}),
+            ("train", {**TRAIN_DOC, "steps": 30.0}),
+            ("train", {**TRAIN_DOC, "augment": [0.1, 0.1]}),
+            ("train", {**TRAIN_DOC, "dataset": {**TRAIN_DOC["dataset"], "shape": "ring"}}),
+            ("train", {**TRAIN_DOC, "augment": without(TRAIN_DOC["augment"], "dropout_prob")}),
+            ("train", {**TRAIN_DOC, "encoder_dims": [8, "8"]}),
+            ("train", {**TRAIN_DOC, "projector_dims": []}),
+            ("train", {**TRAIN_DOC, "tau": "0.5"}),
+            ("train", without(TRAIN_DOC, "steps")),
+            ("train", {**TRAIN_DOC, "dataset": {**TRAIN_DOC["dataset"], "points": False}}),
+            ("verify", {**VERIFY_DOC, "distributions": [1]}),
+            ("verify", {**VERIFY_DOC, "ns": 2}),
+            ("verify", {**VERIFY_DOC, "taus": [True]}),
+            ("verify", {**VERIFY_DOC, "trials": 5.0}),
+            ("verify", {**VERIFY_DOC, "seed": "0"}),
+            ("verify", without(VERIFY_DOC, "trials")),
+            ("verify", without(VERIFY_DOC, "ms")),
+        ],
+    )
+    def test_rejected_documents_exit_2(self, tmp_path, capsys, command, doc):
+        path = tmp_path / "cfg.json"
+        write_json(path, doc)
+        assert_usage_error([command, "--config", str(path), "--out", str(tmp_path / "out")], capsys)
+
+    def test_unknown_key_message_lists_every_allowed_key(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        write_json(path, {**VERIFY_DOC, "bogus": 1})
+        err = assert_usage_error(["verify", "--config", str(path)], capsys)
+        assert "['distributions', 'ms', 'ns', 'seed', 'taus', 'trials']" in err
+
+
+class TestUnusableInputs:
+    """Inputs that once ended in a traceback (exit 1) are usage errors."""
+
+    @pytest.mark.parametrize("tau", [1e-308, 1e300, 1e308])
+    def test_verify_extreme_tau(self, tmp_path, capsys, tau):
+        path = tmp_path / "cfg.json"
+        write_json(path, {**VERIFY_DOC, "ns": [3], "ms": [8], "taus": [tau], "trials": 100})
+        assert_usage_error(["verify", "--config", str(path), "--out", str(tmp_path / "out")], capsys)
+
+    def test_gradcheck_extreme_tau(self, capsys):
+        assert_usage_error(["gradcheck", "--trials", "1", "--tau", "1e-320"], capsys)
+
+    def test_train_extreme_tau(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        write_json(path, quick_train_config(tau=1e-320))
+        assert_usage_error(["train", "--config", str(path), "--out", str(tmp_path / "out")], capsys)
+
+    def test_non_utf8_config_and_trace(self, tmp_path, capsys):
+        latin1 = tmp_path / "latin1"
+        latin1.write_bytes(b'{"ns": "\xe9"}')
+        assert_usage_error(["verify", "--config", str(latin1)], capsys)
+        assert_usage_error(["train", "--config", str(latin1), "--out", str(tmp_path / "out")], capsys)
+        assert_usage_error(["report", "--trace", str(latin1), "--out", str(tmp_path / "out")], capsys)
+
+    def test_deeply_nested_config(self, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000, encoding="utf-8")
+        assert_usage_error(["verify", "--config", str(deep)], capsys)
+
+    @pytest.mark.parametrize("below", [False, True])
+    def test_out_blocked_by_a_file(self, tmp_path, capsys, monkeypatch, below):
+        blocker = tmp_path / "afile"
+        blocker.write_text("x", encoding="utf-8")
+        out = str(blocker / "sub" if below else blocker)
+        cfg = tmp_path / "train.json"
+        write_json(cfg, quick_train_config(steps=2))
+
+        def must_not_sample(*args):
+            raise AssertionError("verify sampled before creating its output directory")
+
+        monkeypatch.setattr(cli, "monte_carlo_verify", must_not_sample)
+        assert_usage_error(["verify", "--out", out], capsys)
+        assert_usage_error(["train", "--config", str(cfg), "--out", out], capsys)
+        main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")])
+        capsys.readouterr()
+        assert_usage_error(["report", "--trace", str(tmp_path / "run" / "train_trace.csv"), "--out", out], capsys)
 
 
 class TestVerifyCommand:

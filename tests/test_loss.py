@@ -9,12 +9,19 @@ from ntxbound import (
     AnchorMode,
     EmbeddingBatch,
     EmptyInputError,
+    InvalidDatasetParamsError,
+    InvalidGridError,
     InvalidTemperatureError,
     LossBreakdown,
     LossConfig,
+    SimilarityMatrix,
+    TrainConfig,
+    VerifyGrid,
     logsumexp,
     nt_xent,
+    similarity_matrix,
 )
+from ntxbound.sim import TAU_MAX, TAU_MIN
 
 LOG3 = 1.0986122886681098
 LOG4 = 1.3862943611198906
@@ -169,6 +176,39 @@ class TestConfigValidation:
         for tau in (0.0, -0.5, math.nan):
             with pytest.raises(InvalidTemperatureError):
                 LossConfig(tau=tau)
+
+    @pytest.mark.parametrize(
+        "tau, accepted",
+        [
+            (TAU_MIN, True),
+            (1e-8, True),
+            (10.0, True),
+            (TAU_MAX, True),
+            (TAU_MIN / 2, False),
+            (2 * TAU_MAX, False),
+            (1e-320, False),
+            (1e-308, False),
+            (1e300, False),
+            (1e308, False),
+            (math.inf, False),
+        ],
+    )
+    def test_one_tau_range_for_every_caller(self, tau, accepted):
+        """Each of the five temperature checks takes the same range and raises its own type."""
+        eye = np.eye(2)
+        callers = [
+            (InvalidTemperatureError, lambda: LossConfig(tau=tau)),
+            (InvalidTemperatureError, lambda: similarity_matrix(EmbeddingBatch(eye), tau)),
+            (InvalidTemperatureError, lambda: SimilarityMatrix(sims=eye, tau=tau, scaled=eye)),
+            (InvalidGridError, lambda: VerifyGrid(ns=(2,), ms=(3,), taus=(tau,), distributions=("gaussian",))),
+            (InvalidDatasetParamsError, lambda: TrainConfig(tau=tau)),
+        ]
+        for error, build in callers:
+            if accepted:
+                build()
+            else:
+                with pytest.raises(error):
+                    build()
 
     def test_breakdown_identity_enforced(self):
         with pytest.raises(ValueError):

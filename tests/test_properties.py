@@ -11,6 +11,7 @@ from ntxbound.bounds import VIOLATION_SLACK, _evaluation
 from ntxbound.loss import AnchorMode, _nt_xent_pass
 
 SETTINGS = settings(max_examples=40, deadline=None)
+FEW = settings(max_examples=20, deadline=None)
 
 
 @st.composite
@@ -67,3 +68,32 @@ def test_stacked_evaluation_matches_each_batch(rows, tau):
             for name in got.__dataclass_fields__:
                 np.testing.assert_allclose(getattr(got, name)[t], getattr(want, name), rtol=1e-12, atol=1e-12)
         assert stacked.min_similarity[t] == pytest.approx(single.min_similarity, rel=1e-12, abs=1e-12)
+
+
+def _loss_and_bounds(rows, tau):
+    evaluation = evaluate_batch(EmbeddingBatch(rows), LossConfig(tau=tau))
+    return evaluation.breakdown, evaluation.report
+
+
+def _assert_same_loss_and_bounds(rows, other, tau):
+    """Loss terms to a few ulps of 1/tau (logits are sims / tau); bounds, which carry a factor tau, absolutely."""
+    (b1, r1), (b2, r2) = _loss_and_bounds(rows, tau), _loss_and_bounds(other, tau)
+    for name in ("total", "alignment", "distribution"):
+        assert getattr(b2, name) == pytest.approx(getattr(b1, name), rel=0, abs=1e-12 * (1.0 + 1.0 / tau))
+    for name in ("avg_pos_sim", "paper_bound", "strict_bound"):
+        assert getattr(r2, name) == pytest.approx(getattr(r1, name), rel=0, abs=1e-12 * (1.0 + tau))
+
+
+@FEW
+@given(rows=batches(), tau=taus, seed=st.integers(0, 2**32 - 1))
+def test_per_row_rescaling_changes_nothing(rows, tau, seed):
+    scales = 10.0 ** np.random.default_rng(seed).uniform(-3.0, 3.0, size=(rows.shape[1], 1))
+    _assert_same_loss_and_bounds(rows[0], rows[0] * scales, tau)
+
+
+@FEW
+@given(rows=batches(), tau=taus, seed=st.integers(0, 2**32 - 1))
+def test_permuting_pairs_changes_nothing(rows, tau, seed):
+    order = np.random.default_rng(seed).permutation(rows.shape[1] // 2)
+    rows_by_pair = rows[0].reshape(-1, 2, rows.shape[2])
+    _assert_same_loss_and_bounds(rows[0], rows_by_pair[order].reshape(rows[0].shape), tau)
