@@ -24,7 +24,16 @@ from .errors import (
     InvalidTemperatureError,
     NonFiniteLossError,
 )
-from .serialize import TRACE_COLUMNS, format_float, load_json, read_trace_csv, trace_to_csv, write_json
+from .serialize import (
+    TRACE_COLUMNS,
+    check_writable,
+    format_float,
+    load_json,
+    read_trace_csv,
+    trace_to_csv,
+    write_json,
+    write_text,
+)
 from .trainer import TrainConfig, train
 
 _USAGE_ERRORS = (
@@ -128,12 +137,15 @@ def train_config_to_dict(cfg: TrainConfig) -> dict:
 # ----------------------------------------------------------------------
 
 
-def _outdir(path: str) -> Path:
+def _outdir(path: str, names) -> Path:
+    """Create the output directory and check each named output in it, before any work starts."""
     out = Path(path)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:  # a file in the way, or no permission
         raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
+    for name in names:
+        check_writable(out / name)
     return out
 
 
@@ -144,7 +156,7 @@ def cmd_verify(args) -> int:
         grid, trials, seed = parse_verify_config(load_json(args.config))
     if args.seed is not None:
         seed = args.seed
-    out = _outdir(args.out)
+    out = _outdir(args.out, ["verify_summary.json"])
     summary = monte_carlo_verify(grid, trials, seed)
     write_json(out / "verify_summary.json", summary.to_dict())
     print(
@@ -206,7 +218,7 @@ def _train_summary(trace_records, collapse_step, status: str, nonfinite=None) ->
 
 def cmd_train(args) -> int:
     cfg = parse_train_config(load_json(args.config))
-    out = _outdir(args.out)
+    out = _outdir(args.out, ["train_trace.csv", "train_summary.json"])
     nonfinite = None
     try:
         trace = train(cfg)
@@ -218,7 +230,7 @@ def cmd_train(args) -> int:
     collapse_step = trace.collapse_step if trace is not None else None
     status = "ok" if nonfinite is None else "nonfinite_loss"
 
-    (out / "train_trace.csv").write_text(trace_to_csv(records), encoding="utf-8")
+    write_text(out / "train_trace.csv", trace_to_csv(records))
     write_json(out / "train_summary.json", _train_summary(records, collapse_step, status, nonfinite))
 
     violated = any(r.paper_gap < -VIOLATION_SLACK or r.strict_gap < -VIOLATION_SLACK for r in records)
@@ -250,11 +262,12 @@ def report_aggregates(rows: list[dict]) -> dict:
 
 def cmd_report(args) -> int:
     rows = read_trace_csv(args.trace)
-    out = _outdir(args.out)
-    for metric in TRACE_COLUMNS[1:]:
+    series = {metric: f"series_{metric}.csv" for metric in TRACE_COLUMNS[1:]}
+    out = _outdir(args.out, [*series.values(), "gap_tightness.json"])
+    for metric, name in series.items():
         lines = ["metric,step,value"]
         lines += [f"{metric},{row['step']},{format_float(row[metric])}" for row in rows]
-        (out / f"series_{metric}.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        write_text(out / name, "\n".join(lines) + "\n")
     write_json(out / "gap_tightness.json", report_aggregates(rows))
     print(f"report: {len(rows)} steps, {len(TRACE_COLUMNS) - 1} series files written to {out}")
     return 0

@@ -147,7 +147,7 @@ def set_params(model: SimclrModel, vec: np.ndarray) -> None:
             mlp.biases.append(b.reshape((fan_out,) if vec.ndim == 1 else (len(vec), 1, fan_out)).copy())
 
 
-def flatten_param_grads(model: SimclrModel, enc_grads, proj_grads) -> np.ndarray:
+def flatten_param_grads(enc_grads, proj_grads) -> np.ndarray:
     chunks = []
     for grads in (enc_grads, proj_grads):
         gw, gb = grads
@@ -199,7 +199,7 @@ def end_to_end_check(trials: int, seed: int = 0) -> list[GradCheckTrial]:
             results.append(GradCheckTrial(trial=trial, worst_rel_err=math.inf, worst_index=(0,), orthogonality=0.0))
             continue
 
-        analytic = flatten_param_grads(model, out.encoder_grads, out.projector_grads)
+        analytic = flatten_param_grads(out.encoder_grads, out.projector_grads)
         ortho = float(np.max(np.abs(np.sum(out.latent_grad * out.forward.batch.rows, axis=1))))
 
         probe = SimclrModel(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from pathlib import Path
 
 from .errors import ConfigError
@@ -64,8 +65,41 @@ def dumps(obj, indent: int = 2) -> str:
     return _render(obj, 0, indent) + "\n"
 
 
+def check_writable(path) -> None:
+    """Refuse, as ConfigError, an output path that :func:`write_text` could not replace.
+
+    The path must be absent or a regular file, in a directory the process may
+    write to. Callers check every output before the work that produces it.
+    """
+    p = Path(path)
+    if p.exists() and not p.is_file():
+        raise ConfigError(f"cannot write {p}: it exists and is not a regular file")
+    if not os.access(p.parent, os.W_OK | os.X_OK):
+        raise ConfigError(f"cannot write {p}: its directory is not writable")
+
+
+def write_text(path, text: str) -> None:
+    """Write UTF-8 text atomically: a temp file in the same directory, then ``os.replace``.
+
+    Readers see the old file or the new one, never a partial write. Any
+    OSError (a directory in the way, no permission, a full disk) becomes
+    ConfigError, and the temp file is removed.
+    """
+    p = Path(path)
+    tmp = p.with_name(f".{p.name}.{os.getpid()}.tmp")
+    try:
+        try:
+            with open(tmp, "xb") as fh:
+                fh.write(text.encode("utf-8"))
+            os.replace(tmp, p)
+        finally:
+            tmp.unlink(missing_ok=True)  # already gone after a successful replace
+    except OSError as exc:
+        raise ConfigError(f"cannot write {p}: {exc}") from exc
+
+
 def write_json(path, obj) -> None:
-    Path(path).write_text(dumps(obj), encoding="utf-8")
+    write_text(path, dumps(obj))
 
 
 def _read_text(path, kind: str) -> str:

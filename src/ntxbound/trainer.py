@@ -8,7 +8,9 @@ parameter update, so the bound can be watched live while training.
 
 Randomness is PCG64 throughout. A run derives three independent streams from
 the config seed via SeedSequence spawn keys: (0,) for the dataset, (1,) for
-weight init, (2,) for minibatch sampling and augmentation.
+weight init, (2,) for minibatch sampling and augmentation. Each step takes
+three draws from stream (2,) in this order: the N point indices, the noise
+for all 2N views, then their dropout mask.
 """
 
 from __future__ import annotations
@@ -209,25 +211,26 @@ def gen_synthetic(dim: int, params: DatasetParams, seed) -> SyntheticDataset:
 
 
 def augment(x: np.ndarray, cfg: AugmentConfig, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Two independent stochastic views of one point.
+    """Two independent stochastic views of one point: the one-point case of the batch augmentation.
 
     Each view adds N(0, noise_sigma^2) noise, then zeroes each coordinate
-    independently with probability dropout_prob. Four draws per call in fixed
-    order (noise, dropout mask, twice), so a seeded generator reproduces.
+    independently with probability dropout_prob. Returns rows 0 and 1 of
+    ``_augment_batch(x[None], cfg, rng)``, so it takes the same two draws.
     """
-    x = np.asarray(x, dtype=np.float64)
-    views = []
-    for _ in range(2):
-        v = x + rng.normal(0.0, cfg.noise_sigma, size=x.shape)
-        mask = rng.random(x.shape) < cfg.dropout_prob
-        views.append(np.where(mask, 0.0, v))
+    views = _augment_batch(np.asarray(x, dtype=np.float64)[None], cfg, rng)
     return views[0], views[1]
 
 
 def _augment_batch(points: np.ndarray, cfg: AugmentConfig, rng: np.random.Generator) -> np.ndarray:
-    views = np.empty((2 * points.shape[0], points.shape[1]))
-    for t, x in enumerate(points):
-        views[2 * t], views[2 * t + 1] = augment(x, cfg, rng)
+    """2N views of N points; views 2t and 2t+1 come from point t.
+
+    Two draws per call, in fixed order, so a seeded generator reproduces: the
+    noise for all views as one ``normal`` of shape (2N, d), then the dropout
+    mask as one ``random`` of the same shape.
+    """
+    views = np.repeat(points, 2, axis=0)
+    views += rng.normal(0.0, cfg.noise_sigma, size=views.shape)
+    views[rng.random(views.shape) < cfg.dropout_prob] = 0.0
     return views
 
 
@@ -247,10 +250,9 @@ class SimclrModel:
 
 @dataclass
 class ForwardResult:
-    """Latent batch in pairing order, with encoder features kept for inspection."""
+    """Latent batch in pairing order, with both networks' traces kept for backpropagation."""
 
     batch: EmbeddingBatch
-    hidden: np.ndarray
     encoder_trace: MlpTrace
     projector_trace: MlpTrace
 
@@ -265,7 +267,6 @@ def forward(encoder: Mlp, projector: Mlp, views: np.ndarray) -> ForwardResult:
     ptrace = projector.forward_trace(etrace.act[-1])
     return ForwardResult(
         batch=EmbeddingBatch(ptrace.act[-1]),
-        hidden=etrace.act[-1],
         encoder_trace=etrace,
         projector_trace=ptrace,
     )
@@ -354,20 +355,19 @@ def train_step(
         out = loss_and_param_grads(model, views, cfg)
     except (ZeroVectorError, ValueError) as exc:
         raise NonFiniteLossError(step, f"degenerate latents or loss: {exc}") from exc
-    (ew, eb), (pw, pb) = out.encoder_grads, out.projector_grads
-
-    sq = 0.0
-    for g in (*pw, *pb, *ew, *eb):
-        sq += float(np.sum(g * g))
+    pairs = [
+        (param, grad)
+        for mlp, (gws, gbs) in ((model.projector, out.projector_grads), (model.encoder, out.encoder_grads))
+        for param, grad in zip(mlp.weights + mlp.biases, gws + gbs)
+    ]
+    sq = sum(float(np.vdot(grad, grad)) for _, grad in pairs)
     if not np.isfinite(sq):
         raise NonFiniteLossError(step, "non-finite parameter gradient")
     grad_norm = math.sqrt(sq)
 
     lr = cfg.learning_rate
-    for mlp, gws, gbs in ((model.projector, pw, pb), (model.encoder, ew, eb)):
-        for l in range(mlp.n_layers):
-            mlp.weights[l] -= lr * gws[l]
-            mlp.biases[l] -= lr * gbs[l]
+    for param, grad in pairs:
+        param -= lr * grad
 
     breakdown, report = out.evaluation.breakdown, out.evaluation.report
     return StepRecord(

@@ -8,9 +8,11 @@ import pytest
 
 import ntxbound.bounds as bounds
 import ntxbound.cli as cli
+import ntxbound.serialize as serialize
 from ntxbound.bounds import default_grid
 from ntxbound.cli import main, parse_train_config, parse_verify_config, report_aggregates, train_config_to_dict
-from ntxbound.serialize import TRACE_COLUMNS, dumps, load_json, parse_trace_csv, trace_to_csv
+from ntxbound.errors import ConfigError
+from ntxbound.serialize import TRACE_COLUMNS, dumps, load_json, parse_trace_csv, trace_to_csv, write_text
 from ntxbound.trainer import AugmentConfig, DatasetParams, TrainConfig, train
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -166,6 +168,64 @@ class TestUnusableInputs:
         main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")])
         capsys.readouterr()
         assert_usage_error(["report", "--trace", str(tmp_path / "run" / "train_trace.csv"), "--out", out], capsys)
+
+    @pytest.mark.parametrize(
+        "command, name",
+        [
+            ("verify", "verify_summary.json"),
+            ("train", "train_trace.csv"),
+            ("train", "train_summary.json"),
+            ("report", "series_loss_total.csv"),
+            ("report", "gap_tightness.json"),
+        ],
+    )
+    def test_output_name_taken_by_a_directory(self, tmp_path, capsys, monkeypatch, command, name):
+        """Every output name is checked before any work: exit 2, nothing computed, nothing written."""
+        cfg = tmp_path / "train.json"
+        write_json(cfg, quick_train_config(steps=2))
+        main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")])
+        capsys.readouterr()
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+
+        def must_not_run(*args):
+            raise AssertionError(f"{command} started work with {name} blocked")
+
+        for attr in ("monte_carlo_verify", "train", "report_aggregates"):
+            monkeypatch.setattr(cli, attr, must_not_run)
+        argv = {
+            "verify": ["verify"],
+            "train": ["train", "--config", str(cfg)],
+            "report": ["report", "--trace", str(tmp_path / "run" / "train_trace.csv")],
+        }[command]
+        err = assert_usage_error([*argv, "--out", str(out)], capsys)
+        assert name in err
+        assert [p.name for p in out.iterdir()] == [name]
+
+    def test_unwritable_output_directory_exits_2(self, tmp_path, capsys, monkeypatch):
+        """Checked before sampling. Permission bits are faked, since a superuser passes any real ones."""
+
+        def must_not_sample(*args):
+            raise AssertionError("verify sampled with an unwritable output directory")
+
+        monkeypatch.setattr(serialize.os, "access", lambda path, mode: False)
+        monkeypatch.setattr(cli, "monte_carlo_verify", must_not_sample)
+        err = assert_usage_error(["verify", "--out", str(tmp_path / "out")], capsys)
+        assert "not writable" in err
+
+    def test_write_failure_after_the_check_exits_2(self, tmp_path, capsys, monkeypatch):
+        """A name taken between the check and the write still ends in exit 2, and earlier outputs are whole."""
+        cfg = tmp_path / "train.json"
+        write_json(cfg, quick_train_config(steps=2))
+        main(["train", "--config", str(cfg), "--out", str(tmp_path / "ref")])
+        capsys.readouterr()
+        (tmp_path / "out" / "train_summary.json").mkdir(parents=True)
+        monkeypatch.setattr(cli, "check_writable", lambda path: None)
+        err = assert_usage_error(["train", "--config", str(cfg), "--out", str(tmp_path / "out")], capsys)
+        assert "train_summary.json" in err
+        trace = "train_trace.csv"
+        assert (tmp_path / "out" / trace).read_bytes() == (tmp_path / "ref" / trace).read_bytes()
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["train_summary.json", trace]
 
 
 class TestVerifyCommand:
@@ -381,6 +441,19 @@ class TestSerialization:
         values = list(rng.standard_normal(50) * 10.0 ** rng.uniform(-10, 10, 50))
         doc = json.loads(dumps({"values": values}))
         assert doc["values"] == values
+
+    def test_write_text_replaces_the_file(self, tmp_path):
+        target = tmp_path / "doc.txt"
+        target.write_text("old contents\n", encoding="utf-8")
+        write_text(target, "new\n")
+        assert target.read_bytes() == b"new\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["doc.txt"]
+
+    def test_failed_write_is_a_config_error_without_a_temp_file(self, tmp_path):
+        (tmp_path / "doc.json").mkdir()
+        with pytest.raises(ConfigError, match="doc.json"):
+            serialize.write_json(tmp_path / "doc.json", {"x": 1})
+        assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
 
     def test_usage_error_exit_code(self):
         assert main(["no-such-command"]) == 2

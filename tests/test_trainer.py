@@ -23,6 +23,8 @@ from ntxbound import (
     train,
     train_step,
 )
+from ntxbound.gradcheck import flatten_param_grads, flatten_params
+from ntxbound.trainer import _augment_batch, loss_and_param_grads
 
 
 def make_rng(seed):
@@ -95,6 +97,40 @@ class TestAugment:
         vi, vj = augment(np.ones(16), AugmentConfig(noise_sigma=1.0, dropout_prob=0.0), make_rng(3))
         assert not np.array_equal(vi, vj)
 
+    def test_augment_is_the_one_point_batch(self):
+        cfg = AugmentConfig(noise_sigma=0.3, dropout_prob=0.2)
+        x = np.arange(6.0)
+        vi, vj = augment(x, cfg, make_rng(8))
+        views = _augment_batch(x[None], cfg, make_rng(8))
+        np.testing.assert_array_equal(vi, views[0])
+        np.testing.assert_array_equal(vj, views[1])
+
+    def test_identity_batch_repeats_each_point(self):
+        points = make_rng(0).standard_normal((5, 3))
+        views = _augment_batch(points, AugmentConfig(noise_sigma=0.0, dropout_prob=0.0), make_rng(1))
+        assert views.shape == (10, 3)
+        for t in range(5):
+            np.testing.assert_array_equal(views[2 * t], points[t])
+            np.testing.assert_array_equal(views[2 * t + 1], points[t])
+
+    def test_draw_order_is_all_noise_then_all_masks(self):
+        """One normal((2N, d)) draw, then one random((2N, d)) draw, replayed on a twin generator."""
+        cfg = AugmentConfig(noise_sigma=0.2, dropout_prob=0.3)
+        points = make_rng(0).standard_normal((4, 3))
+        rng, twin = make_rng(9), make_rng(9)
+        views = _augment_batch(points, cfg, rng)
+        noise = twin.normal(0.0, cfg.noise_sigma, size=(8, 3))
+        mask = twin.random((8, 3)) < cfg.dropout_prob
+        np.testing.assert_array_equal(views, np.where(mask, 0.0, np.repeat(points, 2, axis=0) + noise))
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+    def test_batch_noise_and_dropout_rates(self):
+        sigma = 0.37
+        views = _augment_batch(np.zeros((5000, 4)), AugmentConfig(noise_sigma=sigma, dropout_prob=0.0), make_rng(4))
+        np.testing.assert_allclose(views.std(axis=0), sigma, rtol=0.05)
+        views = _augment_batch(np.ones((2500, 8)), AugmentConfig(noise_sigma=0.0, dropout_prob=0.25), make_rng(5))
+        assert np.mean(views == 0.0) == pytest.approx(0.25, abs=0.01)
+
     def test_config_validation(self):
         with pytest.raises(InvalidDatasetParamsError):
             AugmentConfig(noise_sigma=-0.1)
@@ -109,7 +145,7 @@ class TestMlpForward:
         views = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
         out = forward(eye, proj, views)
         np.testing.assert_array_equal(out.batch.rows, views)
-        np.testing.assert_array_equal(out.hidden, views)
+        np.testing.assert_array_equal(out.encoder_trace.act[-1], views)
 
     def test_zero_weight_projector_constant_output(self):
         """Constant latents: every cosine similarity is 1, loss hits log(2N-1)."""
@@ -146,7 +182,7 @@ class TestMlpForward:
             return np.array(outs)
 
         out = forward(enc, proj, views)
-        np.testing.assert_allclose(out.hidden, mlp_oracle(enc, views), rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(out.encoder_trace.act[-1], mlp_oracle(enc, views), rtol=1e-12, atol=1e-14)
         np.testing.assert_allclose(out.batch.rows, mlp_oracle(proj, mlp_oracle(enc, views)), rtol=1e-12, atol=1e-14)
 
     def test_hidden_layers_nonnegative(self):
@@ -199,6 +235,19 @@ class TestTrainStep:
             np.testing.assert_allclose(before, after, atol=1e-290)
         rec2 = train_step(frozen, points, cfg, make_rng(7), step=0)
         assert rec1.loss_total == rec2.loss_total
+
+    def test_update_is_minus_lr_times_grad(self):
+        """grad_norm is the norm of every parameter gradient; each parameter moves by -lr * grad."""
+        cfg = tiny_config(learning_rate=0.1, augment=AugmentConfig(noise_sigma=0.1, dropout_prob=0.2))
+        model = SimclrModel.init(cfg, make_rng(5))
+        before = copy.deepcopy(model)
+        points = make_rng(6).standard_normal((cfg.n_pairs, cfg.input_dim))
+        rec = train_step(model, points, cfg, make_rng(7), step=0)
+
+        out = loss_and_param_grads(before, _augment_batch(points, cfg.augment, make_rng(7)), cfg)
+        grads = flatten_param_grads(out.encoder_grads, out.projector_grads)
+        assert rec.grad_norm == pytest.approx(float(np.linalg.norm(grads)), rel=1e-12)
+        np.testing.assert_array_equal(flatten_params(model), flatten_params(before) - cfg.learning_rate * grads)
 
     def test_descent_direction(self):
         """A small step decreases the loss on the same views nearly always."""
