@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import EmptyInputError, InvalidGridError, UnsupportedModeError
 from .loss import AnchorMode, LossBreakdown, LossConfig, _breakdown, _checked_pass, _nt_xent_pass, _Pass, logsumexp
-from .sim import EmbeddingBatch, _check_tau, _cosine_matrix
+from .sim import EmbeddingBatch, _check_seed, _check_tau, _cosine_matrix
 
 #: Distributions understood by the Monte Carlo verifier.
 DISTRIBUTIONS = ("uniform_sphere", "gaussian", "clustered")
@@ -250,26 +250,6 @@ class VerifySummary:
     def ok(self) -> bool:
         return self.violations_paper == 0 and self.violations_strict == 0
 
-    def to_dict(self) -> dict:
-        """Plain-dict form with a fixed key order, ready for JSON serialization."""
-        return {
-            "grid": {
-                "ns": list(self.grid.ns),
-                "ms": list(self.grid.ms),
-                "taus": list(self.grid.taus),
-                "distributions": list(self.grid.distributions),
-            },
-            "seed": self.seed,
-            "trials_per_cell": self.trials_per_cell,
-            "cells": self.cells,
-            "total_trials": self.total_trials,
-            "violations_paper": self.violations_paper,
-            "violations_strict": self.violations_strict,
-            "min_paper_gap": self.min_paper_gap,
-            "min_strict_gap": self.min_strict_gap,
-            "min_variant_margin": self.min_variant_margin,
-        }
-
 
 def _run_cell(
     rng: np.random.Generator, n_pairs: int, dim: int, tau: float, distribution: str, trials: int
@@ -303,8 +283,7 @@ def monte_carlo_verify(grid: VerifyGrid, trials: int, seed: int) -> VerifySummar
     """
     if trials < 1:
         raise InvalidGridError(f"trials per cell must be >= 1, got {trials}")
-    if seed < 0 or seed >= 2**64:
-        raise InvalidGridError(f"seed must fit in u64, got {seed}")
+    _check_seed(seed, InvalidGridError)
     cells = grid.cells()
     results = [_run_cell(_stream(seed, i), n, m, tau, dist, trials) for i, (n, m, tau, dist) in enumerate(cells)]
 

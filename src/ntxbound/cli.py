@@ -34,6 +34,7 @@ from .serialize import (
     write_json,
     write_text,
 )
+from .sim import _check_seed
 from .trainer import TrainConfig, train
 
 _USAGE_ERRORS = (
@@ -158,7 +159,7 @@ def cmd_verify(args) -> int:
         seed = args.seed
     out = _outdir(args.out, ["verify_summary.json"])
     summary = monte_carlo_verify(grid, trials, seed)
-    write_json(out / "verify_summary.json", summary.to_dict())
+    write_json(out / "verify_summary.json", dataclasses.asdict(summary))
     print(
         f"verify: cells={summary.cells} total_trials={summary.total_trials} "
         f"violations_paper={summary.violations_paper} violations_strict={summary.violations_strict} "
@@ -280,8 +281,7 @@ def cmd_report(args) -> int:
 
 def _seed_type(value: str) -> int:
     seed = int(value)
-    if seed < 0 or seed >= 2**64:
-        raise argparse.ArgumentTypeError(f"seed must fit in u64, got {value}")
+    _check_seed(seed, argparse.ArgumentTypeError)
     return seed
 
 

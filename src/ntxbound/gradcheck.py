@@ -6,7 +6,10 @@ model. Central differences with step 1e-5 on inputs pre-scaled to unit RMS
 balance truncation against rounding at 64-bit precision. All probes of a
 trial are evaluated as stacks in single NT-Xent passes, up to
 ``bounds.CHUNK_BYTES`` per stack: latent probes as a stack of batches, and
-parameter probes as stacked weights run through one MLP forward.
+parameter probes as a stack (K, P) of flat parameter vectors, which is K
+models run through one MLP forward. Parameter j is entry j of
+``SimclrModel.params``: the encoder's layers, then the projector's, each
+layer's weights row-major followed by its biases.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import numpy as np
 
 from .bounds import _stack_size, _stream
 from .loss import LossConfig, _breakdown, _checked_pass, _latent_grad
-from .trainer import ForwardResult, Mlp, SimclrModel, TrainConfig, loss_and_param_grads
+from .trainer import ForwardResult, SimclrModel, TrainConfig, loss_and_param_grads
 
 FD_STEP = 1e-5
 LOSS_LEVEL_TOL = 1e-5
@@ -120,41 +123,19 @@ def loss_level_check(
     return results
 
 
+# Shim: bench/tracer.py wraps this name; it goes with the tracer rework (ROADMAP item 1).
 def flatten_params(model: SimclrModel) -> np.ndarray:
-    chunks = []
-    for mlp in (model.encoder, model.projector):
-        for w, b in zip(mlp.weights, mlp.biases):
-            chunks.append(w.ravel())
-            chunks.append(b.ravel())
-    return np.concatenate(chunks)
+    return model.params
 
 
+# Shim: bench/tracer.py wraps this name; it goes with the tracer rework (ROADMAP item 1).
 def set_params(model: SimclrModel, vec: np.ndarray) -> None:
-    """Unflatten a parameter vector (P,), in :func:`flatten_params` order, into the model.
-
-    A stack (K, P) of vectors gives stacked weights (K, fan_in, fan_out) and
-    biases (K, 1, fan_out), which :meth:`Mlp.forward_trace` runs as K models.
-    """
-    offset = 0
-    for mlp in (model.encoder, model.projector):
-        mlp.weights, mlp.biases = [], []
-        for fan_in, fan_out in zip(mlp.layer_dims[:-1], mlp.layer_dims[1:]):
-            w = vec[..., offset : offset + fan_in * fan_out]
-            offset += fan_in * fan_out
-            b = vec[..., offset : offset + fan_out]
-            offset += fan_out
-            mlp.weights.append(w.reshape(*vec.shape[:-1], fan_in, fan_out).copy())
-            mlp.biases.append(b.reshape((fan_out,) if vec.ndim == 1 else (len(vec), 1, fan_out)).copy())
+    model.params = vec
 
 
-def flatten_param_grads(enc_grads, proj_grads) -> np.ndarray:
-    chunks = []
-    for grads in (enc_grads, proj_grads):
-        gw, gb = grads
-        for w, b in zip(gw, gb):
-            chunks.append(w.ravel())
-            chunks.append(b.ravel())
-    return np.concatenate(chunks)
+# Shim: bench/tracer.py wraps this name; it goes with the tracer rework (ROADMAP item 1).
+def flatten_param_grads(enc_grads: np.ndarray, proj_grads: np.ndarray) -> np.ndarray:
+    return np.concatenate([enc_grads, proj_grads])
 
 
 def _tiny_config(seed: int) -> TrainConfig:
@@ -199,19 +180,14 @@ def end_to_end_check(trials: int, seed: int = 0) -> list[GradCheckTrial]:
             results.append(GradCheckTrial(trial=trial, worst_rel_err=math.inf, worst_index=(0,), orthogonality=0.0))
             continue
 
-        analytic = flatten_param_grads(out.encoder_grads, out.projector_grads)
         ortho = float(np.max(np.abs(np.sum(out.latent_grad * out.forward.batch.rows, axis=1))))
 
-        probe = SimclrModel(
-            encoder=Mlp(model.encoder.layer_dims, [], []), projector=Mlp(model.projector.layer_dims, [], [])
-        )
-
         def loss_at(vecs: np.ndarray) -> np.ndarray:
-            set_params(probe, vecs)
+            probe = SimclrModel(model.encoder_dims, model.projector_dims, vecs)
             hidden = probe.encoder.forward_trace(views).act[-1]
             return _stack_losses(probe.projector.forward_trace(hidden).act[-1], cfg_loss)
 
-        numeric = central_difference(loss_at, flatten_params(model), chunk=chunk)
-        err, idx = worst_error(analytic, numeric)
+        numeric = central_difference(loss_at, model.params, chunk=chunk)
+        err, idx = worst_error(out.param_grad, numeric)
         results.append(GradCheckTrial(trial=trial, worst_rel_err=err, worst_index=idx, orthogonality=ortho))
     return results

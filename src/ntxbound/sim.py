@@ -7,7 +7,7 @@ plain 1-D arrays; a batch of 2N latents with the pairing convention
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,6 +26,12 @@ def _check_tau(tau, error: type[Exception] = InvalidTemperatureError) -> None:
     """Raise ``error`` unless tau is one real number in [TAU_MIN, TAU_MAX]."""
     if not (np.ndim(tau) == 0 and TAU_MIN <= tau <= TAU_MAX):
         raise error(f"tau must be in [{TAU_MIN:g}, {TAU_MAX:g}], got {tau!r}")
+
+
+def _check_seed(seed: int, error: type[Exception]) -> None:
+    """Raise ``error`` unless the seed fits in an unsigned 64-bit integer."""
+    if not (0 <= seed < 2**64):
+        raise error(f"seed must fit in u64, got {seed}")
 
 
 def _as_vector(v) -> np.ndarray:
@@ -113,15 +119,14 @@ class EmbeddingBatch:
 
 @dataclass
 class SimilarityMatrix:
-    """Full 2N x 2N cosine-similarity matrix and its temperature-scaled view.
+    """Full 2N x 2N cosine-similarity matrix at a temperature.
 
-    ``scaled[i, k] = sims[i, k] / tau``. The matrix is exactly symmetric, its
-    diagonal is exactly 1, and entries are clamped to [-1, 1].
+    The matrix is exactly symmetric, its diagonal is exactly 1, and entries
+    are clamped to [-1, 1].
     """
 
     sims: np.ndarray
     tau: float
-    scaled: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         if self.sims.ndim != 2 or self.sims.shape[0] != self.sims.shape[1]:
@@ -159,7 +164,7 @@ def cosine_sim(a, b) -> float:
 
 
 def similarity_matrix(batch: EmbeddingBatch, tau: float) -> SimilarityMatrix:
-    """All-pairs cosine similarities of a batch, plus the tau-scaled view.
+    """All-pairs cosine similarities of a batch, at temperature tau.
 
     The diagonal is computed (and pinned to exactly 1); the k != i exclusion
     of the loss is applied downstream, because the bound variants need
@@ -168,4 +173,4 @@ def similarity_matrix(batch: EmbeddingBatch, tau: float) -> SimilarityMatrix:
     _check_tau(tau)
     unit, _ = batch.unit_rows()
     sims = _cosine_matrix(unit)
-    return SimilarityMatrix(sims=sims, tau=float(tau), scaled=sims / tau)
+    return SimilarityMatrix(sims=sims, tau=float(tau))

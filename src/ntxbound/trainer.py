@@ -28,7 +28,7 @@ from .errors import (
     ZeroVectorError,
 )
 from .loss import AnchorMode, _latent_grad, _nt_xent_pass
-from .sim import EmbeddingBatch, _check_tau
+from .sim import EmbeddingBatch, _check_seed, _check_tau
 
 #: All pairwise similarities at least this close to 1 counts as a collapsed batch.
 COLLAPSE_TOL = 1e-12
@@ -36,26 +36,49 @@ COLLAPSE_TOL = 1e-12
 
 @dataclass
 class MlpTrace:
-    """Forward-pass intermediates kept for backpropagation."""
+    """Forward-pass intermediates kept for backpropagation, with the weight views the pass ran with."""
 
     pre: list[np.ndarray]
     act: list[np.ndarray]  # act[0] is the input; act[-1] the output
+    weights: list[np.ndarray]
+
+
+def _param_count(layer_dims: tuple[int, ...]) -> int:
+    return sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:]))
+
+
+def _layer_views(layer_dims: tuple[int, ...], params: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each layer's weights (..., fan_in, fan_out) and biases (..., 1, fan_out) as views of params (..., P).
+
+    The flat layout is, per layer, the weights row-major, then the biases.
+    This is the one place that walks it.
+    """
+    lead, views, offset = params.shape[:-1], [], 0
+    for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:]):
+        mid = offset + fan_in * fan_out
+        w = params[..., offset:mid].reshape(lead + (fan_in, fan_out))
+        offset = mid + fan_out
+        views.append((w, params[..., None, mid:offset]))
+    return views
 
 
 @dataclass
 class Mlp:
     """Fully connected network, ReLU between layers, identity at the output.
 
-    ``weights[l]`` has shape (fan_in, fan_out); forward maps a (batch, d) array
-    through ``x @ W + b`` per layer. The ReLU subgradient at 0 is taken as 0.
-    Weights may also be stacked, (K, fan_in, fan_out) with biases (K, 1,
-    fan_out): the same forward then runs K networks at once and returns
-    (K, batch, d) activations. ``backward`` takes unstacked weights only.
+    The parameters are one flat vector ``params`` (P,) in the layout of
+    :func:`_layer_views`; ``weights`` and ``biases`` are tuples of views into
+    it. Forward maps a (batch, d) array through ``x @ W + b`` per layer, with
+    the ReLU subgradient at 0 taken as 0. A stack ``params`` (K, P) is K
+    networks, run at once into (K, batch, d) activations; ``backward`` takes one.
     """
 
     layer_dims: tuple[int, ...]
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    params: np.ndarray
+
+    def __post_init__(self):
+        if self.params.shape[-1] != _param_count(self.layer_dims):
+            raise DimensionMismatchError(f"{self.params.shape[-1]} parameters do not fit layer dims {self.layer_dims}")
 
     @classmethod
     def init(cls, layer_dims, rng: np.random.Generator) -> "Mlp":
@@ -64,21 +87,30 @@ class Mlp:
         Biases use a tenth of that range: nonzero, so a fully dead ReLU layer
         still emits a latent with a direction, but small, because the bias is
         shared across rows and would otherwise dominate the initial cosine
-        geometry with a common component.
+        geometry with a common component. Draws run layer by layer, weights
+        then biases: the order of the flat layout.
         """
         dims = tuple(int(d) for d in layer_dims)
         if len(dims) < 2 or any(d < 1 for d in dims):
             raise DimensionMismatchError(f"need at least input and output dims >= 1, got {dims}")
-        weights, biases = [], []
-        for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-            bound = 1.0 / math.sqrt(fan_in)
-            weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-            biases.append(rng.uniform(-0.1 * bound, 0.1 * bound, size=fan_out))
-        return cls(layer_dims=dims, weights=weights, biases=biases)
+        mlp = cls(layer_dims=dims, params=np.empty(_param_count(dims)))
+        for w, b in _layer_views(dims, mlp.params):
+            bound = 1.0 / math.sqrt(w.shape[-2])
+            w[...] = rng.uniform(-bound, bound, size=w.shape)
+            b[0] = rng.uniform(-0.1 * bound, 0.1 * bound, size=b.shape[-1])
+        return mlp
+
+    @property
+    def weights(self) -> tuple[np.ndarray, ...]:
+        return tuple(w for w, _ in _layer_views(self.layer_dims, self.params))
+
+    @property
+    def biases(self) -> tuple[np.ndarray, ...]:
+        return tuple(b for _, b in _layer_views(self.layer_dims, self.params))
 
     @property
     def n_layers(self) -> int:
-        return len(self.weights)
+        return len(self.layer_dims) - 1
 
     def forward_trace(self, x: np.ndarray) -> MlpTrace:
         x = np.asarray(x, dtype=np.float64)
@@ -86,29 +118,31 @@ class Mlp:
             raise DimensionMismatchError(
                 f"input shape {x.shape} does not match first layer dim {self.layer_dims[0]}"
             )
-        pre, act = [], [x]
+        pre, act, weights = [], [x], []
         # Overflow to inf is a handled divergence signal, not a warning-worthy event.
         with np.errstate(over="ignore", invalid="ignore"):
-            for l, (w, b) in enumerate(zip(self.weights, self.biases)):
+            for l, (w, b) in enumerate(_layer_views(self.layer_dims, self.params)):
                 z = act[-1] @ w + b
                 pre.append(z)
                 act.append(np.maximum(z, 0.0) if l < self.n_layers - 1 else z)
-        return MlpTrace(pre=pre, act=act)
+                weights.append(w)
+        return MlpTrace(pre=pre, act=act, weights=weights)
 
-    def backward(self, trace: MlpTrace, grad_out: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
+    def backward(self, trace: MlpTrace, grad_out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Backpropagate ``grad_out`` (w.r.t. the output) through the trace.
 
-        Returns (weight grads, bias grads, grad w.r.t. the input).
+        Returns (parameter gradient in the layout of ``params``, grad w.r.t. the input).
         """
-        grads_w = [None] * self.n_layers
-        grads_b = [None] * self.n_layers
+        grad = np.empty_like(self.params)
+        layers = _layer_views(self.layer_dims, grad)
         g = np.asarray(grad_out, dtype=np.float64)
         for l in reversed(range(self.n_layers)):
+            gw, gb = layers[l]
             d_pre = g if l == self.n_layers - 1 else g * (trace.pre[l] > 0)
-            grads_w[l] = trace.act[l].T @ d_pre
-            grads_b[l] = d_pre.sum(axis=0)
-            g = d_pre @ self.weights[l].T
-        return grads_w, grads_b, g
+            np.matmul(trace.act[l].T, d_pre, out=gw)
+            d_pre.sum(axis=0, keepdims=True, out=gb)
+            g = d_pre @ trace.weights[l].T
+        return grad, g
 
 
 @dataclass(frozen=True)
@@ -168,8 +202,7 @@ class TrainConfig:
             raise InvalidDatasetParamsError(f"learning_rate must be > 0, got {self.learning_rate}")
         if self.steps < 1:
             raise InvalidDatasetParamsError(f"steps must be >= 1, got {self.steps}")
-        if not (0 <= self.seed < 2**64):
-            raise InvalidDatasetParamsError(f"seed must fit in u64, got {self.seed}")
+        _check_seed(self.seed, InvalidDatasetParamsError)
         if self.dataset.points < 2 * self.n_pairs:
             raise InvalidDatasetParamsError(
                 f"dataset needs at least 2*n_pairs={2 * self.n_pairs} points, got {self.dataset.points}"
@@ -236,16 +269,29 @@ def _augment_batch(points: np.ndarray, cfg: AugmentConfig, rng: np.random.Genera
 
 @dataclass
 class SimclrModel:
-    """Encoder and projection head."""
+    """Encoder and projection head over one flat vector (or a stack (K, P) of K models).
 
-    encoder: Mlp
-    projector: Mlp
+    ``params`` holds the encoder's parameters, then the projector's; the two
+    networks are views of it built on access, so a copy copies one array.
+    """
+
+    encoder_dims: tuple[int, ...]
+    projector_dims: tuple[int, ...]
+    params: np.ndarray
 
     @classmethod
     def init(cls, cfg: TrainConfig, rng: np.random.Generator) -> "SimclrModel":
         encoder = Mlp.init((cfg.input_dim, *cfg.encoder_dims), rng)
         projector = Mlp.init((cfg.encoder_out, *cfg.projector_dims), rng)
-        return cls(encoder=encoder, projector=projector)
+        return cls(encoder.layer_dims, projector.layer_dims, np.concatenate([encoder.params, projector.params]))
+
+    @property
+    def encoder(self) -> Mlp:
+        return Mlp(self.encoder_dims, self.params[..., : _param_count(self.encoder_dims)])
+
+    @property
+    def projector(self) -> Mlp:
+        return Mlp(self.projector_dims, self.params[..., _param_count(self.encoder_dims) :])
 
 
 @dataclass
@@ -312,13 +358,12 @@ class TrainTrace:
 
 @dataclass
 class LossAndGrads:
-    """One forward and backward pass: diagnostics, latent gradient, and (weight, bias) grads per network."""
+    """One forward and backward pass: diagnostics, latent gradient, and the gradient in the layout of ``params``."""
 
     forward: ForwardResult
     evaluation: BatchEvaluation
     latent_grad: np.ndarray
-    encoder_grads: tuple[list[np.ndarray], list[np.ndarray]]
-    projector_grads: tuple[list[np.ndarray], list[np.ndarray]]
+    param_grad: np.ndarray
 
 
 def loss_and_param_grads(model: SimclrModel, views: np.ndarray, cfg: TrainConfig) -> LossAndGrads:
@@ -326,13 +371,14 @@ def loss_and_param_grads(model: SimclrModel, views: np.ndarray, cfg: TrainConfig
 
     Degenerate latents raise ZeroVectorError or ValueError.
     """
-    fwd = forward(model.encoder, model.projector, views)
+    encoder, projector = model.encoder, model.projector
+    fwd = forward(encoder, projector, views)
     p = _nt_xent_pass(fwd.batch.rows, cfg.tau, AnchorMode.PAPER_N)
     evaluation = _evaluation(p)
     grad_z = _latent_grad(p)
-    pw, pb, grad_hidden = model.projector.backward(fwd.projector_trace, grad_z)
-    ew, eb, _ = model.encoder.backward(fwd.encoder_trace, grad_hidden)
-    return LossAndGrads(fwd, evaluation, grad_z, (ew, eb), (pw, pb))
+    projector_grad, grad_hidden = projector.backward(fwd.projector_trace, grad_z)
+    encoder_grad, _ = encoder.backward(fwd.encoder_trace, grad_hidden)
+    return LossAndGrads(fwd, evaluation, grad_z, np.concatenate([encoder_grad, projector_grad]))
 
 
 def train_step(
@@ -355,19 +401,11 @@ def train_step(
         out = loss_and_param_grads(model, views, cfg)
     except (ZeroVectorError, ValueError) as exc:
         raise NonFiniteLossError(step, f"degenerate latents or loss: {exc}") from exc
-    pairs = [
-        (param, grad)
-        for mlp, (gws, gbs) in ((model.projector, out.projector_grads), (model.encoder, out.encoder_grads))
-        for param, grad in zip(mlp.weights + mlp.biases, gws + gbs)
-    ]
-    sq = sum(float(np.vdot(grad, grad)) for _, grad in pairs)
+    sq = float(np.vdot(out.param_grad, out.param_grad))
     if not np.isfinite(sq):
         raise NonFiniteLossError(step, "non-finite parameter gradient")
     grad_norm = math.sqrt(sq)
-
-    lr = cfg.learning_rate
-    for param, grad in pairs:
-        param -= lr * grad
+    model.params -= cfg.learning_rate * out.param_grad
 
     breakdown, report = out.evaluation.breakdown, out.evaluation.report
     return StepRecord(

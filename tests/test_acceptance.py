@@ -17,6 +17,7 @@ import pytest
 from ntxbound import (
     EmbeddingBatch,
     LossConfig,
+    Mlp,
     SimclrModel,
     forward,
     lse_bounds,
@@ -245,9 +246,9 @@ def test_criterion_5_gradient_correctness():
         fwd = forward(model.encoder, model.projector, views)
         gz = nt_xent_grad(fwd.batch, loss_cfg)
         worst_ortho = max(worst_ortho, float(np.max(np.abs(np.sum(gz * fwd.batch.rows, axis=1)))))
-        pw, pb, ghid = model.projector.backward(fwd.projector_trace, gz)
-        ew, eb, _ = model.encoder.backward(fwd.encoder_trace, ghid)
-        analytic_grads = {"encoder": (ew, eb), "projector": (pw, pb)}
+        pg, ghid = model.projector.backward(fwd.projector_trace, gz)
+        eg, _ = model.encoder.backward(fwd.encoder_trace, ghid)
+        analytic_grads = {"encoder": Mlp(model.encoder_dims, eg), "projector": Mlp(model.projector_dims, pg)}
 
         def loss_with_bump(which, l, idx, kind, delta):
             probe = copy.deepcopy(model)
@@ -259,7 +260,7 @@ def test_criterion_5_gradient_correctness():
         h = 1e-5
         for which in ("encoder", "projector"):
             mlp = getattr(model, which)
-            gw, gb = analytic_grads[which]
+            gw, gb = analytic_grads[which].weights, analytic_grads[which].biases
             for l in range(mlp.n_layers):
                 for kind, arrs, grads in (("w", mlp.weights, gw), ("b", mlp.biases, gb)):
                     for idx in np.ndindex(arrs[l].shape):

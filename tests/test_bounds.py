@@ -1,6 +1,7 @@
 """LSE sandwich, similarity-bound variants, and the Monte Carlo verifier."""
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -228,7 +229,7 @@ class TestMonteCarloVerify:
         a = monte_carlo_verify(grid, trials=50, seed=123)
         b = monte_carlo_verify(grid, trials=50, seed=123)
         assert a == b
-        assert dumps(a.to_dict()) == dumps(b.to_dict())
+        assert dumps(asdict(a)) == dumps(asdict(b))
 
     def test_different_seed_differs(self):
         grid = VerifyGrid(ns=(4,), ms=(3,), taus=(0.5,), distributions=("gaussian",))

@@ -1,5 +1,6 @@
 """CLI contract: commands, exit codes, config validation, and file determinism."""
 
+import argparse
 import json
 from pathlib import Path
 
@@ -11,7 +12,7 @@ import ntxbound.cli as cli
 import ntxbound.serialize as serialize
 from ntxbound.bounds import default_grid
 from ntxbound.cli import main, parse_train_config, parse_verify_config, report_aggregates, train_config_to_dict
-from ntxbound.errors import ConfigError
+from ntxbound.errors import ConfigError, InvalidDatasetParamsError, InvalidGridError
 from ntxbound.serialize import TRACE_COLUMNS, dumps, load_json, parse_trace_csv, trace_to_csv, write_text
 from ntxbound.trainer import AugmentConfig, DatasetParams, TrainConfig, train
 
@@ -458,3 +459,21 @@ class TestSerialization:
     def test_usage_error_exit_code(self):
         assert main(["no-such-command"]) == 2
         assert main([]) == 2
+
+    @pytest.mark.parametrize(("seed", "accepted"), [(0, True), (2**64 - 1, True), (-1, False), (2**64, False)])
+    def test_one_seed_range_for_every_caller(self, seed, accepted):
+        """The --seed flag, the verifier and the train config take the same u64 range, each with its own error."""
+        grid = bounds.VerifyGrid(ns=(2,), ms=(2,), taus=(0.5,), distributions=("gaussian",))
+        callers = [
+            (argparse.ArgumentTypeError, lambda: cli._seed_type(str(seed))),
+            (InvalidGridError, lambda: bounds.monte_carlo_verify(grid, 1, seed)),
+            (InvalidDatasetParamsError, lambda: TrainConfig(seed=seed)),
+        ]
+        for error, build in callers:
+            if accepted:
+                build()
+            else:
+                with pytest.raises(error, match=f"seed must fit in u64, got {seed}"):
+                    build()
+        if not accepted:
+            assert main(["verify", "--seed", str(seed)]) == 2

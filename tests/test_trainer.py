@@ -9,6 +9,7 @@ import pytest
 from ntxbound import (
     AugmentConfig,
     DatasetParams,
+    DimensionMismatchError,
     EmbeddingBatch,
     InvalidDatasetParamsError,
     LossConfig,
@@ -23,7 +24,6 @@ from ntxbound import (
     train,
     train_step,
 )
-from ntxbound.gradcheck import flatten_param_grads, flatten_params
 from ntxbound.trainer import _augment_batch, loss_and_param_grads
 
 
@@ -140,8 +140,9 @@ class TestAugment:
 
 class TestMlpForward:
     def test_identity_network_passes_views_through(self):
-        eye = Mlp(layer_dims=(3, 3), weights=[np.eye(3)], biases=[np.zeros(3)])
-        proj = Mlp(layer_dims=(3, 3), weights=[np.eye(3)], biases=[np.zeros(3)])
+        eye, proj = Mlp((3, 3), np.zeros(12)), Mlp((3, 3), np.zeros(12))
+        eye.weights[0][...] = np.eye(3)
+        proj.weights[0][...] = np.eye(3)
         views = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
         out = forward(eye, proj, views)
         np.testing.assert_array_equal(out.batch.rows, views)
@@ -149,8 +150,9 @@ class TestMlpForward:
 
     def test_zero_weight_projector_constant_output(self):
         """Constant latents: every cosine similarity is 1, loss hits log(2N-1)."""
-        enc = Mlp(layer_dims=(2, 2), weights=[np.eye(2)], biases=[np.zeros(2)])
-        proj = Mlp(layer_dims=(2, 3), weights=[np.zeros((2, 3))], biases=[np.array([0.5, -1.0, 2.0])])
+        enc, proj = Mlp((2, 2), np.zeros(6)), Mlp((2, 3), np.zeros(9))
+        enc.weights[0][...] = np.eye(2)
+        proj.biases[0][...] = [0.5, -1.0, 2.0]
         views = make_rng(0).standard_normal((8, 2))
         out = forward(enc, proj, views)
         np.testing.assert_array_equal(out.batch.rows, np.tile([0.5, -1.0, 2.0], (8, 1)))
@@ -171,7 +173,7 @@ class TestMlpForward:
                 for l, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
                     nxt = []
                     for j in range(w.shape[1]):
-                        acc = b[j]
+                        acc = b[0, j]
                         for i in range(w.shape[0]):
                             acc += h[i] * w[i, j]
                         if l < len(mlp.weights) - 1:
@@ -199,6 +201,67 @@ class TestMlpForward:
         assert np.all(np.abs(mlp.biases[0]) <= bound)
 
 
+class TestParameterLayout:
+    def test_init_is_uniform_draws_in_layout_order(self):
+        """Per network, per layer: the weights row-major, then the biases, drawn in that order."""
+        cfg = TrainConfig(input_dim=3, encoder_dims=(4, 2), projector_dims=(5, 3))
+        rng, twin = make_rng(21), make_rng(21)
+        model = SimclrModel.init(cfg, rng)
+        expected = []
+        for dims in ((3, 4, 2), (2, 5, 3)):
+            for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+                bound = 1.0 / math.sqrt(fan_in)
+                expected.append(twin.uniform(-bound, bound, size=(fan_in, fan_out)).ravel())
+                expected.append(twin.uniform(-0.1 * bound, 0.1 * bound, size=fan_out))
+        np.testing.assert_array_equal(model.params, np.concatenate(expected))
+        assert rng.bit_generator.state == twin.bit_generator.state
+        assert model.encoder_dims == (3, 4, 2) and model.projector_dims == (2, 5, 3)
+
+    def test_weights_and_biases_are_views_of_params(self):
+        mlp = Mlp((3, 2, 4), np.zeros(3 * 2 + 2 + 2 * 4 + 4))
+        mlp.weights[0][1, 0] = 1.0
+        mlp.biases[0][0, 1] = 2.0
+        mlp.weights[1][0, 3] = 3.0
+        mlp.biases[1][0, 2] = 4.0
+        assert [mlp.weights[0].shape, mlp.biases[0].shape] == [(3, 2), (1, 2)]
+        assert np.flatnonzero(mlp.params).tolist() == [2, 7, 11, 18]
+        assert mlp.params[[2, 7, 11, 18]].tolist() == [1.0, 2.0, 3.0, 4.0]
+
+    def test_assigning_a_layer_raises(self):
+        mlp = Mlp.init((3, 2), make_rng(0))
+        with pytest.raises(TypeError):
+            mlp.weights[0] = np.zeros((3, 2))
+        with pytest.raises(TypeError):
+            mlp.biases[0] = np.zeros((1, 2))
+
+    def test_wrong_parameter_count_is_refused(self):
+        with pytest.raises(DimensionMismatchError):
+            Mlp((3, 2), np.zeros(7))
+        with pytest.raises(DimensionMismatchError):
+            SimclrModel((3, 2), (2, 2), np.zeros(13)).projector
+
+    def test_deepcopy_stays_independent(self):
+        model = SimclrModel.init(tiny_config(), make_rng(3))
+        twin = copy.deepcopy(model)
+        snapshot = model.params.copy()
+        model.params -= 1.0
+        np.testing.assert_array_equal(twin.params, snapshot)
+        twin.encoder.weights[0][...] = 5.0
+        np.testing.assert_array_equal(model.params, snapshot - 1.0)
+        assert np.shares_memory(twin.projector.biases[-1], twin.params)
+
+    def test_stacked_model_is_one_model_per_row(self):
+        cfg = tiny_config()
+        models = [SimclrModel.init(cfg, make_rng(s)) for s in range(3)]
+        stacked = SimclrModel(models[0].encoder_dims, models[0].projector_dims, np.stack([m.params for m in models]))
+        views = make_rng(9).standard_normal((4, cfg.input_dim))
+        hidden = stacked.encoder.forward_trace(views).act[-1]
+        latents = stacked.projector.forward_trace(hidden).act[-1]
+        for k, model in enumerate(models):
+            want = forward(model.encoder, model.projector, views).batch.rows
+            np.testing.assert_allclose(latents[k], want, rtol=0, atol=1e-14)
+
+
 def tiny_config(**overrides):
     defaults = dict(
         n_pairs=2,
@@ -216,10 +279,6 @@ def tiny_config(**overrides):
     return TrainConfig(**defaults)
 
 
-def model_params(model):
-    return [p.copy() for mlp in (model.encoder, model.projector) for p in (*mlp.weights, *mlp.biases)]
-
-
 class TestTrainStep:
     def test_vanishing_learning_rate_is_a_null_update(self):
         """The update is -lr * grad, so at the smallest admissible lr the
@@ -231,8 +290,7 @@ class TestTrainStep:
         points = make_rng(6).standard_normal((cfg.n_pairs, cfg.input_dim))
 
         rec1 = train_step(model, points, cfg, make_rng(7), step=0)
-        for before, after in zip(model_params(frozen), model_params(model)):
-            np.testing.assert_allclose(before, after, atol=1e-290)
+        np.testing.assert_allclose(frozen.params, model.params, atol=1e-290)
         rec2 = train_step(frozen, points, cfg, make_rng(7), step=0)
         assert rec1.loss_total == rec2.loss_total
 
@@ -245,9 +303,8 @@ class TestTrainStep:
         rec = train_step(model, points, cfg, make_rng(7), step=0)
 
         out = loss_and_param_grads(before, _augment_batch(points, cfg.augment, make_rng(7)), cfg)
-        grads = flatten_param_grads(out.encoder_grads, out.projector_grads)
-        assert rec.grad_norm == pytest.approx(float(np.linalg.norm(grads)), rel=1e-12)
-        np.testing.assert_array_equal(flatten_params(model), flatten_params(before) - cfg.learning_rate * grads)
+        assert rec.grad_norm == pytest.approx(float(np.linalg.norm(out.param_grad)), rel=1e-12)
+        np.testing.assert_array_equal(model.params, before.params - cfg.learning_rate * out.param_grad)
 
     def test_descent_direction(self):
         """A small step decreases the loss on the same views nearly always."""
@@ -279,9 +336,9 @@ class TestTrainStep:
             from ntxbound import nt_xent_grad
 
             gz = nt_xent_grad(fwd.batch, loss_cfg)
-            pw, pb, ghid = model.projector.backward(fwd.projector_trace, gz)
-            ew, eb, _ = model.encoder.backward(fwd.encoder_trace, ghid)
-            analytic = {"enc_w": ew, "enc_b": eb, "proj_w": pw, "proj_b": pb}
+            pg, ghid = model.projector.backward(fwd.projector_trace, gz)
+            eg, _ = model.encoder.backward(fwd.encoder_trace, ghid)
+            analytic = {"enc": Mlp(model.encoder_dims, eg), "proj": Mlp(model.projector_dims, pg)}
 
             def loss_with(mutate):
                 probe = copy.deepcopy(model)
@@ -303,7 +360,7 @@ class TestTrainStep:
                             fp = loss_with(lambda p: bump(p, +h))
                             fm = loss_with(lambda p: bump(p, -h))
                             numeric = (fp - fm) / (2 * h)
-                            a = analytic[f"{which}_{kind}"][l][idx]
+                            a = (analytic[which].weights if kind == "w" else analytic[which].biases)[l][idx]
                             denom = max(abs(a), abs(numeric))
                             if denom >= 1e-8:
                                 assert abs(a - numeric) <= 1e-4 * denom
@@ -313,7 +370,7 @@ class TestTrainStep:
     def test_divergent_latents_raise_nonfinite(self):
         cfg = tiny_config()
         model = SimclrModel.init(cfg, make_rng(0))
-        model.projector.weights[-1] = np.full_like(model.projector.weights[-1], np.inf)
+        model.projector.weights[-1][...] = np.inf
         points = make_rng(1).standard_normal((cfg.n_pairs, cfg.input_dim))
         with pytest.raises(NonFiniteLossError):
             train_step(model, points, cfg, make_rng(2), step=3)
