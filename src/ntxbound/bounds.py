@@ -32,10 +32,16 @@ CLUSTERED_NOISE_SCALE = 0.1
 #: Absolute slack for declaring a bound violated; only rounding noise is tolerated.
 VIOLATION_SLACK = 1e-9
 
-#: Bytes of rows and similarity matrices evaluated at once. Verify trials and
-#: gradcheck probes are stacked up to this budget, so peak memory does not grow
-#: with the trial or probe count.
+#: Bytes evaluated at once, so peak memory does not grow with the trial or
+#: probe count. Verify stacks trials up to it, counting each batch's rows and
+#: similarity matrix (``_stack_size``); gradcheck sizes its groups of trials
+#: and stacks of probes to it, counting what a probe holds at its peak
+#: (``_probe_stack_size``).
 CHUNK_BYTES = 1 << 20
+
+#: Largest peak `ntxb gradcheck` may need even at one probe per stack; larger
+#: inputs are refused before any draw.
+MEMORY_BUDGET = 1 << 30
 
 
 def _stream(seed: int, *key: int) -> np.random.Generator:
@@ -51,6 +57,31 @@ def _stream(seed: int, *key: int) -> np.random.Generator:
 def _stack_size(n_pairs: int, dim: int) -> int:
     """Batches of 2N rows of dimension m per stack: their rows and 2N x 2N matrices fill CHUNK_BYTES."""
     return max(1, CHUNK_BYTES // (8 * 2 * n_pairs * (2 * n_pairs + dim)))
+
+
+def _probe_bytes(n_pairs: int, row_floats: int) -> int:
+    """Peak bytes of one finite-difference probe of 2N rows in a stacked pass.
+
+    ``row_floats`` counts the floats per row the probe holds at once: its rows
+    and unit rows, and for a model its activations. To them come the three
+    2N x 2N matrices that ``_cosine_matrix`` holds at once.
+    """
+    return 8 * 2 * n_pairs * (row_floats + 3 * 2 * n_pairs)
+
+
+def _probe_stack_size(n_pairs: int, row_floats: int) -> int:
+    """Gradcheck probes per stack, and trials per group.
+
+    A group's own arrays (its points, both gradients and the probe values)
+    take about as much as one stack of its probes, so the two share
+    CHUNK_BYTES: the stack's peak fills half of it.
+    """
+    return max(1, CHUNK_BYTES // 2 // _probe_bytes(n_pairs, row_floats))
+
+
+def _gradcheck_peak_bytes(n_pairs: int, dim: int) -> int:
+    """Least peak of the loss-level gradcheck, at one probe per stack: one trial's rows plus one probe."""
+    return 8 * 2 * n_pairs * dim + _probe_bytes(n_pairs, 2 * dim)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ import typing
 from pathlib import Path
 
 from . import gradcheck as gc
-from .bounds import VIOLATION_SLACK, VerifyGrid, default_grid, monte_carlo_verify
+from .bounds import MEMORY_BUDGET, VIOLATION_SLACK, VerifyGrid, _gradcheck_peak_bytes, default_grid, monte_carlo_verify
 from .errors import (
     ConfigError,
     DimensionMismatchError,
@@ -173,6 +173,12 @@ def cmd_gradcheck(args) -> int:
         raise ConfigError(f"--trials must be >= 1, got {args.trials}")
     if args.n_pairs < 1 or args.dim < 1:
         raise ConfigError("--n-pairs and --dim must be >= 1")
+    peak = _gradcheck_peak_bytes(args.n_pairs, args.dim)
+    if peak > MEMORY_BUDGET:
+        raise ConfigError(
+            f"--n-pairs {args.n_pairs} --dim {args.dim} need at least {peak / 2**20:.0f} MiB, "
+            f"over the {MEMORY_BUDGET / 2**20:.0f} MiB memory budget"
+        )
 
     loss_trials = gc.loss_level_check(
         args.trials, n_pairs=args.n_pairs, dim=args.dim, tau=args.tau, seed=args.seed, corrupt=args.corrupt_gradient

@@ -3,13 +3,20 @@
 Two levels are checked: the loss gradient with respect to raw latents, and
 the end-to-end parameter gradient through projector and encoder on a tiny
 model. Central differences with step 1e-5 on inputs pre-scaled to unit RMS
-balance truncation against rounding at 64-bit precision. All probes of a
-trial are evaluated as stacks in single NT-Xent passes, up to
-``bounds.CHUNK_BYTES`` per stack: latent probes as a stack of batches, and
-parameter probes as a stack (K, P) of flat parameter vectors, which is K
-models run through one MLP forward. Parameter j is entry j of
-``SimclrModel.params``: the encoder's layers, then the projector's, each
-layer's weights row-major followed by its biases.
+balance truncation against rounding at 64-bit precision.
+
+Each level takes its trials in groups. A group gets its analytic gradients
+from one pass, and the probes of all its trials run as one sequence of
+stacks: a stack can end inside one trial's probes and hold the next trial's
+first ones. Groups and stacks hold up to ``bounds._probe_stack_size`` trials
+and probes, so that a group's arrays and one stack of its probes fill
+``bounds.CHUNK_BYTES`` and memory does not grow with the trial count. A
+latent probe moves one entry, so only its row is normalized again; the
+trial's other unit rows come from the analytic pass. Parameter probes are a
+stack (K, P) of flat parameter vectors, K models run through one MLP forward
+on their trials' views. Parameter j is entry j of ``SimclrModel.params``:
+the encoder's layers, then the projector's, each layer's weights row-major
+followed by its biases.
 """
 
 from __future__ import annotations
@@ -19,9 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import _stack_size, _stream
-from .loss import LossConfig, _breakdown, _checked_pass, _latent_grad
-from .trainer import ForwardResult, SimclrModel, TrainConfig, loss_and_param_grads
+from .bounds import _probe_stack_size, _stream
+from .loss import LossConfig, _breakdown, _checked_pass, _latent_grad, _Pass
+from .sim import _cosine_matrix, _unit_rows
+from .trainer import ForwardResult, SimclrModel, TrainConfig, _param_count, loss_and_param_grads
 
 FD_STEP = 1e-5
 LOSS_LEVEL_TOL = 1e-5
@@ -32,26 +40,52 @@ ABS_FLOOR = 1e-8
 DEAD_RELU_REDRAWS = 10
 
 
-def central_difference(f, x: np.ndarray, step: float = FD_STEP, *, chunk: int) -> np.ndarray:
-    """Central-difference gradient of a scalar function at x, from stacked probes.
+def _probe_order(start: int, stop: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Point, entry and sign (True for +step) of probes start..stop, for points of n entries.
 
-    The 2 * x.size probes are x + step * e_j for every entry j, then
-    x - step * e_j. ``f`` maps a stack (K, *x.shape) of probes to their K
-    values. Probes are built and evaluated ``chunk`` at a time, so memory
-    stays bounded however large x is.
+    The probe sequence runs point by point: +step on each entry in turn, then -step.
     """
-    n = x.size
-    flat = x.reshape(-1)
-    k = np.arange(2 * n)
-    entry = k % n
-    delta = np.where(k < n, step, -step)  # x + (-step) rounds as x - step: probes match in-place edits bit for bit
-    values = np.empty(2 * n)
-    for start in range(0, 2 * n, chunk):
-        stop = min(start + chunk, 2 * n)
-        probes = np.tile(flat, (stop - start, 1))
-        probes[np.arange(stop - start), entry[start:stop]] += delta[start:stop]
-        values[start:stop] = f(probes.reshape(stop - start, *x.shape))
-    return ((values[:n] - values[n:]) / (2.0 * step)).reshape(x.shape)
+    k = np.arange(start, stop)
+    r = k % (2 * n)
+    return k // (2 * n), r % n, r < n
+
+
+def _probe_cursor(n: int):
+    """Point and entry of every probe of the next stack, for an ``f`` given to :func:`central_difference`.
+
+    Stacks are evaluated in sequence order, so a running offset places each one.
+    """
+    offset = 0
+
+    def next_stack(size: int) -> tuple[np.ndarray, np.ndarray]:
+        nonlocal offset
+        offset += size
+        return _probe_order(offset - size, offset, n)[:2]
+
+    return next_stack
+
+
+def central_difference(f, points: np.ndarray, step: float = FD_STEP, *, chunk: int) -> np.ndarray:
+    """Central-difference gradients of a scalar function at each of a stack of points (T, *shape).
+
+    Point t has 2 * n probes, x_t + step * e_j for every entry j, then
+    x_t - step * e_j (the order of :func:`_probe_order`). ``f`` maps a stack
+    (K, *shape) of probes to their K values; the sequence is cut into stacks
+    of ``chunk`` probes, so memory stays bounded however many probes there are.
+    """
+    t = len(points)
+    flat = points.reshape(t, -1)
+    n = flat.shape[1]
+    values = np.empty(2 * n * t)
+    for start in range(0, 2 * n * t, chunk):
+        stop = min(start + chunk, 2 * n * t)
+        point, entry, plus = _probe_order(start, stop, n)
+        probes = flat[point]
+        # x + (-step) rounds as x - step: probes match in-place edits bit for bit
+        probes[np.arange(stop - start), entry] += np.where(plus, step, -step)
+        values[start:stop] = f(probes.reshape(stop - start, *points.shape[1:]))
+    values = values.reshape(t, 2, n)
+    return ((values[:, 0] - values[:, 1]) / (2.0 * step)).reshape(points.shape)
 
 
 def _stack_losses(rows: np.ndarray, cfg: LossConfig) -> np.ndarray:
@@ -59,8 +93,26 @@ def _stack_losses(rows: np.ndarray, cfg: LossConfig) -> np.ndarray:
     return _breakdown(_checked_pass(rows, cfg.tau, cfg.anchor_mode)).total
 
 
-def worst_error(analytic: np.ndarray, numeric: np.ndarray, floor: float = ABS_FLOOR) -> tuple[float, tuple]:
-    """Largest per-entry discrepancy and its index.
+def _row_probe_losses(
+    probes: np.ndarray, point: np.ndarray, row: np.ndarray, unit: np.ndarray, cfg: LossConfig
+) -> np.ndarray:
+    """Total loss of each probe (K, 2N, m) that differs from its point's rows in row ``row[k]`` only.
+
+    ``unit`` holds the unit rows of the points. Only the moved rows are
+    normalized, and they are refused as a batch's rows would be; normalization
+    works row by row, so the losses equal :func:`_stack_losses` bit for bit.
+    """
+    k = np.arange(len(probes))
+    moved = probes[k, row]
+    if not np.isfinite(moved).all():
+        raise ValueError("batch entries must be finite")
+    probe_unit = unit[point]
+    probe_unit[k, row] = _unit_rows(moved)[0]
+    return _breakdown(_Pass(_cosine_matrix(probe_unit), cfg.tau, cfg.anchor_mode)).total
+
+
+def worst_error(analytic: np.ndarray, numeric: np.ndarray, floor: float = ABS_FLOOR) -> tuple[float, tuple[int, ...]]:
+    """Largest per-entry discrepancy and its index, as Python ints.
 
     Entries are compared relatively against max(|analytic|, |numeric|);
     entries where both magnitudes fall below ``floor`` pass when the absolute
@@ -76,10 +128,10 @@ def worst_error(analytic: np.ndarray, numeric: np.ndarray, floor: float = ABS_FL
     err[big] = diff[big] / denom[big]
     err[~big] = np.where(diff[~big] <= floor, 0.0, np.inf)
     j = int(np.argmax(err))
-    return float(err.flat[j]), np.unravel_index(j, a.shape)
+    return float(err.flat[j]), tuple(int(i) for i in np.unravel_index(j, a.shape))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GradCheckTrial:
     """Worst entry of one trial, plus the orthogonality defect of the analytic gradient."""
 
@@ -90,7 +142,40 @@ class GradCheckTrial:
 
 
 def _unit_rms(x: np.ndarray) -> np.ndarray:
-    return x / math.sqrt(float(np.mean(x * x)))
+    """Scale each batch of a stack (..., 2N, m) to unit RMS."""
+    return x / np.sqrt(np.mean(x * x, axis=(-2, -1), keepdims=True))
+
+
+def _orthogonality(grad: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Largest |<grad_i, z_i>| of each batch of a stack: zero in exact arithmetic, by scale invariance."""
+    return np.abs(np.sum(grad * rows, axis=-1)).max(axis=-1)
+
+
+def _trial_records(first: int, analytic: np.ndarray, numeric: np.ndarray, ortho: np.ndarray) -> list[GradCheckTrial]:
+    """One record per trial of a group, the first of which is trial ``first``."""
+    records = []
+    for i, (a, n) in enumerate(zip(analytic, numeric)):
+        err, idx = worst_error(a, n)
+        records.append(GradCheckTrial(first + i, err, idx, float(ortho[i])))
+    return records
+
+
+def _loss_level_group(rows: np.ndarray, cfg: LossConfig, first: int, corrupt: bool, chunk: int) -> list[GradCheckTrial]:
+    """Check a stack of trials' batches (T, 2N, m), the first of which is trial ``first``."""
+    p = _checked_pass(rows, cfg.tau, cfg.anchor_mode)
+    analytic, unit = _latent_grad(p), p.unit
+    del p  # the probes need only the unit rows
+    ortho = _orthogonality(analytic, rows)
+    if corrupt:
+        analytic[0, 0, 0] += 1e-2
+    dim = rows.shape[-1]
+    cursor = _probe_cursor(rows[0].size)
+
+    def losses(probes: np.ndarray) -> np.ndarray:
+        point, entry = cursor(len(probes))
+        return _row_probe_losses(probes, point, entry // dim, unit, cfg)
+
+    return _trial_records(first, analytic, central_difference(losses, rows, chunk=chunk), ortho)
 
 
 def loss_level_check(
@@ -103,23 +188,17 @@ def loss_level_check(
 ) -> list[GradCheckTrial]:
     """Analytic latent gradient vs central differences on random batches.
 
+    Trial t's batch is the t-th draw of shape (2N, m) from stream (0,).
     ``corrupt`` perturbs one gradient entry of the first trial by 1e-2; a test
     hook proving the check can fail.
     """
     rng = _stream(seed, 0)
     cfg = LossConfig(tau=tau)
-    chunk = _stack_size(n_pairs, dim)
+    group = _probe_stack_size(n_pairs, 2 * dim)  # a probe holds its rows and unit rows
     results = []
-    for trial in range(trials):
-        rows = _unit_rms(rng.standard_normal((2 * n_pairs, dim)))
-        analytic = _latent_grad(_checked_pass(rows, cfg.tau, cfg.anchor_mode))
-        ortho = float(np.max(np.abs(np.sum(analytic * rows, axis=1))))
-        if corrupt and trial == 0:
-            analytic = analytic.copy()
-            analytic[0, 0] += 1e-2
-        numeric = central_difference(lambda stack: _stack_losses(stack, cfg), rows, chunk=chunk)
-        err, idx = worst_error(analytic, numeric)
-        results.append(GradCheckTrial(trial=trial, worst_rel_err=err, worst_index=idx, orthogonality=ortho))
+    for first in range(0, trials, group):
+        rows = _unit_rms(rng.standard_normal((min(group, trials - first), 2 * n_pairs, dim)))
+        results += _loss_level_group(rows, cfg, first, corrupt and first == 0, group)
     return results
 
 
@@ -152,9 +231,55 @@ def _tiny_config(seed: int) -> TrainConfig:
     )
 
 
-def _dead_relu(fwd: ForwardResult) -> bool:
-    """A hidden layer is zero on every row: all gradients vanish and the trial checks nothing."""
-    return any(not np.any(pre > 0) for trace in (fwd.encoder_trace, fwd.projector_trace) for pre in trace.pre[:-1])
+def _draw_trial(cfg: TrainConfig, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """One end-to-end trial's model parameters, then its unit-RMS views, from one stream."""
+    params = SimclrModel.init(cfg, rng).params
+    return params, _unit_rms(rng.standard_normal((2 * cfg.n_pairs, cfg.input_dim)))
+
+
+def _dead_relu(fwd: ForwardResult) -> np.ndarray:
+    """Per model: some hidden layer is zero on every row, so all gradients vanish and the trial checks nothing."""
+    dead = np.zeros(fwd.latents.shape[:-2], dtype=bool)
+    for trace in (fwd.encoder_trace, fwd.projector_trace):
+        for pre in trace.pre[:-1]:
+            dead |= ~(pre > 0).any(axis=(-2, -1))
+    return dead
+
+
+def _end_to_end_group(cfg: TrainConfig, seed: int, first: int, size: int, chunk: int) -> list[GradCheckTrial]:
+    """Check trials first..first+size-1 as one stack of models."""
+    dims = (cfg.input_dim, *cfg.encoder_dims), (cfg.encoder_out, *cfg.projector_dims)
+    model = SimclrModel(*dims, np.empty((size, _param_count(dims[0]) + _param_count(dims[1]))))
+    views = np.empty((size, 2 * cfg.n_pairs, cfg.input_dim))
+    for i in range(size):
+        model.params[i], views[i] = _draw_trial(cfg, _stream(seed, 1, first + i))
+    out = loss_and_param_grads(model, views, cfg)
+    dead = _dead_relu(out.forward)
+    for k in range(1, DEAD_RELU_REDRAWS + 1):
+        if not dead.any():
+            break
+        for i in np.flatnonzero(dead):
+            model.params[i], views[i] = _draw_trial(cfg, _stream(seed, 1, first + int(i), k))
+        out = loss_and_param_grads(model, views, cfg)
+        dead = _dead_relu(out.forward)
+    analytic, ortho = out.param_grad, _orthogonality(out.latent_grad, out.forward.latents)
+    del out  # the probes need only the parameters and views
+
+    cfg_loss = LossConfig(tau=cfg.tau)
+    cursor = _probe_cursor(model.params.shape[-1])
+
+    def loss_at(vecs: np.ndarray) -> np.ndarray:
+        point, _ = cursor(len(vecs))
+        probe = SimclrModel(*dims, vecs)
+        hidden = probe.encoder.forward_trace(views[point]).act[-1]
+        return _stack_losses(probe.projector.forward_trace(hidden).act[-1], cfg_loss)
+
+    records = _trial_records(first, analytic, central_difference(loss_at, model.params, chunk=chunk), ortho)
+    # A trial still dead after every redraw checked nothing: it fails.
+    return [
+        GradCheckTrial(trial=r.trial, worst_rel_err=math.inf, worst_index=(0,), orthogonality=0.0) if d else r
+        for r, d in zip(records, dead)
+    ]
 
 
 def end_to_end_check(trials: int, seed: int = 0) -> list[GradCheckTrial]:
@@ -164,30 +289,11 @@ def end_to_end_check(trials: int, seed: int = 0) -> list[GradCheckTrial]:
     dead hidden layer is replaced by one from (1, t, k), k = 1, 2, ...; a
     trial still dead after DEAD_RELU_REDRAWS redraws reports an infinite error.
     """
-    results = []
     cfg = _tiny_config(seed)
-    cfg_loss = LossConfig(tau=cfg.tau)
-    chunk = _stack_size(cfg.n_pairs, cfg.latent_dim)
-    for trial in range(trials):
-        for k in range(DEAD_RELU_REDRAWS + 1):
-            rng = _stream(seed, 1, trial) if k == 0 else _stream(seed, 1, trial, k)
-            model = SimclrModel.init(cfg, rng)
-            views = _unit_rms(rng.standard_normal((2 * cfg.n_pairs, cfg.input_dim)))
-            out = loss_and_param_grads(model, views, cfg)
-            if not _dead_relu(out.forward):
-                break
-        else:
-            results.append(GradCheckTrial(trial=trial, worst_rel_err=math.inf, worst_index=(0,), orthogonality=0.0))
-            continue
-
-        ortho = float(np.max(np.abs(np.sum(out.latent_grad * out.forward.batch.rows, axis=1))))
-
-        def loss_at(vecs: np.ndarray) -> np.ndarray:
-            probe = SimclrModel(model.encoder_dims, model.projector_dims, vecs)
-            hidden = probe.encoder.forward_trace(views).act[-1]
-            return _stack_losses(probe.projector.forward_trace(hidden).act[-1], cfg_loss)
-
-        numeric = central_difference(loss_at, model.params, chunk=chunk)
-        err, idx = worst_error(out.param_grad, numeric)
-        results.append(GradCheckTrial(trial=trial, worst_rel_err=err, worst_index=idx, orthogonality=ortho))
+    # Per row, a probe holds its view, each layer's pre-activation and activation, and its unit latent.
+    row_floats = cfg.input_dim + 2 * sum(cfg.encoder_dims + cfg.projector_dims) + cfg.latent_dim
+    group = _probe_stack_size(cfg.n_pairs, row_floats)
+    results = []
+    for first in range(0, trials, group):
+        results += _end_to_end_group(cfg, seed, first, min(group, trials - first), group)
     return results

@@ -57,6 +57,23 @@ def _unit_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return scaled / partial[..., None], scales * partial
 
 
+def _check_rows(rows: np.ndarray) -> None:
+    """Refuse what :class:`EmbeddingBatch` refuses, in a batch ``(2N, m)`` or a stack ``(..., 2N, m)``.
+
+    The row count must be even and >= 2 and the dimension >= 1; non-finite
+    entries raise ValueError and zero-norm rows ZeroVectorError.
+    """
+    n, m = rows.shape[-2:]
+    if n < 2 or n % 2 != 0:
+        raise ValueError(f"row count must be even and >= 2, got {n}")
+    if m < 1:
+        raise DimensionMismatchError("latent dimension must be >= 1")
+    if not np.isfinite(rows).all():
+        raise ValueError("batch entries must be finite")
+    if (np.abs(rows).max(axis=-1) == 0.0).any():
+        raise ZeroVectorError("batch contains a zero-norm row")
+
+
 def _cosine_matrix(unit: np.ndarray) -> np.ndarray:
     """All-pairs cosines of unit rows ``(..., k, m)`` as ``(..., k, k)``.
 
@@ -85,15 +102,7 @@ class EmbeddingBatch:
         arr = np.array(rows, dtype=np.float64)
         if arr.ndim != 2:
             raise DimensionMismatchError(f"batch must be 2-D, got shape {arr.shape}")
-        n, m = arr.shape
-        if n < 2 or n % 2 != 0:
-            raise ValueError(f"row count must be even and >= 2, got {n}")
-        if m < 1:
-            raise DimensionMismatchError("latent dimension must be >= 1")
-        if not np.isfinite(arr).all():
-            raise ValueError("batch entries must be finite")
-        if (np.abs(arr).max(axis=1) == 0.0).any():
-            raise ZeroVectorError("batch contains a zero-norm row")
+        _check_rows(arr)
         arr.setflags(write=False)
         self.rows = arr
 

@@ -28,7 +28,7 @@ from .errors import (
     ZeroVectorError,
 )
 from .loss import AnchorMode, _latent_grad, _nt_xent_pass
-from .sim import EmbeddingBatch, _check_seed, _check_tau
+from .sim import EmbeddingBatch, _check_rows, _check_seed, _check_tau
 
 #: All pairwise similarities at least this close to 1 counts as a collapsed batch.
 COLLAPSE_TOL = 1e-12
@@ -62,7 +62,7 @@ def _layer_views(layer_dims: tuple[int, ...], params: np.ndarray) -> list[tuple[
     return views
 
 
-@dataclass
+@dataclass(eq=False)
 class Mlp:
     """Fully connected network, ReLU between layers, identity at the output.
 
@@ -70,7 +70,8 @@ class Mlp:
     :func:`_layer_views`; ``weights`` and ``biases`` are tuples of views into
     it. Forward maps a (batch, d) array through ``x @ W + b`` per layer, with
     the ReLU subgradient at 0 taken as 0. A stack ``params`` (K, P) is K
-    networks, run at once into (K, batch, d) activations; ``backward`` takes one.
+    networks, run at once into (K, batch, d) activations and backpropagated
+    into a stack (K, P) of gradients. Networks compare by identity.
     """
 
     layer_dims: tuple[int, ...]
@@ -132,6 +133,7 @@ class Mlp:
         """Backpropagate ``grad_out`` (w.r.t. the output) through the trace.
 
         Returns (parameter gradient in the layout of ``params``, grad w.r.t. the input).
+        A stack of networks takes a stack of traces and gradients, one per network.
         """
         grad = np.empty_like(self.params)
         layers = _layer_views(self.layer_dims, grad)
@@ -139,9 +141,9 @@ class Mlp:
         for l in reversed(range(self.n_layers)):
             gw, gb = layers[l]
             d_pre = g if l == self.n_layers - 1 else g * (trace.pre[l] > 0)
-            np.matmul(trace.act[l].T, d_pre, out=gw)
-            d_pre.sum(axis=0, keepdims=True, out=gb)
-            g = d_pre @ trace.weights[l].T
+            np.matmul(trace.act[l].swapaxes(-1, -2), d_pre, out=gw)
+            d_pre.sum(axis=-2, keepdims=True, out=gb)
+            g = d_pre @ trace.weights[l].swapaxes(-1, -2)
         return grad, g
 
 
@@ -267,12 +269,13 @@ def _augment_batch(points: np.ndarray, cfg: AugmentConfig, rng: np.random.Genera
     return views
 
 
-@dataclass
+@dataclass(eq=False)
 class SimclrModel:
     """Encoder and projection head over one flat vector (or a stack (K, P) of K models).
 
     ``params`` holds the encoder's parameters, then the projector's; the two
     networks are views of it built on access, so a copy copies one array.
+    Models compare by identity.
     """
 
     encoder_dims: tuple[int, ...]
@@ -296,26 +299,31 @@ class SimclrModel:
 
 @dataclass
 class ForwardResult:
-    """Latent batch in pairing order, with both networks' traces kept for backpropagation."""
+    """Latents in pairing order, (2N, m) or a stack (K, 2N, m), with both networks' traces kept for backpropagation."""
 
-    batch: EmbeddingBatch
+    latents: np.ndarray
     encoder_trace: MlpTrace
     projector_trace: MlpTrace
 
+    @property
+    def batch(self) -> EmbeddingBatch:
+        """The latents of one model as a batch."""
+        return EmbeddingBatch(self.latents)
+
 
 def forward(encoder: Mlp, projector: Mlp, views: np.ndarray) -> ForwardResult:
-    """Map 2N augmented views through encoder then projector."""
+    """Map 2N augmented views through encoder then projector; K stacked models map views (K, 2N, d) to K batches.
+
+    Latents that :class:`EmbeddingBatch` would refuse raise its errors.
+    """
     if encoder.layer_dims[-1] != projector.layer_dims[0]:
         raise DimensionMismatchError(
             f"encoder output dim {encoder.layer_dims[-1]} != projector input dim {projector.layer_dims[0]}"
         )
     etrace = encoder.forward_trace(views)
     ptrace = projector.forward_trace(etrace.act[-1])
-    return ForwardResult(
-        batch=EmbeddingBatch(ptrace.act[-1]),
-        encoder_trace=etrace,
-        projector_trace=ptrace,
-    )
+    _check_rows(ptrace.act[-1])
+    return ForwardResult(latents=ptrace.act[-1], encoder_trace=etrace, projector_trace=ptrace)
 
 
 @dataclass(frozen=True)
@@ -369,16 +377,18 @@ class LossAndGrads:
 def loss_and_param_grads(model: SimclrModel, views: np.ndarray, cfg: TrainConfig) -> LossAndGrads:
     """Forward 2N views, take loss, bounds and latent gradient from one NT-Xent pass, and backpropagate.
 
-    Degenerate latents raise ZeroVectorError or ValueError.
+    A stack of K models, ``params`` (K, P), on views (K, 2N, d) gives K of
+    each from one forward, one pass and one backward. Degenerate latents raise
+    ZeroVectorError or ValueError.
     """
     encoder, projector = model.encoder, model.projector
     fwd = forward(encoder, projector, views)
-    p = _nt_xent_pass(fwd.batch.rows, cfg.tau, AnchorMode.PAPER_N)
+    p = _nt_xent_pass(fwd.latents, cfg.tau, AnchorMode.PAPER_N)
     evaluation = _evaluation(p)
     grad_z = _latent_grad(p)
     projector_grad, grad_hidden = projector.backward(fwd.projector_trace, grad_z)
     encoder_grad, _ = encoder.backward(fwd.encoder_trace, grad_hidden)
-    return LossAndGrads(fwd, evaluation, grad_z, np.concatenate([encoder_grad, projector_grad]))
+    return LossAndGrads(fwd, evaluation, grad_z, np.concatenate([encoder_grad, projector_grad], axis=-1))
 
 
 def train_step(

@@ -9,6 +9,7 @@ import pytest
 
 import ntxbound.bounds as bounds
 import ntxbound.cli as cli
+import ntxbound.gradcheck as gc
 import ntxbound.serialize as serialize
 from ntxbound.bounds import default_grid
 from ntxbound.cli import main, parse_train_config, parse_verify_config, report_aggregates, train_config_to_dict
@@ -295,6 +296,26 @@ class TestGradcheckCommand:
     def test_corrupt_gradient_exits_1(self, capsys):
         assert main(["gradcheck", "--trials", "2", "--corrupt-gradient"]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+
+class TestGradcheckMemoryGuard:
+    def test_estimate(self):
+        """One trial's rows, plus one probe's rows, unit rows and three 2N x 2N matrices, in float64."""
+        assert bounds._gradcheck_peak_bytes(4, 8) == 8 * (8 * 8 + 8 * (2 * 8 + 3 * 8))
+        assert bounds._gradcheck_peak_bytes(2, 10**9) == 8 * (4 * 10**9 + 4 * (2 * 10**9 + 3 * 4))
+        assert bounds._gradcheck_peak_bytes(2, 10**9) > bounds.MEMORY_BUDGET > bounds._gradcheck_peak_bytes(4, 8)
+        assert bounds._gradcheck_peak_bytes(10**5, 1) > bounds.MEMORY_BUDGET  # the 2N x 2N matrices alone
+
+    def test_over_budget_exits_2_before_any_draw(self, capsys, monkeypatch):
+        def no_draw(*key):
+            raise AssertionError(f"stream {key} drawn")
+
+        monkeypatch.setattr(cli, "_gradcheck_peak_bytes", lambda n_pairs, dim: bounds.MEMORY_BUDGET + 1)
+        monkeypatch.setattr(gc, "_stream", no_draw)
+        assert main(["gradcheck", "--trials", "1", "--n-pairs", "1", "--dim", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1 and "memory budget" in err and err.startswith("ntxb gradcheck: ")
 
 
 class TestTrainCommand:

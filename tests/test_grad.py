@@ -6,11 +6,24 @@ import numpy as np
 import pytest
 
 import ntxbound.bounds as bounds
+import ntxbound.gradcheck as gradcheck
 from ntxbound import AnchorMode, EmbeddingBatch, LossConfig, nt_xent, nt_xent_grad
 from ntxbound.cli import main
 from ntxbound.errors import ZeroVectorError
-from ntxbound.gradcheck import END_TO_END_TOL, _stack_losses, central_difference, end_to_end_check
-from ntxbound.trainer import Mlp
+from ntxbound.gradcheck import (
+    DEAD_RELU_REDRAWS,
+    END_TO_END_TOL,
+    _probe_order,
+    _row_probe_losses,
+    _stack_losses,
+    _tiny_config,
+    central_difference,
+    end_to_end_check,
+    loss_level_check,
+    worst_error,
+)
+from ntxbound.sim import _unit_rows
+from ntxbound.trainer import Mlp, SimclrModel, loss_and_param_grads
 
 FD_STEP = 1e-5
 
@@ -123,7 +136,7 @@ class TestStackedCentralDifference:
             return np.einsum("ki,ij,kj->k", flat, a, flat) + flat @ b
 
         expected = ((a + a.T) @ x.ravel() + b).reshape(x.shape)
-        np.testing.assert_allclose(central_difference(f, x, chunk=chunk), expected, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(central_difference(f, x[None], chunk=chunk)[0], expected, rtol=0, atol=1e-9)
 
     @pytest.mark.parametrize("mode", list(AnchorMode))
     def test_nt_xent_matches_per_entry_loop(self, mode):
@@ -131,7 +144,7 @@ class TestStackedCentralDifference:
         for chunk in (48, 3):
             rows = unit_rms(rng.standard_normal((6, 4)))
             cfg = LossConfig(tau=0.4, anchor_mode=mode)
-            numeric = central_difference(lambda stack: _stack_losses(stack, cfg), rows, chunk=chunk)
+            numeric = central_difference(lambda stack: _stack_losses(stack, cfg), rows[None], chunk=chunk)[0]
             np.testing.assert_allclose(numeric, fd_gradient(rows, cfg), rtol=0, atol=1e-12)
 
     def test_probes_are_refused_like_a_batch(self):
@@ -162,7 +175,165 @@ class TestStackedCentralDifference:
         rc_default = main(argv)
         default = capsys.readouterr().out
         monkeypatch.setattr(bounds, "CHUNK_BYTES", 700)
-        assert bounds._stack_size(4, 8) == 1  # loss level: one probe per stack
-        assert bounds._stack_size(2, 2) == 3  # end to end: three probes per stack
+        assert bounds._stack_size(4, 8) == 1  # verify's stacks, sized by rows and one matrix per batch
+        assert bounds._stack_size(2, 2) == 3
+        assert bounds._probe_stack_size(4, 2 * 8) == 1  # loss level: one probe per stack
+        assert bounds._probe_stack_size(2, 2 + 2 * 8 + 2) == 1  # end to end: one probe per stack
         assert main(argv) == rc_default == 1
         assert capsys.readouterr().out == default
+
+    @pytest.mark.parametrize("points", [1, 3])
+    @pytest.mark.parametrize("chunk", [1, 5, 24, 100])
+    def test_stacked_points_match_each_point(self, points, chunk):
+        """Stacks that end inside a point's probes, or hold several points, give each point's own differences."""
+        rng = np.random.default_rng(34)
+        a = rng.standard_normal((12, 12))
+        xs = rng.standard_normal((points, 3, 4))
+
+        def f(stack):
+            flat = stack.reshape(len(stack), -1)
+            return np.einsum("ki,ij,kj->k", flat, a, flat)
+
+        stacked = central_difference(f, xs, chunk=chunk)
+        for x, got in zip(xs, stacked):
+            np.testing.assert_array_equal(got, central_difference(f, x[None], chunk=24)[0])
+
+
+def _records(trials):
+    return [(t.trial, t.worst_rel_err, t.worst_index, t.orthogonality) for t in trials]
+
+
+def reference_loss_level(trials, seed, n_pairs=4, dim=8, tau=0.5):
+    """One trial at a time: its own draw, analytic pass and probe stacks, with every row normalized."""
+    rng = bounds._stream(seed, 0)
+    cfg = LossConfig(tau=tau)
+    chunk = bounds._stack_size(n_pairs, dim)
+    records = []
+    for trial in range(trials):
+        rows = unit_rms(rng.standard_normal((2 * n_pairs, dim)))
+        analytic = nt_xent_grad(EmbeddingBatch(rows), cfg)
+        ortho = float(np.max(np.abs(np.sum(analytic * rows, axis=1))))
+        numeric = central_difference(lambda stack: _stack_losses(stack, cfg), rows[None], chunk=chunk)[0]
+        records.append((trial, *worst_error(analytic, numeric), ortho))
+    return records
+
+
+def reference_end_to_end(trials, seed):
+    """One model at a time, with its probes on its own views; returns the records and the redrawn trials."""
+    cfg = _tiny_config(seed)
+    cfg_loss = LossConfig(tau=cfg.tau)
+    chunk = bounds._stack_size(cfg.n_pairs, cfg.latent_dim)
+    records, redrawn = [], []
+    for trial in range(trials):
+        for k in range(DEAD_RELU_REDRAWS + 1):
+            rng = bounds._stream(seed, 1, trial) if k == 0 else bounds._stream(seed, 1, trial, k)
+            model = SimclrModel.init(cfg, rng)
+            views = unit_rms(rng.standard_normal((2 * cfg.n_pairs, cfg.input_dim)))
+            out = loss_and_param_grads(model, views, cfg)
+            traces = (out.forward.encoder_trace, out.forward.projector_trace)
+            if all(np.any(pre > 0) for trace in traces for pre in trace.pre[:-1]):
+                break
+            redrawn.append(trial)
+        else:
+            records.append((trial, math.inf, (0,), 0.0))
+            continue
+        ortho = float(np.max(np.abs(np.sum(out.latent_grad * out.forward.batch.rows, axis=1))))
+
+        def loss_at(vecs, model=model, views=views):
+            probe = SimclrModel(model.encoder_dims, model.projector_dims, vecs)
+            hidden = probe.encoder.forward_trace(views).act[-1]
+            return _stack_losses(probe.projector.forward_trace(hidden).act[-1], cfg_loss)
+
+        numeric = central_difference(loss_at, model.params[None], chunk=chunk)[0]
+        records.append((trial, *worst_error(out.param_grad, numeric), ortho))
+    return records, redrawn
+
+
+class TestStackedTrials:
+    """Both levels, stacked across trials, against the one-trial-at-a-time algorithm, bit for bit."""
+
+    @pytest.mark.parametrize("seed", [0, 3, 17, 35])
+    def test_loss_level_matches_per_trial_loop(self, seed):
+        assert _records(loss_level_check(20, seed=seed)) == reference_loss_level(20, seed)
+
+    def test_loss_level_other_shape(self):
+        got = loss_level_check(7, n_pairs=3, dim=5, tau=0.2, seed=11)
+        assert _records(got) == reference_loss_level(7, 11, n_pairs=3, dim=5, tau=0.2)
+
+    @pytest.mark.parametrize("seed", [0, 3, 17, 35])
+    def test_end_to_end_matches_per_trial_loop(self, seed):
+        want, redrawn = reference_end_to_end(20, seed)
+        assert bool(redrawn) == (seed != 35)  # seeds 0, 3 and 17 exercise the dead-ReLU redraws
+        assert _records(end_to_end_check(20, seed=seed)) == want
+
+    def test_trial_dead_after_every_redraw_fails(self, monkeypatch):
+        want, redrawn = reference_end_to_end(20, 0)
+        monkeypatch.setattr(gradcheck, "DEAD_RELU_REDRAWS", 0)
+        got = _records(end_to_end_check(20, seed=0))
+        assert redrawn and [got[t] for t in redrawn] == [(t, math.inf, (0,), 0.0) for t in redrawn]
+        assert [g for g in got if g[0] not in redrawn] == [w for w in want if w[0] not in redrawn]
+
+    @pytest.mark.parametrize("budget", [2 * 2560 * 200, 2 * 2560 * 7])
+    @pytest.mark.parametrize("seed", ["3", "35"])
+    def test_stacks_across_trials_do_not_change_printout(self, budget, seed, capsys, monkeypatch):
+        """Stacks that end inside one trial's probes and hold the next trial's first ones print the same bytes.
+
+        At 200 probes a stack of the loss level (128 probes per trial) and at 500 one of the end-to-end level
+        (48 per trial) straddles trials; at 7 and 17 the 20 trials also fall into several groups.
+        """
+        argv = ["gradcheck", "--trials", "20", "--seed", seed]
+        rc_default = main(argv)
+        default = capsys.readouterr().out
+        monkeypatch.setattr(bounds, "CHUNK_BYTES", budget)
+        loss_stack, e2e_stack = bounds._probe_stack_size(4, 16), bounds._probe_stack_size(2, 20)
+        assert (loss_stack, e2e_stack) in {(200, 500), (7, 17)}
+        assert loss_stack % 128 and e2e_stack % 48
+        assert main(argv) == rc_default
+        assert capsys.readouterr().out == default
+
+
+class TestRowOnlyNormalization:
+    @pytest.mark.parametrize("mode", list(AnchorMode))
+    def test_equals_full_normalization(self, mode):
+        """Renormalizing only the moved row gives the losses of normalizing every row of every probe."""
+        rng = np.random.default_rng(35)
+        cfg = LossConfig(tau=0.3, anchor_mode=mode)
+        rows = rng.standard_normal((3, 6, 5)) * 10.0 ** rng.uniform(-3, 3, size=(3, 6, 1))
+        unit, _ = _unit_rows(rows)
+        n = rows[0].size
+        point, entry, plus = _probe_order(0, 2 * n * len(rows), n)
+        probes = rows[point]
+        probes[np.arange(len(probes)), entry // 5, entry % 5] += np.where(plus, 1e-5, -1e-5)
+        got = _row_probe_losses(probes, point, entry // 5, unit, cfg)
+        np.testing.assert_array_equal(got, _stack_losses(probes, cfg))
+        full_unit, _ = _unit_rows(probes)
+        moved = probes[np.arange(len(probes)), entry // 5]
+        np.testing.assert_array_equal(_unit_rows(moved)[0], full_unit[np.arange(len(probes)), entry // 5])
+
+    def test_moved_rows_are_refused_like_a_batch(self):
+        cfg = LossConfig(tau=0.5)
+        rows = np.ones((1, 4, 2))
+        unit, _ = _unit_rows(rows)
+        probes = rows[[0, 0]]
+        probes[1, 2, 0] = np.nan
+        with pytest.raises(ValueError, match="batch entries must be finite"):
+            _row_probe_losses(probes, np.array([0, 0]), np.array([0, 2]), unit, cfg)
+        probes[1, 2] = 0.0
+        with pytest.raises(ZeroVectorError):
+            _row_probe_losses(probes, np.array([0, 0]), np.array([0, 2]), unit, cfg)
+
+
+class TestStackedBackward:
+    def test_stacked_backward_equals_each_model(self):
+        rng = np.random.default_rng(36)
+        dims = (3, 5, 4, 2)
+        nets = [Mlp.init(dims, rng) for _ in range(4)]
+        x = rng.standard_normal((4, 6, 3))
+        grad_out = rng.standard_normal((4, 6, 2))
+        stack = Mlp(dims, np.stack([n.params for n in nets]))
+        grad, grad_in = stack.backward(stack.forward_trace(x), grad_out)
+        assert grad.shape == (4, stack.params.shape[-1]) and grad_in.shape == x.shape
+        for k, net in enumerate(nets):
+            want, want_in = net.backward(net.forward_trace(x[k]), grad_out[k])
+            np.testing.assert_array_equal(grad[k], want)
+            np.testing.assert_array_equal(grad_in[k], want_in)

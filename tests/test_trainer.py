@@ -250,6 +250,16 @@ class TestParameterLayout:
         np.testing.assert_array_equal(model.params, snapshot - 1.0)
         assert np.shares_memory(twin.projector.biases[-1], twin.params)
 
+    def test_models_compare_by_identity(self):
+        """Array fields make value equality ambiguous, so models and networks compare as objects."""
+        model = SimclrModel.init(tiny_config(), make_rng(3))
+        twin = copy.deepcopy(model)
+        assert (model == model) is True
+        assert (model == twin) is False and (model != twin) is True
+        net = model.projector
+        assert (net == net) is True
+        assert (net == copy.deepcopy(net)) is False
+
     def test_stacked_model_is_one_model_per_row(self):
         cfg = tiny_config()
         models = [SimclrModel.init(cfg, make_rng(s)) for s in range(3)]
