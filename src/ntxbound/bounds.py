@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyInputError, InvalidGridError, UnsupportedModeError
-from .loss import AnchorMode, LossBreakdown, LossConfig, _breakdown, _checked_pass, _nt_xent_pass, _Pass, logsumexp
+from .loss import AnchorMode, LossBreakdown, LossConfig, _breakdown, _nt_xent_pass, _Pass, logsumexp
 from .sim import EmbeddingBatch, _check_seed, _check_tau, _cosine_matrix
 
 #: Distributions understood by the Monte Carlo verifier.
@@ -33,14 +33,15 @@ CLUSTERED_NOISE_SCALE = 0.1
 VIOLATION_SLACK = 1e-9
 
 #: Bytes evaluated at once, so peak memory does not grow with the trial or
-#: probe count. Verify stacks trials up to it, counting each batch's rows and
-#: similarity matrix (``_stack_size``); gradcheck sizes its groups of trials
-#: and stacks of probes to it, counting what a probe holds at its peak
+#: probe count. Verify stacks trials up to it, counting what a batch holds in
+#: the pass: its rows, unit rows, Gram matrix, anchor-row similarities and
+#: logits (``_batch_bytes``); gradcheck sizes its groups of trials and stacks
+#: of probes to it, counting what a probe holds at its peak
 #: (``_probe_stack_size``).
 CHUNK_BYTES = 1 << 20
 
-#: Largest peak `ntxb gradcheck` may need even at one probe per stack; larger
-#: inputs are refused before any draw.
+#: Largest peak `ntxb verify` may need for one trial, or `ntxb gradcheck`
+#: even at one probe per stack; larger inputs are refused before any draw.
 MEMORY_BUDGET = 1 << 30
 
 
@@ -54,17 +55,28 @@ def _stream(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
+def _batch_bytes(n_pairs: int, dim: int) -> int:
+    """Bytes one verify batch of 2N rows of dimension m holds in a stacked pass.
+
+    Its rows and unit rows (2N x m each), the Gram matrix (2N x 2N) and the N
+    anchor rows of similarities and of logits (N x 2N each).
+    """
+    rows, gram, anchor_rows = 2 * n_pairs * dim, (2 * n_pairs) ** 2, n_pairs * 2 * n_pairs
+    return 8 * (2 * rows + gram + 2 * anchor_rows)
+
+
 def _stack_size(n_pairs: int, dim: int) -> int:
-    """Batches of 2N rows of dimension m per stack: their rows and 2N x 2N matrices fill CHUNK_BYTES."""
-    return max(1, CHUNK_BYTES // (8 * 2 * n_pairs * (2 * n_pairs + dim)))
+    """Verify batches per stack: what they hold in the pass fills CHUNK_BYTES."""
+    return max(1, CHUNK_BYTES // _batch_bytes(n_pairs, dim))
 
 
 def _probe_bytes(n_pairs: int, row_floats: int) -> int:
     """Peak bytes of one finite-difference probe of 2N rows in a stacked pass.
 
     ``row_floats`` counts the floats per row the probe holds at once: its rows
-    and unit rows, and for a model its activations. To them come the three
-    2N x 2N matrices that ``_cosine_matrix`` holds at once.
+    and unit rows, and for a model its activations. To them come up to three
+    2N x 2N matrices: the Gram matrix and the anchor rows of similarities and
+    of logits, which fill a matrix each when every row anchors.
     """
     return 8 * 2 * n_pairs * (row_floats + 3 * 2 * n_pairs)
 
@@ -133,11 +145,16 @@ class BoundReport:
 
 @dataclass(frozen=True)
 class BatchEvaluation:
-    """Loss breakdown and bound report computed from one similarity matrix (one per batch of a stack)."""
+    """Loss breakdown and bound report computed from one similarity matrix (one per batch of a stack).
+
+    ``min_similarity`` is the smallest entry of the whole matrix, which the
+    trainer's collapse flag reads; it is None when only the anchor rows were
+    built.
+    """
 
     breakdown: LossBreakdown
     report: BoundReport
-    min_similarity: float
+    min_similarity: float | None
 
 
 def lse_bounds(xs) -> LseBounds:
@@ -152,19 +169,19 @@ def lse_bounds(xs) -> LseBounds:
     return LseBounds(lower=lower, upper=lower + math.log(n), value=logsumexp(arr), n=n)
 
 
-def _pair_sims(sims: np.ndarray) -> np.ndarray:
-    """Positive-pair entries ``sims[..., 2t, 2t+1]`` of similarity matrices, shape (..., N)."""
-    return np.diagonal(sims[..., 0::2, 1::2], axis1=-2, axis2=-1)
+def _pair_sims(anchor_rows: np.ndarray) -> np.ndarray:
+    """Positive-pair similarities ``sim[2t, 2t+1]`` from the N anchor rows (..., N, 2N), shape (..., N)."""
+    return np.diagonal(anchor_rows[..., 1::2], axis1=-2, axis2=-1)
 
 
 def avg_positive_similarity(batch: EmbeddingBatch) -> float:
     """Mean cosine similarity over the N positive pairs (rows 2t and 2t+1)."""
     unit, _ = batch.unit_rows()
-    return float(np.mean(_pair_sims(_cosine_matrix(unit))))
+    return float(np.mean(_pair_sims(_cosine_matrix(unit, AnchorMode.PAPER_N.step))))
 
 
 def _evaluation(p: _Pass) -> BatchEvaluation:
-    """Loss, bounds and smallest similarity of every batch of a PAPER_N pass.
+    """Loss and bounds of every batch of a PAPER_N pass, and its smallest similarity if it built the whole matrix.
 
     The self column always wins the paper variant's max at 1/tau, so that
     variant takes its closed form ``tau log(2N) - tau L + 1``.
@@ -182,7 +199,8 @@ def _evaluation(p: _Pass) -> BatchEvaluation:
         paper_gap=paper - avg,
         strict_gap=strict - avg,
     )
-    return BatchEvaluation(breakdown=breakdown, report=report, min_similarity=p.sims.min(axis=(-2, -1)))
+    min_similarity = None if p.full is None else p.full.min(axis=(-2, -1))
+    return BatchEvaluation(breakdown=breakdown, report=report, min_similarity=min_similarity)
 
 
 def similarity_bound(batch: EmbeddingBatch, cfg: LossConfig) -> BoundReport:
@@ -191,14 +209,14 @@ def similarity_bound(batch: EmbeddingBatch, cfg: LossConfig) -> BoundReport:
 
 
 def evaluate_batch(batch: EmbeddingBatch, cfg: LossConfig) -> BatchEvaluation:
-    """Loss breakdown plus bound report from a single similarity matrix.
+    """Loss breakdown, bound report and smallest similarity from a single similarity matrix.
 
     Requires the N-anchor convention; the bound derivation sums one LSE per
     pair, so the symmetric mode has no matching bound.
     """
     if cfg.anchor_mode is not AnchorMode.PAPER_N:
         raise UnsupportedModeError(f"similarity bound requires PAPER_N anchors, got {cfg.anchor_mode}")
-    return _evaluation(_nt_xent_pass(batch.rows, cfg.tau, cfg.anchor_mode))
+    return _evaluation(_nt_xent_pass(batch.rows, cfg.tau, cfg.anchor_mode, full=True))
 
 
 def sample_embeddings(distribution: str, n_pairs: int, dim: int, rng: np.random.Generator) -> EmbeddingBatch:
@@ -224,8 +242,11 @@ def _sample_rows(distribution: str, trials: int, n_pairs: int, dim: int, rng: np
         return rng.standard_normal((trials, 2 * n_pairs, dim))
     if distribution == "clustered":
         draws = rng.standard_normal((trials, 3 * n_pairs, dim))
-        bases, noise = draws[:, :n_pairs], CLUSTERED_NOISE_SCALE * draws[:, n_pairs:]
-        return np.repeat(bases, 2, axis=1) + noise
+        noise = draws[:, n_pairs:]
+        noise *= CLUSTERED_NOISE_SCALE
+        rows = np.repeat(draws[:, :n_pairs], 2, axis=1)
+        rows += noise
+        return rows
     raise InvalidGridError(f"unknown embedding distribution {distribution!r}")
 
 
@@ -288,14 +309,15 @@ def _run_cell(
     """Violation counts and minimum paper gap, strict gap and paper-strict margin over one cell.
 
     Trials are drawn and evaluated as stacks of at most CHUNK_BYTES, through
-    the same constructors and checks as a single batch.
+    the same constructors and checks as a single batch. The pass builds only
+    the anchor rows, so the stacks carry no smallest similarity.
     """
     chunk = _stack_size(n_pairs, dim)
     viol_paper = viol_strict = 0
     min_paper = min_strict = min_margin = math.inf
     for start in range(0, trials, chunk):
         rows = _sample_rows(distribution, min(chunk, trials - start), n_pairs, dim, rng)
-        report = _evaluation(_checked_pass(rows, tau, AnchorMode.PAPER_N)).report
+        report = _evaluation(_nt_xent_pass(rows, tau, AnchorMode.PAPER_N)).report
         viol_paper += int(np.count_nonzero(report.paper_gap < -VIOLATION_SLACK))
         viol_strict += int(np.count_nonzero(report.strict_gap < -VIOLATION_SLACK))
         min_paper = min(min_paper, float(report.paper_gap.min()))

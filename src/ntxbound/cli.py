@@ -15,7 +15,15 @@ import typing
 from pathlib import Path
 
 from . import gradcheck as gc
-from .bounds import MEMORY_BUDGET, VIOLATION_SLACK, VerifyGrid, _gradcheck_peak_bytes, default_grid, monte_carlo_verify
+from .bounds import (
+    MEMORY_BUDGET,
+    VIOLATION_SLACK,
+    VerifyGrid,
+    _batch_bytes,
+    _gradcheck_peak_bytes,
+    default_grid,
+    monte_carlo_verify,
+)
 from .errors import (
     ConfigError,
     DimensionMismatchError,
@@ -157,6 +165,13 @@ def cmd_verify(args) -> int:
         grid, trials, seed = parse_verify_config(load_json(args.config))
     if args.seed is not None:
         seed = args.seed
+    n_pairs, dim = max(grid.ns), max(grid.ms)
+    peak = _batch_bytes(n_pairs, dim)  # one trial of the largest cell, at one trial per stack
+    if peak > MEMORY_BUDGET:
+        raise ConfigError(
+            f"a trial at N={n_pairs}, m={dim} needs at least {peak / 2**20:.0f} MiB, "
+            f"over the {MEMORY_BUDGET / 2**20:.0f} MiB memory budget"
+        )
     out = _outdir(args.out, ["verify_summary.json"])
     summary = monte_carlo_verify(grid, trials, seed)
     write_json(out / "verify_summary.json", dataclasses.asdict(summary))
@@ -166,6 +181,20 @@ def cmd_verify(args) -> int:
         f"min_paper_gap={format_float(summary.min_paper_gap)} min_strict_gap={format_float(summary.min_strict_gap)}"
     )
     return 0 if summary.ok else 1
+
+
+def _print_trials(trials, line: str) -> tuple[float, float]:
+    """Print each gradcheck trial as ``line.format(t=trial)`` as it comes; return the largest error and orthogonality.
+
+    The maxima run as ``max`` over the whole sequence would take them, so no
+    trial is kept.
+    """
+    worst = ortho = None
+    for t in trials:
+        print(line.format(t=t))
+        worst = t.worst_rel_err if worst is None else max(worst, t.worst_rel_err)
+        ortho = t.orthogonality if ortho is None else max(ortho, t.orthogonality)
+    return worst, ortho
 
 
 def cmd_gradcheck(args) -> int:
@@ -180,19 +209,17 @@ def cmd_gradcheck(args) -> int:
             f"over the {MEMORY_BUDGET / 2**20:.0f} MiB memory budget"
         )
 
-    loss_trials = gc.loss_level_check(
-        args.trials, n_pairs=args.n_pairs, dim=args.dim, tau=args.tau, seed=args.seed, corrupt=args.corrupt_gradient
+    worst_loss, ortho_loss = _print_trials(
+        gc.iter_loss_level(
+            args.trials, n_pairs=args.n_pairs, dim=args.dim, tau=args.tau, seed=args.seed, corrupt=args.corrupt_gradient
+        ),
+        "gradcheck loss-level trial {t.trial:3d}: worst rel err {t.worst_rel_err:.3e} at entry {t.worst_index}",
     )
-    e2e_trials = gc.end_to_end_check(args.trials, seed=args.seed)
-
-    for t in loss_trials:
-        print(f"gradcheck loss-level trial {t.trial:3d}: worst rel err {t.worst_rel_err:.3e} at entry {t.worst_index}")
-    for t in e2e_trials:
-        print(f"gradcheck end-to-end trial {t.trial:3d}: worst rel err {t.worst_rel_err:.3e} at param {t.worst_index[0]}")
-
-    worst_loss = max(t.worst_rel_err for t in loss_trials)
-    worst_e2e = max(t.worst_rel_err for t in e2e_trials)
-    worst_ortho = max(max(t.orthogonality for t in loss_trials), max(t.orthogonality for t in e2e_trials))
+    worst_e2e, ortho_e2e = _print_trials(
+        gc.iter_end_to_end(args.trials, seed=args.seed),
+        "gradcheck end-to-end trial {t.trial:3d}: worst rel err {t.worst_rel_err:.3e} at param {t.worst_index[0]}",
+    )
+    worst_ortho = max(ortho_loss, ortho_e2e)
     ok = worst_loss <= gc.LOSS_LEVEL_TOL and worst_e2e <= gc.END_TO_END_TOL
     print(
         f"gradcheck summary: loss-level max {worst_loss:.3e} (tol {gc.LOSS_LEVEL_TOL:g}), "

@@ -22,12 +22,13 @@ followed by its biases.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bounds import _probe_stack_size, _stream
-from .loss import LossConfig, _breakdown, _checked_pass, _latent_grad, _Pass
+from .loss import LossConfig, _breakdown, _latent_grad, _nt_xent_pass, _Pass
 from .sim import _cosine_matrix, _unit_rows
 from .trainer import ForwardResult, SimclrModel, TrainConfig, _param_count, loss_and_param_grads
 
@@ -90,7 +91,7 @@ def central_difference(f, points: np.ndarray, step: float = FD_STEP, *, chunk: i
 
 def _stack_losses(rows: np.ndarray, cfg: LossConfig) -> np.ndarray:
     """Total loss of each batch in a stack (K, 2N, m), refusing what EmbeddingBatch refuses."""
-    return _breakdown(_checked_pass(rows, cfg.tau, cfg.anchor_mode)).total
+    return _breakdown(_nt_xent_pass(rows, cfg.tau, cfg.anchor_mode)).total
 
 
 def _row_probe_losses(
@@ -103,12 +104,10 @@ def _row_probe_losses(
     works row by row, so the losses equal :func:`_stack_losses` bit for bit.
     """
     k = np.arange(len(probes))
-    moved = probes[k, row]
-    if not np.isfinite(moved).all():
-        raise ValueError("batch entries must be finite")
     probe_unit = unit[point]
-    probe_unit[k, row] = _unit_rows(moved)[0]
-    return _breakdown(_Pass(_cosine_matrix(probe_unit), cfg.tau, cfg.anchor_mode)).total
+    probe_unit[k, row] = _unit_rows(probes[k, row])[0]
+    sims = _cosine_matrix(probe_unit, cfg.anchor_mode.step)
+    return _breakdown(_Pass(sims, cfg.tau, cfg.anchor_mode)).total
 
 
 def worst_error(analytic: np.ndarray, numeric: np.ndarray, floor: float = ABS_FLOOR) -> tuple[float, tuple[int, ...]]:
@@ -162,7 +161,7 @@ def _trial_records(first: int, analytic: np.ndarray, numeric: np.ndarray, ortho:
 
 def _loss_level_group(rows: np.ndarray, cfg: LossConfig, first: int, corrupt: bool, chunk: int) -> list[GradCheckTrial]:
     """Check a stack of trials' batches (T, 2N, m), the first of which is trial ``first``."""
-    p = _checked_pass(rows, cfg.tau, cfg.anchor_mode)
+    p = _nt_xent_pass(rows, cfg.tau, cfg.anchor_mode)
     analytic, unit = _latent_grad(p), p.unit
     del p  # the probes need only the unit rows
     ortho = _orthogonality(analytic, rows)
@@ -178,28 +177,32 @@ def _loss_level_group(rows: np.ndarray, cfg: LossConfig, first: int, corrupt: bo
     return _trial_records(first, analytic, central_difference(losses, rows, chunk=chunk), ortho)
 
 
-def loss_level_check(
+def iter_loss_level(
     trials: int,
     n_pairs: int = 4,
     dim: int = 8,
     tau: float = 0.5,
     seed: int = 0,
     corrupt: bool = False,
-) -> list[GradCheckTrial]:
-    """Analytic latent gradient vs central differences on random batches.
+) -> Iterator[GradCheckTrial]:
+    """Analytic latent gradient vs central differences on random batches, trial by trial.
 
     Trial t's batch is the t-th draw of shape (2N, m) from stream (0,).
     ``corrupt`` perturbs one gradient entry of the first trial by 1e-2; a test
-    hook proving the check can fail.
+    hook proving the check can fail. Each group's trials are yielded as soon
+    as it is checked, so nothing is kept across groups.
     """
     rng = _stream(seed, 0)
     cfg = LossConfig(tau=tau)
     group = _probe_stack_size(n_pairs, 2 * dim)  # a probe holds its rows and unit rows
-    results = []
     for first in range(0, trials, group):
         rows = _unit_rms(rng.standard_normal((min(group, trials - first), 2 * n_pairs, dim)))
-        results += _loss_level_group(rows, cfg, first, corrupt and first == 0, group)
-    return results
+        yield from _loss_level_group(rows, cfg, first, corrupt and first == 0, group)
+
+
+def loss_level_check(trials: int, **kwargs) -> list[GradCheckTrial]:
+    """Every trial of :func:`iter_loss_level`, which takes the same arguments, as a list."""
+    return list(iter_loss_level(trials, **kwargs))
 
 
 # Shim: bench/tracer.py wraps this name; it goes with the tracer rework (ROADMAP item 1).
@@ -282,18 +285,22 @@ def _end_to_end_group(cfg: TrainConfig, seed: int, first: int, size: int, chunk:
     ]
 
 
-def end_to_end_check(trials: int, seed: int = 0) -> list[GradCheckTrial]:
-    """Full parameter gradient of the tiny model vs central differences.
+def iter_end_to_end(trials: int, seed: int = 0) -> Iterator[GradCheckTrial]:
+    """Full parameter gradient of the tiny model vs central differences, trial by trial.
 
     Trial t draws its model and views from spawn key (1, t). A draw with a
     dead hidden layer is replaced by one from (1, t, k), k = 1, 2, ...; a
     trial still dead after DEAD_RELU_REDRAWS redraws reports an infinite error.
+    Each group's trials are yielded as soon as it is checked.
     """
     cfg = _tiny_config(seed)
     # Per row, a probe holds its view, each layer's pre-activation and activation, and its unit latent.
     row_floats = cfg.input_dim + 2 * sum(cfg.encoder_dims + cfg.projector_dims) + cfg.latent_dim
     group = _probe_stack_size(cfg.n_pairs, row_floats)
-    results = []
     for first in range(0, trials, group):
-        results += _end_to_end_group(cfg, seed, first, min(group, trials - first), group)
-    return results
+        yield from _end_to_end_group(cfg, seed, first, min(group, trials - first), group)
+
+
+def end_to_end_check(trials: int, seed: int = 0) -> list[GradCheckTrial]:
+    """Every trial of :func:`iter_end_to_end`, as a list."""
+    return list(iter_end_to_end(trials, seed))

@@ -35,6 +35,11 @@ class AnchorMode(enum.Enum):
     PAPER_N = "paper_n"
     SYMMETRIC_2N = "symmetric_2n"
 
+    @property
+    def step(self) -> int:
+        """Anchors are rows 0, step, 2*step, ...: the first row of each pair, or every row."""
+        return 2 if self is AnchorMode.PAPER_N else 1
+
 
 @dataclass(frozen=True)
 class LossConfig:
@@ -93,56 +98,58 @@ def logsumexp(xs) -> float:
 
 def anchor_indices(n_rows: int, mode: AnchorMode) -> tuple[np.ndarray, np.ndarray]:
     """Anchor rows and their positive partners for a batch of ``n_rows`` latents."""
-    if mode is AnchorMode.PAPER_N:
-        anchors = np.arange(0, n_rows, 2)
-    else:
-        anchors = np.arange(n_rows)
+    anchors = np.arange(0, n_rows, mode.step)
     return anchors, anchors ^ 1  # 2t <-> 2t+1
 
 
 class _Pass:
     """One NT-Xent evaluation of a batch ``(2N, m)`` or a stack of batches ``(..., 2N, m)``.
 
-    With ``x[a, k] = sims[a, k] / tau``, each anchor ``a`` gets ``lse`` =
-    LSE({x[a, k] : k != a}), ``pos`` = x[a, p(a)], ``max_excl`` =
-    max({x[a, k] : k != a}) and a row of ``weights``, the softmax over
-    k != a with a zero at k = a. ``unit`` and ``norms`` are None when the
-    pass starts from a similarity matrix rather than from rows.
+    ``sims`` holds only the anchor rows of the similarity matrix, ``(..., A,
+    2N)`` with A = 2N / ``mode.step`` (see :func:`_cosine_matrix`): the loss,
+    both bounds and the pair similarities read no other row. With ``x[a, k] =
+    sims[a, k] / tau``, each anchor ``a`` gets ``lse`` = LSE({x[a, k] : k !=
+    a}), ``pos`` = x[a, p(a)] and ``max_excl`` = max({x[a, k] : k != a}).
+    ``expd`` holds exp(x[a, k] - max_excl[a]), zero at k = a, and ``denom``
+    its row sums: the softmax weights are their quotient, which only the
+    gradient forms. ``unit`` and ``norms`` are None when the pass starts from
+    a similarity matrix rather than from rows. ``full`` is the whole matrix
+    when it was built, with ``sims`` a strided view of it, else None.
     """
 
-    def __init__(self, sims: np.ndarray, tau: float, mode: AnchorMode, unit=None, norms=None):
+    def __init__(self, sims: np.ndarray, tau: float, mode: AnchorMode, unit=None, norms=None, full=None):
         self.sims = sims
         self.tau = tau
         self.unit = unit
         self.norms = norms
-        self.anchors, self.partners = anchor_indices(sims.shape[-1], mode)
+        self.full = full
+        self.step = mode.step
+        anchors, self.partners = anchor_indices(sims.shape[-1], mode)
+        self.rows = np.arange(len(anchors))
         x = sims / tau
-        diag = np.arange(sims.shape[-1])
-        x[..., diag, diag] = -np.inf  # the k != a exclusion; exp(-inf) = 0
-        self.pos = x[..., self.anchors, self.partners]
-        x = x[..., self.anchors, :]
+        x[..., self.rows, anchors] = -np.inf  # the k != a exclusion; exp(-inf) = 0
+        self.pos = x[..., self.rows, self.partners]
         self.max_excl = x.max(axis=-1)
-        expd = np.exp(x - self.max_excl[..., None])
-        denom = expd.sum(axis=-1)
-        self.lse = self.max_excl + np.log(denom)
-        self.weights = expd / denom[..., None]
+        x -= self.max_excl[..., None]
+        self.expd = np.exp(x, out=x)
+        self.denom = x.sum(axis=-1)
+        self.lse = self.max_excl + np.log(self.denom)
 
 
-def _nt_xent_pass(rows: np.ndarray, tau: float, mode: AnchorMode) -> _Pass:
-    """Normalize the rows once, build their similarity matrix once, and evaluate it."""
-    unit, norms = _unit_rows(rows)
-    return _Pass(_cosine_matrix(unit), tau, mode, unit, norms)
+def _nt_xent_pass(rows: np.ndarray, tau: float, mode: AnchorMode, *, full: bool = False) -> _Pass:
+    """Normalize the rows once, build their similarity rows once, and evaluate them.
 
-
-def _checked_pass(rows: np.ndarray, tau: float, mode: AnchorMode) -> _Pass:
-    """:func:`_nt_xent_pass` on rows no :class:`EmbeddingBatch` has validated, such as a stack.
-
-    Non-finite entries raise ValueError here; zero-norm rows raise
-    ZeroVectorError in the pass.
+    Rows are refused as :func:`_unit_rows` refuses them: non-finite entries
+    raise ValueError and zero-norm rows ZeroVectorError, so a stack no
+    :class:`EmbeddingBatch` has validated needs no other check. Only the
+    anchor rows are built, unless ``full``: then the whole matrix is built
+    once and kept as ``p.full``, and the pass reads its anchor rows as a view.
     """
-    if not np.isfinite(rows).all():
-        raise ValueError("batch entries must be finite")
-    return _nt_xent_pass(rows, tau, mode)
+    unit, norms = _unit_rows(rows)
+    if not full:
+        return _Pass(_cosine_matrix(unit, mode.step), tau, mode, unit, norms)
+    sims = _cosine_matrix(unit, 1)
+    return _Pass(sims[..., :: mode.step, :], tau, mode, unit, norms, full=sims)
 
 
 def _breakdown(p: _Pass) -> LossBreakdown:
@@ -156,11 +163,13 @@ def _breakdown(p: _Pass) -> LossBreakdown:
 
 def _latent_grad(p: _Pass) -> np.ndarray:
     """Gradient of the total loss w.r.t. the raw latent rows of a pass built from rows."""
-    # d(total)/d(sim[a, k]) for anchor rows a; zero elsewhere.
-    grad_s = np.zeros(p.sims.shape)
-    grad_s[..., p.anchors, :] = p.weights
-    grad_s[..., p.anchors, p.partners] -= 1.0
-    grad_s /= (p.sims.shape[-1] // 2) * p.tau
+    # d(total)/d(sim[a, k]) for anchor rows a, the softmax weights less 1 at the partner; zero elsewhere.
+    n_rows = p.sims.shape[-1]
+    grad_s = np.zeros(p.sims.shape[:-2] + (n_rows, n_rows))
+    anchor = grad_s[..., :: p.step, :]
+    np.divide(p.expd, p.denom[..., None], out=anchor)
+    anchor[..., p.rows, p.partners] -= 1.0
+    grad_s /= (n_rows // 2) * p.tau
 
     # sim[a, k] depends on unit rows a and k symmetrically.
     grad_unit = (grad_s + np.swapaxes(grad_s, -1, -2)) @ p.unit
@@ -177,7 +186,7 @@ def nt_xent_from_sims(simmat: SimilarityMatrix, cfg: LossConfig) -> LossBreakdow
         raise InvalidTemperatureError(
             f"similarity matrix was scaled with tau={simmat.tau}, config has tau={cfg.tau}"
         )
-    return _breakdown(_Pass(simmat.sims, simmat.tau, cfg.anchor_mode))
+    return _breakdown(_Pass(simmat.sims[:: cfg.anchor_mode.step], simmat.tau, cfg.anchor_mode))
 
 
 def nt_xent(batch: EmbeddingBatch, cfg: LossConfig) -> LossBreakdown:

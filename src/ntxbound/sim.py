@@ -40,18 +40,34 @@ def _as_vector(v) -> np.ndarray:
         raise DimensionMismatchError(f"expected a nonempty 1-D vector, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("vector entries must be finite")
+    if not arr.any():
+        raise ZeroVectorError("cannot normalize a zero vector")
     return arr
+
+
+def _row_scales(rows: np.ndarray) -> np.ndarray:
+    """Largest absolute entry of each row along the last axis.
+
+    This one pass also refuses what :class:`EmbeddingBatch` refuses in the
+    entries: a non-finite entry (nan and inf carry through the max) raises
+    ValueError and a zero-norm row ZeroVectorError.
+    """
+    scales = np.abs(rows).max(axis=-1)
+    if not np.isfinite(scales).all():
+        raise ValueError("batch entries must be finite")
+    if (scales == 0.0).any():
+        raise ZeroVectorError("batch contains a zero-norm row")
+    return scales
 
 
 def _unit_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Normalize along the last axis, returning (unit rows, Euclidean norms).
 
     Rows are pre-scaled by their max-abs entry so norms never overflow even
-    when entries approach the float64 range.
+    when entries approach the float64 range. Rows are refused as
+    :func:`_row_scales` refuses them, so unchecked rows need no other check.
     """
-    scales = np.abs(rows).max(axis=-1)
-    if (scales == 0.0).any():
-        raise ZeroVectorError("cannot normalize a zero vector")
+    scales = _row_scales(rows)
     scaled = rows / scales[..., None]
     partial = np.sqrt((scaled * scaled).sum(axis=-1))
     return scaled / partial[..., None], scales * partial
@@ -68,23 +84,25 @@ def _check_rows(rows: np.ndarray) -> None:
         raise ValueError(f"row count must be even and >= 2, got {n}")
     if m < 1:
         raise DimensionMismatchError("latent dimension must be >= 1")
-    if not np.isfinite(rows).all():
-        raise ValueError("batch entries must be finite")
-    if (np.abs(rows).max(axis=-1) == 0.0).any():
-        raise ZeroVectorError("batch contains a zero-norm row")
+    _row_scales(rows)
 
 
-def _cosine_matrix(unit: np.ndarray) -> np.ndarray:
-    """All-pairs cosines of unit rows ``(..., k, m)`` as ``(..., k, k)``.
+def _cosine_matrix(unit: np.ndarray, step: int) -> np.ndarray:
+    """Rows ``0, step, 2*step, ...`` of the all-pairs cosines of unit rows ``(..., k, m)``, as ``(..., k // step, k)``.
 
-    Symmetry is enforced exactly by averaging, entries are clamped to
-    [-1, 1] and the diagonal is pinned to exactly 1.
+    Step 2 gives the anchor rows of the N-anchor loss, step 1 the whole
+    matrix. One Gram matmul gives every cosine; symmetry is enforced exactly
+    by averaging ``gram[i, j]`` with ``gram[j, i]`` on the kept rows only, so
+    they equal the same rows of the whole symmetrized matrix bit for bit.
+    Entries are clamped to [-1, 1] and each row's self entry is pinned to
+    exactly 1.
     """
-    sims = unit @ np.swapaxes(unit, -1, -2)
-    sims = 0.5 * (sims + np.swapaxes(sims, -1, -2))
+    gram = unit @ np.swapaxes(unit, -1, -2)
+    sims = gram[..., ::step, :] + np.swapaxes(gram[..., :, ::step], -1, -2)
+    sims *= 0.5
     np.clip(sims, -1.0, 1.0, out=sims)
-    diag = np.arange(sims.shape[-1])
-    sims[..., diag, diag] = 1.0
+    rows = np.arange(sims.shape[-2])
+    sims[..., rows, step * rows] = 1.0
     return sims
 
 
@@ -181,5 +199,5 @@ def similarity_matrix(batch: EmbeddingBatch, tau: float) -> SimilarityMatrix:
     """
     _check_tau(tau)
     unit, _ = batch.unit_rows()
-    sims = _cosine_matrix(unit)
+    sims = _cosine_matrix(unit, 1)
     return SimilarityMatrix(sims=sims, tau=float(tau))

@@ -28,7 +28,7 @@ from .errors import (
     ZeroVectorError,
 )
 from .loss import AnchorMode, _latent_grad, _nt_xent_pass
-from .sim import EmbeddingBatch, _check_rows, _check_seed, _check_tau
+from .sim import EmbeddingBatch, _check_seed, _check_tau
 
 #: All pairwise similarities at least this close to 1 counts as a collapsed batch.
 COLLAPSE_TOL = 1e-12
@@ -314,7 +314,9 @@ class ForwardResult:
 def forward(encoder: Mlp, projector: Mlp, views: np.ndarray) -> ForwardResult:
     """Map 2N augmented views through encoder then projector; K stacked models map views (K, 2N, d) to K batches.
 
-    Latents that :class:`EmbeddingBatch` would refuse raise its errors.
+    The latents are not checked here: the NT-Xent pass refuses non-finite
+    entries and zero-norm rows as it normalizes them, and ``batch`` refuses
+    what :class:`EmbeddingBatch` refuses.
     """
     if encoder.layer_dims[-1] != projector.layer_dims[0]:
         raise DimensionMismatchError(
@@ -322,7 +324,6 @@ def forward(encoder: Mlp, projector: Mlp, views: np.ndarray) -> ForwardResult:
         )
     etrace = encoder.forward_trace(views)
     ptrace = projector.forward_trace(etrace.act[-1])
-    _check_rows(ptrace.act[-1])
     return ForwardResult(latents=ptrace.act[-1], encoder_trace=etrace, projector_trace=ptrace)
 
 
@@ -378,12 +379,13 @@ def loss_and_param_grads(model: SimclrModel, views: np.ndarray, cfg: TrainConfig
     """Forward 2N views, take loss, bounds and latent gradient from one NT-Xent pass, and backpropagate.
 
     A stack of K models, ``params`` (K, P), on views (K, 2N, d) gives K of
-    each from one forward, one pass and one backward. Degenerate latents raise
-    ZeroVectorError or ValueError.
+    each from one forward, one pass and one backward. The pass builds the
+    whole similarity matrix once, for the collapse flag's smallest entry.
+    Degenerate latents raise ZeroVectorError or ValueError.
     """
     encoder, projector = model.encoder, model.projector
     fwd = forward(encoder, projector, views)
-    p = _nt_xent_pass(fwd.latents, cfg.tau, AnchorMode.PAPER_N)
+    p = _nt_xent_pass(fwd.latents, cfg.tau, AnchorMode.PAPER_N, full=True)
     evaluation = _evaluation(p)
     grad_z = _latent_grad(p)
     projector_grad, grad_hidden = projector.backward(fwd.projector_trace, grad_z)

@@ -1,6 +1,7 @@
 """LSE sandwich, similarity-bound variants, and the Monte Carlo verifier."""
 
 import math
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -23,7 +24,8 @@ from ntxbound import (
     sample_embeddings,
     similarity_bound,
 )
-from ntxbound.bounds import VIOLATION_SLACK, _run_cell
+from ntxbound import bounds
+from ntxbound.bounds import DISTRIBUTIONS, VIOLATION_SLACK, _run_cell
 from ntxbound.sim import TAU_MAX, TAU_MIN
 from ntxbound.serialize import dumps
 
@@ -262,3 +264,24 @@ class TestMonteCarloVerify:
         summary = monte_carlo_verify(grid, trials=5, seed=0)
         assert summary.cells == 8
         assert summary.total_trials == 40
+
+
+class TestVerifyStackMemory:
+    @pytest.mark.parametrize("distribution", DISTRIBUTIONS)
+    @pytest.mark.parametrize("n_pairs", [2, 32])
+    def test_one_stack_fits_the_chunk_budget(self, n_pairs, distribution):
+        """A full stack, drawn and evaluated, peaks near CHUNK_BYTES: the sizing counts what a batch holds."""
+        trials = bounds._stack_size(n_pairs, 8)
+        assert trials > 1  # a full stack, not the floor of one batch
+
+        def one_stack():
+            _run_cell(bounds._stream(0, 0), n_pairs, 8, 0.5, distribution, trials)
+
+        one_stack()  # warm-up: first-call allocations are not the stack's
+        tracemalloc.start()
+        try:
+            one_stack()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * bounds.CHUNK_BYTES

@@ -1,7 +1,9 @@
 """CLI contract: commands, exit codes, config validation, and file determinism."""
 
 import argparse
+import contextlib
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -251,7 +253,8 @@ class TestVerifyCommand:
     def test_small_chunks_do_not_change_output(self, tmp_path, verify_config, monkeypatch):
         """A byte budget that splits every cell into several stacks gives the same bytes."""
         main(["verify", "--config", str(verify_config), "--out", str(tmp_path / "default")])
-        monkeypatch.setattr(bounds, "CHUNK_BYTES", 700)  # 1 to 3 trials per stack on this grid
+        monkeypatch.setattr(bounds, "CHUNK_BYTES", 1400)  # 1 to 3 trials per stack on this grid
+        assert (bounds._stack_size(2, 3), bounds._stack_size(4, 3)) == (3, 1)
         main(["verify", "--config", str(verify_config), "--out", str(tmp_path / "chunked")])
         assert (tmp_path / "default" / "verify_summary.json").read_bytes() == (
             tmp_path / "chunked" / "verify_summary.json"
@@ -296,6 +299,66 @@ class TestGradcheckCommand:
     def test_corrupt_gradient_exits_1(self, capsys):
         assert main(["gradcheck", "--trials", "2", "--corrupt-gradient"]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+
+class _Discard:
+    """A stdout that keeps nothing, so the printout takes no memory of its own."""
+
+    def write(self, text):
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def _traced_peak(argv) -> int:
+    tracemalloc.start()
+    try:
+        main(argv)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestGradcheckPrintout:
+    def test_memory_is_flat_in_trials(self, monkeypatch):
+        """Lines are printed as each group is checked and only maxima are kept, so 10x the trials keeps the peak.
+
+        Groups of 12 loss-level and 32 end-to-end trials are full at both trial counts. CPython keeps freed
+        tuples on per-size free lists, which a run would fill as it goes; they are filled first, so the
+        peaks count only what the run holds.
+        """
+        monkeypatch.setattr(bounds, "CHUNK_BYTES", 1 << 16)
+        assert bounds._probe_stack_size(4, 16) == 12 and bounds._probe_stack_size(2, 20) == 32
+        peaks = {}
+        with contextlib.redirect_stdout(_Discard()):
+            main(["gradcheck", "--trials", "40"])  # warm-up
+            for trials in (40, 400):
+                free_lists = [tuple(range(k)) for k in range(1, 20) for _ in range(2000)]
+                del free_lists
+                peaks[trials] = _traced_peak(["gradcheck", "--trials", str(trials)])
+        assert peaks[400] <= 1.1 * peaks[40]
+
+
+class TestVerifyMemoryGuard:
+    def test_estimate(self):
+        """One trial's rows and unit rows, its 2N x 2N Gram matrix, and N anchor rows of similarities and logits."""
+        assert bounds._batch_bytes(4, 8) == 8 * (2 * 8 * 8 + 8 * 8 + 2 * 4 * 8)
+        assert bounds._batch_bytes(20000, 8) > bounds.MEMORY_BUDGET > bounds._batch_bytes(32, 8)
+        assert bounds._batch_bytes(1, 10**8) > bounds.MEMORY_BUDGET  # the rows alone
+        assert bounds._stack_size(4, 8) == bounds.CHUNK_BYTES // bounds._batch_bytes(4, 8)
+
+    def test_over_budget_exits_2_before_any_draw(self, tmp_path, capsys, monkeypatch):
+        def no_run(*args):
+            raise AssertionError("verify ran")
+
+        monkeypatch.setattr(cli, "monte_carlo_verify", no_run)
+        path = tmp_path / "big.json"
+        write_json(path, {"ns": [2, 20000], "ms": [8], "taus": [0.5], "distributions": ["gaussian"], "trials": 1})
+        assert main(["verify", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and not (tmp_path / "out").exists()
+        assert err.count("\n") == 1 and "memory budget" in err and err.startswith("ntxb verify: ")
 
 
 class TestGradcheckMemoryGuard:

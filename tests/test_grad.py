@@ -175,8 +175,9 @@ class TestStackedCentralDifference:
         rc_default = main(argv)
         default = capsys.readouterr().out
         monkeypatch.setattr(bounds, "CHUNK_BYTES", 700)
-        assert bounds._stack_size(4, 8) == 1  # verify's stacks, sized by rows and one matrix per batch
-        assert bounds._stack_size(2, 2) == 3
+        assert bounds._stack_size(4, 8) == 1  # verify's stacks, sized by what a batch holds in the pass
+        assert bounds._stack_size(2, 2) == 1
+        assert bounds._stack_size(1, 1) == 7
         assert bounds._probe_stack_size(4, 2 * 8) == 1  # loss level: one probe per stack
         assert bounds._probe_stack_size(2, 2 + 2 * 8 + 2) == 1  # end to end: one probe per stack
         assert main(argv) == rc_default == 1

@@ -6,9 +6,9 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from ntxbound import EmbeddingBatch, LossConfig, evaluate_batch, nt_xent_grad
+from ntxbound import EmbeddingBatch, LossConfig, evaluate_batch, nt_xent_grad, similarity_matrix
 from ntxbound.bounds import VIOLATION_SLACK, _evaluation
-from ntxbound.loss import AnchorMode, _nt_xent_pass
+from ntxbound.loss import AnchorMode, _breakdown, _latent_grad, _nt_xent_pass, nt_xent_from_sims
 
 SETTINGS = settings(max_examples=40, deadline=None)
 FEW = settings(max_examples=20, deadline=None)
@@ -60,14 +60,40 @@ def test_gradient_rows_orthogonal_to_latents(rows, tau, mode):
 @SETTINGS
 @given(rows=batches(max_stack=5), tau=taus)
 def test_stacked_evaluation_matches_each_batch(rows, tau):
-    stacked = _evaluation(_nt_xent_pass(rows, tau, AnchorMode.PAPER_N))
+    """Both stacked forms, anchor rows only (verify) and the whole matrix (train), against each batch."""
+    anchor_only = _evaluation(_nt_xent_pass(rows, tau, AnchorMode.PAPER_N))
+    stacked = _evaluation(_nt_xent_pass(rows, tau, AnchorMode.PAPER_N, full=True))
+    assert anchor_only.min_similarity is None
     for t in range(rows.shape[0]):
         single = evaluate_batch(EmbeddingBatch(rows[t]), LossConfig(tau=tau))
-        for part in ("breakdown", "report"):
-            got, want = getattr(stacked, part), getattr(single, part)
-            for name in got.__dataclass_fields__:
-                np.testing.assert_allclose(getattr(got, name)[t], getattr(want, name), rtol=1e-12, atol=1e-12)
+        for evaluation in (anchor_only, stacked):
+            for part in ("breakdown", "report"):
+                got, want = getattr(evaluation, part), getattr(single, part)
+                for name in got.__dataclass_fields__:
+                    np.testing.assert_allclose(getattr(got, name)[t], getattr(want, name), rtol=1e-12, atol=1e-12)
         assert stacked.min_similarity[t] == pytest.approx(single.min_similarity, rel=1e-12, abs=1e-12)
+
+
+@SETTINGS
+@given(rows=batches(max_stack=5), tau=taus, mode=st.sampled_from(AnchorMode))
+def test_anchor_rows_match_the_whole_matrix(rows, tau, mode):
+    """A stacked pass over the anchor rows alone gives each batch's loss, bounds and gradient of the whole matrix."""
+    p = _nt_xent_pass(rows, tau, mode)
+    assert p.full is None and p.sims.shape[-2] == rows.shape[-2] // mode.step
+    breakdown, grad = _breakdown(p), _latent_grad(p)
+    report = _evaluation(p).report if mode is AnchorMode.PAPER_N else None
+    cfg = LossConfig(tau=tau, anchor_mode=mode)
+    for t in range(rows.shape[0]):
+        batch = EmbeddingBatch(rows[t])
+        want = nt_xent_from_sims(similarity_matrix(batch, tau), cfg)
+        for name in want.__dataclass_fields__:
+            np.testing.assert_allclose(getattr(breakdown, name)[t], getattr(want, name), rtol=1e-12, atol=1e-12)
+        want_grad = _latent_grad(_nt_xent_pass(rows[t], tau, mode, full=True))
+        np.testing.assert_allclose(grad[t], want_grad, rtol=1e-12, atol=1e-12 * np.abs(want_grad).max())
+        if report is not None:
+            want_report = evaluate_batch(batch, cfg).report
+            for name in want_report.__dataclass_fields__:
+                np.testing.assert_allclose(getattr(report, name)[t], getattr(want_report, name), rtol=1e-12, atol=1e-12)
 
 
 def _loss_and_bounds(rows, tau):
