@@ -33,15 +33,12 @@ CLUSTERED_NOISE_SCALE = 0.1
 VIOLATION_SLACK = 1e-9
 
 #: Bytes evaluated at once, so peak memory does not grow with the trial or
-#: probe count. Verify stacks trials up to it, counting what a batch holds in
-#: the pass: its rows, unit rows, Gram matrix, anchor-row similarities and
-#: logits (``_batch_bytes``); gradcheck sizes its groups of trials and stacks
-#: of probes to it, counting what a probe holds at its peak
-#: (``_probe_stack_size``).
+#: probe count. Verify stacks its trials and gradcheck groups its trials to
+#: it, each counted by ``_pass_bytes`` as what it holds at its peak.
 CHUNK_BYTES = 1 << 20
 
-#: Largest peak `ntxb verify` may need for one trial, or `ntxb gradcheck`
-#: even at one probe per stack; larger inputs are refused before any draw.
+#: Largest peak a run may need at one trial per stack (verify, gradcheck) or
+#: for its dataset and one step (train); larger inputs are refused up front.
 MEMORY_BUDGET = 1 << 30
 
 
@@ -55,45 +52,22 @@ def _stream(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
-def _batch_bytes(n_pairs: int, dim: int) -> int:
-    """Bytes one verify batch of 2N rows of dimension m holds in a stacked pass.
+def _pass_bytes(n_pairs: int, row_floats: int, anchor_rows: int) -> int:
+    """Bytes one batch of 2N rows holds at once in a stacked pass, in float64.
 
-    Its rows and unit rows (2N x m each), the Gram matrix (2N x 2N) and the N
-    anchor rows of similarities and of logits (N x 2N each).
+    ``row_floats`` floats per row (its rows, unit rows and whatever else the
+    caller keeps per row), the 2N x 2N Gram matrix, and ``anchor_rows`` rows
+    of 2N each of similarities and of logits. A stack of batches fills
+    ``CHUNK_BYTES`` at ``max(1, CHUNK_BYTES // _pass_bytes(...))`` batches.
     """
-    rows, gram, anchor_rows = 2 * n_pairs * dim, (2 * n_pairs) ** 2, n_pairs * 2 * n_pairs
-    return 8 * (2 * rows + gram + 2 * anchor_rows)
+    rows = 2 * n_pairs
+    return 8 * rows * (row_floats + rows + 2 * anchor_rows)
 
 
-def _stack_size(n_pairs: int, dim: int) -> int:
-    """Verify batches per stack: what they hold in the pass fills CHUNK_BYTES."""
-    return max(1, CHUNK_BYTES // _batch_bytes(n_pairs, dim))
-
-
-def _probe_bytes(n_pairs: int, row_floats: int) -> int:
-    """Peak bytes of one finite-difference probe of 2N rows in a stacked pass.
-
-    ``row_floats`` counts the floats per row the probe holds at once: its rows
-    and unit rows, and for a model its activations. To them come up to three
-    2N x 2N matrices: the Gram matrix and the anchor rows of similarities and
-    of logits, which fill a matrix each when every row anchors.
-    """
-    return 8 * 2 * n_pairs * (row_floats + 3 * 2 * n_pairs)
-
-
-def _probe_stack_size(n_pairs: int, row_floats: int) -> int:
-    """Gradcheck probes per stack, and trials per group.
-
-    A group's own arrays (its points, both gradients and the probe values)
-    take about as much as one stack of its probes, so the two share
-    CHUNK_BYTES: the stack's peak fills half of it.
-    """
-    return max(1, CHUNK_BYTES // 2 // _probe_bytes(n_pairs, row_floats))
-
-
-def _gradcheck_peak_bytes(n_pairs: int, dim: int) -> int:
-    """Least peak of the loss-level gradcheck, at one probe per stack: one trial's rows plus one probe."""
-    return 8 * 2 * n_pairs * dim + _probe_bytes(n_pairs, 2 * dim)
+def _check_memory(need: int, what: str, error: type[Exception]) -> None:
+    """Refuse with ``error`` an input whose least run needs more than MEMORY_BUDGET bytes."""
+    if need > MEMORY_BUDGET:
+        raise error(f"{what} needs at least {need >> 20} MiB, over the {MEMORY_BUDGET >> 20} MiB memory budget")
 
 
 @dataclass(frozen=True)
@@ -272,6 +246,8 @@ class VerifyGrid:
         for d in self.distributions:
             if d not in DISTRIBUTIONS:
                 raise InvalidGridError(f"unknown distribution {d!r}; expected one of {DISTRIBUTIONS}")
+        n, m = max(self.ns), max(self.ms)
+        _check_memory(_pass_bytes(n, 3 * m, n), f"a trial at N={n}, m={m}", InvalidGridError)
 
     def cells(self) -> list[tuple[int, int, float, str]]:
         """Grid cells in their fixed evaluation order."""
@@ -312,7 +288,8 @@ def _run_cell(
     the same constructors and checks as a single batch. The pass builds only
     the anchor rows, so the stacks carry no smallest similarity.
     """
-    chunk = _stack_size(n_pairs, dim)
+    # Per row: the rows, then while they are normalized the scaled rows and their squares.
+    chunk = max(1, CHUNK_BYTES // _pass_bytes(n_pairs, 3 * dim, n_pairs))
     viol_paper = viol_strict = 0
     min_paper = min_strict = min_margin = math.inf
     for start in range(0, trials, chunk):

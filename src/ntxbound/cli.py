@@ -15,15 +15,7 @@ import typing
 from pathlib import Path
 
 from . import gradcheck as gc
-from .bounds import (
-    MEMORY_BUDGET,
-    VIOLATION_SLACK,
-    VerifyGrid,
-    _batch_bytes,
-    _gradcheck_peak_bytes,
-    default_grid,
-    monte_carlo_verify,
-)
+from .bounds import VIOLATION_SLACK, VerifyGrid, default_grid, monte_carlo_verify
 from .errors import (
     ConfigError,
     DimensionMismatchError,
@@ -165,13 +157,6 @@ def cmd_verify(args) -> int:
         grid, trials, seed = parse_verify_config(load_json(args.config))
     if args.seed is not None:
         seed = args.seed
-    n_pairs, dim = max(grid.ns), max(grid.ms)
-    peak = _batch_bytes(n_pairs, dim)  # one trial of the largest cell, at one trial per stack
-    if peak > MEMORY_BUDGET:
-        raise ConfigError(
-            f"a trial at N={n_pairs}, m={dim} needs at least {peak / 2**20:.0f} MiB, "
-            f"over the {MEMORY_BUDGET / 2**20:.0f} MiB memory budget"
-        )
     out = _outdir(args.out, ["verify_summary.json"])
     summary = monte_carlo_verify(grid, trials, seed)
     write_json(out / "verify_summary.json", dataclasses.asdict(summary))
@@ -202,13 +187,6 @@ def cmd_gradcheck(args) -> int:
         raise ConfigError(f"--trials must be >= 1, got {args.trials}")
     if args.n_pairs < 1 or args.dim < 1:
         raise ConfigError("--n-pairs and --dim must be >= 1")
-    peak = _gradcheck_peak_bytes(args.n_pairs, args.dim)
-    if peak > MEMORY_BUDGET:
-        raise ConfigError(
-            f"--n-pairs {args.n_pairs} --dim {args.dim} need at least {peak / 2**20:.0f} MiB, "
-            f"over the {MEMORY_BUDGET / 2**20:.0f} MiB memory budget"
-        )
-
     worst_loss, ortho_loss = _print_trials(
         gc.iter_loss_level(
             args.trials, n_pairs=args.n_pairs, dim=args.dim, tau=args.tau, seed=args.seed, corrupt=args.corrupt_gradient
@@ -260,8 +238,7 @@ def cmd_train(args) -> int:
         nonfinite = exc
         trace = exc.trace
 
-    records = trace.records if trace is not None else []
-    collapse_step = trace.collapse_step if trace is not None else None
+    records, collapse_step = trace.records, trace.collapse_step
     status = "ok" if nonfinite is None else "nonfinite_loss"
 
     write_text(out / "train_trace.csv", trace_to_csv(records))

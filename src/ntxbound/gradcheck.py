@@ -8,14 +8,14 @@ balance truncation against rounding at 64-bit precision.
 Each level takes its trials in groups. A group gets its analytic gradients
 from one pass, and the probes of all its trials run as one sequence of
 stacks: a stack can end inside one trial's probes and hold the next trial's
-first ones. Groups and stacks hold up to ``bounds._probe_stack_size`` trials
-and probes, so that a group's arrays and one stack of its probes fill
-``bounds.CHUNK_BYTES`` and memory does not grow with the trial count. A
-latent probe moves one entry, so only its row is normalized again; the
-trial's other unit rows come from the analytic pass. Parameter probes are a
-stack (K, P) of flat parameter vectors, K models run through one MLP forward
-on their trials' views. Parameter j is entry j of ``SimclrModel.params``:
-the encoder's layers, then the projector's, each layer's weights row-major
+first ones. A group holds as many trials as fit ``bounds.CHUNK_BYTES``, each
+counted with one probe of its own at its peak, and a stack as many probes as
+the group has trials, so memory does not grow with the trial count. A latent
+probe moves one entry, so only its row is normalized again; the trial's
+other unit rows come from the analytic pass. Parameter probes are a stack
+(K, P) of flat parameter vectors, K models run through one MLP forward on
+their trials' views. Parameter j is entry j of ``SimclrModel.params``: the
+encoder's layers, then the projector's, each layer's weights row-major
 followed by its biases.
 """
 
@@ -27,10 +27,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import _probe_stack_size, _stream
+from . import bounds
+from .bounds import _check_memory, _pass_bytes, _stream
+from .errors import ConfigError
 from .loss import LossConfig, _breakdown, _latent_grad, _nt_xent_pass, _Pass
 from .sim import _cosine_matrix, _unit_rows
-from .trainer import ForwardResult, SimclrModel, TrainConfig, _param_count, loss_and_param_grads
+from .trainer import ForwardResult, SimclrModel, TrainConfig, _forward_floats, _step_bytes, loss_and_param_grads
 
 FD_STEP = 1e-5
 LOSS_LEVEL_TOL = 1e-5
@@ -86,7 +88,9 @@ def central_difference(f, points: np.ndarray, step: float = FD_STEP, *, chunk: i
         probes[np.arange(stop - start), entry] += np.where(plus, step, -step)
         values[start:stop] = f(probes.reshape(stop - start, *points.shape[1:]))
     values = values.reshape(t, 2, n)
-    return ((values[:, 0] - values[:, 1]) / (2.0 * step)).reshape(points.shape)
+    grad = values[:, 0] - values[:, 1]
+    grad /= 2.0 * step
+    return grad.reshape(points.shape)
 
 
 def _stack_losses(rows: np.ndarray, cfg: LossConfig) -> np.ndarray:
@@ -192,9 +196,15 @@ def iter_loss_level(
     hook proving the check can fail. Each group's trials are yielded as soon
     as it is checked, so nothing is kept across groups.
     """
+    # Per entry, a trial keeps its rows, unit rows, analytic gradient and two probe values, and a probe
+    # holds its rows and unit rows; normalizing its moved row holds three more rows of m. The analytic
+    # pass holds the 2N x 2N gradient of the similarities and its symmetrized sum beside N anchor rows
+    # each of similarities and logits: 2N rows' worth of each.
+    trial_bytes = _pass_bytes(n_pairs, 7 * dim, 2 * n_pairs) + 8 * 3 * dim
+    _check_memory(trial_bytes, f"a trial at N={n_pairs}, m={dim}", ConfigError)
+    group = max(1, bounds.CHUNK_BYTES // trial_bytes)
     rng = _stream(seed, 0)
     cfg = LossConfig(tau=tau)
-    group = _probe_stack_size(n_pairs, 2 * dim)  # a probe holds its rows and unit rows
     for first in range(0, trials, group):
         rows = _unit_rms(rng.standard_normal((min(group, trials - first), 2 * n_pairs, dim)))
         yield from _loss_level_group(rows, cfg, first, corrupt and first == 0, group)
@@ -252,7 +262,7 @@ def _dead_relu(fwd: ForwardResult) -> np.ndarray:
 def _end_to_end_group(cfg: TrainConfig, seed: int, first: int, size: int, chunk: int) -> list[GradCheckTrial]:
     """Check trials first..first+size-1 as one stack of models."""
     dims = (cfg.input_dim, *cfg.encoder_dims), (cfg.encoder_out, *cfg.projector_dims)
-    model = SimclrModel(*dims, np.empty((size, _param_count(dims[0]) + _param_count(dims[1]))))
+    model = SimclrModel(*dims, np.empty((size, cfg.n_params)))
     views = np.empty((size, 2 * cfg.n_pairs, cfg.input_dim))
     for i in range(size):
         model.params[i], views[i] = _draw_trial(cfg, _stream(seed, 1, first + i))
@@ -263,6 +273,7 @@ def _end_to_end_group(cfg: TrainConfig, seed: int, first: int, size: int, chunk:
             break
         for i in np.flatnonzero(dead):
             model.params[i], views[i] = _draw_trial(cfg, _stream(seed, 1, first + int(i), k))
+        del out  # one analytic pass at a time
         out = loss_and_param_grads(model, views, cfg)
         dead = _dead_relu(out.forward)
     analytic, ortho = out.param_grad, _orthogonality(out.latent_grad, out.forward.latents)
@@ -294,9 +305,10 @@ def iter_end_to_end(trials: int, seed: int = 0) -> Iterator[GradCheckTrial]:
     Each group's trials are yielded as soon as it is checked.
     """
     cfg = _tiny_config(seed)
-    # Per row, a probe holds its view, each layer's pre-activation and activation, and its unit latent.
-    row_floats = cfg.input_dim + 2 * sum(cfg.encoder_dims + cfg.projector_dims) + cfg.latent_dim
-    group = _probe_stack_size(cfg.n_pairs, row_floats)
+    # A trial peaks in its analytic step, or while its probes run: its parameters, analytic gradient, two
+    # values per parameter and their difference, and one probe's parameters, forward and normalization.
+    probing = 8 * 6 * cfg.n_params + _pass_bytes(cfg.n_pairs, _forward_floats(cfg) + 2 * cfg.latent_dim, cfg.n_pairs)
+    group = max(1, bounds.CHUNK_BYTES // max(_step_bytes(cfg), probing))
     for first in range(0, trials, group):
         yield from _end_to_end_group(cfg, seed, first, min(group, trials - first), group)
 

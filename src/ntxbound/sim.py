@@ -70,7 +70,8 @@ def _unit_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     scales = _row_scales(rows)
     scaled = rows / scales[..., None]
     partial = np.sqrt((scaled * scaled).sum(axis=-1))
-    return scaled / partial[..., None], scales * partial
+    scaled /= partial[..., None]
+    return scaled, scales * partial
 
 
 def _check_rows(rows: np.ndarray) -> None:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import BatchEvaluation, _evaluation, _stream
+from .bounds import BatchEvaluation, _check_memory, _evaluation, _pass_bytes, _stream
 from .errors import (
     DimensionMismatchError,
     InvalidDatasetParamsError,
@@ -60,6 +60,26 @@ def _layer_views(layer_dims: tuple[int, ...], params: np.ndarray) -> list[tuple[
         offset = mid + fan_out
         views.append((w, params[..., None, mid:offset]))
     return views
+
+
+def _forward_floats(cfg: TrainConfig) -> int:
+    """Floats per row a model forward keeps: its view, and each layer's pre-activation and activation."""
+    return cfg.input_dim + 2 * sum(cfg.encoder_dims + cfg.projector_dims)
+
+
+def _step_bytes(cfg: TrainConfig) -> int:
+    """Bytes one step of one model holds at its peak: forward, NT-Xent pass with its gradient, and backward.
+
+    Per row: the forward's floats, three rows of the widest layer for the
+    backward's incoming, masked and outgoing gradients, and four latent-sized
+    rows for the unit rows and the latent gradient. The pass builds the whole
+    2N x 2N matrix, the anchor rows' logits, the matrix's gradient and its
+    symmetrized sum, which 3N rows each of similarities and logits cover. On
+    top come the parameters, their gradient and the update's product.
+    """
+    widest = max(cfg.input_dim, *cfg.encoder_dims, *cfg.projector_dims)
+    row_floats = _forward_floats(cfg) + 3 * widest + 4 * cfg.latent_dim
+    return _pass_bytes(cfg.n_pairs, row_floats, 3 * cfg.n_pairs) + 8 * 3 * cfg.n_params
 
 
 @dataclass(eq=False)
@@ -209,6 +229,10 @@ class TrainConfig:
             raise InvalidDatasetParamsError(
                 f"dataset needs at least 2*n_pairs={2 * self.n_pairs} points, got {self.dataset.points}"
             )
+        # gen_synthetic holds three (points, input_dim) arrays and the labels at once; per-step records are not counted.
+        need = 8 * self.dataset.points * (3 * self.input_dim + 1) + _step_bytes(self)
+        what = f"training on {self.dataset.points} points of dimension {self.input_dim} at N={self.n_pairs}"
+        _check_memory(need, what, InvalidDatasetParamsError)
 
     @property
     def encoder_out(self) -> int:
@@ -217,6 +241,11 @@ class TrainConfig:
     @property
     def latent_dim(self) -> int:
         return self.projector_dims[-1]
+
+    @property
+    def n_params(self) -> int:
+        encoder, projector = (self.input_dim, *self.encoder_dims), (self.encoder_out, *self.projector_dims)
+        return _param_count(encoder) + _param_count(projector)
 
 
 @dataclass

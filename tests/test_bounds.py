@@ -24,7 +24,7 @@ from ntxbound import (
     sample_embeddings,
     similarity_bound,
 )
-from ntxbound import bounds
+from ntxbound import bounds, gradcheck
 from ntxbound.bounds import DISTRIBUTIONS, VIOLATION_SLACK, _run_cell
 from ntxbound.sim import TAU_MAX, TAU_MIN
 from ntxbound.serialize import dumps
@@ -266,17 +266,41 @@ class TestMonteCarloVerify:
         assert summary.total_trials == 40
 
 
+def _verify_stack(n_pairs, distribution):
+    """One verify stack at m = 8, which holds as many trials as fit CHUNK_BYTES at 3m floats per row."""
+    trials = bounds.CHUNK_BYTES // bounds._pass_bytes(n_pairs, 3 * 8, n_pairs)
+    return trials, lambda: _run_cell(bounds._stream(0, 0), n_pairs, 8, 0.5, distribution, trials)
+
+
+def _loss_level_group(trials, n_pairs, dim):
+    return trials, lambda: gradcheck.loss_level_check(trials, n_pairs=n_pairs, dim=dim)
+
+
+def _end_to_end_group(trials):
+    return trials, lambda: gradcheck.end_to_end_check(trials)
+
+
+FULL_STACKS = [
+    *(pytest.param(_verify_stack, (n, d), id=f"{n}-{d}") for n in (2, 4, 8, 16, 32) for d in DISTRIBUTIONS),
+    pytest.param(_loss_level_group, (197, 4, 8), id="loss-level-4-8"),
+    pytest.param(_loss_level_group, (32, 16, 4), id="loss-level-16-4"),
+    pytest.param(_end_to_end_group, (496,), id="end-to-end"),
+]
+
+
 class TestVerifyStackMemory:
-    @pytest.mark.parametrize("distribution", DISTRIBUTIONS)
-    @pytest.mark.parametrize("n_pairs", [2, 32])
-    def test_one_stack_fits_the_chunk_budget(self, n_pairs, distribution):
-        """A full stack, drawn and evaluated, peaks near CHUNK_BYTES: the sizing counts what a batch holds."""
-        trials = bounds._stack_size(n_pairs, 8)
-        assert trials > 1  # a full stack, not the floor of one batch
+    """Verify stacks and gradcheck groups are sized by one estimate, ``_pass_bytes``, and fit CHUNK_BYTES."""
 
-        def one_stack():
-            _run_cell(bounds._stream(0, 0), n_pairs, 8, 0.5, distribution, trials)
+    def test_pass_bytes_counts_by_hand(self):
+        # 2N = 8 rows of 24 floats, the 8 x 8 Gram matrix, and 4 anchor rows of 8 each of similarities and logits.
+        assert bounds._pass_bytes(4, 24, 4) == 8 * (8 * 24 + 8 * 8 + 2 * 4 * 8)
+        assert bounds._pass_bytes(1, 1, 2) == 8 * (2 * 1 + 2 * 2 + 2 * 2 * 2)
 
+    @pytest.mark.parametrize(("kind", "args"), FULL_STACKS)
+    def test_one_stack_fits_the_chunk_budget(self, kind, args, gradcheck_chunks):
+        """A full stack, drawn and evaluated, peaks within CHUNK_BYTES: the sizing counts what a trial holds."""
+        trials, one_stack = kind(*args)
+        assert trials > 1  # a full stack, not the floor of one trial
         one_stack()  # warm-up: first-call allocations are not the stack's
         tracemalloc.start()
         try:
@@ -284,4 +308,6 @@ class TestVerifyStackMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.25 * bounds.CHUNK_BYTES
+        # A gradcheck run of `trials` trials is one group of that size.
+        assert all(chunk == trials for _, chunk in gradcheck_chunks)
+        assert peak <= bounds.CHUNK_BYTES

@@ -13,6 +13,7 @@ import ntxbound.bounds as bounds
 import ntxbound.cli as cli
 import ntxbound.gradcheck as gc
 import ntxbound.serialize as serialize
+import ntxbound.trainer as trainer
 from ntxbound.bounds import default_grid
 from ntxbound.cli import main, parse_train_config, parse_verify_config, report_aggregates, train_config_to_dict
 from ntxbound.errors import ConfigError, InvalidDatasetParamsError, InvalidGridError
@@ -253,9 +254,12 @@ class TestVerifyCommand:
     def test_small_chunks_do_not_change_output(self, tmp_path, verify_config, monkeypatch):
         """A byte budget that splits every cell into several stacks gives the same bytes."""
         main(["verify", "--config", str(verify_config), "--out", str(tmp_path / "default")])
-        monkeypatch.setattr(bounds, "CHUNK_BYTES", 1400)  # 1 to 3 trials per stack on this grid
-        assert (bounds._stack_size(2, 3), bounds._stack_size(4, 3)) == (3, 1)
+        monkeypatch.setattr(bounds, "CHUNK_BYTES", 1400)  # 2 trials per stack at N = 2, 1 at N = 4
+        stacks = []
+        real = bounds._sample_rows
+        monkeypatch.setattr(bounds, "_sample_rows", lambda d, trials, *a: stacks.append(trials) or real(d, trials, *a))
         main(["verify", "--config", str(verify_config), "--out", str(tmp_path / "chunked")])
+        assert sorted(set(stacks)) == [1, 2]
         assert (tmp_path / "default" / "verify_summary.json").read_bytes() == (
             tmp_path / "chunked" / "verify_summary.json"
         ).read_bytes()
@@ -321,64 +325,54 @@ def _traced_peak(argv) -> int:
 
 
 class TestGradcheckPrintout:
-    def test_memory_is_flat_in_trials(self, monkeypatch):
+    def test_memory_is_flat_in_trials(self, monkeypatch, gradcheck_chunks):
         """Lines are printed as each group is checked and only maxima are kept, so 10x the trials keeps the peak.
 
-        Groups of 12 loss-level and 32 end-to-end trials are full at both trial counts. CPython keeps freed
+        Groups of 30 loss-level and 77 end-to-end trials are full at both trial counts. CPython keeps freed
         tuples on per-size free lists, which a run would fill as it goes; they are filled first, so the
-        peaks count only what the run holds.
+        peaks count only what the run holds. Allocator caches still leave a few KiB that differ between
+        runs, so the groups are sized to make that small beside what a group holds.
         """
-        monkeypatch.setattr(bounds, "CHUNK_BYTES", 1 << 16)
-        assert bounds._probe_stack_size(4, 16) == 12 and bounds._probe_stack_size(2, 20) == 32
+        monkeypatch.setattr(bounds, "CHUNK_BYTES", 160 << 10)
         peaks = {}
         with contextlib.redirect_stdout(_Discard()):
-            main(["gradcheck", "--trials", "40"])  # warm-up
-            for trials in (40, 400):
+            main(["gradcheck", "--trials", "80"])  # warm-up
+            for trials in (80, 800):
                 free_lists = [tuple(range(k)) for k in range(1, 20) for _ in range(2000)]
                 del free_lists
                 peaks[trials] = _traced_peak(["gradcheck", "--trials", str(trials)])
-        assert peaks[400] <= 1.1 * peaks[40]
+        assert {chunk for _, chunk in gradcheck_chunks} == {30, 77}
+        assert peaks[800] <= 1.1 * peaks[80]
 
 
-class TestVerifyMemoryGuard:
-    def test_estimate(self):
-        """One trial's rows and unit rows, its 2N x 2N Gram matrix, and N anchor rows of similarities and logits."""
-        assert bounds._batch_bytes(4, 8) == 8 * (2 * 8 * 8 + 8 * 8 + 2 * 4 * 8)
-        assert bounds._batch_bytes(20000, 8) > bounds.MEMORY_BUDGET > bounds._batch_bytes(32, 8)
-        assert bounds._batch_bytes(1, 10**8) > bounds.MEMORY_BUDGET  # the rows alone
-        assert bounds._stack_size(4, 8) == bounds.CHUNK_BYTES // bounds._batch_bytes(4, 8)
-
-    def test_over_budget_exits_2_before_any_draw(self, tmp_path, capsys, monkeypatch):
-        def no_run(*args):
-            raise AssertionError("verify ran")
-
-        monkeypatch.setattr(cli, "monte_carlo_verify", no_run)
-        path = tmp_path / "big.json"
+def _over_budget_argv(command, tmp_path):
+    """A command line whose least run needs more than the memory budget; nothing else is out of range."""
+    if command == "gradcheck":
+        return ["gradcheck", "--trials", "1", "--n-pairs", "2", "--dim", str(10**9)]
+    path = tmp_path / "big.json"
+    if command == "verify":
         write_json(path, {"ns": [2, 20000], "ms": [8], "taus": [0.5], "distributions": ["gaussian"], "trials": 1})
-        assert main(["verify", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
-        out, err = capsys.readouterr()
-        assert out == "" and not (tmp_path / "out").exists()
-        assert err.count("\n") == 1 and "memory budget" in err and err.startswith("ntxb verify: ")
+    else:
+        doc = train_config_to_dict(TrainConfig())
+        doc["dataset"]["points"] = 10**9
+        write_json(path, doc)
+    return [command, "--config", str(path), "--out", str(tmp_path / "out")]
 
 
-class TestGradcheckMemoryGuard:
-    def test_estimate(self):
-        """One trial's rows, plus one probe's rows, unit rows and three 2N x 2N matrices, in float64."""
-        assert bounds._gradcheck_peak_bytes(4, 8) == 8 * (8 * 8 + 8 * (2 * 8 + 3 * 8))
-        assert bounds._gradcheck_peak_bytes(2, 10**9) == 8 * (4 * 10**9 + 4 * (2 * 10**9 + 3 * 4))
-        assert bounds._gradcheck_peak_bytes(2, 10**9) > bounds.MEMORY_BUDGET > bounds._gradcheck_peak_bytes(4, 8)
-        assert bounds._gradcheck_peak_bytes(10**5, 1) > bounds.MEMORY_BUDGET  # the 2N x 2N matrices alone
+class TestMemoryGuard:
+    @pytest.mark.parametrize("command", ["verify", "gradcheck", "train"])
+    def test_over_budget_exits_2_before_any_draw(self, command, tmp_path, capsys, monkeypatch):
+        """The estimate alone refuses the input: one stderr line, exit 2, no draw, nothing written."""
 
-    def test_over_budget_exits_2_before_any_draw(self, capsys, monkeypatch):
         def no_draw(*key):
             raise AssertionError(f"stream {key} drawn")
 
-        monkeypatch.setattr(cli, "_gradcheck_peak_bytes", lambda n_pairs, dim: bounds.MEMORY_BUDGET + 1)
-        monkeypatch.setattr(gc, "_stream", no_draw)
-        assert main(["gradcheck", "--trials", "1", "--n-pairs", "1", "--dim", "1"]) == 2
+        for module in (bounds, gc, trainer):
+            monkeypatch.setattr(module, "_stream", no_draw)
+        assert main(_over_budget_argv(command, tmp_path)) == 2
         out, err = capsys.readouterr()
-        assert out == ""
-        assert err.count("\n") == 1 and "memory budget" in err and err.startswith("ntxb gradcheck: ")
+        assert out == "" and not (tmp_path / "out").exists()
+        assert err.count("\n") == 1 and "memory budget" in err and err.startswith(f"ntxb {command}: ")
 
 
 class TestTrainCommand:

@@ -169,19 +169,16 @@ class TestStackedCentralDifference:
                 np.testing.assert_allclose(got[k], want, rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("seed", ["2", "35"])
-    def test_small_chunks_do_not_change_printout(self, seed, capsys, monkeypatch):
+    def test_small_chunks_do_not_change_printout(self, seed, capsys, monkeypatch, gradcheck_chunks):
         """A budget that splits every trial's probes into many stacks prints the same bytes."""
         argv = ["gradcheck", "--trials", "20", "--seed", seed]
         rc_default = main(argv)
         default = capsys.readouterr().out
+        gradcheck_chunks.clear()
         monkeypatch.setattr(bounds, "CHUNK_BYTES", 700)
-        assert bounds._stack_size(4, 8) == 1  # verify's stacks, sized by what a batch holds in the pass
-        assert bounds._stack_size(2, 2) == 1
-        assert bounds._stack_size(1, 1) == 7
-        assert bounds._probe_stack_size(4, 2 * 8) == 1  # loss level: one probe per stack
-        assert bounds._probe_stack_size(2, 2 + 2 * 8 + 2) == 1  # end to end: one probe per stack
         assert main(argv) == rc_default == 1
         assert capsys.readouterr().out == default
+        assert set(gradcheck_chunks) == {(1, 1)}  # both levels: one trial per group, one probe per stack
 
     @pytest.mark.parametrize("points", [1, 3])
     @pytest.mark.parametrize("chunk", [1, 5, 24, 100])
@@ -204,17 +201,20 @@ def _records(trials):
     return [(t.trial, t.worst_rel_err, t.worst_index, t.orthogonality) for t in trials]
 
 
+#: Probes per stack of the one-trial references, which split a loss-level trial's 128 probes in two.
+REFERENCE_CHUNK = 100
+
+
 def reference_loss_level(trials, seed, n_pairs=4, dim=8, tau=0.5):
     """One trial at a time: its own draw, analytic pass and probe stacks, with every row normalized."""
     rng = bounds._stream(seed, 0)
     cfg = LossConfig(tau=tau)
-    chunk = bounds._stack_size(n_pairs, dim)
     records = []
     for trial in range(trials):
         rows = unit_rms(rng.standard_normal((2 * n_pairs, dim)))
         analytic = nt_xent_grad(EmbeddingBatch(rows), cfg)
         ortho = float(np.max(np.abs(np.sum(analytic * rows, axis=1))))
-        numeric = central_difference(lambda stack: _stack_losses(stack, cfg), rows[None], chunk=chunk)[0]
+        numeric = central_difference(lambda stack: _stack_losses(stack, cfg), rows[None], chunk=REFERENCE_CHUNK)[0]
         records.append((trial, *worst_error(analytic, numeric), ortho))
     return records
 
@@ -223,7 +223,6 @@ def reference_end_to_end(trials, seed):
     """One model at a time, with its probes on its own views; returns the records and the redrawn trials."""
     cfg = _tiny_config(seed)
     cfg_loss = LossConfig(tau=cfg.tau)
-    chunk = bounds._stack_size(cfg.n_pairs, cfg.latent_dim)
     records, redrawn = [], []
     for trial in range(trials):
         for k in range(DEAD_RELU_REDRAWS + 1):
@@ -245,7 +244,7 @@ def reference_end_to_end(trials, seed):
             hidden = probe.encoder.forward_trace(views).act[-1]
             return _stack_losses(probe.projector.forward_trace(hidden).act[-1], cfg_loss)
 
-        numeric = central_difference(loss_at, model.params[None], chunk=chunk)[0]
+        numeric = central_difference(loss_at, model.params[None], chunk=REFERENCE_CHUNK)[0]
         records.append((trial, *worst_error(out.param_grad, numeric), ortho))
     return records, redrawn
 
@@ -276,21 +275,21 @@ class TestStackedTrials:
 
     @pytest.mark.parametrize("budget", [2 * 2560 * 200, 2 * 2560 * 7])
     @pytest.mark.parametrize("seed", ["3", "35"])
-    def test_stacks_across_trials_do_not_change_printout(self, budget, seed, capsys, monkeypatch):
+    def test_stacks_across_trials_do_not_change_printout(self, budget, seed, capsys, monkeypatch, gradcheck_chunks):
         """Stacks that end inside one trial's probes and hold the next trial's first ones print the same bytes.
 
-        At 200 probes a stack of the loss level (128 probes per trial) and at 500 one of the end-to-end level
-        (48 per trial) straddles trials; at 7 and 17 the 20 trials also fall into several groups.
+        At 192 probes a stack of the loss level (128 probes per trial) and at 484 one of the end-to-end level
+        (48 per trial) straddles trials; at 6 and 16 the 20 trials also fall into several groups.
         """
         argv = ["gradcheck", "--trials", "20", "--seed", seed]
         rc_default = main(argv)
         default = capsys.readouterr().out
+        gradcheck_chunks.clear()
         monkeypatch.setattr(bounds, "CHUNK_BYTES", budget)
-        loss_stack, e2e_stack = bounds._probe_stack_size(4, 16), bounds._probe_stack_size(2, 20)
-        assert (loss_stack, e2e_stack) in {(200, 500), (7, 17)}
-        assert loss_stack % 128 and e2e_stack % 48
         assert main(argv) == rc_default
         assert capsys.readouterr().out == default
+        # Loss level, then end to end: neither stack size divides its level's probes per trial.
+        assert {chunk for _, chunk in gradcheck_chunks} in ({192, 484}, {6, 16})
 
 
 class TestRowOnlyNormalization:

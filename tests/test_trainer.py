@@ -2,6 +2,7 @@
 
 import copy
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from ntxbound import (
     train,
     train_step,
 )
+from ntxbound import bounds
 from ntxbound.trainer import _augment_batch, loss_and_param_grads
 
 
@@ -445,3 +447,18 @@ class TestTrain:
             tiny_config(learning_rate=0.0)
         with pytest.raises(InvalidDatasetParamsError):
             tiny_config(dataset=DatasetParams(clusters=2, spread=0.3, points=3))
+
+    def test_memory_estimate_covers_a_desk_run(self, monkeypatch):
+        """A budget just under the traced peak of a short desk run refuses its config; twice that peak admits it."""
+        train(TrainConfig(steps=3))  # warm-up: first-call allocations are not the run's
+        tracemalloc.start()
+        try:
+            train(TrainConfig(steps=3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        monkeypatch.setattr(bounds, "MEMORY_BUDGET", peak - 1)
+        with pytest.raises(InvalidDatasetParamsError, match="memory budget"):
+            TrainConfig(steps=3)
+        monkeypatch.setattr(bounds, "MEMORY_BUDGET", 2 * peak)
+        TrainConfig(steps=3)
