@@ -112,7 +112,8 @@ def _load(hint, value, ctx: str):
 def parse_verify_config(doc: dict) -> tuple[VerifyGrid, int, int]:
     """Validate a verify config document; returns (grid, trials, seed).
 
-    Besides the grid's fields, ``trials`` is required and ``seed`` defaults to 0.
+    Besides the grid's fields, ``trials`` (at least 1) is required and
+    ``seed`` (a u64) defaults to 0.
     """
     ctx = "verify config"
     grid_keys = [f.name for f in dataclasses.fields(VerifyGrid)]
@@ -120,6 +121,9 @@ def parse_verify_config(doc: dict) -> tuple[VerifyGrid, int, int]:
     grid = _load(VerifyGrid, {k: doc[k] for k in grid_keys if k in doc}, ctx)
     trials = _as_int(_get(doc, "trials", ctx), f"{ctx}: trials")
     seed = _as_int(doc.get("seed", 0), f"{ctx}: seed")
+    if trials < 1:
+        raise ConfigError(f"{ctx}: trials must be >= 1, got {trials}")
+    _check_seed(seed, ConfigError)
     return grid, trials, seed
 
 
@@ -188,9 +192,7 @@ def cmd_gradcheck(args) -> int:
     if args.n_pairs < 1 or args.dim < 1:
         raise ConfigError("--n-pairs and --dim must be >= 1")
     worst_loss, ortho_loss = _print_trials(
-        gc.iter_loss_level(
-            args.trials, n_pairs=args.n_pairs, dim=args.dim, tau=args.tau, seed=args.seed, corrupt=args.corrupt_gradient
-        ),
+        gc.iter_loss_level(args.trials, n_pairs=args.n_pairs, dim=args.dim, tau=args.tau, seed=args.seed),
         "gradcheck loss-level trial {t.trial:3d}: worst rel err {t.worst_rel_err:.3e} at entry {t.worst_index}",
     )
     worst_e2e, ortho_e2e = _print_trials(
@@ -311,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-pairs", type=int, default=4)
     p.add_argument("--dim", type=int, default=8)
     p.add_argument("--tau", type=float, default=0.5)
-    p.add_argument("--corrupt-gradient", action="store_true", help=argparse.SUPPRESS)  # test hook
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("train", help="desk-scale contrastive training run with bound instrumentation")

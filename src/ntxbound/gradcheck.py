@@ -6,17 +6,18 @@ model. Central differences with step 1e-5 on inputs pre-scaled to unit RMS
 balance truncation against rounding at 64-bit precision.
 
 Each level takes its trials in groups. A group gets its analytic gradients
-from one pass, and the probes of all its trials run as one sequence of
-stacks: a stack can end inside one trial's probes and hold the next trial's
-first ones. A group holds as many trials as fit ``bounds.CHUNK_BYTES``, each
-counted with one probe of its own at its peak, and a stack as many probes as
-the group has trials, so memory does not grow with the trial count. A latent
-probe moves one entry, so only its row is normalized again; the trial's
-other unit rows come from the analytic pass. Parameter probes are a stack
-(K, P) of flat parameter vectors, K models run through one MLP forward on
-their trials' views. Parameter j is entry j of ``SimclrModel.params``: the
-encoder's layers, then the projector's, each layer's weights row-major
-followed by its biases.
+from one pass, and the (trial, entry) pairs of all its trials run as one
+sequence of stacks: a stack can end inside one trial's entries and hold the
+next trial's first ones. Each stack is evaluated as its +1e-5 probes, then
+its -1e-5 probes, and every probe comes with its trial and entry. A group holds as
+many trials as fit ``bounds.CHUNK_BYTES``, each counted with one probe of
+its own at its peak, and a stack as many pairs as the group has trials, so
+memory does not grow with the trial count. A latent probe moves one entry,
+so only its row is normalized again; the trial's other unit rows come from
+the analytic pass. Parameter probes are a stack (K, P) of flat parameter
+vectors, K models run through one MLP forward on their trials' views.
+Parameter j is entry j of ``SimclrModel.params``: the encoder's layers, then
+the projector's, each layer's weights row-major followed by its biases.
 """
 
 from __future__ import annotations
@@ -43,53 +44,30 @@ ABS_FLOOR = 1e-8
 DEAD_RELU_REDRAWS = 10
 
 
-def _probe_order(start: int, stop: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Point, entry and sign (True for +step) of probes start..stop, for points of n entries.
-
-    The probe sequence runs point by point: +step on each entry in turn, then -step.
-    """
-    k = np.arange(start, stop)
-    r = k % (2 * n)
-    return k // (2 * n), r % n, r < n
-
-
-def _probe_cursor(n: int):
-    """Point and entry of every probe of the next stack, for an ``f`` given to :func:`central_difference`.
-
-    Stacks are evaluated in sequence order, so a running offset places each one.
-    """
-    offset = 0
-
-    def next_stack(size: int) -> tuple[np.ndarray, np.ndarray]:
-        nonlocal offset
-        offset += size
-        return _probe_order(offset - size, offset, n)[:2]
-
-    return next_stack
-
-
-def central_difference(f, points: np.ndarray, step: float = FD_STEP, *, chunk: int) -> np.ndarray:
+def central_difference(f, points: np.ndarray, *, chunk: int) -> np.ndarray:
     """Central-difference gradients of a scalar function at each of a stack of points (T, *shape).
 
-    Point t has 2 * n probes, x_t + step * e_j for every entry j, then
-    x_t - step * e_j (the order of :func:`_probe_order`). ``f`` maps a stack
-    (K, *shape) of probes to their K values; the sequence is cut into stacks
-    of ``chunk`` probes, so memory stays bounded however many probes there are.
+    The T * n (point, entry) pairs, point by point, are cut into stacks of
+    ``chunk``, so memory stays bounded however many probes there are. Each
+    stack is evaluated twice: ``f((probes, point, entry))`` gets its probes
+    x + FD_STEP * e_j (K, *shape), with each probe's point and entry (K,),
+    and returns their K values; then the same for its probes x - FD_STEP * e_j.
     """
     t = len(points)
     flat = points.reshape(t, -1)
     n = flat.shape[1]
-    values = np.empty(2 * n * t)
-    for start in range(0, 2 * n * t, chunk):
-        stop = min(start + chunk, 2 * n * t)
-        point, entry, plus = _probe_order(start, stop, n)
-        probes = flat[point]
-        # x + (-step) rounds as x - step: probes match in-place edits bit for bit
-        probes[np.arange(stop - start), entry] += np.where(plus, step, -step)
-        values[start:stop] = f(probes.reshape(stop - start, *points.shape[1:]))
-    values = values.reshape(t, 2, n)
-    grad = values[:, 0] - values[:, 1]
-    grad /= 2.0 * step
+    values = np.empty((2, t * n))
+    for start in range(0, t * n, chunk):
+        stop = min(start + chunk, t * n)
+        point, entry = np.divmod(np.arange(start, stop), n)
+        k = np.arange(stop - start)
+        for sign, step in enumerate((FD_STEP, -FD_STEP)):
+            probes = flat[point]
+            # x + (-step) rounds as x - step: probes match in-place edits bit for bit
+            probes[k, entry] += step
+            values[sign, start:stop] = f((probes.reshape(stop - start, *points.shape[1:]), point, entry))
+    grad = values[0] - values[1]
+    grad /= 2.0 * FD_STEP
     return grad.reshape(points.shape)
 
 
@@ -114,22 +92,22 @@ def _row_probe_losses(
     return _breakdown(_Pass(sims, cfg.tau, cfg.anchor_mode)).total
 
 
-def worst_error(analytic: np.ndarray, numeric: np.ndarray, floor: float = ABS_FLOOR) -> tuple[float, tuple[int, ...]]:
+def worst_error(analytic: np.ndarray, numeric: np.ndarray) -> tuple[float, tuple[int, ...]]:
     """Largest per-entry discrepancy and its index, as Python ints.
 
     Entries are compared relatively against max(|analytic|, |numeric|);
-    entries where both magnitudes fall below ``floor`` pass when the absolute
-    difference stays below ``floor`` (reported as error 0) and fail hard
+    entries where both magnitudes fall below ABS_FLOOR pass when the absolute
+    difference stays below ABS_FLOOR (reported as error 0) and fail hard
     otherwise.
     """
     a = analytic.astype(np.float64)
     n = numeric.astype(np.float64)
     denom = np.maximum(np.abs(a), np.abs(n))
     diff = np.abs(a - n)
-    big = denom >= floor
+    big = denom >= ABS_FLOOR
     err = np.zeros_like(denom)
     err[big] = diff[big] / denom[big]
-    err[~big] = np.where(diff[~big] <= floor, 0.0, np.inf)
+    err[~big] = np.where(diff[~big] <= ABS_FLOOR, 0.0, np.inf)
     j = int(np.argmax(err))
     return float(err.flat[j]), tuple(int(i) for i in np.unravel_index(j, a.shape))
 
@@ -163,51 +141,44 @@ def _trial_records(first: int, analytic: np.ndarray, numeric: np.ndarray, ortho:
     return records
 
 
-def _loss_level_group(rows: np.ndarray, cfg: LossConfig, first: int, corrupt: bool, chunk: int) -> list[GradCheckTrial]:
+def _loss_level_group(rows: np.ndarray, cfg: LossConfig, first: int, chunk: int) -> list[GradCheckTrial]:
     """Check a stack of trials' batches (T, 2N, m), the first of which is trial ``first``."""
     p = _nt_xent_pass(rows, cfg.tau, cfg.anchor_mode)
     analytic, unit = _latent_grad(p), p.unit
     del p  # the probes need only the unit rows
     ortho = _orthogonality(analytic, rows)
-    if corrupt:
-        analytic[0, 0, 0] += 1e-2
     dim = rows.shape[-1]
-    cursor = _probe_cursor(rows[0].size)
 
-    def losses(probes: np.ndarray) -> np.ndarray:
-        point, entry = cursor(len(probes))
-        return _row_probe_losses(probes, point, entry // dim, unit, cfg)
+    def losses(probes) -> np.ndarray:
+        stack, point, entry = probes
+        return _row_probe_losses(stack, point, entry // dim, unit, cfg)
 
     return _trial_records(first, analytic, central_difference(losses, rows, chunk=chunk), ortho)
 
 
 def iter_loss_level(
-    trials: int,
-    n_pairs: int = 4,
-    dim: int = 8,
-    tau: float = 0.5,
-    seed: int = 0,
-    corrupt: bool = False,
+    trials: int, n_pairs: int = 4, dim: int = 8, tau: float = 0.5, seed: int = 0
 ) -> Iterator[GradCheckTrial]:
     """Analytic latent gradient vs central differences on random batches, trial by trial.
 
-    Trial t's batch is the t-th draw of shape (2N, m) from stream (0,).
-    ``corrupt`` perturbs one gradient entry of the first trial by 1e-2; a test
-    hook proving the check can fail. Each group's trials are yielded as soon
-    as it is checked, so nothing is kept across groups.
+    Trial t's batch is the t-th draw of shape (2N, m) from stream (0,). Each
+    group's trials are yielded as soon as it is checked, so nothing is kept
+    across groups.
     """
     # Per entry, a trial keeps its rows, unit rows, analytic gradient and two probe values, and a probe
     # holds its rows and unit rows; normalizing its moved row holds three more rows of m. The analytic
     # pass holds the 2N x 2N gradient of the similarities and its symmetrized sum beside N anchor rows
-    # each of similarities and logits: 2N rows' worth of each.
-    trial_bytes = _pass_bytes(n_pairs, 7 * dim, 2 * n_pairs) + 8 * 3 * dim
+    # each of similarities and logits: 2N rows' worth of each. Whatever the shape, a probe holds ten
+    # scalars (its point and entry, the index arrays built from them and its loss terms), and a trial's
+    # record with its index tuple, floats and trial number takes under 256 bytes.
+    trial_bytes = _pass_bytes(n_pairs, 7 * dim, 2 * n_pairs) + 8 * 3 * dim + 8 * 10 + 256
     _check_memory(trial_bytes, f"a trial at N={n_pairs}, m={dim}", ConfigError)
     group = max(1, bounds.CHUNK_BYTES // trial_bytes)
     rng = _stream(seed, 0)
     cfg = LossConfig(tau=tau)
     for first in range(0, trials, group):
         rows = _unit_rms(rng.standard_normal((min(group, trials - first), 2 * n_pairs, dim)))
-        yield from _loss_level_group(rows, cfg, first, corrupt and first == 0, group)
+        yield from _loss_level_group(rows, cfg, first, group)
 
 
 def loss_level_check(trials: int, **kwargs) -> list[GradCheckTrial]:
@@ -280,10 +251,9 @@ def _end_to_end_group(cfg: TrainConfig, seed: int, first: int, size: int, chunk:
     del out  # the probes need only the parameters and views
 
     cfg_loss = LossConfig(tau=cfg.tau)
-    cursor = _probe_cursor(model.params.shape[-1])
 
-    def loss_at(vecs: np.ndarray) -> np.ndarray:
-        point, _ = cursor(len(vecs))
+    def loss_at(probes) -> np.ndarray:
+        vecs, point, _ = probes
         probe = SimclrModel(*dims, vecs)
         hidden = probe.encoder.forward_trace(views[point]).act[-1]
         return _stack_losses(probe.projector.forward_trace(hidden).act[-1], cfg_loss)

@@ -282,7 +282,9 @@ def _end_to_end_group(trials):
 
 FULL_STACKS = [
     *(pytest.param(_verify_stack, (n, d), id=f"{n}-{d}") for n in (2, 4, 8, 16, 32) for d in DISTRIBUTIONS),
-    pytest.param(_loss_level_group, (197, 4, 8), id="loss-level-4-8"),
+    pytest.param(_loss_level_group, (1846, 1, 1), id="loss-level-1-1"),
+    pytest.param(_loss_level_group, (16, 8, 64), id="loss-level-8-64"),
+    pytest.param(_loss_level_group, (185, 4, 8), id="loss-level-4-8"),
     pytest.param(_loss_level_group, (32, 16, 4), id="loss-level-16-4"),
     pytest.param(_end_to_end_group, (496,), id="end-to-end"),
 ]

@@ -113,12 +113,26 @@ class TestConfigLoader:
             ("verify", {**VERIFY_DOC, "seed": "0"}),
             ("verify", without(VERIFY_DOC, "trials")),
             ("verify", without(VERIFY_DOC, "ms")),
+            ("verify", {**VERIFY_DOC, "trials": 0}),
+            ("verify", {**VERIFY_DOC, "seed": -1}),
+            # over the memory budget: gen_synthetic's (clusters, input_dim) means, or every step's record
+            ("train", {**TRAIN_DOC, "dataset": {**TRAIN_DOC["dataset"], "clusters": 10**12}}),
+            ("train", {**TRAIN_DOC, "dataset": {**TRAIN_DOC["dataset"], "clusters": 2**70}}),
+            ("train", {**TRAIN_DOC, "steps": 10**6}),
         ],
     )
-    def test_rejected_documents_exit_2(self, tmp_path, capsys, command, doc):
+    def test_rejected_documents_exit_2(self, tmp_path, capsys, monkeypatch, command, doc):
+        """Refused while parsing: nothing runs and no output directory is made."""
+
+        def not_run(*args):
+            raise AssertionError("command ran")
+
+        monkeypatch.setattr(cli, "train", not_run)
+        monkeypatch.setattr(cli, "monte_carlo_verify", not_run)
         path = tmp_path / "cfg.json"
         write_json(path, doc)
         assert_usage_error([command, "--config", str(path), "--out", str(tmp_path / "out")], capsys)
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_key_message_lists_every_allowed_key(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
@@ -300,9 +314,31 @@ class TestGradcheckCommand:
     def test_zero_trials_exits_2(self):
         assert main(["gradcheck", "--trials", "0"]) == 2
 
-    def test_corrupt_gradient_exits_1(self, capsys):
-        assert main(["gradcheck", "--trials", "2", "--corrupt-gradient"]) == 1
-        assert "FAIL" in capsys.readouterr().out
+    def test_corrupt_gradient_exits_1(self, capsys, monkeypatch):
+        """A wrong analytic gradient at either level fails the check: 1e-2 on one entry of every trial's gradient."""
+        real_latent, real_param = gc._latent_grad, gc.loss_and_param_grads
+
+        def corrupt_latent(p):
+            grad = real_latent(p)
+            grad[..., 0, 0] += 1e-2
+            return grad
+
+        def corrupt_param(model, views, cfg):
+            out = real_param(model, views, cfg)
+            out.param_grad[..., 0] += 1e-2
+            return out
+
+        for level, name, corrupt, tol in (
+            ("loss-level", "_latent_grad", corrupt_latent, gc.LOSS_LEVEL_TOL),
+            ("end-to-end", "loss_and_param_grads", corrupt_param, gc.END_TO_END_TOL),
+        ):
+            with monkeypatch.context() as patch:
+                patch.setattr(gc, name, corrupt)
+                assert main(["gradcheck", "--trials", "2"]) == 1
+            out = capsys.readouterr().out
+            lines = [line for line in out.splitlines() if line.startswith(f"gradcheck {level} trial")]
+            errors = [float(line.split()[7]) for line in lines]
+            assert len(errors) == 2 and min(errors) > tol and out.endswith("-> FAIL\n")
 
 
 class _Discard:
@@ -328,7 +364,7 @@ class TestGradcheckPrintout:
     def test_memory_is_flat_in_trials(self, monkeypatch, gradcheck_chunks):
         """Lines are printed as each group is checked and only maxima are kept, so 10x the trials keeps the peak.
 
-        Groups of 30 loss-level and 77 end-to-end trials are full at both trial counts. CPython keeps freed
+        Groups of 29 loss-level and 77 end-to-end trials are full at both trial counts. CPython keeps freed
         tuples on per-size free lists, which a run would fill as it goes; they are filled first, so the
         peaks count only what the run holds. Allocator caches still leave a few KiB that differ between
         runs, so the groups are sized to make that small beside what a group holds.
@@ -341,7 +377,7 @@ class TestGradcheckPrintout:
                 free_lists = [tuple(range(k)) for k in range(1, 20) for _ in range(2000)]
                 del free_lists
                 peaks[trials] = _traced_peak(["gradcheck", "--trials", str(trials)])
-        assert {chunk for _, chunk in gradcheck_chunks} == {30, 77}
+        assert {chunk for _, chunk in gradcheck_chunks} == {29, 77}
         assert peaks[800] <= 1.1 * peaks[80]
 
 

@@ -13,7 +13,6 @@ from ntxbound.errors import ZeroVectorError
 from ntxbound.gradcheck import (
     DEAD_RELU_REDRAWS,
     END_TO_END_TOL,
-    _probe_order,
     _row_probe_losses,
     _stack_losses,
     _tiny_config,
@@ -131,8 +130,8 @@ class TestStackedCentralDifference:
         b = rng.standard_normal(12)
         x = rng.standard_normal((3, 4))
 
-        def f(stack):
-            flat = stack.reshape(len(stack), -1)
+        def f(probes):
+            flat = probes[0].reshape(len(probes[0]), -1)
             return np.einsum("ki,ij,kj->k", flat, a, flat) + flat @ b
 
         expected = ((a + a.T) @ x.ravel() + b).reshape(x.shape)
@@ -144,7 +143,7 @@ class TestStackedCentralDifference:
         for chunk in (48, 3):
             rows = unit_rms(rng.standard_normal((6, 4)))
             cfg = LossConfig(tau=0.4, anchor_mode=mode)
-            numeric = central_difference(lambda stack: _stack_losses(stack, cfg), rows[None], chunk=chunk)[0]
+            numeric = central_difference(lambda probes: _stack_losses(probes[0], cfg), rows[None], chunk=chunk)[0]
             np.testing.assert_allclose(numeric, fd_gradient(rows, cfg), rtol=0, atol=1e-12)
 
     def test_probes_are_refused_like_a_batch(self):
@@ -180,6 +179,36 @@ class TestStackedCentralDifference:
         assert capsys.readouterr().out == default
         assert set(gradcheck_chunks) == {(1, 1)}  # both levels: one trial per group, one probe per stack
 
+    @pytest.mark.parametrize("chunk", [1, 7, 20, 30, 60, 100])
+    def test_each_probe_moves_its_point_at_its_entry(self, chunk):
+        """A probe differs from its point only at its entry: +FD_STEP in a stack's first call, -FD_STEP in its second.
+
+        Points have 20 entries, so stacks of 7 and 30 end inside a point, and stacks of 30, 60 and 100 span points.
+        """
+        rng = np.random.default_rng(37)
+        points = rng.standard_normal((3, 4, 5))
+        flat = points.reshape(3, -1)
+        calls = []
+
+        def f(probes):
+            rows, point, entry = probes
+            calls.append((rows.reshape(len(rows), -1).copy(), point.copy(), entry.copy()))
+            return np.zeros(len(rows))
+
+        central_difference(f, points, chunk=chunk)
+        pairs = []
+        for (plus, point, entry), (minus, point_minus, entry_minus) in zip(calls[::2], calls[1::2]):
+            np.testing.assert_array_equal(point, point_minus)
+            np.testing.assert_array_equal(entry, entry_minus)
+            k = np.arange(len(point))
+            for rows, step in ((plus, gradcheck.FD_STEP), (minus, -gradcheck.FD_STEP)):
+                np.testing.assert_array_equal(rows[k, entry], flat[point, entry] + step)
+                rows[k, entry] = flat[point, entry]
+                np.testing.assert_array_equal(rows, flat[point])
+            pairs += zip(point.tolist(), entry.tolist())
+        assert len(calls) == 2 * math.ceil(60 / chunk)
+        assert pairs == [(t, j) for t in range(3) for j in range(20)]
+
     @pytest.mark.parametrize("points", [1, 3])
     @pytest.mark.parametrize("chunk", [1, 5, 24, 100])
     def test_stacked_points_match_each_point(self, points, chunk):
@@ -188,8 +217,8 @@ class TestStackedCentralDifference:
         a = rng.standard_normal((12, 12))
         xs = rng.standard_normal((points, 3, 4))
 
-        def f(stack):
-            flat = stack.reshape(len(stack), -1)
+        def f(probes):
+            flat = probes[0].reshape(len(probes[0]), -1)
             return np.einsum("ki,ij,kj->k", flat, a, flat)
 
         stacked = central_difference(f, xs, chunk=chunk)
@@ -214,7 +243,7 @@ def reference_loss_level(trials, seed, n_pairs=4, dim=8, tau=0.5):
         rows = unit_rms(rng.standard_normal((2 * n_pairs, dim)))
         analytic = nt_xent_grad(EmbeddingBatch(rows), cfg)
         ortho = float(np.max(np.abs(np.sum(analytic * rows, axis=1))))
-        numeric = central_difference(lambda stack: _stack_losses(stack, cfg), rows[None], chunk=REFERENCE_CHUNK)[0]
+        numeric = central_difference(lambda probes: _stack_losses(probes[0], cfg), rows[None], chunk=REFERENCE_CHUNK)[0]
         records.append((trial, *worst_error(analytic, numeric), ortho))
     return records
 
@@ -239,8 +268,8 @@ def reference_end_to_end(trials, seed):
             continue
         ortho = float(np.max(np.abs(np.sum(out.latent_grad * out.forward.batch.rows, axis=1))))
 
-        def loss_at(vecs, model=model, views=views):
-            probe = SimclrModel(model.encoder_dims, model.projector_dims, vecs)
+        def loss_at(probes, model=model, views=views):
+            probe = SimclrModel(model.encoder_dims, model.projector_dims, probes[0])
             hidden = probe.encoder.forward_trace(views).act[-1]
             return _stack_losses(probe.projector.forward_trace(hidden).act[-1], cfg_loss)
 
@@ -278,8 +307,8 @@ class TestStackedTrials:
     def test_stacks_across_trials_do_not_change_printout(self, budget, seed, capsys, monkeypatch, gradcheck_chunks):
         """Stacks that end inside one trial's probes and hold the next trial's first ones print the same bytes.
 
-        At 192 probes a stack of the loss level (128 probes per trial) and at 484 one of the end-to-end level
-        (48 per trial) straddles trials; at 6 and 16 the 20 trials also fall into several groups.
+        At 181 (point, entry) pairs a stack of the loss level (64 per trial) and at 484 one of the end-to-end
+        level (24 per trial) straddles trials; at 6 and 16 the 20 trials also fall into several groups.
         """
         argv = ["gradcheck", "--trials", "20", "--seed", seed]
         rc_default = main(argv)
@@ -288,8 +317,8 @@ class TestStackedTrials:
         monkeypatch.setattr(bounds, "CHUNK_BYTES", budget)
         assert main(argv) == rc_default
         assert capsys.readouterr().out == default
-        # Loss level, then end to end: neither stack size divides its level's probes per trial.
-        assert {chunk for _, chunk in gradcheck_chunks} in ({192, 484}, {6, 16})
+        # Loss level, then end to end: neither stack size divides its level's pairs per trial.
+        assert {chunk for _, chunk in gradcheck_chunks} in ({181, 484}, {6, 16})
 
 
 class TestRowOnlyNormalization:
@@ -300,15 +329,16 @@ class TestRowOnlyNormalization:
         cfg = LossConfig(tau=0.3, anchor_mode=mode)
         rows = rng.standard_normal((3, 6, 5)) * 10.0 ** rng.uniform(-3, 3, size=(3, 6, 1))
         unit, _ = _unit_rows(rows)
-        n = rows[0].size
-        point, entry, plus = _probe_order(0, 2 * n * len(rows), n)
-        probes = rows[point]
-        probes[np.arange(len(probes)), entry // 5, entry % 5] += np.where(plus, 1e-5, -1e-5)
-        got = _row_probe_losses(probes, point, entry // 5, unit, cfg)
-        np.testing.assert_array_equal(got, _stack_losses(probes, cfg))
-        full_unit, _ = _unit_rows(probes)
-        moved = probes[np.arange(len(probes)), entry // 5]
-        np.testing.assert_array_equal(_unit_rows(moved)[0], full_unit[np.arange(len(probes)), entry // 5])
+
+        def f(probes):
+            stack, point, entry = probes
+            k, row = np.arange(len(stack)), entry // 5
+            got = _row_probe_losses(stack, point, row, unit, cfg)
+            np.testing.assert_array_equal(got, _stack_losses(stack, cfg))
+            np.testing.assert_array_equal(_unit_rows(stack[k, row])[0], _unit_rows(stack)[0][k, row])
+            return got
+
+        central_difference(f, rows, chunk=rows.size)
 
     def test_moved_rows_are_refused_like_a_batch(self):
         cfg = LossConfig(tau=0.5)
