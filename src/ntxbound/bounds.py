@@ -119,16 +119,10 @@ class BoundReport:
 
 @dataclass(frozen=True)
 class BatchEvaluation:
-    """Loss breakdown and bound report computed from one similarity matrix (one per batch of a stack).
-
-    ``min_similarity`` is the smallest entry of the whole matrix, which the
-    trainer's collapse flag reads; it is None when only the anchor rows were
-    built.
-    """
+    """Loss breakdown and bound report computed from one pass over the anchor rows (one per batch of a stack)."""
 
     breakdown: LossBreakdown
     report: BoundReport
-    min_similarity: float | None
 
 
 def lse_bounds(xs) -> LseBounds:
@@ -155,7 +149,7 @@ def avg_positive_similarity(batch: EmbeddingBatch) -> float:
 
 
 def _evaluation(p: _Pass) -> BatchEvaluation:
-    """Loss and bounds of every batch of a PAPER_N pass, and its smallest similarity if it built the whole matrix.
+    """Loss and bounds of every batch of a PAPER_N pass.
 
     The self column always wins the paper variant's max at 1/tau, so that
     variant takes its closed form ``tau log(2N) - tau L + 1``.
@@ -173,8 +167,7 @@ def _evaluation(p: _Pass) -> BatchEvaluation:
         paper_gap=paper - avg,
         strict_gap=strict - avg,
     )
-    min_similarity = None if p.full is None else p.full.min(axis=(-2, -1))
-    return BatchEvaluation(breakdown=breakdown, report=report, min_similarity=min_similarity)
+    return BatchEvaluation(breakdown=breakdown, report=report)
 
 
 def similarity_bound(batch: EmbeddingBatch, cfg: LossConfig) -> BoundReport:
@@ -183,14 +176,14 @@ def similarity_bound(batch: EmbeddingBatch, cfg: LossConfig) -> BoundReport:
 
 
 def evaluate_batch(batch: EmbeddingBatch, cfg: LossConfig) -> BatchEvaluation:
-    """Loss breakdown, bound report and smallest similarity from a single similarity matrix.
+    """Loss breakdown and bound report from one pass over the anchor rows of the similarity matrix.
 
     Requires the N-anchor convention; the bound derivation sums one LSE per
     pair, so the symmetric mode has no matching bound.
     """
     if cfg.anchor_mode is not AnchorMode.PAPER_N:
         raise UnsupportedModeError(f"similarity bound requires PAPER_N anchors, got {cfg.anchor_mode}")
-    return _evaluation(_nt_xent_pass(batch.rows, cfg.tau, cfg.anchor_mode, full=True))
+    return _evaluation(_nt_xent_pass(batch.rows, cfg.tau, cfg.anchor_mode))
 
 
 def sample_embeddings(distribution: str, n_pairs: int, dim: int, rng: np.random.Generator) -> EmbeddingBatch:
@@ -285,8 +278,7 @@ def _run_cell(
     """Violation counts and minimum paper gap, strict gap and paper-strict margin over one cell.
 
     Trials are drawn and evaluated as stacks of at most CHUNK_BYTES, through
-    the same constructors and checks as a single batch. The pass builds only
-    the anchor rows, so the stacks carry no smallest similarity.
+    the same constructors and checks as a single batch.
     """
     # Per row: the rows, then while they are normalized the scaled rows and their squares.
     chunk = max(1, CHUNK_BYTES // _pass_bytes(n_pairs, 3 * dim, n_pairs))

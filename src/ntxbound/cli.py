@@ -187,10 +187,6 @@ def _print_trials(trials, line: str) -> tuple[float, float]:
 
 
 def cmd_gradcheck(args) -> int:
-    if args.trials < 1:
-        raise ConfigError(f"--trials must be >= 1, got {args.trials}")
-    if args.n_pairs < 1 or args.dim < 1:
-        raise ConfigError("--n-pairs and --dim must be >= 1")
     worst_loss, ortho_loss = _print_trials(
         gc.iter_loss_level(args.trials, n_pairs=args.n_pairs, dim=args.dim, tau=args.tau, seed=args.seed),
         "gradcheck loss-level trial {t.trial:3d}: worst rel err {t.worst_rel_err:.3e} at entry {t.worst_index}",

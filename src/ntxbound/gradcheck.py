@@ -156,6 +156,13 @@ def _loss_level_group(rows: np.ndarray, cfg: LossConfig, first: int, chunk: int)
     return _trial_records(first, analytic, central_difference(losses, rows, chunk=chunk), ortho)
 
 
+def _check_counts(**counts: int) -> None:
+    """Raise ConfigError unless every count is at least 1."""
+    for name, value in counts.items():
+        if value < 1:
+            raise ConfigError(f"{name} must be >= 1, got {value}")
+
+
 def iter_loss_level(
     trials: int, n_pairs: int = 4, dim: int = 8, tau: float = 0.5, seed: int = 0
 ) -> Iterator[GradCheckTrial]:
@@ -163,15 +170,16 @@ def iter_loss_level(
 
     Trial t's batch is the t-th draw of shape (2N, m) from stream (0,). Each
     group's trials are yielded as soon as it is checked, so nothing is kept
-    across groups.
+    across groups. A count below 1 raises ConfigError before any draw.
     """
+    _check_counts(trials=trials, n_pairs=n_pairs, dim=dim)
     # Per entry, a trial keeps its rows, unit rows, analytic gradient and two probe values, and a probe
     # holds its rows and unit rows; normalizing its moved row holds three more rows of m. The analytic
-    # pass holds the 2N x 2N gradient of the similarities and its symmetrized sum beside N anchor rows
-    # each of similarities and logits: 2N rows' worth of each. Whatever the shape, a probe holds ten
-    # scalars (its point and entry, the index arrays built from them and its loss terms), and a trial's
-    # record with its index tuple, floats and trial number takes under 256 bytes.
-    trial_bytes = _pass_bytes(n_pairs, 7 * dim, 2 * n_pairs) + 8 * 3 * dim + 8 * 10 + 256
+    # pass holds N anchor rows each of similarities and logits, and their gradient takes the Gram
+    # matrix's place. Whatever the shape, a probe holds ten scalars (its point and entry, the index
+    # arrays built from them and its loss terms), and a trial's record with its index tuple, floats and
+    # trial number takes under 256 bytes.
+    trial_bytes = _pass_bytes(n_pairs, 7 * dim, n_pairs) + 8 * 3 * dim + 8 * 10 + 256
     _check_memory(trial_bytes, f"a trial at N={n_pairs}, m={dim}", ConfigError)
     group = max(1, bounds.CHUNK_BYTES // trial_bytes)
     rng = _stream(seed, 0)
@@ -272,8 +280,10 @@ def iter_end_to_end(trials: int, seed: int = 0) -> Iterator[GradCheckTrial]:
     Trial t draws its model and views from spawn key (1, t). A draw with a
     dead hidden layer is replaced by one from (1, t, k), k = 1, 2, ...; a
     trial still dead after DEAD_RELU_REDRAWS redraws reports an infinite error.
-    Each group's trials are yielded as soon as it is checked.
+    Each group's trials are yielded as soon as it is checked. A trial count
+    below 1 raises ConfigError before any draw.
     """
+    _check_counts(trials=trials)
     cfg = _tiny_config(seed)
     # A trial peaks in its analytic step, or while its probes run: its parameters, analytic gradient, two
     # values per parameter and their difference, and one probe's parameters, forward and normalization.

@@ -113,16 +113,14 @@ class _Pass:
     ``expd`` holds exp(x[a, k] - max_excl[a]), zero at k = a, and ``denom``
     its row sums: the softmax weights are their quotient, which only the
     gradient forms. ``unit`` and ``norms`` are None when the pass starts from
-    a similarity matrix rather than from rows. ``full`` is the whole matrix
-    when it was built, with ``sims`` a strided view of it, else None.
+    a similarity matrix rather than from rows.
     """
 
-    def __init__(self, sims: np.ndarray, tau: float, mode: AnchorMode, unit=None, norms=None, full=None):
+    def __init__(self, sims: np.ndarray, tau: float, mode: AnchorMode, unit=None, norms=None):
         self.sims = sims
         self.tau = tau
         self.unit = unit
         self.norms = norms
-        self.full = full
         self.step = mode.step
         anchors, self.partners = anchor_indices(sims.shape[-1], mode)
         self.rows = np.arange(len(anchors))
@@ -136,20 +134,15 @@ class _Pass:
         self.lse = self.max_excl + np.log(self.denom)
 
 
-def _nt_xent_pass(rows: np.ndarray, tau: float, mode: AnchorMode, *, full: bool = False) -> _Pass:
-    """Normalize the rows once, build their similarity rows once, and evaluate them.
+def _nt_xent_pass(rows: np.ndarray, tau: float, mode: AnchorMode) -> _Pass:
+    """Normalize the rows once, build their anchor rows of similarities once, and evaluate them.
 
     Rows are refused as :func:`_unit_rows` refuses them: non-finite entries
     raise ValueError and zero-norm rows ZeroVectorError, so a stack no
-    :class:`EmbeddingBatch` has validated needs no other check. Only the
-    anchor rows are built, unless ``full``: then the whole matrix is built
-    once and kept as ``p.full``, and the pass reads its anchor rows as a view.
+    :class:`EmbeddingBatch` has validated needs no other check.
     """
     unit, norms = _unit_rows(rows)
-    if not full:
-        return _Pass(_cosine_matrix(unit, mode.step), tau, mode, unit, norms)
-    sims = _cosine_matrix(unit, 1)
-    return _Pass(sims[..., :: mode.step, :], tau, mode, unit, norms, full=sims)
+    return _Pass(_cosine_matrix(unit, mode.step), tau, mode, unit, norms)
 
 
 def _breakdown(p: _Pass) -> LossBreakdown:
@@ -163,16 +156,14 @@ def _breakdown(p: _Pass) -> LossBreakdown:
 
 def _latent_grad(p: _Pass) -> np.ndarray:
     """Gradient of the total loss w.r.t. the raw latent rows of a pass built from rows."""
-    # d(total)/d(sim[a, k]) for anchor rows a, the softmax weights less 1 at the partner; zero elsewhere.
-    n_rows = p.sims.shape[-1]
-    grad_s = np.zeros(p.sims.shape[:-2] + (n_rows, n_rows))
-    anchor = grad_s[..., :: p.step, :]
-    np.divide(p.expd, p.denom[..., None], out=anchor)
-    anchor[..., p.rows, p.partners] -= 1.0
-    grad_s /= (n_rows // 2) * p.tau
+    # w[a, k] = d(total)/d(sim[a, k]) for anchor rows a: the softmax weights less 1 at the partner.
+    w = p.expd / p.denom[..., None]
+    w[..., p.rows, p.partners] -= 1.0
+    w /= (p.sims.shape[-1] // 2) * p.tau
 
-    # sim[a, k] depends on unit rows a and k symmetrically.
-    grad_unit = (grad_s + np.swapaxes(grad_s, -1, -2)) @ p.unit
+    # sim[a, k] depends on unit rows a and k symmetrically: row k gets w[a, k] unit[a], anchor a gets w[a, k] unit[k].
+    grad_unit = np.swapaxes(w, -1, -2) @ p.unit[..., :: p.step, :]
+    grad_unit[..., :: p.step, :] += w @ p.unit
     radial = np.sum(grad_unit * p.unit, axis=-1, keepdims=True)
     grad = (grad_unit - radial * p.unit) / p.norms[..., None]
     if not np.all(np.isfinite(grad)):

@@ -132,7 +132,8 @@ def trace_to_csv(records) -> str:
         row = [str(int(rec.step))]
         row += [format_float(float(getattr(rec, col))) for col in TRACE_COLUMNS[1:]]
         lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the final newline, without a second copy of the text
+    return "\n".join(lines)
 
 
 def parse_trace_csv(text: str) -> list[dict]:

@@ -30,12 +30,14 @@ from .errors import (
 from .loss import AnchorMode, _latent_grad, _nt_xent_pass
 from .sim import EmbeddingBatch, _check_seed, _check_tau
 
-#: All pairwise similarities at least this close to 1 counts as a collapsed batch.
+#: Every anchor-row similarity at least this close to 1 counts as a collapsed batch. The anchor rows hold
+#: every latent's similarity to each anchor, so within this tolerance every pair is at least 1 - 4 * tol.
 COLLAPSE_TOL = 1e-12
 
 #: Bytes each step adds to a run: its StepRecord, and while the trace is written its CSV line as a line,
-#: in the joined text and encoded. The desk run measures 1019 under tracemalloc; longer numbers take more.
-_RECORD_BYTES = 1280
+#: in the joined text and encoded. The desk run measures 807 under tracemalloc; numbers of 23 characters
+#: (a sign, 17 digits and an exponent), against 18.4 on average there, would add under 100.
+_RECORD_BYTES = 1024
 
 
 @dataclass
@@ -76,14 +78,14 @@ def _step_bytes(cfg: TrainConfig) -> int:
 
     Per row: the forward's floats, three rows of the widest layer for the
     backward's incoming, masked and outgoing gradients, and four latent-sized
-    rows for the unit rows and the latent gradient. The pass builds the whole
-    2N x 2N matrix, the anchor rows' logits, the matrix's gradient and its
-    symmetrized sum, which 3N rows each of similarities and logits cover. On
-    top come the parameters, their gradient and the update's product.
+    rows for the unit rows and the latent gradient. The pass holds N anchor
+    rows each of similarities and logits, and their gradient takes the Gram
+    matrix's place. On top come the parameters, their gradient and the
+    update's product.
     """
     widest = max(cfg.input_dim, *cfg.encoder_dims, *cfg.projector_dims)
     row_floats = _forward_floats(cfg) + 3 * widest + 4 * cfg.latent_dim
-    return _pass_bytes(cfg.n_pairs, row_floats, 3 * cfg.n_pairs) + 8 * 3 * cfg.n_params
+    return _pass_bytes(cfg.n_pairs, row_floats, cfg.n_pairs) + 8 * 3 * cfg.n_params
 
 
 @dataclass(eq=False)
@@ -406,10 +408,14 @@ class TrainTrace:
 
 @dataclass
 class LossAndGrads:
-    """One forward and backward pass: diagnostics, latent gradient, and the gradient in the layout of ``params``."""
+    """One forward and backward pass: diagnostics, latent gradient, and the gradient in the layout of ``params``.
+
+    ``min_similarity`` is the smallest anchor-row similarity of each batch, which the collapse flag reads.
+    """
 
     forward: ForwardResult
     evaluation: BatchEvaluation
+    min_similarity: np.ndarray
     latent_grad: np.ndarray
     param_grad: np.ndarray
 
@@ -418,18 +424,18 @@ def loss_and_param_grads(model: SimclrModel, views: np.ndarray, cfg: TrainConfig
     """Forward 2N views, take loss, bounds and latent gradient from one NT-Xent pass, and backpropagate.
 
     A stack of K models, ``params`` (K, P), on views (K, 2N, d) gives K of
-    each from one forward, one pass and one backward. The pass builds the
-    whole similarity matrix once, for the collapse flag's smallest entry.
-    Degenerate latents raise ZeroVectorError or ValueError.
+    each from one forward, one pass and one backward. Degenerate latents
+    raise ZeroVectorError or ValueError.
     """
     encoder, projector = model.encoder, model.projector
     fwd = forward(encoder, projector, views)
-    p = _nt_xent_pass(fwd.latents, cfg.tau, AnchorMode.PAPER_N, full=True)
-    evaluation = _evaluation(p)
+    p = _nt_xent_pass(fwd.latents, cfg.tau, AnchorMode.PAPER_N)
+    evaluation, min_similarity = _evaluation(p), p.sims.min(axis=(-2, -1))
     grad_z = _latent_grad(p)
     projector_grad, grad_hidden = projector.backward(fwd.projector_trace, grad_z)
     encoder_grad, _ = encoder.backward(fwd.encoder_trace, grad_hidden)
-    return LossAndGrads(fwd, evaluation, grad_z, np.concatenate([encoder_grad, projector_grad], axis=-1))
+    param_grad = np.concatenate([encoder_grad, projector_grad], axis=-1)
+    return LossAndGrads(fwd, evaluation, min_similarity, grad_z, param_grad)
 
 
 def train_step(
@@ -470,7 +476,7 @@ def train_step(
         paper_gap=report.paper_gap,
         strict_gap=report.strict_gap,
         grad_norm=grad_norm,
-        collapsed=bool(out.evaluation.min_similarity >= 1.0 - COLLAPSE_TOL),
+        collapsed=bool(out.min_similarity >= 1.0 - COLLAPSE_TOL),
     )
 
 

@@ -118,7 +118,7 @@ class TestConfigLoader:
             # over the memory budget: gen_synthetic's (clusters, input_dim) means, or every step's record
             ("train", {**TRAIN_DOC, "dataset": {**TRAIN_DOC["dataset"], "clusters": 10**12}}),
             ("train", {**TRAIN_DOC, "dataset": {**TRAIN_DOC["dataset"], "clusters": 2**70}}),
-            ("train", {**TRAIN_DOC, "steps": 10**6}),
+            ("train", {**TRAIN_DOC, "steps": 2 * 10**6}),
         ],
     )
     def test_rejected_documents_exit_2(self, tmp_path, capsys, monkeypatch, command, doc):
@@ -314,6 +314,15 @@ class TestGradcheckCommand:
     def test_zero_trials_exits_2(self):
         assert main(["gradcheck", "--trials", "0"]) == 2
 
+    @pytest.mark.parametrize(
+        ("flag", "value"), [("--trials", "-2"), ("--n-pairs", "-1"), ("--n-pairs", "0"), ("--dim", "0")]
+    )
+    def test_count_below_1_exits_2_before_any_trial(self, flag, value, capsys):
+        assert main(["gradcheck", "--trials", "3", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("ntxb gradcheck: ") and captured.err.count("\n") == 1, captured.err
+
     def test_corrupt_gradient_exits_1(self, capsys, monkeypatch):
         """A wrong analytic gradient at either level fails the check: 1e-2 on one entry of every trial's gradient."""
         real_latent, real_param = gc._latent_grad, gc.loss_and_param_grads
@@ -364,7 +373,7 @@ class TestGradcheckPrintout:
     def test_memory_is_flat_in_trials(self, monkeypatch, gradcheck_chunks):
         """Lines are printed as each group is checked and only maxima are kept, so 10x the trials keeps the peak.
 
-        Groups of 29 loss-level and 77 end-to-end trials are full at both trial counts. CPython keeps freed
+        Groups of 31 loss-level and 77 end-to-end trials are full at both trial counts. CPython keeps freed
         tuples on per-size free lists, which a run would fill as it goes; they are filled first, so the
         peaks count only what the run holds. Allocator caches still leave a few KiB that differ between
         runs, so the groups are sized to make that small beside what a group holds.
@@ -377,7 +386,7 @@ class TestGradcheckPrintout:
                 free_lists = [tuple(range(k)) for k in range(1, 20) for _ in range(2000)]
                 del free_lists
                 peaks[trials] = _traced_peak(["gradcheck", "--trials", str(trials)])
-        assert {chunk for _, chunk in gradcheck_chunks} == {29, 77}
+        assert {chunk for _, chunk in gradcheck_chunks} == {31, 77}
         assert peaks[800] <= 1.1 * peaks[80]
 
 

@@ -9,7 +9,7 @@ import ntxbound.bounds as bounds
 import ntxbound.gradcheck as gradcheck
 from ntxbound import AnchorMode, EmbeddingBatch, LossConfig, nt_xent, nt_xent_grad
 from ntxbound.cli import main
-from ntxbound.errors import ZeroVectorError
+from ntxbound.errors import ConfigError, ZeroVectorError
 from ntxbound.gradcheck import (
     DEAD_RELU_REDRAWS,
     END_TO_END_TOL,
@@ -119,6 +119,23 @@ class TestEndToEndCheck:
         trials = end_to_end_check(20, seed=seed)
         assert all(t.worst_rel_err != 0.0 for t in trials)
         assert max(t.worst_rel_err for t in trials) <= END_TO_END_TOL
+
+
+class TestCountsAreChecked:
+    """Trial, pair and dimension counts below 1 are refused by the library, before any draw."""
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"trials": -2}, {"trials": 0}, {"trials": 3, "n_pairs": -1}, {"trials": 3, "n_pairs": 0}, {"trials": 3, "dim": 0}],
+    )
+    def test_loss_level(self, kwargs):
+        with pytest.raises(ConfigError, match="must be >= 1"):
+            loss_level_check(**kwargs)
+
+    @pytest.mark.parametrize("trials", [-2, 0])
+    def test_end_to_end(self, trials):
+        with pytest.raises(ConfigError, match="trials must be >= 1"):
+            end_to_end_check(trials)
 
 
 class TestStackedCentralDifference:
@@ -307,7 +324,7 @@ class TestStackedTrials:
     def test_stacks_across_trials_do_not_change_printout(self, budget, seed, capsys, monkeypatch, gradcheck_chunks):
         """Stacks that end inside one trial's probes and hold the next trial's first ones print the same bytes.
 
-        At 181 (point, entry) pairs a stack of the loss level (64 per trial) and at 484 one of the end-to-end
+        At 199 (point, entry) pairs a stack of the loss level (64 per trial) and at 484 one of the end-to-end
         level (24 per trial) straddles trials; at 6 and 16 the 20 trials also fall into several groups.
         """
         argv = ["gradcheck", "--trials", "20", "--seed", seed]
@@ -318,7 +335,7 @@ class TestStackedTrials:
         assert main(argv) == rc_default
         assert capsys.readouterr().out == default
         # Loss level, then end to end: neither stack size divides its level's pairs per trial.
-        assert {chunk for _, chunk in gradcheck_chunks} in ({181, 484}, {6, 16})
+        assert {chunk for _, chunk in gradcheck_chunks} in ({199, 484}, {6, 16})
 
 
 class TestRowOnlyNormalization:

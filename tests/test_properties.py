@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from ntxbound import EmbeddingBatch, LossConfig, evaluate_batch, nt_xent_grad, similarity_matrix
 from ntxbound.bounds import VIOLATION_SLACK, _evaluation
-from ntxbound.loss import AnchorMode, _breakdown, _latent_grad, _nt_xent_pass, nt_xent_from_sims
+from ntxbound.loss import AnchorMode, _breakdown, _latent_grad, _nt_xent_pass, anchor_indices, nt_xent_from_sims
 
 SETTINGS = settings(max_examples=40, deadline=None)
 FEW = settings(max_examples=20, deadline=None)
@@ -60,18 +60,30 @@ def test_gradient_rows_orthogonal_to_latents(rows, tau, mode):
 @SETTINGS
 @given(rows=batches(max_stack=5), tau=taus)
 def test_stacked_evaluation_matches_each_batch(rows, tau):
-    """Both stacked forms, anchor rows only (verify) and the whole matrix (train), against each batch."""
-    anchor_only = _evaluation(_nt_xent_pass(rows, tau, AnchorMode.PAPER_N))
-    stacked = _evaluation(_nt_xent_pass(rows, tau, AnchorMode.PAPER_N, full=True))
-    assert anchor_only.min_similarity is None
+    """A stacked anchor-row pass gives each batch's loss and bounds."""
+    stacked = _evaluation(_nt_xent_pass(rows, tau, AnchorMode.PAPER_N))
     for t in range(rows.shape[0]):
         single = evaluate_batch(EmbeddingBatch(rows[t]), LossConfig(tau=tau))
-        for evaluation in (anchor_only, stacked):
-            for part in ("breakdown", "report"):
-                got, want = getattr(evaluation, part), getattr(single, part)
-                for name in got.__dataclass_fields__:
-                    np.testing.assert_allclose(getattr(got, name)[t], getattr(want, name), rtol=1e-12, atol=1e-12)
-        assert stacked.min_similarity[t] == pytest.approx(single.min_similarity, rel=1e-12, abs=1e-12)
+        for part in ("breakdown", "report"):
+            got, want = getattr(stacked, part), getattr(single, part)
+            for name in got.__dataclass_fields__:
+                np.testing.assert_allclose(getattr(got, name)[t], getattr(want, name), rtol=1e-12, atol=1e-12)
+
+
+def _whole_matrix_grad(batch, tau, mode):
+    """The latent gradient through the whole 2N x 2N similarity gradient: zero off the anchor rows, then symmetrized."""
+    unit, norms = batch.unit_rows()
+    x = similarity_matrix(batch, tau).sims / tau
+    anchors, partners = anchor_indices(batch.n_rows, mode)
+    x[anchors, anchors] = -np.inf
+    weights = np.exp(x[anchors] - x[anchors].max(axis=1, keepdims=True))
+    grad_s = np.zeros((batch.n_rows, batch.n_rows))
+    grad_s[anchors] = weights / weights.sum(axis=1, keepdims=True)
+    grad_s[anchors, partners] -= 1.0
+    grad_s /= batch.n_pairs * tau
+    grad_unit = (grad_s + grad_s.T) @ unit
+    radial = np.sum(grad_unit * unit, axis=1, keepdims=True)
+    return (grad_unit - radial * unit) / norms[:, None]
 
 
 @SETTINGS
@@ -79,16 +91,18 @@ def test_stacked_evaluation_matches_each_batch(rows, tau):
 def test_anchor_rows_match_the_whole_matrix(rows, tau, mode):
     """A stacked pass over the anchor rows alone gives each batch's loss, bounds and gradient of the whole matrix."""
     p = _nt_xent_pass(rows, tau, mode)
-    assert p.full is None and p.sims.shape[-2] == rows.shape[-2] // mode.step
+    assert p.sims.shape[-2] == rows.shape[-2] // mode.step
     breakdown, grad = _breakdown(p), _latent_grad(p)
     report = _evaluation(p).report if mode is AnchorMode.PAPER_N else None
     cfg = LossConfig(tau=tau, anchor_mode=mode)
     for t in range(rows.shape[0]):
         batch = EmbeddingBatch(rows[t])
-        want = nt_xent_from_sims(similarity_matrix(batch, tau), cfg)
+        whole = similarity_matrix(batch, tau)
+        np.testing.assert_array_equal(p.sims[t], whole.sims[:: mode.step])
+        want = nt_xent_from_sims(whole, cfg)
         for name in want.__dataclass_fields__:
             np.testing.assert_allclose(getattr(breakdown, name)[t], getattr(want, name), rtol=1e-12, atol=1e-12)
-        want_grad = _latent_grad(_nt_xent_pass(rows[t], tau, mode, full=True))
+        want_grad = _whole_matrix_grad(batch, tau, mode)
         np.testing.assert_allclose(grad[t], want_grad, rtol=1e-12, atol=1e-12 * np.abs(want_grad).max())
         if report is not None:
             want_report = evaluate_batch(batch, cfg).report

@@ -22,11 +22,12 @@ from ntxbound import (
     forward,
     gen_synthetic,
     nt_xent,
+    similarity_matrix,
     train,
     train_step,
 )
 from ntxbound import bounds
-from ntxbound.trainer import _augment_batch, loss_and_param_grads
+from ntxbound.trainer import COLLAPSE_TOL, _augment_batch, loss_and_param_grads
 
 
 def make_rng(seed):
@@ -274,6 +275,14 @@ class TestParameterLayout:
             np.testing.assert_allclose(latents[k], want, rtol=0, atol=1e-14)
 
 
+def _near_constant_model(cfg, scale):
+    """A model whose latents are the projector's last bias plus ``scale`` times the last layer's weighted input."""
+    model = SimclrModel.init(cfg, make_rng(0))
+    model.projector.weights[-1][:] *= scale
+    model.projector.biases[-1][:] = np.arange(1.0, 1.0 + model.projector.biases[-1].size)
+    return model
+
+
 def tiny_config(**overrides):
     defaults = dict(
         n_pairs=2,
@@ -437,6 +446,38 @@ class TestTrain:
         rec = train_step(model, points, cfg, make_rng(2), step=0)
         assert rec.collapsed
         assert rec.loss_total == pytest.approx(math.log(2 * cfg.n_pairs - 1), abs=1e-12)
+
+    def test_spread_just_beyond_tolerance_is_not_flagged(self):
+        """Latents spread so their smallest anchor-row similarity sits between 1 - 4 tol and 1 - tol: not collapsed.
+
+        The spread grows as the square of the last projector layer's weight scale, which sets it; a tenth of
+        that scale is flagged.
+        """
+        cfg = tiny_config()
+        points = make_rng(1).standard_normal((cfg.n_pairs, cfg.input_dim))
+        views = _augment_batch(points, cfg.augment, make_rng(2))  # the views train_step draws from make_rng(2)
+
+        def spread(scale):
+            return 1.0 - loss_and_param_grads(_near_constant_model(cfg, scale), views, cfg).min_similarity
+
+        scale = 1e-3 * math.sqrt(2 * COLLAPSE_TOL / spread(1e-3))
+        assert COLLAPSE_TOL < spread(scale) < 4 * COLLAPSE_TOL
+        assert not train_step(_near_constant_model(cfg, scale), points, cfg, make_rng(2)).collapsed
+        assert train_step(_near_constant_model(cfg, scale / 10), points, cfg, make_rng(2)).collapsed
+
+    def test_min_similarity_is_the_smallest_anchor_row_similarity(self):
+        """One model and a stack of three: the minimum over the anchor rows, never below the whole matrix's."""
+        cfg = TrainConfig()
+        models = [SimclrModel.init(cfg, make_rng(s)) for s in range(3)]
+        stacked = SimclrModel(models[0].encoder_dims, models[0].projector_dims, np.stack([m.params for m in models]))
+        views = make_rng(7).standard_normal((3, 2 * cfg.n_pairs, cfg.input_dim))
+        outs = [loss_and_param_grads(stacked, views, cfg)]
+        outs += [loss_and_param_grads(model, v, cfg) for model, v in zip(models, views)]
+        for out in outs:
+            latents = out.forward.latents.reshape(-1, 2 * cfg.n_pairs, cfg.latent_dim)
+            for rows, got in zip(latents, np.reshape(out.min_similarity, -1)):
+                whole = similarity_matrix(EmbeddingBatch(rows), cfg.tau).sims
+                assert got == whole[::2].min() >= whole.min()
 
     def test_config_validation(self):
         with pytest.raises(InvalidDatasetParamsError):
