@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import EmptyInputError, InvalidGridError, UnsupportedModeError
 from .loss import AnchorMode, LossBreakdown, LossConfig, _breakdown, _nt_xent_pass, _Pass, logsumexp
-from .sim import EmbeddingBatch, _check_seed, _check_tau, _cosine_matrix
+from .sim import EmbeddingBatch, _check_seed, _check_tau, _cosine_matrix, _unit_rows
 
 #: Distributions understood by the Monte Carlo verifier.
 DISTRIBUTIONS = ("uniform_sphere", "gaussian", "clustered")
@@ -56,9 +56,13 @@ def _pass_bytes(n_pairs: int, row_floats: int, anchor_rows: int) -> int:
     """Bytes one batch of 2N rows holds at once in a stacked pass, in float64.
 
     ``row_floats`` floats per row (its rows, unit rows and whatever else the
-    caller keeps per row), the 2N x 2N Gram matrix, and ``anchor_rows`` rows
-    of 2N each of similarities and of logits. A stack of batches fills
-    ``CHUNK_BYTES`` at ``max(1, CHUNK_BYTES // _pass_bytes(...))`` batches.
+    caller keeps per row), ``anchor_rows`` rows of 2N each of similarities
+    and of logits, and 2N x 2N floats more: the gradient's weights over the
+    anchor rows and the temporaries of the product, the exclusion and the
+    softmax. No pass holds a 2N x 2N array, so the last term is also
+    headroom: full verify stacks peak at 0.59-0.83x ``CHUNK_BYTES``. A stack
+    of batches fills ``CHUNK_BYTES`` at ``max(1, CHUNK_BYTES //
+    _pass_bytes(...))`` batches.
     """
     rows = 2 * n_pairs
     return 8 * rows * (row_floats + rows + 2 * anchor_rows)
@@ -203,8 +207,7 @@ def _sample_rows(distribution: str, trials: int, n_pairs: int, dim: int, rng: np
     N base rows then 2N noise rows), so one bulk draw reproduces the stream.
     """
     if distribution == "uniform_sphere":
-        raw = rng.standard_normal((trials, 2 * n_pairs, dim))
-        return raw / np.linalg.norm(raw, axis=-1, keepdims=True)
+        return _unit_rows(rng.standard_normal((trials, 2 * n_pairs, dim)))[0]
     if distribution == "gaussian":
         return rng.standard_normal((trials, 2 * n_pairs, dim))
     if distribution == "clustered":
@@ -280,7 +283,7 @@ def _run_cell(
     Trials are drawn and evaluated as stacks of at most CHUNK_BYTES, through
     the same constructors and checks as a single batch.
     """
-    # Per row: the rows, then while they are normalized the scaled rows and their squares.
+    # Per row: the rows and their unit rows, and the base and noise draws a clustered stack is made from.
     chunk = max(1, CHUNK_BYTES // _pass_bytes(n_pairs, 3 * dim, n_pairs))
     viol_paper = viol_strict = 0
     min_paper = min_strict = min_margin = math.inf

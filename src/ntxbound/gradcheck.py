@@ -173,13 +173,16 @@ def iter_loss_level(
     across groups. A count below 1 raises ConfigError before any draw.
     """
     _check_counts(trials=trials, n_pairs=n_pairs, dim=dim)
-    # Per entry, a trial keeps its rows, unit rows, analytic gradient and two probe values, and a probe
+    # A trial peaks while its probes run, or while its record is made; it keeps its rows, unit rows and
+    # analytic gradient throughout. While probing it also keeps two probe values per entry, and a probe
     # holds its rows and unit rows; normalizing its moved row holds three more rows of m. The analytic
-    # pass holds N anchor rows each of similarities and logits, and their gradient takes the Gram
-    # matrix's place. Whatever the shape, a probe holds ten scalars (its point and entry, the index
-    # arrays built from them and its loss terms), and a trial's record with its index tuple, floats and
-    # trial number takes under 256 bytes.
-    trial_bytes = _pass_bytes(n_pairs, 7 * dim, n_pairs) + 8 * 3 * dim + 8 * 10 + 256
+    # pass holds N anchor rows each of similarities and logits, and their gradient's weights. Whatever
+    # the shape, a probe holds ten scalars (its point and entry, the index arrays built from them and
+    # its loss terms). While recording, the probe values have become one numeric gradient per entry,
+    # and the trial's record with its index tuple, floats and trial number takes under 256 bytes.
+    probing = _pass_bytes(n_pairs, 7 * dim, n_pairs) + 8 * 3 * dim + 8 * 10
+    recording = 8 * 2 * n_pairs * 4 * dim + 256
+    trial_bytes = max(probing, recording)
     _check_memory(trial_bytes, f"a trial at N={n_pairs}, m={dim}", ConfigError)
     group = max(1, bounds.CHUNK_BYTES // trial_bytes)
     rng = _stream(seed, 0)

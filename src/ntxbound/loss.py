@@ -127,7 +127,10 @@ class _Pass:
         x = sims / tau
         x[..., self.rows, anchors] = -np.inf  # the k != a exclusion; exp(-inf) = 0
         self.pos = x[..., self.rows, self.partners]
-        self.max_excl = x.max(axis=-1)
+        # fmax equals max here, since rows are refused non-finite before any pass, and it is
+        # faster on these short rows; a nan from a user's similarity matrix still ends in a
+        # non-finite loss, which LossBreakdown refuses.
+        self.max_excl = np.fmax.reduce(x, axis=-1)
         x -= self.max_excl[..., None]
         self.expd = np.exp(x, out=x)
         self.denom = x.sum(axis=-1)

@@ -60,18 +60,48 @@ def _row_scales(rows: np.ndarray) -> np.ndarray:
     return scales
 
 
-def _unit_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Normalize along the last axis, returning (unit rows, Euclidean norms).
+#: Sums of squares strictly inside this range take the fast path: the row's
+#: squares did not overflow, and underflow cost them at most m * 5e-324, far
+#: below rounding, so one square root and one division are accurate to
+#: rounding. Zero, tiny, huge and non-finite rows fall outside it.
+_SUMSQ_RANGE = (1e-290, 1e290)
 
-    Rows are pre-scaled by their max-abs entry so norms never overflow even
-    when entries approach the float64 range. Rows are refused as
-    :func:`_row_scales` refuses them, so unchecked rows need no other check.
+
+def _prescaled_unit_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_unit_rows` of rows whose squares would leave the float64 range.
+
+    Rows are pre-scaled by their max-abs entry so norms never overflow or
+    underflow, and refused as :func:`_row_scales` refuses them.
     """
     scales = _row_scales(rows)
     scaled = rows / scales[..., None]
     partial = np.sqrt((scaled * scaled).sum(axis=-1))
     scaled /= partial[..., None]
     return scaled, scales * partial
+
+
+def _unit_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Normalize along the last axis, returning (unit rows, Euclidean norms).
+
+    Each row's sum of squares is taken directly; a row whose sum falls
+    outside ``_SUMSQ_RANGE`` is normalized by :func:`_prescaled_unit_rows`
+    instead (Blue's safe norm, ACM TOMS 4, 1978). The choice is made row by
+    row, so a row's unit vector and norm depend on that row alone. Rows are
+    refused as :func:`_row_scales` refuses them (only the out-of-range rows
+    can be refused), so unchecked rows need no other check.
+    """
+    sumsq = np.einsum("...i,...i->...", rows, rows)
+    lo, hi = _SUMSQ_RANGE
+    inside = (sumsq > lo) & (sumsq < hi)
+    if inside.all():
+        norms = np.sqrt(sumsq)
+        return rows / norms[..., None], norms
+    outside = ~inside
+    norms = np.where(inside, sumsq, 1.0)  # an array even for one row, so its entries can be set
+    np.sqrt(norms, out=norms)
+    unit = rows / norms[..., None]
+    unit[outside], norms[outside] = _prescaled_unit_rows(rows[outside])
+    return unit, norms
 
 
 def _check_rows(rows: np.ndarray) -> None:
@@ -91,16 +121,14 @@ def _check_rows(rows: np.ndarray) -> None:
 def _cosine_matrix(unit: np.ndarray, step: int) -> np.ndarray:
     """Rows ``0, step, 2*step, ...`` of the all-pairs cosines of unit rows ``(..., k, m)``, as ``(..., k // step, k)``.
 
-    Step 2 gives the anchor rows of the N-anchor loss, step 1 the whole
-    matrix. One Gram matmul gives every cosine; symmetry is enforced exactly
-    by averaging ``gram[i, j]`` with ``gram[j, i]`` on the kept rows only, so
-    they equal the same rows of the whole symmetrized matrix bit for bit.
-    Entries are clamped to [-1, 1] and each row's self entry is pinned to
-    exactly 1.
+    Step 2 gives the anchor rows of the N-anchor loss, an N x 2N product;
+    step 1 the whole matrix. Each kept row is one matmul of its unit row
+    against every unit row, clamped to [-1, 1], with its self entry pinned
+    to exactly 1. Nothing makes ``sims[a, k]`` equal ``sims[k, a]``: the
+    loss and both bounds read each anchor row alone, so their inequalities
+    hold row by row on the values the loss uses.
     """
-    gram = unit @ np.swapaxes(unit, -1, -2)
-    sims = gram[..., ::step, :] + np.swapaxes(gram[..., :, ::step], -1, -2)
-    sims *= 0.5
+    sims = unit[..., ::step, :] @ np.swapaxes(unit, -1, -2)
     np.clip(sims, -1.0, 1.0, out=sims)
     rows = np.arange(sims.shape[-2])
     sims[..., rows, step * rows] = 1.0
@@ -196,9 +224,11 @@ def similarity_matrix(batch: EmbeddingBatch, tau: float) -> SimilarityMatrix:
 
     The diagonal is computed (and pinned to exactly 1); the k != i exclusion
     of the loss is applied downstream, because the bound variants need
-    diagonal access. Symmetry is enforced exactly by averaging.
+    diagonal access. The matrix is made exactly symmetric by averaging the
+    whole product with its transpose, which keeps the diagonal at 1.
     """
     _check_tau(tau)
     unit, _ = batch.unit_rows()
     sims = _cosine_matrix(unit, 1)
+    sims = (sims + sims.T) * 0.5
     return SimilarityMatrix(sims=sims, tau=float(tau))

@@ -79,9 +79,8 @@ def _step_bytes(cfg: TrainConfig) -> int:
     Per row: the forward's floats, three rows of the widest layer for the
     backward's incoming, masked and outgoing gradients, and four latent-sized
     rows for the unit rows and the latent gradient. The pass holds N anchor
-    rows each of similarities and logits, and their gradient takes the Gram
-    matrix's place. On top come the parameters, their gradient and the
-    update's product.
+    rows each of similarities and logits, and their gradient's weights. On
+    top come the parameters, their gradient and the update's product.
     """
     widest = max(cfg.input_dim, *cfg.encoder_dims, *cfg.projector_dims)
     row_floats = _forward_floats(cfg) + 3 * widest + 4 * cfg.latent_dim

@@ -184,9 +184,12 @@ class TestStackedCentralDifference:
             for got, want in zip(trace.pre + trace.act[1:], single.pre + single.act[1:]):
                 np.testing.assert_allclose(got[k], want, rtol=0, atol=1e-14)
 
-    @pytest.mark.parametrize("seed", ["2", "35"])
+    @pytest.mark.parametrize("seed", ["2", "97"])
     def test_small_chunks_do_not_change_printout(self, seed, capsys, monkeypatch, gradcheck_chunks):
-        """A budget that splits every trial's probes into many stacks prints the same bytes."""
+        """A budget that splits every trial's probes into many stacks prints the same bytes.
+
+        Both seeds FAIL on rounding noise: seed 2 at the end-to-end level, seed 97 at the loss level.
+        """
         argv = ["gradcheck", "--trials", "20", "--seed", seed]
         rc_default = main(argv)
         default = capsys.readouterr().out
@@ -324,8 +327,8 @@ class TestStackedTrials:
     def test_stacks_across_trials_do_not_change_printout(self, budget, seed, capsys, monkeypatch, gradcheck_chunks):
         """Stacks that end inside one trial's probes and hold the next trial's first ones print the same bytes.
 
-        At 199 (point, entry) pairs a stack of the loss level (64 per trial) and at 484 one of the end-to-end
-        level (24 per trial) straddles trials; at 6 and 16 the 20 trials also fall into several groups.
+        At 209 (point, entry) pairs a stack of the loss level (64 per trial) and at 484 one of the end-to-end
+        level (24 per trial) straddles trials; at 7 and 16 the 20 trials also fall into several groups.
         """
         argv = ["gradcheck", "--trials", "20", "--seed", seed]
         rc_default = main(argv)
@@ -335,7 +338,7 @@ class TestStackedTrials:
         assert main(argv) == rc_default
         assert capsys.readouterr().out == default
         # Loss level, then end to end: neither stack size divides its level's pairs per trial.
-        assert {chunk for _, chunk in gradcheck_chunks} in ({199, 484}, {6, 16})
+        assert {chunk for _, chunk in gradcheck_chunks} in ({209, 484}, {7, 16})
 
 
 class TestRowOnlyNormalization:

@@ -70,6 +70,16 @@ def test_stacked_evaluation_matches_each_batch(rows, tau):
                 np.testing.assert_allclose(getattr(got, name)[t], getattr(want, name), rtol=1e-12, atol=1e-12)
 
 
+@SETTINGS
+@given(rows=batches(), tau=taus)
+def test_similarity_matrix_is_exactly_symmetric(rows, tau):
+    """The public matrix averages the product with its transpose: symmetric bit for bit, diagonal exactly 1."""
+    sims = similarity_matrix(EmbeddingBatch(rows[0]), tau).sims
+    np.testing.assert_array_equal(sims, sims.T)
+    np.testing.assert_array_equal(np.diag(sims), 1.0)
+    assert np.all(np.abs(sims) <= 1.0)
+
+
 def _whole_matrix_grad(batch, tau, mode):
     """The latent gradient through the whole 2N x 2N similarity gradient: zero off the anchor rows, then symmetrized."""
     unit, norms = batch.unit_rows()
@@ -89,16 +99,25 @@ def _whole_matrix_grad(batch, tau, mode):
 @SETTINGS
 @given(rows=batches(max_stack=5), tau=taus, mode=st.sampled_from(AnchorMode))
 def test_anchor_rows_match_the_whole_matrix(rows, tau, mode):
-    """A stacked pass over the anchor rows alone gives each batch's loss, bounds and gradient of the whole matrix."""
+    """A stacked pass over the anchor rows alone gives each batch's loss, bounds and gradient of the whole matrix.
+
+    Its rows are the clipped, self-pinned product of the anchors' unit rows with every unit row, exactly;
+    the whole matrix averages each entry with its transpose, which moves an entry by at most 2 ulp at 1.
+    """
     p = _nt_xent_pass(rows, tau, mode)
     assert p.sims.shape[-2] == rows.shape[-2] // mode.step
     breakdown, grad = _breakdown(p), _latent_grad(p)
     report = _evaluation(p).report if mode is AnchorMode.PAPER_N else None
     cfg = LossConfig(tau=tau, anchor_mode=mode)
+    anchors, _ = anchor_indices(rows.shape[-2], mode)
     for t in range(rows.shape[0]):
         batch = EmbeddingBatch(rows[t])
+        unit, _ = batch.unit_rows()
+        product = np.clip(unit[:: mode.step] @ unit.T, -1.0, 1.0)
+        product[np.arange(len(anchors)), anchors] = 1.0
+        np.testing.assert_array_equal(p.sims[t], product)
         whole = similarity_matrix(batch, tau)
-        np.testing.assert_array_equal(p.sims[t], whole.sims[:: mode.step])
+        np.testing.assert_allclose(p.sims[t], whole.sims[:: mode.step], rtol=0, atol=4.5e-16)
         want = nt_xent_from_sims(whole, cfg)
         for name in want.__dataclass_fields__:
             np.testing.assert_allclose(getattr(breakdown, name)[t], getattr(want, name), rtol=1e-12, atol=1e-12)

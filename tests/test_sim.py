@@ -14,6 +14,8 @@ from ntxbound import (
     l2_normalize,
     similarity_matrix,
 )
+from ntxbound import sim
+from ntxbound.sim import _unit_rows
 
 
 def cosine_oracle(a, b):
@@ -162,3 +164,91 @@ class TestSimilarityMatrix:
             assert np.array_equal(sm.sims, sm.sims.T)  # exact symmetry
             np.testing.assert_allclose(np.diag(sm.sims), 1.0, atol=1e-12)
             assert np.all(sm.sims >= -1.0) and np.all(sm.sims <= 1.0)
+
+
+EPS = np.finfo(np.float64).eps
+OUT_OF_RANGE_SCALES = (1e200, 1e-200, 1e300, 1e-300)
+
+
+class TestRangeRule:
+    """Rows whose sum of squares leaves ``_SUMSQ_RANGE`` are pre-scaled; every other row takes one root and one division."""
+
+    @pytest.mark.parametrize("scale", (*OUT_OF_RANGE_SCALES, 5e-324))
+    @pytest.mark.parametrize(("legs", "hypotenuse"), [((3, 4), 5), ((5, 12), 13), ((8, -15), 17), ((1, 0), 1)])
+    def test_pythagorean_rows_at_extreme_scales(self, scale, legs, hypotenuse):
+        """Entries near the ends of the range, subnormal ones included, give norms within 1 ulp."""
+        unit, norm = _unit_rows(np.array(legs, dtype=np.float64) * scale)
+        assert abs(math.sqrt(math.fsum(unit * unit)) - 1.0) <= EPS
+        np.testing.assert_allclose(unit, np.array(legs) / hypotenuse, rtol=EPS, atol=0)
+        assert norm == pytest.approx(hypotenuse * scale, rel=EPS, abs=0)
+
+    @pytest.mark.parametrize("scale", OUT_OF_RANGE_SCALES)
+    def test_out_of_range_rows_match_their_in_range_direction(self, scale):
+        """Pre-scaled rows are unit to the accuracy of the fast path: a few products' rounding."""
+        rng = np.random.default_rng(41)
+        for m in range(1, 9):
+            rows = rng.standard_normal((200, m))
+            unit, norms = _unit_rows(rows * scale)
+            want_unit, want_norms = _unit_rows(rows)
+            np.testing.assert_allclose(np.sqrt(np.sum(unit * unit, axis=-1)), 1.0, rtol=0, atol=2 * EPS)
+            np.testing.assert_allclose(unit, want_unit, rtol=0, atol=2 * EPS)
+            np.testing.assert_allclose(norms, want_norms * scale, rtol=4 * EPS, atol=0)
+
+    def test_a_row_normalizes_alone_as_in_any_stack(self):
+        """Unit rows and norms are bit-equal alone, in an in-range stack and in a stack with out-of-range rows."""
+        rng = np.random.default_rng(43)
+        for m in (1, 2, 5, 8, 33):
+            rows = rng.standard_normal((3, 6, m)) * 10.0 ** rng.uniform(-50, 50, size=(3, 6, 1))
+            in_range = _unit_rows(rows)
+            mixed = rows.copy()
+            mixed[:, ::3] *= 1e250
+            mixed_unit, mixed_norms = _unit_rows(mixed)
+            for t, i in np.ndindex(3, 6):
+                unit, norm = _unit_rows(rows[t, i])
+                np.testing.assert_array_equal(in_range[0][t, i], unit)
+                assert in_range[1][t, i] == norm
+                if i % 3:
+                    np.testing.assert_array_equal(mixed_unit[t, i], unit)
+                    assert mixed_norms[t, i] == norm
+                else:
+                    np.testing.assert_array_equal(mixed_unit[t, i], _unit_rows(mixed[t, i])[0])
+
+    @pytest.mark.parametrize(
+        ("bad", "error", "message"),
+        [
+            (np.nan, ValueError, "batch entries must be finite"),
+            (np.inf, ValueError, "batch entries must be finite"),
+            (-np.inf, ValueError, "batch entries must be finite"),
+            (0.0, ZeroVectorError, "zero-norm row"),
+        ],
+    )
+    @pytest.mark.parametrize("others", [1.0, 1e300], ids=["in-range", "out-of-range"])
+    def test_refusals_in_either_path(self, bad, error, message, others):
+        """A bad row is refused alone, beside in-range rows, and beside out-of-range rows."""
+        rows = np.full((2, 4, 3), others)
+        rows[1, 2] = bad
+        for stack in (rows[1, 2], rows):
+            with pytest.raises(error, match=message):
+                _unit_rows(stack)
+
+    def test_in_range_stacks_never_take_the_max_abs_pass(self, monkeypatch):
+        """The short-axis max stays off the hot path: in-range rows never reach ``_row_scales``."""
+        calls = []
+        real = sim._row_scales
+
+        def spy(rows):
+            calls.append(rows.copy())
+            return real(rows)
+
+        monkeypatch.setattr(sim, "_row_scales", spy)
+        rng = np.random.default_rng(47)
+        for shape in [(4,), (2, 8), (13, 64, 8), (3, 6, 1), (5, 2, 130)]:
+            rows = rng.standard_normal(shape) * 10.0 ** rng.uniform(-140, 140, size=(*shape[:-1], 1))
+            _unit_rows(rows)
+        assert calls == []
+
+        rows = rng.standard_normal((3, 8, 5))
+        rows[:, 1::2] *= 1e-300
+        _unit_rows(rows)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(calls[0], rows[:, 1::2].reshape(-1, 5))
