@@ -161,9 +161,10 @@ def _evaluation(p: _Pass) -> BatchEvaluation:
     breakdown = _breakdown(p)
     total, tau = breakdown.total, p.tau
     n_rows = p.sims.shape[-1]
-    avg = _pair_sims(p.sims).mean(axis=-1)
+    n_pairs = n_rows // 2
+    avg = _pair_sims(p.sims).sum(axis=-1) / n_pairs  # what .mean computes, bit for bit, without its Python wrapper
     paper = tau * math.log(n_rows) - tau * total + 1.0
-    strict = tau * math.log(n_rows - 1) - tau * total + tau * p.max_excl.mean(axis=-1)
+    strict = tau * math.log(n_rows - 1) - tau * total + tau * (p.max_excl.sum(axis=-1) / n_pairs)
     report = BoundReport(
         avg_pos_sim=avg,
         paper_bound=paper,

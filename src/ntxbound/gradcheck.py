@@ -33,7 +33,15 @@ from .bounds import _check_memory, _pass_bytes, _stream
 from .errors import ConfigError
 from .loss import LossConfig, _breakdown, _latent_grad, _nt_xent_pass, _Pass
 from .sim import _cosine_matrix, _unit_rows
-from .trainer import ForwardResult, SimclrModel, TrainConfig, _forward_floats, _step_bytes, loss_and_param_grads
+from .trainer import (
+    ForwardResult,
+    SimclrModel,
+    TrainConfig,
+    _forward_floats,
+    _step_bytes,
+    forward,
+    loss_and_param_grads,
+)
 
 FD_STEP = 1e-5
 LOSS_LEVEL_TOL = 1e-5
@@ -266,8 +274,7 @@ def _end_to_end_group(cfg: TrainConfig, seed: int, first: int, size: int, chunk:
     def loss_at(probes) -> np.ndarray:
         vecs, point, _ = probes
         probe = SimclrModel(*dims, vecs)
-        hidden = probe.encoder.forward_trace(views[point]).act[-1]
-        return _stack_losses(probe.projector.forward_trace(hidden).act[-1], cfg_loss)
+        return _stack_losses(forward(probe.encoder, probe.projector, views[point]).latents, cfg_loss)
 
     records = _trial_records(first, analytic, central_difference(loss_at, model.params, chunk=chunk), ortho)
     # A trial still dead after every redraw checked nothing: it fails.

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyInputError, InvalidTemperatureError
-from .sim import EmbeddingBatch, SimilarityMatrix, _check_tau, _cosine_matrix, _unit_rows
+from .sim import EmbeddingBatch, SimilarityMatrix, _anchor_index, _check_tau, _cosine_matrix, _unit_rows
 
 
 class AnchorMode(enum.Enum):
@@ -70,10 +70,11 @@ class LossBreakdown:
     distribution: float
 
     def __post_init__(self):
-        vals = (self.total, self.alignment, self.distribution)
-        scale = np.maximum(1.0, np.abs(vals).max(axis=0))  # finite iff every component is
+        # Finite iff every component is: maximum, unlike fmax, carries a nan through.
+        scale = np.maximum(np.maximum(abs(self.total), abs(self.alignment)), abs(self.distribution))
+        scale = np.maximum(1.0, scale)
         if not (scale < math.inf).all():
-            raise ValueError(f"loss components must be finite, got {vals}")
+            raise ValueError(f"loss components must be finite, got {(self.total, self.alignment, self.distribution)}")
         residual = abs(self.total - (self.alignment + self.distribution))
         if not (residual <= 1e-10 * scale).all():
             raise ValueError(
@@ -97,9 +98,9 @@ def logsumexp(xs) -> float:
 
 
 def anchor_indices(n_rows: int, mode: AnchorMode) -> tuple[np.ndarray, np.ndarray]:
-    """Anchor rows and their positive partners for a batch of ``n_rows`` latents."""
-    anchors = np.arange(0, n_rows, mode.step)
-    return anchors, anchors ^ 1  # 2t <-> 2t+1
+    """Anchor rows and their positive partners (2t <-> 2t+1) for a batch of ``n_rows`` latents, as new arrays."""
+    _, anchors, partners = _anchor_index(n_rows, mode.step)
+    return anchors.copy(), partners.copy()
 
 
 class _Pass:
@@ -122,8 +123,7 @@ class _Pass:
         self.unit = unit
         self.norms = norms
         self.step = mode.step
-        anchors, self.partners = anchor_indices(sims.shape[-1], mode)
-        self.rows = np.arange(len(anchors))
+        self.rows, anchors, self.partners = _anchor_index(sims.shape[-1], mode.step)
         x = sims / tau
         x[..., self.rows, anchors] = -np.inf  # the k != a exclusion; exp(-inf) = 0
         self.pos = x[..., self.rows, self.partners]
@@ -165,11 +165,11 @@ def _latent_grad(p: _Pass) -> np.ndarray:
     w /= (p.sims.shape[-1] // 2) * p.tau
 
     # sim[a, k] depends on unit rows a and k symmetrically: row k gets w[a, k] unit[a], anchor a gets w[a, k] unit[k].
-    grad_unit = np.swapaxes(w, -1, -2) @ p.unit[..., :: p.step, :]
+    grad_unit = w.swapaxes(-1, -2) @ p.unit[..., :: p.step, :]
     grad_unit[..., :: p.step, :] += w @ p.unit
-    radial = np.sum(grad_unit * p.unit, axis=-1, keepdims=True)
+    radial = (grad_unit * p.unit).sum(axis=-1, keepdims=True)
     grad = (grad_unit - radial * p.unit) / p.norms[..., None]
-    if not np.all(np.isfinite(grad)):
+    if not np.isfinite(grad).all():
         raise ValueError("gradient has non-finite entries")
     return grad
 

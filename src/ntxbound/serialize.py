@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from operator import attrgetter
 from pathlib import Path
 
 from .errors import ConfigError
@@ -32,7 +33,7 @@ TRACE_COLUMNS = (
 
 def format_float(x: float) -> str:
     """17-significant-digit decimal form; exact float64 round-trip."""
-    if x != x or x in (float("inf"), float("-inf")):
+    if not math.isfinite(x):
         raise ValueError(f"cannot serialize non-finite number {x!r}")
     return format(x, ".17g")
 
@@ -126,12 +127,15 @@ def load_json(path) -> dict:
 
 
 def trace_to_csv(records) -> str:
-    """Render step records as CSV with the fixed column order."""
+    """Render step records as CSV with the fixed column order.
+
+    Each row is the step, then each float field through :func:`format_float`,
+    which refuses a non-finite value with ValueError.
+    """
+    floats = attrgetter(*TRACE_COLUMNS[1:])
     lines = [",".join(TRACE_COLUMNS)]
     for rec in records:
-        row = [str(int(rec.step))]
-        row += [format_float(float(getattr(rec, col))) for col in TRACE_COLUMNS[1:]]
-        lines.append(",".join(row))
+        lines.append(f"{int(rec.step)},{','.join(map(format_float, floats(rec)))}")
     lines.append("")  # the final newline, without a second copy of the text
     return "\n".join(lines)
 

@@ -7,6 +7,7 @@ plain 1-D arrays; a batch of 2N latents with the pairing convention
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,6 +119,21 @@ def _check_rows(rows: np.ndarray) -> None:
     _row_scales(rows)
 
 
+@functools.lru_cache(maxsize=128)
+def _anchor_index(n_rows: int, step: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Anchor rows ``0, step, 2*step, ...`` of ``n_rows`` rows: (positions, anchor rows, their partners).
+
+    Position a holds anchor row ``step * a``, whose positive partner is row
+    ``step * a ^ 1`` (2t <-> 2t+1). The arrays are built once per shape and
+    are read-only.
+    """
+    anchors = np.arange(0, n_rows, step)
+    index = (np.arange(len(anchors)), anchors, anchors ^ 1)
+    for arr in index:
+        arr.setflags(write=False)
+    return index
+
+
 def _cosine_matrix(unit: np.ndarray, step: int) -> np.ndarray:
     """Rows ``0, step, 2*step, ...`` of the all-pairs cosines of unit rows ``(..., k, m)``, as ``(..., k // step, k)``.
 
@@ -128,17 +144,18 @@ def _cosine_matrix(unit: np.ndarray, step: int) -> np.ndarray:
     loss and both bounds read each anchor row alone, so their inequalities
     hold row by row on the values the loss uses.
     """
-    sims = unit[..., ::step, :] @ np.swapaxes(unit, -1, -2)
-    np.clip(sims, -1.0, 1.0, out=sims)
-    rows = np.arange(sims.shape[-2])
-    sims[..., rows, step * rows] = 1.0
+    sims = unit[..., ::step, :] @ unit.swapaxes(-1, -2)
+    sims.clip(-1.0, 1.0, out=sims)
+    rows, anchors, _ = _anchor_index(unit.shape[-2], step)
+    sims[..., rows, anchors] = 1.0
     return sims
 
 
 class EmbeddingBatch:
     """2N latent vectors in pairing order: rows (2t, 2t+1) are positive pair t.
 
-    Rows are copied to float64 and frozen. Construction validates the batch
+    Rows are copied to C-ordered float64 and frozen, so the same rows give the
+    same bits whatever their input layout. Construction validates the batch
     invariants: an even row count >= 2, a shared dimension m >= 1, finite
     entries, and a nonzero norm for every row.
     """
@@ -146,7 +163,7 @@ class EmbeddingBatch:
     __slots__ = ("rows",)
 
     def __init__(self, rows):
-        arr = np.array(rows, dtype=np.float64)
+        arr = np.array(rows, dtype=np.float64, order="C")
         if arr.ndim != 2:
             raise DimensionMismatchError(f"batch must be 2-D, got shape {arr.shape}")
         _check_rows(arr)

@@ -46,7 +46,7 @@ class MlpTrace:
 
     pre: list[np.ndarray]
     act: list[np.ndarray]  # act[0] is the input; act[-1] the output
-    weights: list[np.ndarray]
+    weights: tuple[np.ndarray, ...]
 
 
 def _param_count(layer_dims: tuple[int, ...]) -> int:
@@ -87,24 +87,36 @@ def _step_bytes(cfg: TrainConfig) -> int:
     return _pass_bytes(cfg.n_pairs, row_floats, cfg.n_pairs) + 8 * 3 * cfg.n_params
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class Mlp:
     """Fully connected network, ReLU between layers, identity at the output.
 
     The parameters are one flat vector ``params`` (P,) in the layout of
     :func:`_layer_views`; ``weights`` and ``biases`` are tuples of views into
-    it. Forward maps a (batch, d) array through ``x @ W + b`` per layer, with
-    the ReLU subgradient at 0 taken as 0. A stack ``params`` (K, P) is K
-    networks, run at once into (K, batch, d) activations and backpropagated
-    into a stack (K, P) of gradients. Networks compare by identity.
+    it, built once at construction. The fields are frozen, so the views
+    cannot fall out of step with ``params``, and a copy views its own copy
+    of ``params``. Forward maps a (batch, d) array through ``x @ W + b`` per
+    layer, with the ReLU subgradient at 0 taken as 0. A stack ``params``
+    (K, P) is K networks, run at once into (K, batch, d) activations and
+    backpropagated into a stack (K, P) of gradients. Networks compare by
+    identity.
     """
 
     layer_dims: tuple[int, ...]
     params: np.ndarray
+    weights: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    biases: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.params.shape[-1] != _param_count(self.layer_dims):
             raise DimensionMismatchError(f"{self.params.shape[-1]} parameters do not fit layer dims {self.layer_dims}")
+        layers = _layer_views(self.layer_dims, self.params)
+        object.__setattr__(self, "weights", tuple(w for w, _ in layers))
+        object.__setattr__(self, "biases", tuple(b for _, b in layers))
+
+    def __reduce__(self):
+        # Copies rebuild their views on the copied params: copied views would not share its memory.
+        return type(self), (self.layer_dims, self.params)
 
     @classmethod
     def init(cls, layer_dims, rng: np.random.Generator) -> "Mlp":
@@ -120,23 +132,15 @@ class Mlp:
         if len(dims) < 2 or any(d < 1 for d in dims):
             raise DimensionMismatchError(f"need at least input and output dims >= 1, got {dims}")
         mlp = cls(layer_dims=dims, params=np.empty(_param_count(dims)))
-        for w, b in _layer_views(dims, mlp.params):
+        for w, b in zip(mlp.weights, mlp.biases):
             bound = 1.0 / math.sqrt(w.shape[-2])
             w[...] = rng.uniform(-bound, bound, size=w.shape)
             b[0] = rng.uniform(-0.1 * bound, 0.1 * bound, size=b.shape[-1])
         return mlp
 
     @property
-    def weights(self) -> tuple[np.ndarray, ...]:
-        return tuple(w for w, _ in _layer_views(self.layer_dims, self.params))
-
-    @property
-    def biases(self) -> tuple[np.ndarray, ...]:
-        return tuple(b for _, b in _layer_views(self.layer_dims, self.params))
-
-    @property
     def n_layers(self) -> int:
-        return len(self.layer_dims) - 1
+        return len(self.weights)
 
     def forward_trace(self, x: np.ndarray) -> MlpTrace:
         x = np.asarray(x, dtype=np.float64)
@@ -144,28 +148,32 @@ class Mlp:
             raise DimensionMismatchError(
                 f"input shape {x.shape} does not match first layer dim {self.layer_dims[0]}"
             )
-        pre, act, weights = [], [x], []
+        pre, act, last = [], [x], len(self.weights) - 1
         # Overflow to inf is a handled divergence signal, not a warning-worthy event.
         with np.errstate(over="ignore", invalid="ignore"):
-            for l, (w, b) in enumerate(_layer_views(self.layer_dims, self.params)):
+            for l, (w, b) in enumerate(zip(self.weights, self.biases)):
                 z = act[-1] @ w + b
                 pre.append(z)
-                act.append(np.maximum(z, 0.0) if l < self.n_layers - 1 else z)
-                weights.append(w)
-        return MlpTrace(pre=pre, act=act, weights=weights)
+                act.append(np.maximum(z, 0.0) if l < last else z)
+        return MlpTrace(pre=pre, act=act, weights=self.weights)
 
-    def backward(self, trace: MlpTrace, grad_out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def backward(
+        self, trace: MlpTrace, grad_out: np.ndarray, out: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Backpropagate ``grad_out`` (w.r.t. the output) through the trace.
 
         Returns (parameter gradient in the layout of ``params``, grad w.r.t. the input).
-        A stack of networks takes a stack of traces and gradients, one per network.
+        The parameter gradient is written into ``out`` when given, an array shaped
+        like ``params``, or else into a new one. A stack of networks takes a stack
+        of traces and gradients, one per network.
         """
-        grad = np.empty_like(self.params)
+        grad = np.empty_like(self.params) if out is None else out
         layers = _layer_views(self.layer_dims, grad)
         g = np.asarray(grad_out, dtype=np.float64)
-        for l in reversed(range(self.n_layers)):
+        last = len(layers) - 1
+        for l in range(last, -1, -1):
             gw, gb = layers[l]
-            d_pre = g if l == self.n_layers - 1 else g * (trace.pre[l] > 0)
+            d_pre = g if l == last else g * (trace.pre[l] > 0)
             np.matmul(trace.act[l].swapaxes(-1, -2), d_pre, out=gw)
             d_pre.sum(axis=-2, keepdims=True, out=gb)
             g = d_pre @ trace.weights[l].swapaxes(-1, -2)
@@ -313,14 +321,20 @@ def _augment_batch(points: np.ndarray, cfg: AugmentConfig, rng: np.random.Genera
 class SimclrModel:
     """Encoder and projection head over one flat vector (or a stack (K, P) of K models).
 
-    ``params`` holds the encoder's parameters, then the projector's; the two
-    networks are views of it built on access, so a copy copies one array.
-    Models compare by identity.
+    ``params`` holds the encoder's parameters, then the projector's. The two
+    networks are views of it, built on first access and handed out again for
+    as long as ``params`` is the same array: an update in place keeps them,
+    and rebinding ``params`` builds new ones on the new array. A copy copies
+    one array and builds its own networks. Models compare by identity.
     """
 
     encoder_dims: tuple[int, ...]
     projector_dims: tuple[int, ...]
     params: np.ndarray
+
+    def __reduce__(self):
+        # Copies leave the networks behind: copied views would not share the copied params' memory.
+        return type(self), (self.encoder_dims, self.projector_dims, self.params)
 
     @classmethod
     def init(cls, cfg: TrainConfig, rng: np.random.Generator) -> "SimclrModel":
@@ -328,13 +342,22 @@ class SimclrModel:
         projector = Mlp.init((cfg.encoder_out, *cfg.projector_dims), rng)
         return cls(encoder.layer_dims, projector.layer_dims, np.concatenate([encoder.params, projector.params]))
 
+    def _networks(self) -> tuple[np.ndarray, Mlp, Mlp]:
+        """The params array the networks view, the encoder and the projector; rebuilt once params is rebound."""
+        nets = self.__dict__.get("_nets")
+        if nets is None or nets[0] is not self.params:
+            split = _param_count(self.encoder_dims)
+            encoder = Mlp(self.encoder_dims, self.params[..., :split])
+            nets = self._nets = (self.params, encoder, Mlp(self.projector_dims, self.params[..., split:]))
+        return nets
+
     @property
     def encoder(self) -> Mlp:
-        return Mlp(self.encoder_dims, self.params[..., : _param_count(self.encoder_dims)])
+        return self._networks()[1]
 
     @property
     def projector(self) -> Mlp:
-        return Mlp(self.projector_dims, self.params[..., _param_count(self.encoder_dims) :])
+        return self._networks()[2]
 
 
 @dataclass
@@ -369,7 +392,7 @@ def forward(encoder: Mlp, projector: Mlp, views: np.ndarray) -> ForwardResult:
 
 @dataclass(frozen=True)
 class StepRecord:
-    """Per-step diagnostics, evaluated before the parameter update."""
+    """Per-step diagnostics, evaluated before the parameter update, as Python numbers."""
 
     step: int
     loss_total: float
@@ -409,7 +432,9 @@ class TrainTrace:
 class LossAndGrads:
     """One forward and backward pass: diagnostics, latent gradient, and the gradient in the layout of ``params``.
 
-    ``min_similarity`` is the smallest anchor-row similarity of each batch, which the collapse flag reads.
+    ``param_grad`` is one new array (..., P); the encoder's and the projector's
+    backward write straight into their slices of it. ``min_similarity`` is the
+    smallest anchor-row similarity of each batch, which the collapse flag reads.
     """
 
     forward: ForwardResult
@@ -431,9 +456,10 @@ def loss_and_param_grads(model: SimclrModel, views: np.ndarray, cfg: TrainConfig
     p = _nt_xent_pass(fwd.latents, cfg.tau, AnchorMode.PAPER_N)
     evaluation, min_similarity = _evaluation(p), p.sims.min(axis=(-2, -1))
     grad_z = _latent_grad(p)
-    projector_grad, grad_hidden = projector.backward(fwd.projector_trace, grad_z)
-    encoder_grad, _ = encoder.backward(fwd.encoder_trace, grad_hidden)
-    param_grad = np.concatenate([encoder_grad, projector_grad], axis=-1)
+    param_grad = np.empty_like(model.params, order="C")
+    split = encoder.params.shape[-1]
+    _, grad_hidden = projector.backward(fwd.projector_trace, grad_z, out=param_grad[..., split:])
+    encoder.backward(fwd.encoder_trace, grad_hidden, out=param_grad[..., :split])
     return LossAndGrads(fwd, evaluation, min_similarity, grad_z, param_grad)
 
 
@@ -458,7 +484,7 @@ def train_step(
     except (ZeroVectorError, ValueError) as exc:
         raise NonFiniteLossError(step, f"degenerate latents or loss: {exc}") from exc
     sq = float(np.vdot(out.param_grad, out.param_grad))
-    if not np.isfinite(sq):
+    if not math.isfinite(sq):
         raise NonFiniteLossError(step, "non-finite parameter gradient")
     grad_norm = math.sqrt(sq)
     model.params -= cfg.learning_rate * out.param_grad
@@ -466,14 +492,14 @@ def train_step(
     breakdown, report = out.evaluation.breakdown, out.evaluation.report
     return StepRecord(
         step=step,
-        loss_total=breakdown.total,
-        loss_alignment=breakdown.alignment,
-        loss_distribution=breakdown.distribution,
-        avg_pos_sim=report.avg_pos_sim,
-        paper_bound=report.paper_bound,
-        strict_bound=report.strict_bound,
-        paper_gap=report.paper_gap,
-        strict_gap=report.strict_gap,
+        loss_total=float(breakdown.total),
+        loss_alignment=float(breakdown.alignment),
+        loss_distribution=float(breakdown.distribution),
+        avg_pos_sim=float(report.avg_pos_sim),
+        paper_bound=float(report.paper_bound),
+        strict_bound=float(report.strict_bound),
+        paper_gap=float(report.paper_gap),
+        strict_gap=float(report.strict_gap),
         grad_norm=grad_norm,
         collapsed=bool(out.min_similarity >= 1.0 - COLLAPSE_TOL),
     )

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import tracemalloc
 from pathlib import Path
@@ -565,6 +566,21 @@ class TestSerialization:
         values = list(rng.standard_normal(50) * 10.0 ** rng.uniform(-10, 10, 50))
         doc = json.loads(dumps({"values": values}))
         assert doc["values"] == values
+
+    def test_trace_rows_are_format_float_joins(self):
+        trace = train(dataclasses.replace(QUICK, steps=4))
+        want = [",".join(TRACE_COLUMNS)]
+        for rec in trace.records:
+            want.append(",".join([str(rec.step), *(serialize.format_float(getattr(rec, c)) for c in TRACE_COLUMNS[1:])]))
+        assert trace_to_csv(trace.records) == "\n".join(want) + "\n"
+
+    @pytest.mark.parametrize("column", TRACE_COLUMNS[1:])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_trace_writer_refuses_non_finite_values(self, column, bad):
+        records = train(dataclasses.replace(QUICK, steps=3)).records
+        records[1] = dataclasses.replace(records[1], **{column: bad})
+        with pytest.raises(ValueError, match="non-finite"):
+            trace_to_csv(records)
 
     def test_write_text_replaces_the_file(self, tmp_path):
         target = tmp_path / "doc.txt"

@@ -217,3 +217,25 @@ class TestConfigValidation:
     def test_breakdown_requires_finite(self):
         with pytest.raises(ValueError):
             LossBreakdown(total=math.inf, alignment=math.inf, distribution=0.0)
+
+    @pytest.mark.parametrize("field", ["total", "alignment", "distribution"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_breakdown_refuses_a_non_finite_field(self, field, bad):
+        """Alone, as a scalar or as one entry of a stack, each non-finite field is refused, nan included."""
+        good = {"total": 1.0, "alignment": -0.25, "distribution": 1.25}
+        LossBreakdown(**good)
+        with pytest.raises(ValueError, match="must be finite"):
+            LossBreakdown(**{**good, field: bad})
+        stack = {name: np.full(4, value) for name, value in good.items()}
+        LossBreakdown(**stack)
+        stack[field][2] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            LossBreakdown(**stack)
+
+    def test_breakdown_refuses_one_broken_identity_in_a_stack(self):
+        total, alignment = np.array([1.0, 2.0, 3.0]), np.array([-0.5, 0.5, 1.5])
+        distribution = total - alignment
+        LossBreakdown(total=total, alignment=alignment, distribution=distribution)
+        distribution[1] += 1e-8
+        with pytest.raises(ValueError, match="decomposition identity"):
+            LossBreakdown(total=total, alignment=alignment, distribution=distribution)

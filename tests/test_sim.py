@@ -9,9 +9,13 @@ from ntxbound import (
     DimensionMismatchError,
     EmbeddingBatch,
     InvalidTemperatureError,
+    LossConfig,
     ZeroVectorError,
     cosine_sim,
     l2_normalize,
+    nt_xent,
+    nt_xent_grad,
+    similarity_bound,
     similarity_matrix,
 )
 from ntxbound import sim
@@ -120,6 +124,18 @@ class TestEmbeddingBatch:
         rows[0, 0] = np.nan
         with pytest.raises(ValueError):
             EmbeddingBatch(rows)
+
+    def test_memory_layout_does_not_change_the_bits(self):
+        """The same rows, Fortran- or C-ordered, give bit-equal loss, gradient and bound."""
+        rng = np.random.default_rng(606)
+        cfg = LossConfig(tau=0.5)
+        for _ in range(200):
+            rows = rng.standard_normal((16, 8))
+            c_order, f_order = EmbeddingBatch(rows), EmbeddingBatch(np.asfortranarray(rows))
+            assert f_order.rows.flags.c_contiguous
+            assert nt_xent(f_order, cfg) == nt_xent(c_order, cfg)
+            assert nt_xent_grad(f_order, cfg).tobytes() == nt_xent_grad(c_order, cfg).tobytes()
+            assert similarity_bound(f_order, cfg) == similarity_bound(c_order, cfg)
 
     def test_rows_are_frozen_copies(self):
         src = np.ones((2, 2))

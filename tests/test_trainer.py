@@ -253,6 +253,52 @@ class TestParameterLayout:
         np.testing.assert_array_equal(model.params, snapshot - 1.0)
         assert np.shares_memory(twin.projector.biases[-1], twin.params)
 
+    def test_copy_after_access_views_its_own_params(self):
+        """Networks kept on a model are not copied with it: a twin's networks view the twin's params."""
+        model = SimclrModel.init(tiny_config(), make_rng(3))
+        nets = model.encoder, model.projector
+        twin, net_twin = copy.deepcopy(model), copy.deepcopy(nets[0])
+        for net, params in ((twin.encoder, twin.params), (twin.projector, twin.params), (net_twin, net_twin.params)):
+            assert net not in nets
+            for arr in (*net.weights, *net.biases):
+                assert np.shares_memory(arr, params) and not np.shares_memory(arr, model.params)
+        snapshot = model.params.copy()
+        twin.encoder.weights[0][...] = 5.0
+        twin.projector.biases[-1][...] = 6.0
+        assert np.count_nonzero(twin.params == 5.0) == twin.encoder.weights[0].size
+        assert np.count_nonzero(twin.params == 6.0) == twin.projector.biases[-1].size
+        np.testing.assert_array_equal(model.params, snapshot)
+
+    def test_networks_follow_the_params_array(self):
+        """An update in place keeps the networks; rebinding params builds them on the new array."""
+        model = SimclrModel.init(tiny_config(), make_rng(3))
+        encoder, projector = model.encoder, model.projector
+        model.params -= 1.0
+        assert model.encoder is encoder and model.projector is projector
+        model.params = model.params + 1.0
+        assert np.shares_memory(model.encoder.params, model.params)
+        assert np.shares_memory(model.projector.biases[-1], model.params)
+        assert not np.shares_memory(model.encoder.params, encoder.params)
+        model.encoder.weights[0][...] = 9.0
+        assert not (encoder.weights[0] == 9.0).any()
+
+    @pytest.mark.parametrize("models", [1, 3])
+    def test_param_grad_is_each_networks_own_backward(self, models):
+        """The gradient written in place equals, bit for bit, the concatenation of each network's own backward."""
+        cfg = tiny_config(n_pairs=3, input_dim=3, encoder_dims=(5, 4), projector_dims=(6, 3))
+        params = np.stack([SimclrModel.init(cfg, make_rng(50 + s)).params for s in range(models)])
+        views = make_rng(7).standard_normal((models, 2 * cfg.n_pairs, cfg.input_dim))
+        if models == 1:
+            params, views = params[0], views[0]
+        dims = (cfg.input_dim, *cfg.encoder_dims), (cfg.encoder_out, *cfg.projector_dims)
+        model = SimclrModel(*dims, params)
+        out = loss_and_param_grads(model, views, cfg)
+        projector_grad, grad_hidden = model.projector.backward(out.forward.projector_trace, out.latent_grad)
+        encoder_grad, _ = model.encoder.backward(out.forward.encoder_trace, grad_hidden)
+        oracle = np.concatenate([encoder_grad, projector_grad], axis=-1)
+        assert out.param_grad.shape == params.shape
+        assert out.param_grad.tobytes() == oracle.tobytes()
+
     def test_models_compare_by_identity(self):
         """Array fields make value equality ambiguous, so models and networks compare as objects."""
         model = SimclrModel.init(tiny_config(), make_rng(3))
@@ -478,6 +524,23 @@ class TestTrain:
             for rows, got in zip(latents, np.reshape(out.min_similarity, -1)):
                 whole = similarity_matrix(EmbeddingBatch(rows), cfg.tau).sims
                 assert got == whole[::2].min() >= whole.min()
+
+    def test_networks_are_built_once_per_run(self, monkeypatch):
+        """A run builds its networks before the first step: no step constructs an Mlp."""
+        built = []
+        post_init = Mlp.__post_init__
+
+        def counted(self):
+            built.append(self.layer_dims)
+            post_init(self)
+
+        monkeypatch.setattr(Mlp, "__post_init__", counted)
+        counts = []
+        for steps in (2, 20):
+            built.clear()
+            train(TrainConfig(steps=steps))
+            counts.append(len(built))
+        assert counts[0] == counts[1] > 0
 
     def test_config_validation(self):
         with pytest.raises(InvalidDatasetParamsError):
