@@ -117,7 +117,10 @@ class BoundReport:
 
     def __post_init__(self):
         vals = (self.avg_pos_sim, self.paper_bound, self.strict_bound, self.paper_gap, self.strict_gap)
-        if not np.isfinite(vals).all():
+        # Finite iff every field is: maximum, unlike fmax, carries a nan through.
+        scale = np.maximum(np.maximum(abs(self.avg_pos_sim), abs(self.paper_bound)), abs(self.strict_bound))
+        scale = np.maximum(np.maximum(scale, abs(self.paper_gap)), abs(self.strict_gap))
+        if not (scale < math.inf).all():
             raise ValueError(f"bound report fields must be finite, got {vals}")
 
 
@@ -152,19 +155,23 @@ def avg_positive_similarity(batch: EmbeddingBatch) -> float:
     return float(np.mean(_pair_sims(_cosine_matrix(unit, AnchorMode.PAPER_N.step))))
 
 
-def _evaluation(p: _Pass) -> BatchEvaluation:
-    """Loss and bounds of every batch of a PAPER_N pass.
+def _evaluation(
+    tau: float, lse: np.ndarray, pos: np.ndarray, max_excl: np.ndarray, pair_sims: np.ndarray
+) -> BatchEvaluation:
+    """Loss and bounds of PAPER_N batches from their pass's per-anchor terms, each (..., N).
 
-    The self column always wins the paper variant's max at 1/tau, so that
-    variant takes its closed form ``tau log(2N) - tau L + 1``.
+    ``lse``, ``pos`` and ``max_excl`` are a pass's attributes of those names,
+    ``pair_sims`` its positive-pair similarities. Any stack of them is
+    evaluated at once, each batch bit for bit as on its own. The self column
+    always wins the paper variant's max at 1/tau, so that variant takes its
+    closed form ``tau log(2N) - tau L + 1``.
     """
-    breakdown = _breakdown(p)
-    total, tau = breakdown.total, p.tau
-    n_rows = p.sims.shape[-1]
-    n_pairs = n_rows // 2
-    avg = _pair_sims(p.sims).sum(axis=-1) / n_pairs  # what .mean computes, bit for bit, without its Python wrapper
+    n_pairs = lse.shape[-1]
+    breakdown = _breakdown(lse, pos, n_pairs)
+    total, n_rows = breakdown.total, 2 * n_pairs
+    avg = pair_sims.sum(axis=-1) / n_pairs  # what .mean computes, bit for bit, without its Python wrapper
     paper = tau * math.log(n_rows) - tau * total + 1.0
-    strict = tau * math.log(n_rows - 1) - tau * total + tau * (p.max_excl.sum(axis=-1) / n_pairs)
+    strict = tau * math.log(n_rows - 1) - tau * total + tau * (max_excl.sum(axis=-1) / n_pairs)
     report = BoundReport(
         avg_pos_sim=avg,
         paper_bound=paper,
@@ -173,6 +180,11 @@ def _evaluation(p: _Pass) -> BatchEvaluation:
         strict_gap=strict - avg,
     )
     return BatchEvaluation(breakdown=breakdown, report=report)
+
+
+def _pass_evaluation(p: _Pass) -> BatchEvaluation:
+    """Loss and bounds of every batch of a PAPER_N pass."""
+    return _evaluation(p.tau, p.lse, p.pos, p.max_excl, _pair_sims(p.sims))
 
 
 def similarity_bound(batch: EmbeddingBatch, cfg: LossConfig) -> BoundReport:
@@ -188,7 +200,7 @@ def evaluate_batch(batch: EmbeddingBatch, cfg: LossConfig) -> BatchEvaluation:
     """
     if cfg.anchor_mode is not AnchorMode.PAPER_N:
         raise UnsupportedModeError(f"similarity bound requires PAPER_N anchors, got {cfg.anchor_mode}")
-    return _evaluation(_nt_xent_pass(batch.rows, cfg.tau, cfg.anchor_mode))
+    return _pass_evaluation(_nt_xent_pass(batch.rows, cfg.tau, cfg.anchor_mode))
 
 
 def sample_embeddings(distribution: str, n_pairs: int, dim: int, rng: np.random.Generator) -> EmbeddingBatch:
@@ -290,7 +302,7 @@ def _run_cell(
     min_paper = min_strict = min_margin = math.inf
     for start in range(0, trials, chunk):
         rows = _sample_rows(distribution, min(chunk, trials - start), n_pairs, dim, rng)
-        report = _evaluation(_nt_xent_pass(rows, tau, AnchorMode.PAPER_N)).report
+        report = _pass_evaluation(_nt_xent_pass(rows, tau, AnchorMode.PAPER_N)).report
         viol_paper += int(np.count_nonzero(report.paper_gap < -VIOLATION_SLACK))
         viol_strict += int(np.count_nonzero(report.strict_gap < -VIOLATION_SLACK))
         min_paper = min(min_paper, float(report.paper_gap.min()))

@@ -205,25 +205,27 @@ def cmd_gradcheck(args) -> int:
     return 0 if ok else 1
 
 
-def _train_summary(trace_records, collapse_step, status: str, nonfinite=None) -> dict:
-    recs = trace_records
-    summary = {
+def _train_summary(trace, status: str, nonfinite=None) -> dict:
+    """The summary document of a run, read from its trace's columns."""
+    loss, avg = trace.loss_total.tolist(), trace.avg_pos_sim.tolist()
+    paper, strict = trace.paper_gap.tolist(), trace.strict_gap.tolist()
+    collapse_step = trace.collapse_step
+    return {
         "status": status,
-        "steps_completed": len(recs),
+        "steps_completed": len(loss),
         "collapse": collapse_step is not None,
         "collapse_step": collapse_step,
-        "initial_loss": recs[0].loss_total if recs else None,
-        "final_loss": recs[-1].loss_total if recs else None,
-        "initial_avg_pos_sim": recs[0].avg_pos_sim if recs else None,
-        "final_avg_pos_sim": recs[-1].avg_pos_sim if recs else None,
-        "final_paper_gap": recs[-1].paper_gap if recs else None,
-        "final_strict_gap": recs[-1].strict_gap if recs else None,
-        "min_paper_gap": min(r.paper_gap for r in recs) if recs else None,
-        "min_strict_gap": min(r.strict_gap for r in recs) if recs else None,
+        "initial_loss": loss[0] if loss else None,
+        "final_loss": loss[-1] if loss else None,
+        "initial_avg_pos_sim": avg[0] if avg else None,
+        "final_avg_pos_sim": avg[-1] if avg else None,
+        "final_paper_gap": paper[-1] if paper else None,
+        "final_strict_gap": strict[-1] if strict else None,
+        "min_paper_gap": min(paper) if paper else None,
+        "min_strict_gap": min(strict) if strict else None,
         "nonfinite_step": nonfinite.step if nonfinite else None,
         "nonfinite_reason": nonfinite.reason if nonfinite else None,
     }
-    return summary
 
 
 def cmd_train(args) -> int:
@@ -236,18 +238,17 @@ def cmd_train(args) -> int:
         nonfinite = exc
         trace = exc.trace
 
-    records, collapse_step = trace.records, trace.collapse_step
     status = "ok" if nonfinite is None else "nonfinite_loss"
+    summary = _train_summary(trace, status, nonfinite)
+    write_text(out / "train_trace.csv", trace_to_csv(trace))
+    write_json(out / "train_summary.json", summary)
 
-    write_text(out / "train_trace.csv", trace_to_csv(records))
-    write_json(out / "train_summary.json", _train_summary(records, collapse_step, status, nonfinite))
-
-    violated = any(r.paper_gap < -VIOLATION_SLACK or r.strict_gap < -VIOLATION_SLACK for r in records)
-    if records:
+    violated = bool((trace.paper_gap < -VIOLATION_SLACK).any() or (trace.strict_gap < -VIOLATION_SLACK).any())
+    if len(trace):
         print(
-            f"train: status={status} steps={len(records)} final_loss={format_float(records[-1].loss_total)} "
-            f"min_strict_gap={format_float(min(r.strict_gap for r in records))} "
-            f"collapse={collapse_step is not None}"
+            f"train: status={status} steps={len(trace)} final_loss={format_float(summary['final_loss'])} "
+            f"min_strict_gap={format_float(summary['min_strict_gap'])} "
+            f"collapse={summary['collapse']}"
         )
     else:
         print(f"train: status={status} steps=0")

@@ -81,7 +81,8 @@ def central_difference(f, points: np.ndarray, *, chunk: int) -> np.ndarray:
 
 def _stack_losses(rows: np.ndarray, cfg: LossConfig) -> np.ndarray:
     """Total loss of each batch in a stack (K, 2N, m), refusing what EmbeddingBatch refuses."""
-    return _breakdown(_nt_xent_pass(rows, cfg.tau, cfg.anchor_mode)).total
+    p = _nt_xent_pass(rows, cfg.tau, cfg.anchor_mode)
+    return _breakdown(p.lse, p.pos, p.n_pairs).total
 
 
 def _row_probe_losses(
@@ -97,7 +98,8 @@ def _row_probe_losses(
     probe_unit = unit[point]
     probe_unit[k, row] = _unit_rows(probes[k, row])[0]
     sims = _cosine_matrix(probe_unit, cfg.anchor_mode.step)
-    return _breakdown(_Pass(sims, cfg.tau, cfg.anchor_mode)).total
+    p = _Pass(sims, cfg.tau, cfg.anchor_mode)
+    return _breakdown(p.lse, p.pos, p.n_pairs).total
 
 
 def worst_error(analytic: np.ndarray, numeric: np.ndarray) -> tuple[float, tuple[int, ...]]:

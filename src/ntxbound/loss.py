@@ -113,8 +113,9 @@ class _Pass:
     a}), ``pos`` = x[a, p(a)] and ``max_excl`` = max({x[a, k] : k != a}).
     ``expd`` holds exp(x[a, k] - max_excl[a]), zero at k = a, and ``denom``
     its row sums: the softmax weights are their quotient, which only the
-    gradient forms. ``unit`` and ``norms`` are None when the pass starts from
-    a similarity matrix rather than from rows.
+    gradient forms. ``n_pairs`` is N, the normalizer of the loss in either
+    mode. ``unit`` and ``norms`` are None when the pass starts from a
+    similarity matrix rather than from rows.
     """
 
     def __init__(self, sims: np.ndarray, tau: float, mode: AnchorMode, unit=None, norms=None):
@@ -123,6 +124,7 @@ class _Pass:
         self.unit = unit
         self.norms = norms
         self.step = mode.step
+        self.n_pairs = sims.shape[-1] // 2
         self.rows, anchors, self.partners = _anchor_index(sims.shape[-1], mode.step)
         x = sims / tau
         x[..., self.rows, anchors] = -np.inf  # the k != a exclusion; exp(-inf) = 0
@@ -148,12 +150,12 @@ def _nt_xent_pass(rows: np.ndarray, tau: float, mode: AnchorMode) -> _Pass:
     return _Pass(_cosine_matrix(unit, mode.step), tau, mode, unit, norms)
 
 
-def _breakdown(p: _Pass) -> LossBreakdown:
-    n_pairs = p.sims.shape[-1] // 2
+def _breakdown(lse: np.ndarray, pos: np.ndarray, n_pairs: int) -> LossBreakdown:
+    """Loss breakdown from a pass's per-anchor ``lse`` and ``pos`` (..., A), or from any stack of them."""
     return LossBreakdown(
-        total=(p.lse - p.pos).sum(axis=-1) / n_pairs,
-        alignment=-p.pos.sum(axis=-1) / n_pairs,
-        distribution=p.lse.sum(axis=-1) / n_pairs,
+        total=(lse - pos).sum(axis=-1) / n_pairs,
+        alignment=-pos.sum(axis=-1) / n_pairs,
+        distribution=lse.sum(axis=-1) / n_pairs,
     )
 
 
@@ -162,7 +164,7 @@ def _latent_grad(p: _Pass) -> np.ndarray:
     # w[a, k] = d(total)/d(sim[a, k]) for anchor rows a: the softmax weights less 1 at the partner.
     w = p.expd / p.denom[..., None]
     w[..., p.rows, p.partners] -= 1.0
-    w /= (p.sims.shape[-1] // 2) * p.tau
+    w /= p.n_pairs * p.tau
 
     # sim[a, k] depends on unit rows a and k symmetrically: row k gets w[a, k] unit[a], anchor a gets w[a, k] unit[k].
     grad_unit = w.swapaxes(-1, -2) @ p.unit[..., :: p.step, :]
@@ -180,12 +182,14 @@ def nt_xent_from_sims(simmat: SimilarityMatrix, cfg: LossConfig) -> LossBreakdow
         raise InvalidTemperatureError(
             f"similarity matrix was scaled with tau={simmat.tau}, config has tau={cfg.tau}"
         )
-    return _breakdown(_Pass(simmat.sims[:: cfg.anchor_mode.step], simmat.tau, cfg.anchor_mode))
+    p = _Pass(simmat.sims[:: cfg.anchor_mode.step], simmat.tau, cfg.anchor_mode)
+    return _breakdown(p.lse, p.pos, p.n_pairs)
 
 
 def nt_xent(batch: EmbeddingBatch, cfg: LossConfig) -> LossBreakdown:
     """NT-Xent loss of a batch of raw latents."""
-    return _breakdown(_nt_xent_pass(batch.rows, cfg.tau, cfg.anchor_mode))
+    p = _nt_xent_pass(batch.rows, cfg.tau, cfg.anchor_mode)
+    return _breakdown(p.lse, p.pos, p.n_pairs)
 
 
 def nt_xent_grad(batch: EmbeddingBatch, cfg: LossConfig) -> np.ndarray:

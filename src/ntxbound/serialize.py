@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from operator import attrgetter
 from pathlib import Path
 
 from .errors import ConfigError
@@ -126,16 +125,15 @@ def load_json(path) -> dict:
     return doc
 
 
-def trace_to_csv(records) -> str:
-    """Render step records as CSV with the fixed column order.
+def trace_to_csv(trace) -> str:
+    """Render a train trace's columns as CSV with the fixed column order.
 
-    Each row is the step, then each float field through :func:`format_float`,
+    Each row is the step, then each float column through :func:`format_float`,
     which refuses a non-finite value with ValueError.
     """
-    floats = attrgetter(*TRACE_COLUMNS[1:])
+    steps, *floats = (getattr(trace, column).tolist() for column in TRACE_COLUMNS)
     lines = [",".join(TRACE_COLUMNS)]
-    for rec in records:
-        lines.append(f"{int(rec.step)},{','.join(map(format_float, floats(rec)))}")
+    lines += [f"{step},{','.join(map(format_float, row))}" for step, *row in zip(steps, *floats)]
     lines.append("")  # the final newline, without a second copy of the text
     return "\n".join(lines)
 

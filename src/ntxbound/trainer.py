@@ -3,8 +3,15 @@
 The four classic components, shrunk to laptop size: a stochastic augmentation
 (Gaussian noise then coordinate dropout), an MLP encoder, an MLP projection
 head with ReLU between layers, and the NT-Xent loss. Every training step
-records the loss breakdown and both similarity-bound variants *before* the
-parameter update, so the bound can be watched live while training.
+keeps the per-anchor terms of its NT-Xent pass *before* the parameter update,
+so the loss breakdown and both similarity-bound variants can be watched live
+while training. A step does only the math that feeds its update, and writes
+what the diagnostics need into block arrays of BLOCK_STEPS rows. One stacked
+evaluation per block (and one for the last, short block) gives every step's
+diagnostics, bit for bit as one step evaluated alone, with every check of
+:class:`LossBreakdown` and :class:`BoundReport`. A refusal found in a block
+is evaluated again step by step, so it names its step. The trace is columns
+(steps,); its :class:`StepRecord` rows are built on demand.
 
 Randomness is PCG64 throughout. A run derives three independent streams from
 the config seed via SeedSequence spawn keys: (0,) for the dataset, (1,) for
@@ -16,28 +23,32 @@ for all 2N views, then their dropout mask.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .bounds import BatchEvaluation, _check_memory, _evaluation, _pass_bytes, _stream
+from .bounds import _check_memory, _evaluation, _pair_sims, _pass_bytes, _stream
 from .errors import (
     DimensionMismatchError,
     InvalidDatasetParamsError,
     NonFiniteLossError,
     ZeroVectorError,
 )
-from .loss import AnchorMode, _latent_grad, _nt_xent_pass
+from .loss import AnchorMode, _latent_grad, _nt_xent_pass, _Pass
 from .sim import EmbeddingBatch, _check_seed, _check_tau
 
 #: Every anchor-row similarity at least this close to 1 counts as a collapsed batch. The anchor rows hold
 #: every latent's similarity to each anchor, so within this tolerance every pair is at least 1 - 4 * tol.
 COLLAPSE_TOL = 1e-12
 
-#: Bytes each step adds to a run: its StepRecord, and while the trace is written its CSV line as a line,
-#: in the joined text and encoded. The desk run measures 807 under tracemalloc; numbers of 23 characters
-#: (a sign, 17 digits and an exponent), against 18.4 on average there, would add under 100.
-_RECORD_BYTES = 1024
+#: Steps whose diagnostics are evaluated at once, from the pass values they keep in one block.
+BLOCK_STEPS = 64
+
+#: Bytes each step adds to a run: its row of the trace columns, and while the trace is written its values as
+#: Python numbers and its CSV line as a line, in the joined text and encoded. The desk run grows by 530-546
+#: per step under tracemalloc (steps 40 against 400, seeds 0-2). Numbers of 23 characters (a sign, 17 digits
+#: and an exponent), against 18.4 on average there, would add under 90: a line is held twice at most.
+_RECORD_BYTES = 640
 
 
 @dataclass
@@ -71,6 +82,11 @@ def _layer_views(layer_dims: tuple[int, ...], params: np.ndarray) -> list[tuple[
 def _forward_floats(cfg: TrainConfig) -> int:
     """Floats per row a model forward keeps: its view, and each layer's pre-activation and activation."""
     return cfg.input_dim + 2 * sum(cfg.encoder_dims + cfg.projector_dims)
+
+
+def _block_bytes(cfg: TrainConfig) -> int:
+    """Bytes of a run's block: four (rows, N) arrays of pass values and two (rows,) of scalars per step."""
+    return 8 * min(BLOCK_STEPS, cfg.steps) * (4 * cfg.n_pairs + 2)
 
 
 def _step_bytes(cfg: TrainConfig) -> int:
@@ -158,26 +174,26 @@ class Mlp:
         return MlpTrace(pre=pre, act=act, weights=self.weights)
 
     def backward(
-        self, trace: MlpTrace, grad_out: np.ndarray, out: np.ndarray | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
+        self, trace: MlpTrace, grad_out: np.ndarray, out: Mlp | None = None, input_grad: bool = True
+    ) -> tuple[np.ndarray, np.ndarray | None]:
         """Backpropagate ``grad_out`` (w.r.t. the output) through the trace.
 
         Returns (parameter gradient in the layout of ``params``, grad w.r.t. the input).
-        The parameter gradient is written into ``out`` when given, an array shaped
-        like ``params``, or else into a new one. A stack of networks takes a stack
-        of traces and gradients, one per network.
+        The parameter gradient is written into the layers of ``out``, a network of
+        this one's shape whose ``params`` receive it, or else of a new one. With
+        ``input_grad`` false the input's gradient is not formed, and None is
+        returned for it. A stack of networks takes a stack of traces and
+        gradients, one per network.
         """
-        grad = np.empty_like(self.params) if out is None else out
-        layers = _layer_views(self.layer_dims, grad)
+        grads = Mlp(self.layer_dims, np.empty_like(self.params)) if out is None else out
         g = np.asarray(grad_out, dtype=np.float64)
-        last = len(layers) - 1
+        last = len(self.weights) - 1
         for l in range(last, -1, -1):
-            gw, gb = layers[l]
             d_pre = g if l == last else g * (trace.pre[l] > 0)
-            np.matmul(trace.act[l].swapaxes(-1, -2), d_pre, out=gw)
-            d_pre.sum(axis=-2, keepdims=True, out=gb)
-            g = d_pre @ trace.weights[l].swapaxes(-1, -2)
-        return grad, g
+            np.matmul(trace.act[l].swapaxes(-1, -2), d_pre, out=grads.weights[l])
+            d_pre.sum(axis=-2, keepdims=True, out=grads.biases[l])
+            g = d_pre @ trace.weights[l].swapaxes(-1, -2) if l or input_grad else None
+        return grads.params, g
 
 
 @dataclass(frozen=True)
@@ -243,10 +259,10 @@ class TrainConfig:
                 f"dataset needs at least 2*n_pairs={2 * self.n_pairs} points, got {self.dataset.points}"
             )
         # gen_synthetic holds the (clusters, input_dim) means, three (points, input_dim) arrays and the labels at
-        # once; one step runs beside them, and every step keeps its record.
+        # once; one step and the block run beside them, and every step keeps its row of the trace.
         data = self.dataset
         need = 8 * (data.clusters * self.input_dim + data.points * (3 * self.input_dim + 1))
-        need += _step_bytes(self) + self.steps * _RECORD_BYTES
+        need += _step_bytes(self) + _block_bytes(self) + self.steps * _RECORD_BYTES
         what = (
             f"training {self.steps} steps on {data.points} points in {data.clusters} clusters"
             f" of dimension {self.input_dim} at N={self.n_pairs}"
@@ -324,8 +340,10 @@ class SimclrModel:
     ``params`` holds the encoder's parameters, then the projector's. The two
     networks are views of it, built on first access and handed out again for
     as long as ``params`` is the same array: an update in place keeps them,
-    and rebinding ``params`` builds new ones on the new array. A copy copies
-    one array and builds its own networks. Models compare by identity.
+    and rebinding ``params`` builds new ones on the new array. The gradient
+    array that backpropagation writes, and the networks viewing it, are kept
+    the same way from the first backward on. A copy copies one array and
+    builds its own networks. Models compare by identity.
     """
 
     encoder_dims: tuple[int, ...]
@@ -342,14 +360,29 @@ class SimclrModel:
         projector = Mlp.init((cfg.encoder_out, *cfg.projector_dims), rng)
         return cls(encoder.layer_dims, projector.layer_dims, np.concatenate([encoder.params, projector.params]))
 
+    def _over(self, flat: np.ndarray) -> tuple[Mlp, Mlp]:
+        """An encoder and a projector viewing ``flat``, an array in the layout of ``params``."""
+        split = _param_count(self.encoder_dims)
+        return Mlp(self.encoder_dims, flat[..., :split]), Mlp(self.projector_dims, flat[..., split:])
+
     def _networks(self) -> tuple[np.ndarray, Mlp, Mlp]:
         """The params array the networks view, the encoder and the projector; rebuilt once params is rebound."""
         nets = self.__dict__.get("_nets")
         if nets is None or nets[0] is not self.params:
-            split = _param_count(self.encoder_dims)
-            encoder = Mlp(self.encoder_dims, self.params[..., :split])
-            nets = self._nets = (self.params, encoder, Mlp(self.projector_dims, self.params[..., split:]))
+            nets = self._nets = (self.params, *self._over(self.params))
         return nets
+
+    def _gradient(self) -> tuple[np.ndarray, Mlp, Mlp]:
+        """An array shaped like params for its gradient, and an encoder and a projector viewing it.
+
+        Built on first use, so a model that only runs forward never holds it,
+        and rebuilt once params is rebound.
+        """
+        grads = self.__dict__.get("_grads")
+        if grads is None or grads[0] is not self.params:
+            grad = np.empty_like(self.params, order="C")
+            grads = self._grads = (self.params, grad, *self._over(grad))
+        return grads[1:]
 
     @property
     def encoder(self) -> Mlp:
@@ -392,7 +425,7 @@ def forward(encoder: Mlp, projector: Mlp, views: np.ndarray) -> ForwardResult:
 
 @dataclass(frozen=True)
 class StepRecord:
-    """Per-step diagnostics, evaluated before the parameter update, as Python numbers."""
+    """Per-step diagnostics, evaluated before the parameter update, as Python numbers: one row of a trace."""
 
     step: int
     loss_total: float
@@ -407,60 +440,189 @@ class StepRecord:
     collapsed: bool = False
 
 
-@dataclass
+@dataclass(eq=False)
 class TrainTrace:
-    """All step records of a run, plus where (if anywhere) the latents collapsed."""
+    """A run's diagnostics as columns (steps,), one per :class:`StepRecord` field and in its order.
 
-    records: list[StepRecord]
+    ``records`` builds the records from the columns on demand, and
+    :meth:`from_records` builds the columns from records. Traces compare by
+    identity; compare their records or columns instead.
+    """
+
+    step: np.ndarray
+    loss_total: np.ndarray
+    loss_alignment: np.ndarray
+    loss_distribution: np.ndarray
+    avg_pos_sim: np.ndarray
+    paper_bound: np.ndarray
+    strict_bound: np.ndarray
+    paper_gap: np.ndarray
+    strict_gap: np.ndarray
+    grad_norm: np.ndarray
+    collapsed: np.ndarray
+
+    @classmethod
+    def _empty(cls, steps: int, first: int = 0) -> "TrainTrace":
+        """Columns of steps first, first + 1, ..., whose values are to be filled in."""
+        floats = [np.empty(steps) for _ in fields(cls)[1:-1]]
+        return cls(np.arange(first, first + steps), *floats, np.zeros(steps, dtype=bool))
+
+    @classmethod
+    def from_records(cls, records) -> "TrainTrace":
+        """The trace whose rows are ``records``, a sequence of :class:`StepRecord`."""
+        trace = cls._empty(len(records))
+        for f in fields(cls):
+            getattr(trace, f.name)[:] = [getattr(rec, f.name) for rec in records]
+        return trace
+
+    def _head(self, steps: int) -> "TrainTrace":
+        """The first ``steps`` rows, as views."""
+        return TrainTrace(*(getattr(self, f.name)[:steps] for f in fields(self)))
 
     @property
-    def collapse_step(self):
-        for rec in self.records:
-            if rec.collapsed:
-                return rec.step
-        return None
+    def records(self) -> list[StepRecord]:
+        return [StepRecord(*row) for row in zip(*(getattr(self, f.name).tolist() for f in fields(self)))]
 
     @property
-    def collapsed(self) -> bool:
-        return self.collapse_step is not None
+    def collapse_step(self) -> int | None:
+        """The first collapsed step, or None."""
+        hit = np.flatnonzero(self.collapsed)
+        return int(self.step[hit[0]]) if hit.size else None
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.step)
 
 
 @dataclass
 class LossAndGrads:
-    """One forward and backward pass: diagnostics, latent gradient, and the gradient in the layout of ``params``.
+    """One forward and backward pass: the NT-Xent pass, the latent gradient, and the gradient in the layout of ``params``.
 
-    ``param_grad`` is one new array (..., P); the encoder's and the projector's
-    backward write straight into their slices of it. ``min_similarity`` is the
-    smallest anchor-row similarity of each batch, which the collapse flag reads.
+    ``param_grad`` is the model's gradient array (..., P), which the encoder's
+    and the projector's backward write straight into, and which the model's
+    next backward writes again. ``nt_pass`` holds the per-anchor terms every
+    diagnostic is evaluated from.
     """
 
     forward: ForwardResult
-    evaluation: BatchEvaluation
-    min_similarity: np.ndarray
+    nt_pass: _Pass
     latent_grad: np.ndarray
     param_grad: np.ndarray
 
+    @property
+    def min_similarity(self) -> np.ndarray:
+        """The smallest anchor-row similarity of each batch, which the collapse flag reads."""
+        return _min_similarity(self.nt_pass)
+
+
+def _min_similarity(p: _Pass) -> np.ndarray:
+    return p.sims.min(axis=(-2, -1))
+
+
+def _forward_pass(model: SimclrModel, views: np.ndarray, cfg: TrainConfig) -> tuple[ForwardResult, _Pass]:
+    """Forward the views and take their NT-Xent pass; degenerate latents raise ZeroVectorError or ValueError."""
+    fwd = forward(model.encoder, model.projector, views)
+    return fwd, _nt_xent_pass(fwd.latents, cfg.tau, AnchorMode.PAPER_N)
+
+
+def _backprop(model: SimclrModel, fwd: ForwardResult, p: _Pass) -> LossAndGrads:
+    """Backpropagate the pass's latent gradient into the model's gradient array; a non-finite one raises ValueError.
+
+    The encoder's input is data, so its gradient is not formed.
+    """
+    grad_z = _latent_grad(p)
+    grad, encoder_grad, projector_grad = model._gradient()
+    _, grad_hidden = model.projector.backward(fwd.projector_trace, grad_z, out=projector_grad)
+    model.encoder.backward(fwd.encoder_trace, grad_hidden, out=encoder_grad, input_grad=False)
+    return LossAndGrads(fwd, p, grad_z, grad)
+
 
 def loss_and_param_grads(model: SimclrModel, views: np.ndarray, cfg: TrainConfig) -> LossAndGrads:
-    """Forward 2N views, take loss, bounds and latent gradient from one NT-Xent pass, and backpropagate.
+    """Forward 2N views, take one NT-Xent pass, and backpropagate its latent gradient.
 
     A stack of K models, ``params`` (K, P), on views (K, 2N, d) gives K of
     each from one forward, one pass and one backward. Degenerate latents
     raise ZeroVectorError or ValueError.
     """
-    encoder, projector = model.encoder, model.projector
-    fwd = forward(encoder, projector, views)
-    p = _nt_xent_pass(fwd.latents, cfg.tau, AnchorMode.PAPER_N)
-    evaluation, min_similarity = _evaluation(p), p.sims.min(axis=(-2, -1))
-    grad_z = _latent_grad(p)
-    param_grad = np.empty_like(model.params, order="C")
-    split = encoder.params.shape[-1]
-    _, grad_hidden = projector.backward(fwd.projector_trace, grad_z, out=param_grad[..., split:])
-    encoder.backward(fwd.encoder_trace, grad_hidden, out=param_grad[..., :split])
-    return LossAndGrads(fwd, evaluation, min_similarity, grad_z, param_grad)
+    return _backprop(model, *_forward_pass(model, views, cfg))
+
+
+class _Run:
+    """A run's trace, filled a block of steps at a time.
+
+    Each step writes what its diagnostics need into row ``kept`` of the block:
+    its pass's ``lse``, ``pos`` and ``max_excl`` and its pair similarities
+    (rows, N), its smallest anchor-row similarity and its squared gradient
+    norm (rows,). A full block, and the last one, is evaluated into the trace
+    columns by one stacked :func:`_evaluation`.
+    """
+
+    def __init__(self, cfg: TrainConfig, steps: int, first: int = 0):
+        self.cfg, self.first = cfg, first
+        self.trace = TrainTrace._empty(steps, first)
+        rows = min(BLOCK_STEPS, steps)
+        self.lse, self.pos, self.max_excl, self.pair_sims = (np.empty((rows, cfg.n_pairs)) for _ in range(4))
+        self.min_similarity = np.empty(rows)
+        self.grad_sq = np.zeros(rows)  # a step that fails leaves its row; zeros keep its square root quiet
+        self.start = 0  # the trace row of the block's first step
+        self.kept = 0  # block rows holding a pass
+
+    def step(self, model: SimclrModel, points: np.ndarray, rng: np.random.Generator) -> None:
+        """One full-batch gradient-descent update of ``model`` on 2N views of the points, its diagnostics kept.
+
+        Degenerate latents (non-finite entries or a zero-norm row) and
+        non-finite gradients raise NonFiniteLossError, once the steps kept
+        before, and this step's pass if it was taken, are evaluated: the
+        first step that fails is the one named.
+        """
+        cfg, i = self.cfg, self.kept
+        row = self.start + i
+        views = _augment_batch(points, cfg.augment, rng)
+        try:
+            fwd, p = _forward_pass(model, views, cfg)
+            self.lse[i], self.pos[i], self.max_excl[i] = p.lse, p.pos, p.max_excl
+            self.pair_sims[i], self.min_similarity[i] = _pair_sims(p.sims), _min_similarity(p)
+            self.kept = i + 1
+            grad = _backprop(model, fwd, p).param_grad
+        except (ZeroVectorError, ValueError) as exc:
+            self._fail(row, f"degenerate latents or loss: {exc}", exc)
+        sq = np.vdot(grad, grad)
+        if not math.isfinite(sq):
+            self._fail(row, "non-finite parameter gradient")
+        self.grad_sq[i] = sq
+        model.params -= cfg.learning_rate * grad
+        if self.kept == len(self.lse):
+            self.flush()
+
+    def _fail(self, row: int, reason: str, cause: Exception | None = None):
+        self.flush()
+        raise NonFiniteLossError(self.first + row, reason) from cause
+
+    def flush(self) -> None:
+        """Evaluate the kept steps at once; a refusal is evaluated again step by step, to name its first step."""
+        n = self.kept
+        if not n:
+            return
+        try:
+            self._evaluate(slice(0, n), slice(self.start, self.start + n))
+        except ValueError:
+            for i in range(n):
+                try:
+                    self._evaluate(i, self.start + i)
+                except ValueError as exc:
+                    raise NonFiniteLossError(self.first + self.start + i, f"degenerate latents or loss: {exc}") from exc
+            raise
+        self.start += n
+        self.kept = 0
+
+    def _evaluate(self, rows, at) -> None:
+        """Diagnostics of block ``rows`` into trace rows ``at``: slices, or one index each, so a refusal shows scalars."""
+        ev = _evaluation(self.cfg.tau, self.lse[rows], self.pos[rows], self.max_excl[rows], self.pair_sims[rows])
+        t, b, r = self.trace, ev.breakdown, ev.report
+        t.loss_total[at], t.loss_alignment[at], t.loss_distribution[at] = b.total, b.alignment, b.distribution
+        t.avg_pos_sim[at], t.paper_bound[at], t.strict_bound[at] = r.avg_pos_sim, r.paper_bound, r.strict_bound
+        t.paper_gap[at], t.strict_gap[at] = r.paper_gap, r.strict_gap
+        t.grad_norm[at] = np.sqrt(self.grad_sq[rows])
+        t.collapsed[at] = self.min_similarity[rows] >= 1.0 - COLLAPSE_TOL
 
 
 def train_step(
@@ -470,58 +632,40 @@ def train_step(
     rng: np.random.Generator,
     step: int = 0,
 ) -> StepRecord:
-    """One full-batch gradient-descent update; the model is mutated in place.
+    """One full-batch gradient-descent update, as a run of one step; the model is mutated in place.
 
-    Augments the N points into 2N views, evaluates loss and bounds on the
-    resulting latents, backpropagates the loss gradient through projector and
+    Augments the N points into 2N views, takes one NT-Xent pass on the
+    resulting latents, backpropagates its loss gradient through projector and
     encoder, and applies ``-learning_rate * grad``. The returned record holds
     the pre-update diagnostics. Degenerate latents (non-finite entries or a
-    zero-norm row) and non-finite gradients raise NonFiniteLossError.
+    zero-norm row), a loss or bound that its checks refuse, and non-finite
+    gradients raise NonFiniteLossError.
     """
-    views = _augment_batch(np.asarray(points, dtype=np.float64), cfg.augment, rng)
-    try:
-        out = loss_and_param_grads(model, views, cfg)
-    except (ZeroVectorError, ValueError) as exc:
-        raise NonFiniteLossError(step, f"degenerate latents or loss: {exc}") from exc
-    sq = float(np.vdot(out.param_grad, out.param_grad))
-    if not math.isfinite(sq):
-        raise NonFiniteLossError(step, "non-finite parameter gradient")
-    grad_norm = math.sqrt(sq)
-    model.params -= cfg.learning_rate * out.param_grad
-
-    breakdown, report = out.evaluation.breakdown, out.evaluation.report
-    return StepRecord(
-        step=step,
-        loss_total=float(breakdown.total),
-        loss_alignment=float(breakdown.alignment),
-        loss_distribution=float(breakdown.distribution),
-        avg_pos_sim=float(report.avg_pos_sim),
-        paper_bound=float(report.paper_bound),
-        strict_bound=float(report.strict_bound),
-        paper_gap=float(report.paper_gap),
-        strict_gap=float(report.strict_gap),
-        grad_norm=grad_norm,
-        collapsed=bool(out.min_similarity >= 1.0 - COLLAPSE_TOL),
-    )
+    run = _Run(cfg, 1, step)
+    run.step(model, np.asarray(points, dtype=np.float64), rng)
+    run.flush()
+    return run.trace.records[0]
 
 
 def train(cfg: TrainConfig) -> TrainTrace:
     """Run the configured training loop; deterministic given the config.
 
-    Each step samples N dataset points with replacement, augments them, and
-    applies :func:`train_step`. On divergence the NonFiniteLossError carries
-    the trace accumulated so far in its ``trace`` attribute.
+    Each step samples N dataset points with replacement and takes the update
+    of :func:`train_step`; the diagnostics are evaluated a block of
+    BLOCK_STEPS steps at a time. On divergence the NonFiniteLossError carries
+    the trace of the steps before it in its ``trace`` attribute.
     """
     dataset = gen_synthetic(cfg.input_dim, cfg.dataset, _stream(cfg.seed, 0))
     model = SimclrModel.init(cfg, _stream(cfg.seed, 1))
     loop_rng = _stream(cfg.seed, 2)
 
-    records: list[StepRecord] = []
-    for step in range(cfg.steps):
-        idx = loop_rng.integers(0, cfg.dataset.points, size=cfg.n_pairs)
-        try:
-            records.append(train_step(model, dataset.points[idx], cfg, loop_rng, step))
-        except NonFiniteLossError as exc:
-            exc.trace = TrainTrace(records=records)
-            raise
-    return TrainTrace(records=records)
+    run = _Run(cfg, cfg.steps)
+    try:
+        for _ in range(cfg.steps):
+            idx = loop_rng.integers(0, cfg.dataset.points, size=cfg.n_pairs)
+            run.step(model, dataset.points[idx], loop_rng)
+        run.flush()
+    except NonFiniteLossError as exc:
+        exc.trace = run.trace._head(exc.step)
+        raise
+    return run.trace

@@ -9,6 +9,7 @@ import pytest
 
 from ntxbound import (
     AnchorMode,
+    BoundReport,
     EmbeddingBatch,
     EmptyInputError,
     InvalidGridError,
@@ -180,6 +181,20 @@ class TestSimilarityBound:
         assert ev.report == similarity_bound(batch, cfg)
         # alignment and average positive similarity describe the same quantity
         assert ev.breakdown.alignment == pytest.approx(-ev.report.avg_pos_sim / cfg.tau, abs=1e-12)
+
+    @pytest.mark.parametrize("field", ["avg_pos_sim", "paper_bound", "strict_bound", "paper_gap", "strict_gap"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_report_refuses_a_non_finite_field(self, field, bad):
+        """Alone, as a scalar or as one entry of a stack, each non-finite field is refused, nan included."""
+        good = {"avg_pos_sim": 0.5, "paper_bound": 1.5, "strict_bound": 0.75, "paper_gap": 1.0, "strict_gap": 0.25}
+        BoundReport(**good)
+        with pytest.raises(ValueError, match="must be finite"):
+            BoundReport(**{**good, field: bad})
+        stack = {name: np.full(4, value) for name, value in good.items()}
+        BoundReport(**stack)
+        stack[field][2] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            BoundReport(**stack)
 
 
 class TestSampleEmbeddings:

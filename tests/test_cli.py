@@ -19,7 +19,7 @@ from ntxbound.bounds import default_grid
 from ntxbound.cli import main, parse_train_config, parse_verify_config, report_aggregates, train_config_to_dict
 from ntxbound.errors import ConfigError, InvalidDatasetParamsError, InvalidGridError
 from ntxbound.serialize import TRACE_COLUMNS, dumps, load_json, parse_trace_csv, trace_to_csv, write_text
-from ntxbound.trainer import AugmentConfig, DatasetParams, TrainConfig, train
+from ntxbound.trainer import AugmentConfig, DatasetParams, TrainConfig, TrainTrace, train
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -469,17 +469,19 @@ class TestTrainCommand:
         assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
 
     def test_bound_violation_exits_3(self, tmp_path, monkeypatch):
-        """Exit-3 branch, driven by a stubbed trainer: the honest math cannot violate."""
+        """Exit-3 branch, driven by a stubbed trainer: the honest math cannot violate.
+
+        Records are built on demand from the trace's columns, so the violated record goes in through the constructor.
+        """
         cfg_path = tmp_path / "train.json"
         write_json(cfg_path, quick_train_config(steps=2))
 
         real_train = cli.train
 
         def rigged(cfg):
-            trace = real_train(cfg)
-            rec = trace.records[0]
-            trace.records[0] = type(rec)(**{**rec.__dict__, "strict_gap": -1e-3})
-            return trace
+            records = real_train(cfg).records
+            records[0] = dataclasses.replace(records[0], strict_gap=-1e-3)
+            return TrainTrace.from_records(records)
 
         monkeypatch.setattr(cli, "train", rigged)
         assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 3
@@ -553,7 +555,7 @@ class TestReportCommand:
             )
         )
         in_memory = report_aggregates([rec.__dict__ for rec in trace.records])
-        parsed = report_aggregates(parse_trace_csv(trace_to_csv(trace.records)))
+        parsed = report_aggregates(parse_trace_csv(trace_to_csv(trace)))
         assert parsed == in_memory  # exact equality: 17 significant digits round-trip
 
 
@@ -572,7 +574,7 @@ class TestSerialization:
         want = [",".join(TRACE_COLUMNS)]
         for rec in trace.records:
             want.append(",".join([str(rec.step), *(serialize.format_float(getattr(rec, c)) for c in TRACE_COLUMNS[1:])]))
-        assert trace_to_csv(trace.records) == "\n".join(want) + "\n"
+        assert trace_to_csv(trace) == "\n".join(want) + "\n"
 
     @pytest.mark.parametrize("column", TRACE_COLUMNS[1:])
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
@@ -580,7 +582,7 @@ class TestSerialization:
         records = train(dataclasses.replace(QUICK, steps=3)).records
         records[1] = dataclasses.replace(records[1], **{column: bad})
         with pytest.raises(ValueError, match="non-finite"):
-            trace_to_csv(records)
+            trace_to_csv(TrainTrace.from_records(records))
 
     def test_write_text_replaces_the_file(self, tmp_path):
         target = tmp_path / "doc.txt"

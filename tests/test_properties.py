@@ -7,7 +7,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from ntxbound import EmbeddingBatch, LossConfig, evaluate_batch, nt_xent_grad, similarity_matrix
-from ntxbound.bounds import VIOLATION_SLACK, _evaluation
+from ntxbound.bounds import VIOLATION_SLACK, _pass_evaluation
 from ntxbound.loss import AnchorMode, _breakdown, _latent_grad, _nt_xent_pass, anchor_indices, nt_xent_from_sims
 
 SETTINGS = settings(max_examples=40, deadline=None)
@@ -61,7 +61,7 @@ def test_gradient_rows_orthogonal_to_latents(rows, tau, mode):
 @given(rows=batches(max_stack=5), tau=taus)
 def test_stacked_evaluation_matches_each_batch(rows, tau):
     """A stacked anchor-row pass gives each batch's loss and bounds."""
-    stacked = _evaluation(_nt_xent_pass(rows, tau, AnchorMode.PAPER_N))
+    stacked = _pass_evaluation(_nt_xent_pass(rows, tau, AnchorMode.PAPER_N))
     for t in range(rows.shape[0]):
         single = evaluate_batch(EmbeddingBatch(rows[t]), LossConfig(tau=tau))
         for part in ("breakdown", "report"):
@@ -106,8 +106,8 @@ def test_anchor_rows_match_the_whole_matrix(rows, tau, mode):
     """
     p = _nt_xent_pass(rows, tau, mode)
     assert p.sims.shape[-2] == rows.shape[-2] // mode.step
-    breakdown, grad = _breakdown(p), _latent_grad(p)
-    report = _evaluation(p).report if mode is AnchorMode.PAPER_N else None
+    breakdown, grad = _breakdown(p.lse, p.pos, p.n_pairs), _latent_grad(p)
+    report = _pass_evaluation(p).report if mode is AnchorMode.PAPER_N else None
     cfg = LossConfig(tau=tau, anchor_mode=mode)
     anchors, _ = anchor_indices(rows.shape[-2], mode)
     for t in range(rows.shape[0]):

@@ -1,6 +1,7 @@
 """Synthetic data, augmentation, MLP forward/backward, and the training loop."""
 
 import copy
+import json
 import math
 import tracemalloc
 
@@ -26,8 +27,16 @@ from ntxbound import (
     train,
     train_step,
 )
-from ntxbound import bounds
-from ntxbound.trainer import COLLAPSE_TOL, _augment_batch, loss_and_param_grads
+from ntxbound import bounds, cli, trainer
+from ntxbound.trainer import (
+    BLOCK_STEPS,
+    COLLAPSE_TOL,
+    _RECORD_BYTES,
+    StepRecord,
+    TrainTrace,
+    _augment_batch,
+    loss_and_param_grads,
+)
 
 
 def make_rng(seed):
@@ -299,6 +308,17 @@ class TestParameterLayout:
         assert out.param_grad.shape == params.shape
         assert out.param_grad.tobytes() == oracle.tobytes()
 
+    def test_backward_can_skip_the_input_gradient(self):
+        """Without the input's gradient, backward returns None for it and writes the same parameter gradient."""
+        rng = make_rng(4)
+        mlp = Mlp.init((3, 5, 4), rng)
+        trace = mlp.forward_trace(rng.standard_normal((6, 3)))
+        grad_out = rng.standard_normal((6, 4))
+        want, grad_in = mlp.backward(trace, grad_out)
+        got, none = mlp.backward(trace, grad_out, input_grad=False)
+        assert grad_in.shape == (6, 3) and none is None
+        assert got.tobytes() == want.tobytes()
+
     def test_models_compare_by_identity(self):
         """Array fields make value equality ambiguous, so models and networks compare as objects."""
         model = SimclrModel.init(tiny_config(), make_rng(3))
@@ -566,3 +586,175 @@ class TestTrain:
             TrainConfig(steps=3)
         monkeypatch.setattr(bounds, "MEMORY_BUDGET", 2 * peak)
         TrainConfig(steps=3)
+
+    def test_each_step_adds_at_most_its_record_bytes(self, tmp_path, capsys):
+        """Traced peaks of the train command at 40 and 400 desk steps, trace and summary written, differ by at most
+        _RECORD_BYTES per step."""
+        peaks = []
+        for steps in (40, 400):
+            config = tmp_path / f"train{steps}.json"
+            config.write_text(json.dumps(cli.train_config_to_dict(TrainConfig(steps=steps))), encoding="utf-8")
+            argv = ["train", "--config", str(config), "--out", str(tmp_path / f"run{steps}")]
+            assert cli.main(argv) == 0  # warm-up: first-call allocations are not the run's
+            tracemalloc.start()
+            try:
+                assert cli.main(argv) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        growth = (peaks[1] - peaks[0]) / 360
+        assert 0 < growth <= _RECORD_BYTES
+
+
+def _step_by_step(cfg):
+    """The oracle of the block path: train(cfg) as a loop of the public train_step; returns its records and error."""
+    dataset = gen_synthetic(cfg.input_dim, cfg.dataset, bounds._stream(cfg.seed, 0))
+    model = SimclrModel.init(cfg, bounds._stream(cfg.seed, 1))
+    rng = bounds._stream(cfg.seed, 2)
+    records = []
+    for step in range(cfg.steps):
+        idx = rng.integers(0, cfg.dataset.points, size=cfg.n_pairs)
+        try:
+            records.append(train_step(model, dataset.points[idx], cfg, rng, step))
+        except NonFiniteLossError as exc:
+            return records, exc
+    return records, None
+
+
+def _columns(trace):
+    """Every column of a trace as bytes, so equal columns are equal bit for bit."""
+    return {name: getattr(trace, name).tobytes() for name in TrainTrace.__dataclass_fields__}
+
+
+_REAL_PASS, _REAL_GRAD = trainer._nt_xent_pass, trainer._latent_grad
+
+
+def _force(monkeypatch, failures):
+    """From now on, call k of the pass or of the latent gradient fails as ``failures[k]`` says.
+
+    "pass" raises in the pass, "evaluation" puts a nan into one of the pass's
+    LSE terms, which the loss breakdown refuses, and "gradient" raises in the
+    latent gradient. Each step takes one call of each, so call k is step k.
+    """
+    calls = {"pass": 0, "gradient": 0}
+
+    def nt_pass(*args):
+        kind = failures.get(calls["pass"])
+        calls["pass"] += 1
+        if kind == "pass":
+            raise ValueError("forced failure in the pass")
+        p = _REAL_PASS(*args)
+        if kind == "evaluation":
+            p.lse[3] = np.nan
+        return p
+
+    def latent_grad(p):
+        kind = failures.get(calls["gradient"])
+        calls["gradient"] += 1
+        if kind == "gradient":
+            raise ValueError("forced failure in the gradient")
+        return _REAL_GRAD(p)
+
+    monkeypatch.setattr(trainer, "_nt_xent_pass", nt_pass)
+    monkeypatch.setattr(trainer, "_latent_grad", latent_grad)
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_train_is_a_loop_of_train_step(self, seed):
+        """Blocks of evaluations give every record of a step-by-step run bit for bit, over several blocks."""
+        cfg = TrainConfig(seed=seed)
+        trace = train(cfg)
+        records, error = _step_by_step(cfg)
+        assert error is None and len(trace) == len(records) == cfg.steps > 3 * BLOCK_STEPS
+        assert _columns(trace) == _columns(TrainTrace.from_records(records))
+        assert trace.records == records
+        assert trace.collapse_step == TrainTrace.from_records(records).collapse_step
+
+    @pytest.mark.parametrize("kind", ["pass", "evaluation", "gradient"])
+    @pytest.mark.parametrize("step", [0, BLOCK_STEPS - 1, BLOCK_STEPS, BLOCK_STEPS + 6, 199])
+    def test_a_failing_step_is_named_as_step_by_step(self, monkeypatch, kind, step):
+        """The error names the step, reason and trace a step-by-step run gives, in a full block or the short last one."""
+        cfg = TrainConfig(steps=200)
+        _force(monkeypatch, {step: kind})
+        with pytest.raises(NonFiniteLossError) as err:
+            train(cfg)
+        _force(monkeypatch, {step: kind})
+        records, want = _step_by_step(cfg)
+        got = err.value
+        assert (got.step, got.reason) == (want.step, want.reason) == (step, got.reason)
+        assert ("forced" in got.reason) == (kind != "evaluation")
+        assert len(got.trace) == step
+        assert _columns(got.trace) == _columns(TrainTrace.from_records(records))
+
+    @pytest.mark.parametrize(
+        "failures",
+        [
+            {70: "evaluation", 75: "pass"},
+            {70: "evaluation", 75: "gradient"},
+            {66: "evaluation", 70: "evaluation"},
+            {64: "evaluation", 65: "pass"},
+            {70: "gradient", 71: "evaluation"},
+        ],
+    )
+    def test_the_first_failing_step_wins(self, monkeypatch, failures):
+        """A refusal found only when its block is evaluated still stops the run at its own, earlier, step."""
+        cfg = TrainConfig(steps=200)
+        _force(monkeypatch, failures)
+        with pytest.raises(NonFiniteLossError) as err:
+            train(cfg)
+        _force(monkeypatch, failures)
+        records, want = _step_by_step(cfg)
+        assert (err.value.step, err.value.reason) == (want.step, want.reason) == (min(failures), want.reason)
+        assert _columns(err.value.trace) == _columns(TrainTrace.from_records(records))
+
+    def test_a_step_whose_evaluation_and_gradient_fail_names_its_evaluation(self, monkeypatch):
+        """As before blocks, a step's diagnostics are checked before its gradient is formed."""
+        _force(monkeypatch, {5: "evaluation"})
+        calls = []
+
+        def latent_grad(p):
+            calls.append(None)
+            if len(calls) == 6:
+                raise ValueError("forced failure in the gradient")
+            return _REAL_GRAD(p)
+
+        monkeypatch.setattr(trainer, "_latent_grad", latent_grad)
+        with pytest.raises(NonFiniteLossError) as err:
+            train(TrainConfig(steps=20))
+        assert err.value.step == 5
+        assert err.value.reason.startswith("degenerate latents or loss: loss components must be finite")
+
+    def test_one_evaluation_per_block(self, monkeypatch):
+        """Per-step work cannot creep back: a run evaluates its diagnostics once per block of BLOCK_STEPS steps."""
+        calls = []
+        real = trainer._evaluation
+
+        def counted(*args):
+            calls.append(args[1].shape)
+            return real(*args)
+
+        monkeypatch.setattr(trainer, "_evaluation", counted)
+        counts = []
+        for steps in (2, 64, 65, 200):
+            calls.clear()
+            train(TrainConfig(steps=steps))
+            counts.append(len(calls))
+        assert counts == [1, 1, 2, 4]
+        assert calls == [(64, 16), (64, 16), (64, 16), (8, 16)]
+
+    def test_the_train_command_builds_no_step_record(self, tmp_path, monkeypatch):
+        """The CSV, the summary and the exit code read the trace's columns; records are built only on demand."""
+        built = []
+        init = StepRecord.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(None)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(StepRecord, "__init__", counted)
+        config = tmp_path / "train.json"
+        config.write_text(json.dumps(cli.train_config_to_dict(TrainConfig(steps=70))), encoding="utf-8")
+        assert cli.main(["train", "--config", str(config), "--out", str(tmp_path / "run")]) == 0
+        assert built == []
+        assert len(train(TrainConfig(steps=3)).records) == len(built) == 3  # the spy sees records when they are built
