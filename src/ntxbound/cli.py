@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 import typing
 from pathlib import Path
@@ -261,12 +262,20 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _mean(series: list[float]) -> float:
+    """Mean of a finite series; finite even where the plain sum overflows float64."""
+    total = sum(series)
+    if math.isfinite(total):
+        return total / len(series)
+    return sum(v / len(series) for v in series)
+
+
 def report_aggregates(rows: list[dict]) -> dict:
     """Min/mean/final for both gap series of a parsed trace."""
     agg = {}
     for col in ("paper_gap", "strict_gap"):
         series = [row[col] for row in rows]
-        agg[col] = {"min": min(series), "mean": sum(series) / len(series), "final": series[-1]}
+        agg[col] = {"min": min(series), "mean": _mean(series), "final": series[-1]}
     return agg
 
 
@@ -274,11 +283,12 @@ def cmd_report(args) -> int:
     rows = read_trace_csv(args.trace)
     series = {metric: f"series_{metric}.csv" for metric in TRACE_COLUMNS[1:]}
     out = _outdir(args.out, [*series.values(), "gap_tightness.json"])
+    aggregates = report_aggregates(rows)
     for metric, name in series.items():
         lines = ["metric,step,value"]
         lines += [f"{metric},{row['step']},{format_float(row[metric])}" for row in rows]
         write_text(out / name, "\n".join(lines) + "\n")
-    write_json(out / "gap_tightness.json", report_aggregates(rows))
+    write_json(out / "gap_tightness.json", aggregates)
     print(f"report: {len(rows)} steps, {len(TRACE_COLUMNS) - 1} series files written to {out}")
     return 0
 
@@ -305,11 +315,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of the analytic gradients")
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=_seed_type, default=0)
-    p.add_argument("--n-pairs", type=int, default=4)
-    p.add_argument("--dim", type=int, default=8)
-    p.add_argument("--tau", type=float, default=0.5)
+    p.add_argument("--trials", type=int, default=100, help="trials at each level (default: 100)")
+    p.add_argument("--seed", type=_seed_type, default=0, help="seed of every trial's draws, a u64 (default: 0)")
+    p.add_argument("--n-pairs", type=int, default=4, help="loss-level pairs N; end to end is N=2 (default: 4)")
+    p.add_argument("--dim", type=int, default=8, help="loss-level latent dimension m (default: 8)")
+    p.add_argument("--tau", type=float, default=0.5, help="loss-level temperature; end to end is 0.5 (default: 0.5)")
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("train", help="desk-scale contrastive training run with bound instrumentation")

@@ -2,20 +2,23 @@
 
 Two levels are checked: the loss gradient with respect to raw latents, and
 the end-to-end parameter gradient through projector and encoder on a tiny
-model. Central differences with step 1e-5 on inputs pre-scaled to unit RMS
-balance truncation against rounding at 64-bit precision.
+model, by central differences with step 1e-5 on inputs pre-scaled to unit
+RMS. No float64 step avoids both truncation and rounding on every draw:
+seeds 2, 17, 19, 28, 30, 42, 52 and 53 of 0-59 FAIL ``ntxb gradcheck
+--trials 20`` on correct gradients (ROADMAP item 1).
 
 Each level takes its trials in groups. A group gets its analytic gradients
 from one pass, and the (trial, entry) pairs of all its trials run as one
 sequence of stacks: a stack can end inside one trial's entries and hold the
 next trial's first ones. Each stack is evaluated as its +1e-5 probes, then
-its -1e-5 probes, and every probe comes with its trial and entry. A group holds as
-many trials as fit ``bounds.CHUNK_BYTES``, each counted with one probe of
-its own at its peak, and a stack as many pairs as the group has trials, so
-memory does not grow with the trial count. A latent probe moves one entry,
-so only its row is normalized again; the trial's other unit rows come from
-the analytic pass. Parameter probes are a stack (K, P) of flat parameter
-vectors, K models run through one MLP forward on their trials' views.
+its -1e-5 probes, and every probe comes with its trial and entry. A group
+holds as many trials as fit ``bounds.CHUNK_BYTES``, each counted with one
+probe of its own at its peak, and a stack as many pairs as the group has
+trials, so memory does not grow with the trial count. Both levels evaluate
+their probes with :func:`_stack_losses`, the one NT-Xent pass, which
+normalizes every row of every probe. Parameter probes are a stack (K, P) of
+flat parameter vectors, K models run through one MLP forward on their
+trials' views.
 Parameter j is entry j of ``SimclrModel.params``: the encoder's layers, then
 the projector's, each layer's weights row-major followed by its biases.
 """
@@ -31,8 +34,7 @@ import numpy as np
 from . import bounds
 from .bounds import _check_memory, _pass_bytes, _stream
 from .errors import ConfigError
-from .loss import LossConfig, _breakdown, _latent_grad, _nt_xent_pass, _Pass
-from .sim import _cosine_matrix, _unit_rows
+from .loss import LossConfig, _breakdown, _latent_grad, _nt_xent_pass
 from .trainer import (
     ForwardResult,
     SimclrModel,
@@ -82,23 +84,6 @@ def central_difference(f, points: np.ndarray, *, chunk: int) -> np.ndarray:
 def _stack_losses(rows: np.ndarray, cfg: LossConfig) -> np.ndarray:
     """Total loss of each batch in a stack (K, 2N, m), refusing what EmbeddingBatch refuses."""
     p = _nt_xent_pass(rows, cfg.tau, cfg.anchor_mode)
-    return _breakdown(p.lse, p.pos, p.n_pairs).total
-
-
-def _row_probe_losses(
-    probes: np.ndarray, point: np.ndarray, row: np.ndarray, unit: np.ndarray, cfg: LossConfig
-) -> np.ndarray:
-    """Total loss of each probe (K, 2N, m) that differs from its point's rows in row ``row[k]`` only.
-
-    ``unit`` holds the unit rows of the points. Only the moved rows are
-    normalized, and they are refused as a batch's rows would be; normalization
-    works row by row, so the losses equal :func:`_stack_losses` bit for bit.
-    """
-    k = np.arange(len(probes))
-    probe_unit = unit[point]
-    probe_unit[k, row] = _unit_rows(probes[k, row])[0]
-    sims = _cosine_matrix(probe_unit, cfg.anchor_mode.step)
-    p = _Pass(sims, cfg.tau, cfg.anchor_mode)
     return _breakdown(p.lse, p.pos, p.n_pairs).total
 
 
@@ -153,15 +138,11 @@ def _trial_records(first: int, analytic: np.ndarray, numeric: np.ndarray, ortho:
 
 def _loss_level_group(rows: np.ndarray, cfg: LossConfig, first: int, chunk: int) -> list[GradCheckTrial]:
     """Check a stack of trials' batches (T, 2N, m), the first of which is trial ``first``."""
-    p = _nt_xent_pass(rows, cfg.tau, cfg.anchor_mode)
-    analytic, unit = _latent_grad(p), p.unit
-    del p  # the probes need only the unit rows
+    analytic = _latent_grad(_nt_xent_pass(rows, cfg.tau, cfg.anchor_mode))
     ortho = _orthogonality(analytic, rows)
-    dim = rows.shape[-1]
 
     def losses(probes) -> np.ndarray:
-        stack, point, entry = probes
-        return _row_probe_losses(stack, point, entry // dim, unit, cfg)
+        return _stack_losses(probes[0], cfg)
 
     return _trial_records(first, analytic, central_difference(losses, rows, chunk=chunk), ortho)
 
@@ -183,14 +164,15 @@ def iter_loss_level(
     across groups. A count below 1 raises ConfigError before any draw.
     """
     _check_counts(trials=trials, n_pairs=n_pairs, dim=dim)
-    # A trial peaks while its probes run, or while its record is made; it keeps its rows, unit rows and
-    # analytic gradient throughout. While probing it also keeps two probe values per entry, and a probe
-    # holds its rows and unit rows; normalizing its moved row holds three more rows of m. The analytic
-    # pass holds N anchor rows each of similarities and logits, and their gradient's weights. Whatever
-    # the shape, a probe holds ten scalars (its point and entry, the index arrays built from them and
-    # its loss terms). While recording, the probe values have become one numeric gradient per entry,
-    # and the trial's record with its index tuple, floats and trial number takes under 256 bytes.
-    probing = _pass_bytes(n_pairs, 7 * dim, n_pairs) + 8 * 3 * dim + 8 * 10
+    # A trial peaks while its probes run, or while its record is made; it keeps its rows and analytic
+    # gradient throughout. While probing it also keeps two probe values per entry, and a probe holds its
+    # rows and unit rows. The analytic pass holds N anchor rows each of similarities and logits, and their
+    # gradient's weights. Whatever the shape, a probe holds ten scalars (its point and entry, the index
+    # arrays built from them and its loss terms). While recording, the probe values have become one
+    # numeric gradient per entry; a fourth float per entry covers worst_error's copies, which it makes
+    # for one trial at a time. The trial's record with its index tuple, floats and trial number takes
+    # under 256 bytes.
+    probing = _pass_bytes(n_pairs, 6 * dim, n_pairs) + 8 * 10
     recording = 8 * 2 * n_pairs * 4 * dim + 256
     trial_bytes = max(probing, recording)
     _check_memory(trial_bytes, f"a trial at N={n_pairs}, m={dim}", ConfigError)
@@ -207,17 +189,17 @@ def loss_level_check(trials: int, **kwargs) -> list[GradCheckTrial]:
     return list(iter_loss_level(trials, **kwargs))
 
 
-# Shim: bench/tracer.py wraps this name; it goes with the tracer rework (ROADMAP item 1).
+# Shim: bench/tracer.py wraps this name; it goes with the tracer rework (ROADMAP item 2).
 def flatten_params(model: SimclrModel) -> np.ndarray:
     return model.params
 
 
-# Shim: bench/tracer.py wraps this name; it goes with the tracer rework (ROADMAP item 1).
+# Shim: bench/tracer.py wraps this name; it goes with the tracer rework (ROADMAP item 2).
 def set_params(model: SimclrModel, vec: np.ndarray) -> None:
     model.params = vec
 
 
-# Shim: bench/tracer.py wraps this name; it goes with the tracer rework (ROADMAP item 1).
+# Shim: bench/tracer.py wraps this name; it goes with the tracer rework (ROADMAP item 2).
 def flatten_param_grads(enc_grads: np.ndarray, proj_grads: np.ndarray) -> np.ndarray:
     return np.concatenate([enc_grads, proj_grads])
 

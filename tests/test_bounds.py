@@ -297,9 +297,9 @@ def _end_to_end_group(trials):
 FULL_STACKS = [
     *(pytest.param(_verify_stack, (n, d), id=f"{n}-{d}") for n in (2, 4, 8, 16, 32) for d in DISTRIBUTIONS),
     pytest.param(_loss_level_group, (3276, 1, 1), id="loss-level-1-1"),
-    pytest.param(_loss_level_group, (16, 8, 64), id="loss-level-8-64"),
-    pytest.param(_loss_level_group, (214, 4, 8), id="loss-level-4-8"),
-    pytest.param(_loss_level_group, (44, 16, 4), id="loss-level-16-4"),
+    pytest.param(_loss_level_group, (19, 8, 64), id="loss-level-8-64"),
+    pytest.param(_loss_level_group, (251, 4, 8), id="loss-level-4-8"),
+    pytest.param(_loss_level_group, (46, 16, 4), id="loss-level-16-4"),
     pytest.param(_end_to_end_group, (496,), id="end-to-end"),
 ]
 

@@ -306,6 +306,15 @@ class TestVerifyCommand:
         assert main(["verify", "--config", str(verify_config), "--out", str(tmp_path / "v")]) == 1
 
 
+class TestParser:
+    def test_every_option_has_help(self):
+        """Each option of each subcommand says what it does in --help."""
+        (sub,) = (a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        for name, parser in sub.choices.items():
+            for action in parser._actions:
+                assert action.help, f"ntxb {name} {'/'.join(action.option_strings)} has no help"
+
+
 class TestGradcheckCommand:
     def test_defaults_pass(self, capsys):
         assert main(["gradcheck", "--trials", "3"]) == 0
@@ -374,7 +383,7 @@ class TestGradcheckPrintout:
     def test_memory_is_flat_in_trials(self, monkeypatch, gradcheck_chunks):
         """Lines are printed as each group is checked and only maxima are kept, so 10x the trials keeps the peak.
 
-        Groups of 33 loss-level and 77 end-to-end trials are full at both trial counts. CPython keeps freed
+        Groups of 39 loss-level and 77 end-to-end trials are full at both trial counts. CPython keeps freed
         tuples on per-size free lists, which a run would fill as it goes; they are filled first, so the
         peaks count only what the run holds. Allocator caches still leave a few KiB that differ between
         runs, so the groups are sized to make that small beside what a group holds.
@@ -387,7 +396,7 @@ class TestGradcheckPrintout:
                 free_lists = [tuple(range(k)) for k in range(1, 20) for _ in range(2000)]
                 del free_lists
                 peaks[trials] = _traced_peak(["gradcheck", "--trials", str(trials)])
-        assert {chunk for _, chunk in gradcheck_chunks} == {33, 77}
+        assert {chunk for _, chunk in gradcheck_chunks} == {39, 77}
         assert peaks[800] <= 1.1 * peaks[80]
 
 
@@ -541,6 +550,16 @@ class TestReportCommand:
         agg = json.loads((tmp_path / "rep" / "gap_tightness.json").read_text())
         assert agg["paper_gap"] == {"min": 0.25, "mean": 0.5, "final": 0.75}
         assert agg["strict_gap"] == {"min": 0.1, "mean": 0.3, "final": 0.1}
+
+    def test_gap_sum_past_float_max_keeps_a_finite_mean(self, tmp_path):
+        """Two paper gaps of 1e308 sum to inf in float64; their mean is still 1e308, and the report exits 0."""
+        row = ",".join(["1"] * 6) + ",1e308,0.5,1"
+        trace = tmp_path / "trace.csv"
+        trace.write_text(f"{','.join(TRACE_COLUMNS)}\n0,{row}\n1,{row}\n", encoding="utf-8")
+        assert main(["report", "--trace", str(trace), "--out", str(tmp_path / "rep")]) == 0
+        agg = json.loads((tmp_path / "rep" / "gap_tightness.json").read_text())
+        assert agg["paper_gap"] == {"min": 1e308, "mean": 1e308, "final": 1e308}
+        assert agg["strict_gap"]["mean"] == 0.5
 
     def test_csv_round_trip_preserves_aggregates(self):
         trace = train(
