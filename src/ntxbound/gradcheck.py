@@ -8,7 +8,9 @@ seeds 2, 17, 19, 28, 30, 42, 52 and 53 of 0-59 FAIL ``ntxb gradcheck
 --trials 20`` on correct gradients (ROADMAP item 1).
 
 Each level takes its trials in groups. A group gets its analytic gradients
-from one pass, and the (trial, entry) pairs of all its trials run as one
+from one pass (end to end: one forward, pass and backward of a stack of
+models, after redraws of dead trials that run the forward alone), its records
+from one error pass, and the (trial, entry) pairs of all its trials run as one
 sequence of stacks: a stack can end inside one trial's entries and hold the
 next trial's first ones. Each stack is evaluated as its +1e-5 probes, then
 its -1e-5 probes, and every probe comes with its trial and entry. A group
@@ -34,15 +36,16 @@ import numpy as np
 from . import bounds
 from .bounds import _check_memory, _pass_bytes, _stream
 from .errors import ConfigError
-from .loss import LossConfig, _breakdown, _latent_grad, _nt_xent_pass
+from .loss import AnchorMode, LossConfig, _breakdown, _latent_grad, _nt_xent_pass
 from .trainer import (
     ForwardResult,
     SimclrModel,
     TrainConfig,
+    _backprop,
     _forward_floats,
+    _init_params,
     _step_bytes,
     forward,
-    loss_and_param_grads,
 )
 
 FD_STEP = 1e-5
@@ -87,24 +90,30 @@ def _stack_losses(rows: np.ndarray, cfg: LossConfig) -> np.ndarray:
     return _breakdown(p.lse, p.pos, p.n_pairs).total
 
 
-def worst_error(analytic: np.ndarray, numeric: np.ndarray) -> tuple[float, tuple[int, ...]]:
-    """Largest per-entry discrepancy and its index, as Python ints.
+def _worst_errors(analytic: np.ndarray, numeric: np.ndarray) -> tuple[np.ndarray, list[tuple[int, ...]]]:
+    """Each trial's largest per-entry discrepancy (T,) and its index, as Python ints, over gradients (T, ...).
 
     Entries are compared relatively against max(|analytic|, |numeric|);
     entries where both magnitudes fall below ABS_FLOOR pass when the absolute
     difference stays below ABS_FLOOR (reported as error 0) and fail hard
     otherwise.
     """
-    a = analytic.astype(np.float64)
-    n = numeric.astype(np.float64)
-    denom = np.maximum(np.abs(a), np.abs(n))
-    diff = np.abs(a - n)
+    a, n = analytic.reshape(len(analytic), -1), numeric.reshape(len(numeric), -1)
+    err = np.abs(a - n)
+    denom = np.abs(a)
+    np.maximum(denom, np.abs(n), out=denom)
     big = denom >= ABS_FLOOR
-    err = np.zeros_like(denom)
-    err[big] = diff[big] / denom[big]
-    err[~big] = np.where(diff[~big] <= ABS_FLOOR, 0.0, np.inf)
-    j = int(np.argmax(err))
-    return float(err.flat[j]), tuple(int(i) for i in np.unravel_index(j, a.shape))
+    np.divide(err, denom, out=err, where=big)
+    err[~big] = np.where(err[~big] <= ABS_FLOOR, 0.0, np.inf)
+    j, shape = np.argmax(err, axis=1), analytic.shape[1:]
+    index = list(zip(*(i.tolist() for i in np.unravel_index(j, shape)))) if shape else [()] * len(j)
+    return err[np.arange(len(j)), j], index
+
+
+def worst_error(analytic: np.ndarray, numeric: np.ndarray) -> tuple[float, tuple[int, ...]]:
+    """Largest per-entry discrepancy of one gradient and its index: the one-trial case of :func:`_worst_errors`."""
+    err, index = _worst_errors(np.asarray(analytic, np.float64)[None], np.asarray(numeric, np.float64)[None])
+    return float(err[0]), index[0]
 
 
 @dataclass(frozen=True, slots=True)
@@ -129,11 +138,8 @@ def _orthogonality(grad: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 def _trial_records(first: int, analytic: np.ndarray, numeric: np.ndarray, ortho: np.ndarray) -> list[GradCheckTrial]:
     """One record per trial of a group, the first of which is trial ``first``."""
-    records = []
-    for i, (a, n) in enumerate(zip(analytic, numeric)):
-        err, idx = worst_error(a, n)
-        records.append(GradCheckTrial(first + i, err, idx, float(ortho[i])))
-    return records
+    err, index = _worst_errors(analytic, numeric)
+    return [GradCheckTrial(first + i, *rec) for i, rec in enumerate(zip(err.tolist(), index, ortho.tolist()))]
 
 
 def _loss_level_group(rows: np.ndarray, cfg: LossConfig, first: int, chunk: int) -> list[GradCheckTrial]:
@@ -169,11 +175,11 @@ def iter_loss_level(
     # rows and unit rows. The analytic pass holds N anchor rows each of similarities and logits, and their
     # gradient's weights. Whatever the shape, a probe holds ten scalars (its point and entry, the index
     # arrays built from them and its loss terms). While recording, the probe values have become one
-    # numeric gradient per entry; a fourth float per entry covers worst_error's copies, which it makes
-    # for one trial at a time. The trial's record with its index tuple, floats and trial number takes
-    # under 256 bytes.
+    # numeric gradient per entry, and the group's error pass holds three floats per entry more (its errors,
+    # denominators and one absolute value): 6.0-6.5 floats per entry under tracemalloc, records included.
+    # The trial's record with its index tuple, floats and trial number takes under 256 bytes.
     probing = _pass_bytes(n_pairs, 6 * dim, n_pairs) + 8 * 10
-    recording = 8 * 2 * n_pairs * 4 * dim + 256
+    recording = 8 * 2 * n_pairs * 6 * dim + 256
     trial_bytes = max(probing, recording)
     _check_memory(trial_bytes, f"a trial at N={n_pairs}, m={dim}", ConfigError)
     group = max(1, bounds.CHUNK_BYTES // trial_bytes)
@@ -218,12 +224,6 @@ def _tiny_config(seed: int) -> TrainConfig:
     )
 
 
-def _draw_trial(cfg: TrainConfig, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """One end-to-end trial's model parameters, then its unit-RMS views, from one stream."""
-    params = SimclrModel.init(cfg, rng).params
-    return params, _unit_rms(rng.standard_normal((2 * cfg.n_pairs, cfg.input_dim)))
-
-
 def _dead_relu(fwd: ForwardResult) -> np.ndarray:
     """Per model: some hidden layer is zero on every row, so all gradients vanish and the trial checks nothing."""
     dead = np.zeros(fwd.latents.shape[:-2], dtype=bool)
@@ -234,24 +234,26 @@ def _dead_relu(fwd: ForwardResult) -> np.ndarray:
 
 
 def _end_to_end_group(cfg: TrainConfig, seed: int, first: int, size: int, chunk: int) -> list[GradCheckTrial]:
-    """Check trials first..first+size-1 as one stack of models."""
+    """Check trials first..first+size-1 as one stack of models.
+
+    Each trial draws its model's ``random(P)``, then its views' normals, into its rows of the stack.
+    """
     dims = (cfg.input_dim, *cfg.encoder_dims), (cfg.encoder_out, *cfg.projector_dims)
-    model = SimclrModel(*dims, np.empty((size, cfg.n_params)))
-    views = np.empty((size, 2 * cfg.n_pairs, cfg.input_dim))
-    for i in range(size):
-        model.params[i], views[i] = _draw_trial(cfg, _stream(seed, 1, first + i))
-    out = loss_and_param_grads(model, views, cfg)
-    dead = _dead_relu(out.forward)
-    for k in range(1, DEAD_RELU_REDRAWS + 1):
+    uniforms, normals = np.empty((size, cfg.n_params)), np.empty((size, 2 * cfg.n_pairs, cfg.input_dim))
+    dead = np.ones(size, dtype=bool)
+    for k in range(DEAD_RELU_REDRAWS + 1):
+        for i in np.flatnonzero(dead).tolist():
+            rng = _stream(seed, 1, first + i, k) if k else _stream(seed, 1, first + i)
+            rng.random(out=uniforms[i])
+            rng.standard_normal(out=normals[i])
+        model, views = SimclrModel(*dims, _init_params(uniforms, *dims)), _unit_rms(normals)
+        fwd = forward(model.encoder, model.projector, views)
+        dead = _dead_relu(fwd)
         if not dead.any():
             break
-        for i in np.flatnonzero(dead):
-            model.params[i], views[i] = _draw_trial(cfg, _stream(seed, 1, first + int(i), k))
-        del out  # one analytic pass at a time
-        out = loss_and_param_grads(model, views, cfg)
-        dead = _dead_relu(out.forward)
-    analytic, ortho = out.param_grad, _orthogonality(out.latent_grad, out.forward.latents)
-    del out  # the probes need only the parameters and views
+    out = _backprop(model, fwd, _nt_xent_pass(fwd.latents, cfg.tau, AnchorMode.PAPER_N))
+    analytic, ortho = out.param_grad, _orthogonality(out.latent_grad, fwd.latents)
+    del out, fwd, uniforms, normals  # the probes need only the parameters and views
 
     cfg_loss = LossConfig(tau=cfg.tau)
 
@@ -281,6 +283,7 @@ def iter_end_to_end(trials: int, seed: int = 0) -> Iterator[GradCheckTrial]:
     cfg = _tiny_config(seed)
     # A trial peaks in its analytic step, or while its probes run: its parameters, analytic gradient, two
     # values per parameter and their difference, and one probe's parameters, forward and normalization.
+    # The error pass's three floats per parameter, beside the parameters and both gradients, fit in that.
     probing = 8 * 6 * cfg.n_params + _pass_bytes(cfg.n_pairs, _forward_floats(cfg) + 2 * cfg.latent_dim, cfg.n_pairs)
     group = max(1, bounds.CHUNK_BYTES // max(_step_bytes(cfg), probing))
     for first in range(0, trials, group):

@@ -22,6 +22,7 @@ for all 2N views, then their dropout mask.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, fields
 
@@ -77,6 +78,26 @@ def _layer_views(layer_dims: tuple[int, ...], params: np.ndarray) -> list[tuple[
         offset = mid + fan_out
         views.append((w, params[..., None, mid:offset]))
     return views
+
+
+@functools.lru_cache(maxsize=16)
+def _init_scale(*layouts: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Each parameter's init uniform as ``low`` and ``high - low`` (P,), over layouts laid end to end."""
+    low = []
+    for dims in layouts:
+        for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+            bound = 1.0 / math.sqrt(fan_in)
+            low += [np.full(fan_in * fan_out, -bound), np.full(fan_out, -0.1 * bound)]
+    low = np.concatenate(low)
+    span = -2.0 * low  # high is -low: high - low exactly as rng.uniform computes it
+    low.flags.writeable = span.flags.writeable = False  # cached, so shared by every caller
+    return low, span
+
+
+def _init_params(uniforms: np.ndarray, *layouts: tuple[int, ...]) -> np.ndarray:
+    """Parameters (..., P) from draws U[0, 1) (..., P): ``low + (high - low) * u``, as ``rng.uniform`` makes them."""
+    low, span = _init_scale(*layouts)
+    return uniforms * span + low
 
 
 def _forward_floats(cfg: TrainConfig) -> int:
@@ -141,18 +162,14 @@ class Mlp:
         Biases use a tenth of that range: nonzero, so a fully dead ReLU layer
         still emits a latent with a direction, but small, because the bias is
         shared across rows and would otherwise dominate the initial cosine
-        geometry with a common component. Draws run layer by layer, weights
-        then biases: the order of the flat layout.
+        geometry with a common component. One ``rng.random(P)`` draws every
+        parameter in the order of the flat layout, scaled per layer: the same
+        numbers as one ``rng.uniform`` per layer's weights, then biases.
         """
         dims = tuple(int(d) for d in layer_dims)
         if len(dims) < 2 or any(d < 1 for d in dims):
             raise DimensionMismatchError(f"need at least input and output dims >= 1, got {dims}")
-        mlp = cls(layer_dims=dims, params=np.empty(_param_count(dims)))
-        for w, b in zip(mlp.weights, mlp.biases):
-            bound = 1.0 / math.sqrt(w.shape[-2])
-            w[...] = rng.uniform(-bound, bound, size=w.shape)
-            b[0] = rng.uniform(-0.1 * bound, 0.1 * bound, size=b.shape[-1])
-        return mlp
+        return cls(layer_dims=dims, params=_init_params(rng.random(_param_count(dims)), dims))
 
     @property
     def n_layers(self) -> int:
@@ -356,9 +373,9 @@ class SimclrModel:
 
     @classmethod
     def init(cls, cfg: TrainConfig, rng: np.random.Generator) -> "SimclrModel":
-        encoder = Mlp.init((cfg.input_dim, *cfg.encoder_dims), rng)
-        projector = Mlp.init((cfg.encoder_out, *cfg.projector_dims), rng)
-        return cls(encoder.layer_dims, projector.layer_dims, np.concatenate([encoder.params, projector.params]))
+        """Both networks as :meth:`Mlp.init` draws them, the encoder first, from one ``rng.random(P)``."""
+        dims = (cfg.input_dim, *cfg.encoder_dims), (cfg.encoder_out, *cfg.projector_dims)
+        return cls(*dims, _init_params(rng.random(cfg.n_params), *dims))
 
     def _over(self, flat: np.ndarray) -> tuple[Mlp, Mlp]:
         """An encoder and a projector viewing ``flat``, an array in the layout of ``params``."""

@@ -296,7 +296,7 @@ def _end_to_end_group(trials):
 
 FULL_STACKS = [
     *(pytest.param(_verify_stack, (n, d), id=f"{n}-{d}") for n in (2, 4, 8, 16, 32) for d in DISTRIBUTIONS),
-    pytest.param(_loss_level_group, (3276, 1, 1), id="loss-level-1-1"),
+    pytest.param(_loss_level_group, (2978, 1, 1), id="loss-level-1-1"),
     pytest.param(_loss_level_group, (19, 8, 64), id="loss-level-8-64"),
     pytest.param(_loss_level_group, (251, 4, 8), id="loss-level-4-8"),
     pytest.param(_loss_level_group, (46, 16, 4), id="loss-level-16-4"),

@@ -335,21 +335,21 @@ class TestGradcheckCommand:
 
     def test_corrupt_gradient_exits_1(self, capsys, monkeypatch):
         """A wrong analytic gradient at either level fails the check: 1e-2 on one entry of every trial's gradient."""
-        real_latent, real_param = gc._latent_grad, gc.loss_and_param_grads
+        real_latent, real_param = gc._latent_grad, gc._backprop
 
         def corrupt_latent(p):
             grad = real_latent(p)
             grad[..., 0, 0] += 1e-2
             return grad
 
-        def corrupt_param(model, views, cfg):
-            out = real_param(model, views, cfg)
+        def corrupt_param(model, fwd, p):
+            out = real_param(model, fwd, p)
             out.param_grad[..., 0] += 1e-2
             return out
 
         for level, name, corrupt, tol in (
             ("loss-level", "_latent_grad", corrupt_latent, gc.LOSS_LEVEL_TOL),
-            ("end-to-end", "loss_and_param_grads", corrupt_param, gc.END_TO_END_TOL),
+            ("end-to-end", "_backprop", corrupt_param, gc.END_TO_END_TOL),
         ):
             with monkeypatch.context() as patch:
                 patch.setattr(gc, name, corrupt)

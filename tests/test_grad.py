@@ -1,5 +1,6 @@
 """Analytic latent gradients against an independent central-difference oracle."""
 
+import collections
 import math
 
 import numpy as np
@@ -266,22 +267,32 @@ def reference_loss_level(trials, seed, n_pairs=4, dim=8, tau=0.5):
     return records
 
 
+def reference_draw(cfg, seed, trial):
+    """One end-to-end trial drawn alone: its model, views and analytic pass, and the redraw k they came from.
+
+    k is None when the trial is still dead after every redraw.
+    """
+    for k in range(DEAD_RELU_REDRAWS + 1):
+        rng = bounds._stream(seed, 1, trial) if k == 0 else bounds._stream(seed, 1, trial, k)
+        model = SimclrModel.init(cfg, rng)
+        views = unit_rms(rng.standard_normal((2 * cfg.n_pairs, cfg.input_dim)))
+        out = loss_and_param_grads(model, views, cfg)
+        traces = (out.forward.encoder_trace, out.forward.projector_trace)
+        if all(np.any(pre > 0) for trace in traces for pre in trace.pre[:-1]):
+            return model, views, out, k
+    return model, views, out, None
+
+
 def reference_end_to_end(trials, seed):
     """One model at a time, with its probes on its own views; returns the records and the redrawn trials."""
     cfg = _tiny_config(seed)
     cfg_loss = LossConfig(tau=cfg.tau)
     records, redrawn = [], []
     for trial in range(trials):
-        for k in range(DEAD_RELU_REDRAWS + 1):
-            rng = bounds._stream(seed, 1, trial) if k == 0 else bounds._stream(seed, 1, trial, k)
-            model = SimclrModel.init(cfg, rng)
-            views = unit_rms(rng.standard_normal((2 * cfg.n_pairs, cfg.input_dim)))
-            out = loss_and_param_grads(model, views, cfg)
-            traces = (out.forward.encoder_trace, out.forward.projector_trace)
-            if all(np.any(pre > 0) for trace in traces for pre in trace.pre[:-1]):
-                break
+        model, views, out, k = reference_draw(cfg, seed, trial)
+        if k != 0:
             redrawn.append(trial)
-        else:
+        if k is None:
             records.append((trial, math.inf, (0,), 0.0))
             continue
         ortho = float(np.max(np.abs(np.sum(out.latent_grad * out.forward.batch.rows, axis=1))))
@@ -337,6 +348,131 @@ class TestStackedTrials:
         assert capsys.readouterr().out == default
         # Loss level, then end to end: neither stack size divides its level's pairs per trial.
         assert {chunk for _, chunk in gradcheck_chunks} in ({245, 484}, {7, 14})
+
+
+class TestGroupDraws:
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_stacked_draws_equal_per_trial_draws(self, seed, monkeypatch):
+        """The group's parameters and views, redraws included, are each trial's own draws bit for bit."""
+        stacks = []
+        real = gradcheck._backprop
+
+        def spy(model, fwd, p):
+            stacks.append((model.params.copy(), fwd.encoder_trace.act[0].copy()))
+            return real(model, fwd, p)
+
+        monkeypatch.setattr(gradcheck, "_backprop", spy)
+        end_to_end_check(20, seed=seed)
+        ((params, views),) = stacks
+        cfg = _tiny_config(seed)
+        ks = []
+        for trial in range(20):
+            model, want_views, _, k = reference_draw(cfg, seed, trial)
+            np.testing.assert_array_equal(params[trial], model.params)
+            np.testing.assert_array_equal(views[trial], want_views)
+            ks.append(k)
+        assert max(ks) >= 1  # some trial's draws come from a redraw key (1, t, k)
+
+
+def oracle_worst_error(a, n):
+    """One trial's worst entry, computed entry set by entry set."""
+    denom = np.maximum(np.abs(a), np.abs(n))
+    diff = np.abs(a - n)
+    big = denom >= gradcheck.ABS_FLOOR
+    err = np.zeros_like(denom)
+    err[big] = diff[big] / denom[big]
+    err[~big] = np.where(diff[~big] <= gradcheck.ABS_FLOOR, 0.0, np.inf)
+    j = int(np.argmax(err))
+    return float(err.flat[j]), tuple(int(i) for i in np.unravel_index(j, a.shape))
+
+
+def awkward_gradients(shape):
+    """Seven trials' gradients of one shape, each with entries that test one rule of the error pass."""
+    rng = np.random.default_rng(41)
+    a = rng.standard_normal((7, *shape))
+    n = a * (1.0 + 1e-7 * rng.standard_normal(a.shape))
+    flat_a, flat_n = a.reshape(7, -1), n.reshape(7, -1)
+    flat_n[0] = flat_a[0]  # every error 0: a tie over all entries
+    flat_a[1, [2, 5]], flat_n[1, [2, 5]] = 1.0, 1.5  # two entries tie for the worst
+    flat_a[2, 3], flat_n[2, 3] = 4e-9, -5e-9  # both under the floor, difference 9e-9: error 0
+    flat_a[3, 1], flat_n[3, 1] = 6e-9, -5e-9  # both under the floor, difference 1.1e-8: error inf
+    flat_n[4, 4] = np.nan
+    flat_a[5, 2] = np.inf  # inf / inf: nan
+    flat_a[6, [1, 3]], flat_n[6, [1, 3]] = np.inf, [np.inf, -np.inf]  # inf - inf: nan, then inf
+    return a, n
+
+
+class TestGroupErrorPass:
+    @pytest.mark.parametrize("shape", [(6, 4), (24,)])
+    def test_matches_per_trial_oracle(self, shape):
+        a, n = awkward_gradients(shape)
+        with np.errstate(invalid="ignore"):
+            want = [oracle_worst_error(x, y) for x, y in zip(a, n)]
+            err, index = gradcheck._worst_errors(a, n)
+            singles = [worst_error(x, y) for x, y in zip(a, n)]
+        np.testing.assert_array_equal(err, [w[0] for w in want])
+        np.testing.assert_array_equal([s[0] for s in singles], [w[0] for w in want])
+        assert index == [s[1] for s in singles] == [w[1] for w in want]
+        at = [tuple(np.unravel_index(j, shape)) for j in range(5)]
+        assert (err[0], index[0]) == (0.0, at[0]) and (err[1], index[1]) == (0.5 / 1.5, at[2])  # first of a tie
+        assert err[2] < 1e-6 and (err[3], index[3]) == (np.inf, at[1])  # under the floor
+        assert (err[4], index[4]) == (np.inf, at[4])  # a nan numeric fails hard
+        assert math.isnan(err[5]) and index[5] == at[2] and math.isnan(err[6]) and index[6] == at[1]
+        with np.errstate(invalid="ignore"):
+            records = gradcheck._trial_records(3, a, n, np.zeros(7))
+        assert [r.trial for r in records] == list(range(3, 10)) and [r.worst_index for r in records] == index
+        assert all(type(i) is int for r in records for i in r.worst_index)
+        assert all(type(r.worst_rel_err) is float and type(r.orthogonality) is float for r in records)
+
+
+class CountingGenerator:
+    """A generator that counts its method calls by name into ``calls``."""
+
+    def __init__(self, rng, calls):
+        self._rng, self._calls = rng, calls
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def counted(*args, **kwargs):
+            self._calls[name] += 1
+            return method(*args, **kwargs)
+
+        return counted
+
+
+class TestNoPerTrialWork:
+    """Draws, analytic passes and error passes are counted per model and per group, so per-trial work shows."""
+
+    @pytest.mark.parametrize(("budget", "groups"), [(bounds.CHUNK_BYTES, (1, 1)), (2 * 2560 * 6, (3, 2))])
+    def test_gradcheck_counts(self, budget, groups, capsys, monkeypatch):
+        """Groups of 251 and 496 trials hold all 20 at the stock budget; at the small one, groups of 7 and 14."""
+        calls, keys, passes = collections.Counter(), [], collections.Counter()
+
+        def stream(seed, *key):
+            keys.append(key)
+            return CountingGenerator(bounds._stream(seed, *key), calls)
+
+        def counting(name):
+            real = getattr(gradcheck, name)
+
+            def spy(*args):
+                passes[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(gradcheck, name, spy)
+
+        monkeypatch.setattr(gradcheck, "_stream", stream)
+        for name in ("_backprop", "_worst_errors", "worst_error"):
+            counting(name)
+        monkeypatch.setattr(bounds, "CHUNK_BYTES", budget)
+        assert main(["gradcheck", "--trials", "20", "--seed", "0"]) == 0
+        capsys.readouterr()
+        redraws = [key for key in keys if len(key) == 3]
+        assert len(redraws) == 2  # seed 0 redraws two trials once each
+        assert calls["uniform"] == 0 and calls["random"] == 20 + len(redraws)
+        # Loss-level and end-to-end groups: one error pass per group of each, and one backward per end-to-end group.
+        assert passes == {"_backprop": groups[1], "_worst_errors": sum(groups)}
 
 
 class TestStackedBackward:

@@ -213,6 +213,42 @@ class TestMlpForward:
         assert np.all(np.abs(mlp.biases[0]) <= bound)
 
 
+def per_layer_uniforms(layouts, rng):
+    """An init drawn layer by layer: one ``rng.uniform`` for each layer's weights, then one for its biases."""
+    draws = []
+    for dims in layouts:
+        for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+            bound = 1.0 / math.sqrt(fan_in)
+            draws.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)).ravel())
+            draws.append(rng.uniform(-0.1 * bound, 0.1 * bound, size=fan_out))
+    return np.concatenate(draws)
+
+
+INIT_LAYOUTS = [(8, 16, 16), (16, 16, 8), (2, 2, 2), (3, 4, 2), (9, 5), (4, 8, 8, 2)]
+
+
+class TestOneDrawInit:
+    """One ``random(P)`` per model, scaled per layer, gives the per-layer uniforms bit for bit."""
+
+    @pytest.mark.parametrize("dims", INIT_LAYOUTS)
+    def test_mlp_init_equals_per_layer_uniforms(self, dims):
+        for seed in range(50):
+            rng, twin = make_rng(seed), make_rng(seed)
+            np.testing.assert_array_equal(Mlp.init(dims, rng).params, per_layer_uniforms([dims], twin))
+            assert rng.random() == twin.random()
+
+    @pytest.mark.parametrize(
+        ("encoder", "projector"), [((8, 16, 16), (16, 8)), ((2, 2, 2), (2, 2)), ((3, 4, 2), (8, 8, 2))]
+    )
+    def test_model_init_equals_per_layer_uniforms(self, encoder, projector):
+        cfg = TrainConfig(input_dim=encoder[0], encoder_dims=encoder[1:], projector_dims=projector)
+        for seed in range(50):
+            rng, twin = make_rng(seed), make_rng(seed)
+            want = per_layer_uniforms([encoder, (encoder[-1], *projector)], twin)
+            np.testing.assert_array_equal(SimclrModel.init(cfg, rng).params, want)
+            assert rng.random() == twin.random()
+
+
 class TestParameterLayout:
     def test_init_is_uniform_draws_in_layout_order(self):
         """Per network, per layer: the weights row-major, then the biases, drawn in that order."""
