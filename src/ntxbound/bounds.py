@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import EmptyInputError, InvalidGridError, UnsupportedModeError
 from .loss import AnchorMode, LossBreakdown, LossConfig, _breakdown, _nt_xent_pass, _Pass, logsumexp
-from .sim import EmbeddingBatch, _check_seed, _check_tau, _cosine_matrix, _unit_rows
+from .sim import EmbeddingBatch, _anchor_index, _check_seed, _check_tau, _cosine_matrix, _unit_rows
 
 #: Distributions understood by the Monte Carlo verifier.
 DISTRIBUTIONS = ("uniform_sphere", "gaussian", "clustered")
@@ -59,10 +59,13 @@ def _pass_bytes(n_pairs: int, row_floats: int, anchor_rows: int) -> int:
     caller keeps per row), ``anchor_rows`` rows of 2N each of similarities
     and of logits, and 2N x 2N floats more: the gradient's weights over the
     anchor rows and the temporaries of the product, the exclusion and the
-    softmax. No pass holds a 2N x 2N array, so the last term is also
-    headroom: full verify stacks peak at 0.59-0.83x ``CHUNK_BYTES``. A stack
-    of batches fills ``CHUNK_BYTES`` at ``max(1, CHUNK_BYTES //
-    _pass_bytes(...))`` batches.
+    softmax. A pass's logits overwrite its similarities, so the second
+    anchor-rows term is headroom, and no pass holds a 2N x 2N array, so part
+    of the last is too: full verify stacks peak at 0.39-0.77x
+    ``CHUNK_BYTES``. The count stays as it is, since it sets the stack sizes
+    and the stock verify stacks are a measured optimum. A stack of batches
+    fills ``CHUNK_BYTES`` at ``max(1, CHUNK_BYTES // _pass_bytes(...))``
+    batches.
     """
     rows = 2 * n_pairs
     return 8 * rows * (row_floats + rows + 2 * anchor_rows)
@@ -144,15 +147,12 @@ def lse_bounds(xs) -> LseBounds:
     return LseBounds(lower=lower, upper=lower + math.log(n), value=logsumexp(arr), n=n)
 
 
-def _pair_sims(anchor_rows: np.ndarray) -> np.ndarray:
-    """Positive-pair similarities ``sim[2t, 2t+1]`` from the N anchor rows (..., N, 2N), shape (..., N)."""
-    return np.diagonal(anchor_rows[..., 1::2], axis1=-2, axis2=-1)
-
-
 def avg_positive_similarity(batch: EmbeddingBatch) -> float:
     """Mean cosine similarity over the N positive pairs (rows 2t and 2t+1)."""
     unit, _ = batch.unit_rows()
-    return float(np.mean(_pair_sims(_cosine_matrix(unit, AnchorMode.PAPER_N.step))))
+    step = AnchorMode.PAPER_N.step
+    rows, _, partners = _anchor_index(batch.n_rows, step)
+    return float(np.mean(_cosine_matrix(unit, step)[rows, partners]))
 
 
 def _evaluation(
@@ -184,7 +184,7 @@ def _evaluation(
 
 def _pass_evaluation(p: _Pass) -> BatchEvaluation:
     """Loss and bounds of every batch of a PAPER_N pass."""
-    return _evaluation(p.tau, p.lse, p.pos, p.max_excl, _pair_sims(p.sims))
+    return _evaluation(p.tau, p.lse, p.pos, p.max_excl, p.pair_sims)
 
 
 def similarity_bound(batch: EmbeddingBatch, cfg: LossConfig) -> BoundReport:

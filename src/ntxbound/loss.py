@@ -108,27 +108,29 @@ class _Pass:
 
     ``sims`` holds only the anchor rows of the similarity matrix, ``(..., A,
     2N)`` with A = 2N / ``mode.step`` (see :func:`_cosine_matrix`): the loss,
-    both bounds and the pair similarities read no other row. With ``x[a, k] =
-    sims[a, k] / tau``, each anchor ``a`` gets ``lse`` = LSE({x[a, k] : k !=
-    a}), ``pos`` = x[a, p(a)] and ``max_excl`` = max({x[a, k] : k != a}).
-    ``expd`` holds exp(x[a, k] - max_excl[a]), zero at k = a, and ``denom``
-    its row sums: the softmax weights are their quotient, which only the
-    gradient forms. ``n_pairs`` is N, the normalizer of the loss in either
-    mode. ``unit`` and ``norms`` are None when the pass starts from a
-    similarity matrix rather than from rows.
+    both bounds and the pair similarities read no other row. The pass owns
+    ``sims``: it keeps ``pair_sims`` = sims[a, p(a)], then overwrites ``sims``
+    with the logits ``x[a, k] = sims[a, k] / tau``, so a pass holds one
+    anchor-rows array, not two. Each anchor ``a`` gets ``lse`` = LSE({x[a, k]
+    : k != a}), ``pos`` = x[a, p(a)] and ``max_excl`` = max({x[a, k] : k !=
+    a}). ``expd`` (the same array once more) holds exp(x[a, k] -
+    max_excl[a]), zero at k = a, and ``denom`` its row sums: the softmax
+    weights are their quotient, which only the gradient forms. ``n_pairs`` is
+    N, the normalizer of the loss in either mode. ``unit`` and ``norms`` are
+    None when the pass starts from a similarity matrix rather than from rows.
     """
 
     def __init__(self, sims: np.ndarray, tau: float, mode: AnchorMode, unit=None, norms=None):
-        self.sims = sims
         self.tau = tau
         self.unit = unit
         self.norms = norms
         self.step = mode.step
         self.n_pairs = sims.shape[-1] // 2
         self.rows, anchors, self.partners = _anchor_index(sims.shape[-1], mode.step)
-        x = sims / tau
+        self.pair_sims = sims[..., self.rows, self.partners]
+        x = np.divide(sims, tau, out=sims)
         x[..., self.rows, anchors] = -np.inf  # the k != a exclusion; exp(-inf) = 0
-        self.pos = x[..., self.rows, self.partners]
+        self.pos = self.pair_sims / tau
         # fmax equals max here, since rows are refused non-finite before any pass, and it is
         # faster on these short rows; a nan from a user's similarity matrix still ends in a
         # non-finite loss, which LossBreakdown refuses.
@@ -182,7 +184,7 @@ def nt_xent_from_sims(simmat: SimilarityMatrix, cfg: LossConfig) -> LossBreakdow
         raise InvalidTemperatureError(
             f"similarity matrix was scaled with tau={simmat.tau}, config has tau={cfg.tau}"
         )
-    p = _Pass(simmat.sims[:: cfg.anchor_mode.step], simmat.tau, cfg.anchor_mode)
+    p = _Pass(simmat.sims[:: cfg.anchor_mode.step].copy(), simmat.tau, cfg.anchor_mode)  # the pass overwrites its rows
     return _breakdown(p.lse, p.pos, p.n_pairs)
 
 

@@ -28,15 +28,15 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .bounds import _check_memory, _evaluation, _pair_sims, _pass_bytes, _stream
+from .bounds import _check_memory, _evaluation, _pass_bytes, _stream
 from .errors import (
     DimensionMismatchError,
     InvalidDatasetParamsError,
     NonFiniteLossError,
     ZeroVectorError,
 )
-from .loss import AnchorMode, _latent_grad, _nt_xent_pass, _Pass
-from .sim import EmbeddingBatch, _check_seed, _check_tau
+from .loss import AnchorMode, _latent_grad, _Pass
+from .sim import EmbeddingBatch, _check_seed, _check_tau, _cosine_matrix, _unit_rows
 
 #: Every anchor-row similarity at least this close to 1 counts as a collapsed batch. The anchor rows hold
 #: every latent's similarity to each anchor, so within this tolerance every pair is at least 1 - 4 * tol.
@@ -116,8 +116,9 @@ def _step_bytes(cfg: TrainConfig) -> int:
     Per row: the forward's floats, three rows of the widest layer for the
     backward's incoming, masked and outgoing gradients, and four latent-sized
     rows for the unit rows and the latent gradient. The pass holds N anchor
-    rows each of similarities and logits, and their gradient's weights. On
-    top come the parameters, their gradient and the update's product.
+    rows of similarities, which its logits overwrite, and their gradient's
+    weights. On top come the parameters, their gradient and the update's
+    product.
     """
     widest = max(cfg.input_dim, *cfg.encoder_dims, *cfg.projector_dims)
     row_floats = _forward_floats(cfg) + 3 * widest + 4 * cfg.latent_dim
@@ -517,28 +518,29 @@ class LossAndGrads:
     ``param_grad`` is the model's gradient array (..., P), which the encoder's
     and the projector's backward write straight into, and which the model's
     next backward writes again. ``nt_pass`` holds the per-anchor terms every
-    diagnostic is evaluated from.
+    diagnostic is evaluated from. ``min_similarity`` is the smallest
+    anchor-row similarity of each batch, which the collapse flag reads; it is
+    None where the caller did not take it.
     """
 
     forward: ForwardResult
     nt_pass: _Pass
     latent_grad: np.ndarray
     param_grad: np.ndarray
-
-    @property
-    def min_similarity(self) -> np.ndarray:
-        """The smallest anchor-row similarity of each batch, which the collapse flag reads."""
-        return _min_similarity(self.nt_pass)
+    min_similarity: np.ndarray | None = None
 
 
-def _min_similarity(p: _Pass) -> np.ndarray:
-    return p.sims.min(axis=(-2, -1))
+def _forward_pass(model: SimclrModel, views: np.ndarray, cfg: TrainConfig) -> tuple[ForwardResult, _Pass, np.ndarray]:
+    """Forward the views and take their NT-Xent pass, with each batch's smallest anchor-row similarity.
 
-
-def _forward_pass(model: SimclrModel, views: np.ndarray, cfg: TrainConfig) -> tuple[ForwardResult, _Pass]:
-    """Forward the views and take their NT-Xent pass; degenerate latents raise ZeroVectorError or ValueError."""
+    The minimum is read before the pass overwrites the similarities with its
+    logits. Degenerate latents raise ZeroVectorError or ValueError.
+    """
     fwd = forward(model.encoder, model.projector, views)
-    return fwd, _nt_xent_pass(fwd.latents, cfg.tau, AnchorMode.PAPER_N)
+    unit, norms = _unit_rows(fwd.latents)
+    sims = _cosine_matrix(unit, AnchorMode.PAPER_N.step)
+    min_similarity = sims.min(axis=(-2, -1))
+    return fwd, _Pass(sims, cfg.tau, AnchorMode.PAPER_N, unit, norms), min_similarity
 
 
 def _backprop(model: SimclrModel, fwd: ForwardResult, p: _Pass) -> LossAndGrads:
@@ -560,7 +562,10 @@ def loss_and_param_grads(model: SimclrModel, views: np.ndarray, cfg: TrainConfig
     each from one forward, one pass and one backward. Degenerate latents
     raise ZeroVectorError or ValueError.
     """
-    return _backprop(model, *_forward_pass(model, views, cfg))
+    fwd, p, min_similarity = _forward_pass(model, views, cfg)
+    out = _backprop(model, fwd, p)
+    out.min_similarity = min_similarity
+    return out
 
 
 class _Run:
@@ -595,9 +600,8 @@ class _Run:
         row = self.start + i
         views = _augment_batch(points, cfg.augment, rng)
         try:
-            fwd, p = _forward_pass(model, views, cfg)
-            self.lse[i], self.pos[i], self.max_excl[i] = p.lse, p.pos, p.max_excl
-            self.pair_sims[i], self.min_similarity[i] = _pair_sims(p.sims), _min_similarity(p)
+            fwd, p, self.min_similarity[i] = _forward_pass(model, views, cfg)
+            self.lse[i], self.pos[i], self.max_excl[i], self.pair_sims[i] = p.lse, p.pos, p.max_excl, p.pair_sims
             self.kept = i + 1
             grad = _backprop(model, fwd, p).param_grad
         except (ZeroVectorError, ValueError) as exc:

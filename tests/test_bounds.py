@@ -26,7 +26,8 @@ from ntxbound import (
     similarity_bound,
 )
 from ntxbound import bounds, gradcheck
-from ntxbound.bounds import DISTRIBUTIONS, VIOLATION_SLACK, _run_cell
+from ntxbound.bounds import DISTRIBUTIONS, VIOLATION_SLACK, _run_cell, _sample_rows
+from ntxbound.loss import _nt_xent_pass
 from ntxbound.sim import TAU_MAX, TAU_MIN
 from ntxbound.serialize import dumps
 
@@ -311,6 +312,29 @@ class TestVerifyStackMemory:
         # 2N = 8 rows of 24 floats, the 8 x 8 Gram matrix, and 4 anchor rows of 8 each of similarities and logits.
         assert bounds._pass_bytes(4, 24, 4) == 8 * (8 * 24 + 8 * 8 + 2 * 4 * 8)
         assert bounds._pass_bytes(1, 1, 2) == 8 * (2 * 1 + 2 * 2 + 2 * 2 * 2)
+
+    @pytest.mark.parametrize("n_pairs", [8, 16, 32])
+    def test_a_pass_holds_one_anchor_rows_array(self, n_pairs):
+        """A pass over a full verify stack peaks below its unit rows plus two anchor-rows arrays.
+
+        Its logits overwrite its similarities, and the exclusion and softmax work in place; the second array
+        covers the product's operands and the per-anchor terms.
+        """
+        trials, _ = _verify_stack(n_pairs, "gaussian")
+        rows = _sample_rows("gaussian", trials, n_pairs, 8, bounds._stream(0, 0))
+        anchor_rows = 8 * trials * n_pairs * 2 * n_pairs
+
+        def one_pass():
+            _nt_xent_pass(rows, 0.5, AnchorMode.PAPER_N)
+
+        one_pass()  # warm-up: first-call allocations are not the pass's
+        tracemalloc.start()
+        try:
+            one_pass()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < rows.nbytes + 2 * anchor_rows
 
     @pytest.mark.parametrize(("kind", "args"), FULL_STACKS)
     def test_one_stack_fits_the_chunk_budget(self, kind, args, gradcheck_chunks):

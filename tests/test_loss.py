@@ -17,10 +17,13 @@ from ntxbound import (
     SimilarityMatrix,
     TrainConfig,
     VerifyGrid,
+    evaluate_batch,
     logsumexp,
     nt_xent,
+    nt_xent_grad,
     similarity_matrix,
 )
+from ntxbound.loss import nt_xent_from_sims
 from ntxbound.sim import TAU_MAX, TAU_MIN
 
 LOG3 = 1.0986122886681098
@@ -169,6 +172,22 @@ class TestLossInvariants:
             a = nt_xent(EmbeddingBatch(rows), cfg).total
             b = nt_xent(EmbeddingBatch(permuted), cfg).total
             assert b == pytest.approx(a, abs=1e-12)
+
+    @pytest.mark.parametrize("mode", list(AnchorMode))
+    def test_inputs_are_left_bit_identical(self, mode):
+        """A pass overwrites the similarities it is handed with its logits: a caller's matrix and rows are never handed."""
+        batch = EmbeddingBatch(np.random.default_rng(11).standard_normal((8, 5)))
+        simmat = similarity_matrix(batch, 0.5)
+        sims, rows = simmat.sims.tobytes(), batch.rows.tobytes()
+        cfg = LossConfig(tau=0.5, anchor_mode=mode)
+        first = nt_xent_from_sims(simmat, cfg)
+        assert simmat.sims.tobytes() == sims
+        assert nt_xent_from_sims(simmat, cfg) == first  # a second evaluation still sees similarities, not logits
+        nt_xent(batch, cfg)
+        nt_xent_grad(batch, cfg)
+        if mode is AnchorMode.PAPER_N:
+            evaluate_batch(batch, cfg)
+        assert batch.rows.tobytes() == rows
 
 
 class TestConfigValidation:

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from ntxbound import EmbeddingBatch, LossConfig, evaluate_batch, nt_xent_grad, similarity_matrix
 from ntxbound.bounds import VIOLATION_SLACK, _pass_evaluation
 from ntxbound.loss import AnchorMode, _breakdown, _latent_grad, _nt_xent_pass, anchor_indices, nt_xent_from_sims
+from ntxbound.sim import _cosine_matrix, _unit_rows
 
 SETTINGS = settings(max_examples=40, deadline=None)
 FEW = settings(max_examples=20, deadline=None)
@@ -103,21 +104,26 @@ def test_anchor_rows_match_the_whole_matrix(rows, tau, mode):
 
     Its rows are the clipped, self-pinned product of the anchors' unit rows with every unit row, exactly;
     the whole matrix averages each entry with its transpose, which moves an entry by at most 2 ulp at 1.
+    The pass overwrites its rows with logits, so they are built again here; its pair similarities are
+    their partner entries and its positive logits those divided by tau, bit for bit.
     """
     p = _nt_xent_pass(rows, tau, mode)
-    assert p.sims.shape[-2] == rows.shape[-2] // mode.step
+    sims = _cosine_matrix(_unit_rows(rows)[0], mode.step)
+    assert sims.shape[-2] == rows.shape[-2] // mode.step
     breakdown, grad = _breakdown(p.lse, p.pos, p.n_pairs), _latent_grad(p)
     report = _pass_evaluation(p).report if mode is AnchorMode.PAPER_N else None
     cfg = LossConfig(tau=tau, anchor_mode=mode)
-    anchors, _ = anchor_indices(rows.shape[-2], mode)
+    anchors, partners = anchor_indices(rows.shape[-2], mode)
+    assert p.pair_sims.tobytes() == sims[:, np.arange(len(anchors)), partners].tobytes()
+    assert p.pos.tobytes() == (p.pair_sims / tau).tobytes()
     for t in range(rows.shape[0]):
         batch = EmbeddingBatch(rows[t])
         unit, _ = batch.unit_rows()
         product = np.clip(unit[:: mode.step] @ unit.T, -1.0, 1.0)
         product[np.arange(len(anchors)), anchors] = 1.0
-        np.testing.assert_array_equal(p.sims[t], product)
+        np.testing.assert_array_equal(sims[t], product)
         whole = similarity_matrix(batch, tau)
-        np.testing.assert_allclose(p.sims[t], whole.sims[:: mode.step], rtol=0, atol=4.5e-16)
+        np.testing.assert_allclose(sims[t], whole.sims[:: mode.step], rtol=0, atol=4.5e-16)
         want = nt_xent_from_sims(whole, cfg)
         for name in want.__dataclass_fields__:
             np.testing.assert_allclose(getattr(breakdown, name)[t], getattr(want, name), rtol=1e-12, atol=1e-12)

@@ -662,7 +662,7 @@ def _columns(trace):
     return {name: getattr(trace, name).tobytes() for name in TrainTrace.__dataclass_fields__}
 
 
-_REAL_PASS, _REAL_GRAD = trainer._nt_xent_pass, trainer._latent_grad
+_REAL_PASS, _REAL_GRAD = trainer._Pass, trainer._latent_grad
 
 
 def _force(monkeypatch, failures):
@@ -691,7 +691,7 @@ def _force(monkeypatch, failures):
             raise ValueError("forced failure in the gradient")
         return _REAL_GRAD(p)
 
-    monkeypatch.setattr(trainer, "_nt_xent_pass", nt_pass)
+    monkeypatch.setattr(trainer, "_Pass", nt_pass)
     monkeypatch.setattr(trainer, "_latent_grad", latent_grad)
 
 
