@@ -52,23 +52,20 @@ def _stream(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
-def _pass_bytes(n_pairs: int, row_floats: int, anchor_rows: int) -> int:
+def _pass_bytes(n_pairs: int, row_floats: int) -> int:
     """Bytes one batch of 2N rows holds at once in a stacked pass, in float64.
 
     ``row_floats`` floats per row (its rows, unit rows and whatever else the
-    caller keeps per row), ``anchor_rows`` rows of 2N each of similarities
-    and of logits, and 2N x 2N floats more: the gradient's weights over the
-    anchor rows and the temporaries of the product, the exclusion and the
-    softmax. A pass's logits overwrite its similarities, so the second
-    anchor-rows term is headroom, and no pass holds a 2N x 2N array, so part
-    of the last is too: full verify stacks peak at 0.39-0.77x
-    ``CHUNK_BYTES``. The count stays as it is, since it sets the stack sizes
-    and the stock verify stacks are a measured optimum. A stack of batches
-    fills ``CHUNK_BYTES`` at ``max(1, CHUNK_BYTES // _pass_bytes(...))``
+    caller keeps per row), and 8N^2 floats per batch: the N anchor rows of 2N
+    similarities, which the logits overwrite, and their gradient's weights,
+    2N^2 each, and 4N^2 for the temporaries of the product, the exclusion and
+    the softmax. Those temporaries take less, so full verify stacks peak at
+    0.39-0.77x ``CHUNK_BYTES``. The count stays as it is, since it sets the
+    stack sizes and the stock verify stacks are a measured optimum. A stack of
+    batches fills ``CHUNK_BYTES`` at ``max(1, CHUNK_BYTES // _pass_bytes(...))``
     batches.
     """
-    rows = 2 * n_pairs
-    return 8 * rows * (row_floats + rows + 2 * anchor_rows)
+    return 8 * (2 * n_pairs * row_floats + 8 * n_pairs * n_pairs)
 
 
 def _check_memory(need: int, what: str, error: type[Exception]) -> None:
@@ -256,7 +253,7 @@ class VerifyGrid:
             if d not in DISTRIBUTIONS:
                 raise InvalidGridError(f"unknown distribution {d!r}; expected one of {DISTRIBUTIONS}")
         n, m = max(self.ns), max(self.ms)
-        _check_memory(_pass_bytes(n, 3 * m, n), f"a trial at N={n}, m={m}", InvalidGridError)
+        _check_memory(_pass_bytes(n, 3 * m), f"a trial at N={n}, m={m}", InvalidGridError)
 
     def cells(self) -> list[tuple[int, int, float, str]]:
         """Grid cells in their fixed evaluation order."""
@@ -297,7 +294,7 @@ def _run_cell(
     the same constructors and checks as a single batch.
     """
     # Per row: the rows and their unit rows, and the base and noise draws a clustered stack is made from.
-    chunk = max(1, CHUNK_BYTES // _pass_bytes(n_pairs, 3 * dim, n_pairs))
+    chunk = max(1, CHUNK_BYTES // _pass_bytes(n_pairs, 3 * dim))
     viol_paper = viol_strict = 0
     min_paper = min_strict = min_margin = math.inf
     for start in range(0, trials, chunk):

@@ -133,11 +133,6 @@ def parse_train_config(doc: dict) -> TrainConfig:
     return _load(TrainConfig, doc, "train config")
 
 
-def train_config_to_dict(cfg: TrainConfig) -> dict:
-    """Config document form of a TrainConfig, keys in field order."""
-    return dataclasses.asdict(cfg)
-
-
 # ----------------------------------------------------------------------
 # Commands
 # ----------------------------------------------------------------------

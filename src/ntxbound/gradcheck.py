@@ -178,7 +178,7 @@ def iter_loss_level(
     # numeric gradient per entry, and the group's error pass holds three floats per entry more (its errors,
     # denominators and one absolute value): 6.0-6.5 floats per entry under tracemalloc, records included.
     # The trial's record with its index tuple, floats and trial number takes under 256 bytes.
-    probing = _pass_bytes(n_pairs, 6 * dim, n_pairs) + 8 * 10
+    probing = _pass_bytes(n_pairs, 6 * dim) + 8 * 10
     recording = 8 * 2 * n_pairs * 6 * dim + 256
     trial_bytes = max(probing, recording)
     _check_memory(trial_bytes, f"a trial at N={n_pairs}, m={dim}", ConfigError)
@@ -251,9 +251,9 @@ def _end_to_end_group(cfg: TrainConfig, seed: int, first: int, size: int, chunk:
         dead = _dead_relu(fwd)
         if not dead.any():
             break
-    out = _backprop(model, fwd, _nt_xent_pass(fwd.latents, cfg.tau, AnchorMode.PAPER_N))
-    analytic, ortho = out.param_grad, _orthogonality(out.latent_grad, fwd.latents)
-    del out, fwd, uniforms, normals  # the probes need only the parameters and views
+    latent_grad, analytic = _backprop(model, fwd, _nt_xent_pass(fwd.latents, cfg.tau, AnchorMode.PAPER_N))
+    ortho = _orthogonality(latent_grad, fwd.latents)
+    del latent_grad, fwd, uniforms, normals  # the probes need only the parameters and views
 
     cfg_loss = LossConfig(tau=cfg.tau)
 
@@ -284,7 +284,7 @@ def iter_end_to_end(trials: int, seed: int = 0) -> Iterator[GradCheckTrial]:
     # A trial peaks in its analytic step, or while its probes run: its parameters, analytic gradient, two
     # values per parameter and their difference, and one probe's parameters, forward and normalization.
     # The error pass's three floats per parameter, beside the parameters and both gradients, fit in that.
-    probing = 8 * 6 * cfg.n_params + _pass_bytes(cfg.n_pairs, _forward_floats(cfg) + 2 * cfg.latent_dim, cfg.n_pairs)
+    probing = 8 * 6 * cfg.n_params + _pass_bytes(cfg.n_pairs, _forward_floats(cfg) + 2 * cfg.latent_dim)
     group = max(1, bounds.CHUNK_BYTES // max(_step_bytes(cfg), probing))
     for first in range(0, trials, group):
         yield from _end_to_end_group(cfg, seed, first, min(group, trials - first), group)

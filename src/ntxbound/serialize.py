@@ -113,12 +113,22 @@ def _read_text(path, kind: str) -> str:
         raise ConfigError(f"cannot read {p}: {exc}") from exc
 
 
+def _unique_keys(pairs: list) -> dict:
+    """An object's members as a dict; a key given twice raises ConfigError, at any depth."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ConfigError(f"duplicate key {key!r}")
+        doc[key] = value
+    return doc
+
+
 def load_json(path) -> dict:
-    """Parse a JSON config document; malformed input raises ConfigError."""
+    """Parse a JSON config document; malformed input, or an object with a repeated key, raises ConfigError."""
     text = _read_text(path, "config")
     try:
-        doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
+    except (json.JSONDecodeError, RecursionError, ConfigError) as exc:  # RecursionError: nesting too deep
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"top-level JSON value in {path} must be an object")

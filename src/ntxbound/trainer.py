@@ -36,7 +36,7 @@ from .errors import (
     ZeroVectorError,
 )
 from .loss import AnchorMode, _latent_grad, _Pass
-from .sim import EmbeddingBatch, _check_seed, _check_tau, _cosine_matrix, _unit_rows
+from .sim import _check_seed, _check_tau, _cosine_matrix, _unit_rows
 
 #: Every anchor-row similarity at least this close to 1 counts as a collapsed batch. The anchor rows hold
 #: every latent's similarity to each anchor, so within this tolerance every pair is at least 1 - 4 * tol.
@@ -54,11 +54,10 @@ _RECORD_BYTES = 640
 
 @dataclass
 class MlpTrace:
-    """Forward-pass intermediates kept for backpropagation, with the weight views the pass ran with."""
+    """Forward-pass intermediates kept for backpropagation."""
 
     pre: list[np.ndarray]
     act: list[np.ndarray]  # act[0] is the input; act[-1] the output
-    weights: tuple[np.ndarray, ...]
 
 
 def _param_count(layer_dims: tuple[int, ...]) -> int:
@@ -122,7 +121,7 @@ def _step_bytes(cfg: TrainConfig) -> int:
     """
     widest = max(cfg.input_dim, *cfg.encoder_dims, *cfg.projector_dims)
     row_floats = _forward_floats(cfg) + 3 * widest + 4 * cfg.latent_dim
-    return _pass_bytes(cfg.n_pairs, row_floats, cfg.n_pairs) + 8 * 3 * cfg.n_params
+    return _pass_bytes(cfg.n_pairs, row_floats) + 8 * 3 * cfg.n_params
 
 
 @dataclass(eq=False, frozen=True)
@@ -172,10 +171,6 @@ class Mlp:
             raise DimensionMismatchError(f"need at least input and output dims >= 1, got {dims}")
         return cls(layer_dims=dims, params=_init_params(rng.random(_param_count(dims)), dims))
 
-    @property
-    def n_layers(self) -> int:
-        return len(self.weights)
-
     def forward_trace(self, x: np.ndarray) -> MlpTrace:
         x = np.asarray(x, dtype=np.float64)
         if x.ndim < 2 or x.shape[-1] != self.layer_dims[0]:
@@ -189,12 +184,12 @@ class Mlp:
                 z = act[-1] @ w + b
                 pre.append(z)
                 act.append(np.maximum(z, 0.0) if l < last else z)
-        return MlpTrace(pre=pre, act=act, weights=self.weights)
+        return MlpTrace(pre=pre, act=act)
 
     def backward(
         self, trace: MlpTrace, grad_out: np.ndarray, out: Mlp | None = None, input_grad: bool = True
     ) -> tuple[np.ndarray, np.ndarray | None]:
-        """Backpropagate ``grad_out`` (w.r.t. the output) through the trace.
+        """Backpropagate ``grad_out`` (w.r.t. the output) through the trace of a forward of this network.
 
         Returns (parameter gradient in the layout of ``params``, grad w.r.t. the input).
         The parameter gradient is written into the layers of ``out``, a network of
@@ -210,7 +205,7 @@ class Mlp:
             d_pre = g if l == last else g * (trace.pre[l] > 0)
             np.matmul(trace.act[l].swapaxes(-1, -2), d_pre, out=grads.weights[l])
             d_pre.sum(axis=-2, keepdims=True, out=grads.biases[l])
-            g = d_pre @ trace.weights[l].swapaxes(-1, -2) if l or input_grad else None
+            g = d_pre @ self.weights[l].swapaxes(-1, -2) if l or input_grad else None
         return grads.params, g
 
 
@@ -419,18 +414,12 @@ class ForwardResult:
     encoder_trace: MlpTrace
     projector_trace: MlpTrace
 
-    @property
-    def batch(self) -> EmbeddingBatch:
-        """The latents of one model as a batch."""
-        return EmbeddingBatch(self.latents)
-
 
 def forward(encoder: Mlp, projector: Mlp, views: np.ndarray) -> ForwardResult:
     """Map 2N augmented views through encoder then projector; K stacked models map views (K, 2N, d) to K batches.
 
     The latents are not checked here: the NT-Xent pass refuses non-finite
-    entries and zero-norm rows as it normalizes them, and ``batch`` refuses
-    what :class:`EmbeddingBatch` refuses.
+    entries and zero-norm rows as it normalizes them.
     """
     if encoder.layer_dims[-1] != projector.layer_dims[0]:
         raise DimensionMismatchError(
@@ -462,9 +451,8 @@ class StepRecord:
 class TrainTrace:
     """A run's diagnostics as columns (steps,), one per :class:`StepRecord` field and in its order.
 
-    ``records`` builds the records from the columns on demand, and
-    :meth:`from_records` builds the columns from records. Traces compare by
-    identity; compare their records or columns instead.
+    ``records`` builds the records from the columns on demand. Traces
+    compare by identity; compare their records or columns instead.
     """
 
     step: np.ndarray
@@ -485,14 +473,6 @@ class TrainTrace:
         floats = [np.empty(steps) for _ in fields(cls)[1:-1]]
         return cls(np.arange(first, first + steps), *floats, np.zeros(steps, dtype=bool))
 
-    @classmethod
-    def from_records(cls, records) -> "TrainTrace":
-        """The trace whose rows are ``records``, a sequence of :class:`StepRecord`."""
-        trace = cls._empty(len(records))
-        for f in fields(cls):
-            getattr(trace, f.name)[:] = [getattr(rec, f.name) for rec in records]
-        return trace
-
     def _head(self, steps: int) -> "TrainTrace":
         """The first ``steps`` rows, as views."""
         return TrainTrace(*(getattr(self, f.name)[:steps] for f in fields(self)))
@@ -511,30 +491,13 @@ class TrainTrace:
         return len(self.step)
 
 
-@dataclass
-class LossAndGrads:
-    """One forward and backward pass: the NT-Xent pass, the latent gradient, and the gradient in the layout of ``params``.
-
-    ``param_grad`` is the model's gradient array (..., P), which the encoder's
-    and the projector's backward write straight into, and which the model's
-    next backward writes again. ``nt_pass`` holds the per-anchor terms every
-    diagnostic is evaluated from. ``min_similarity`` is the smallest
-    anchor-row similarity of each batch, which the collapse flag reads; it is
-    None where the caller did not take it.
-    """
-
-    forward: ForwardResult
-    nt_pass: _Pass
-    latent_grad: np.ndarray
-    param_grad: np.ndarray
-    min_similarity: np.ndarray | None = None
-
-
 def _forward_pass(model: SimclrModel, views: np.ndarray, cfg: TrainConfig) -> tuple[ForwardResult, _Pass, np.ndarray]:
     """Forward the views and take their NT-Xent pass, with each batch's smallest anchor-row similarity.
 
     The minimum is read before the pass overwrites the similarities with its
-    logits. Degenerate latents raise ZeroVectorError or ValueError.
+    logits. A stack of K models, ``params`` (K, P), on views (K, 2N, d) gives
+    K of each from one forward and one pass. Degenerate latents raise
+    ZeroVectorError or ValueError.
     """
     fwd = forward(model.encoder, model.projector, views)
     unit, norms = _unit_rows(fwd.latents)
@@ -543,29 +506,18 @@ def _forward_pass(model: SimclrModel, views: np.ndarray, cfg: TrainConfig) -> tu
     return fwd, _Pass(sims, cfg.tau, AnchorMode.PAPER_N, unit, norms), min_similarity
 
 
-def _backprop(model: SimclrModel, fwd: ForwardResult, p: _Pass) -> LossAndGrads:
-    """Backpropagate the pass's latent gradient into the model's gradient array; a non-finite one raises ValueError.
+def _backprop(model: SimclrModel, fwd: ForwardResult, p: _Pass) -> tuple[np.ndarray, np.ndarray]:
+    """The pass's latent gradient, and the model's gradient array (..., P) it is backpropagated into.
 
-    The encoder's input is data, so its gradient is not formed.
+    A non-finite latent gradient raises ValueError. The encoder's input is
+    data, so its gradient is not formed. The model's next backward writes the
+    same gradient array again.
     """
     grad_z = _latent_grad(p)
     grad, encoder_grad, projector_grad = model._gradient()
     _, grad_hidden = model.projector.backward(fwd.projector_trace, grad_z, out=projector_grad)
     model.encoder.backward(fwd.encoder_trace, grad_hidden, out=encoder_grad, input_grad=False)
-    return LossAndGrads(fwd, p, grad_z, grad)
-
-
-def loss_and_param_grads(model: SimclrModel, views: np.ndarray, cfg: TrainConfig) -> LossAndGrads:
-    """Forward 2N views, take one NT-Xent pass, and backpropagate its latent gradient.
-
-    A stack of K models, ``params`` (K, P), on views (K, 2N, d) gives K of
-    each from one forward, one pass and one backward. Degenerate latents
-    raise ZeroVectorError or ValueError.
-    """
-    fwd, p, min_similarity = _forward_pass(model, views, cfg)
-    out = _backprop(model, fwd, p)
-    out.min_similarity = min_similarity
-    return out
+    return grad_z, grad
 
 
 class _Run:
@@ -603,7 +555,7 @@ class _Run:
             fwd, p, self.min_similarity[i] = _forward_pass(model, views, cfg)
             self.lse[i], self.pos[i], self.max_excl[i], self.pair_sims[i] = p.lse, p.pos, p.max_excl, p.pair_sims
             self.kept = i + 1
-            grad = _backprop(model, fwd, p).param_grad
+            _, grad = _backprop(model, fwd, p)
         except (ZeroVectorError, ValueError) as exc:
             self._fail(row, f"degenerate latents or loss: {exc}", exc)
         sq = np.vdot(grad, grad)

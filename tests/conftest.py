@@ -3,6 +3,7 @@
 import pytest
 
 import ntxbound.gradcheck as gradcheck
+from ntxbound.trainer import TrainTrace
 
 
 @pytest.fixture
@@ -20,3 +21,16 @@ def gradcheck_chunks(monkeypatch):
 
     monkeypatch.setattr(gradcheck, "central_difference", spy)
     return chunks
+
+
+@pytest.fixture
+def trace_from_records():
+    """Builds the trace whose rows are a sequence of StepRecords: the inverse of ``TrainTrace.records``."""
+
+    def build(records) -> TrainTrace:
+        trace = TrainTrace._empty(len(records))
+        for name in TrainTrace.__dataclass_fields__:
+            getattr(trace, name)[:] = [getattr(rec, name) for rec in records]
+        return trace
+
+    return build

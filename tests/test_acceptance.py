@@ -7,6 +7,7 @@ output files.
 """
 
 import copy
+import dataclasses
 import json
 import math
 import time
@@ -25,7 +26,7 @@ from ntxbound import (
     nt_xent_grad,
     similarity_bound,
 )
-from ntxbound.cli import main, train_config_to_dict
+from ntxbound.cli import main
 from ntxbound.serialize import dumps, parse_trace_csv
 from ntxbound.trainer import TrainConfig
 
@@ -49,7 +50,7 @@ def _finish(num: int, label: str, elapsed: float, limit: float, checks: list):
 @pytest.fixture(scope="module")
 def desk_config_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("config") / "desk_train.json"
-    path.write_text(dumps(train_config_to_dict(TrainConfig())), encoding="utf-8")
+    path.write_text(dumps(dataclasses.asdict(TrainConfig())), encoding="utf-8")
     return path
 
 
@@ -244,8 +245,9 @@ def test_criterion_5_gradient_correctness():
         views /= math.sqrt(float(np.mean(views * views)))
 
         fwd = forward(model.encoder, model.projector, views)
-        gz = nt_xent_grad(fwd.batch, loss_cfg)
-        worst_ortho = max(worst_ortho, float(np.max(np.abs(np.sum(gz * fwd.batch.rows, axis=1)))))
+        latents = EmbeddingBatch(fwd.latents)
+        gz = nt_xent_grad(latents, loss_cfg)
+        worst_ortho = max(worst_ortho, float(np.max(np.abs(np.sum(gz * latents.rows, axis=1)))))
         pg, ghid = model.projector.backward(fwd.projector_trace, gz)
         eg, _ = model.encoder.backward(fwd.encoder_trace, ghid)
         analytic_grads = {"encoder": Mlp(model.encoder_dims, eg), "projector": Mlp(model.projector_dims, pg)}
@@ -254,14 +256,14 @@ def test_criterion_5_gradient_correctness():
             probe = copy.deepcopy(model)
             mlp = getattr(probe, which)
             (mlp.weights if kind == "w" else mlp.biases)[l][idx] += delta
-            return nt_xent(forward(probe.encoder, probe.projector, views).batch, loss_cfg).total
+            return nt_xent(EmbeddingBatch(forward(probe.encoder, probe.projector, views).latents), loss_cfg).total
 
         analytic, numeric = [], []
         h = 1e-5
         for which in ("encoder", "projector"):
             mlp = getattr(model, which)
             gw, gb = analytic_grads[which].weights, analytic_grads[which].biases
-            for l in range(mlp.n_layers):
+            for l in range(len(mlp.weights)):
                 for kind, arrs, grads in (("w", mlp.weights, gw), ("b", mlp.biases, gb)):
                     for idx in np.ndindex(arrs[l].shape):
                         fp = loss_with_bump(which, l, idx, kind, +h)

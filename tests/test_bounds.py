@@ -283,7 +283,7 @@ class TestMonteCarloVerify:
 
 def _verify_stack(n_pairs, distribution):
     """One verify stack at m = 8, which holds as many trials as fit CHUNK_BYTES at 3m floats per row."""
-    trials = bounds.CHUNK_BYTES // bounds._pass_bytes(n_pairs, 3 * 8, n_pairs)
+    trials = bounds.CHUNK_BYTES // bounds._pass_bytes(n_pairs, 3 * 8)
     return trials, lambda: _run_cell(bounds._stream(0, 0), n_pairs, 8, 0.5, distribution, trials)
 
 
@@ -309,9 +309,10 @@ class TestVerifyStackMemory:
     """Verify stacks and gradcheck groups are sized by one estimate, ``_pass_bytes``, and fit CHUNK_BYTES."""
 
     def test_pass_bytes_counts_by_hand(self):
-        # 2N = 8 rows of 24 floats, the 8 x 8 Gram matrix, and 4 anchor rows of 8 each of similarities and logits.
-        assert bounds._pass_bytes(4, 24, 4) == 8 * (8 * 24 + 8 * 8 + 2 * 4 * 8)
-        assert bounds._pass_bytes(1, 1, 2) == 8 * (2 * 1 + 2 * 2 + 2 * 2 * 2)
+        # 2N = 8 rows of 24 floats, then 8N^2 floats: 4 anchor rows of 8 similarities and 4 of their gradient's
+        # weights, and 8 x 8 for the pass's temporaries.
+        assert bounds._pass_bytes(4, 24) == 8 * (8 * 24 + 8 * 8 + 2 * 4 * 8)
+        assert bounds._pass_bytes(1, 1) == 8 * (2 * 1 + 2 * 2 + 2 * 1 * 2)
 
     @pytest.mark.parametrize("n_pairs", [8, 16, 32])
     def test_a_pass_holds_one_anchor_rows_array(self, n_pairs):

@@ -16,10 +16,10 @@ import ntxbound.gradcheck as gc
 import ntxbound.serialize as serialize
 import ntxbound.trainer as trainer
 from ntxbound.bounds import default_grid
-from ntxbound.cli import main, parse_train_config, parse_verify_config, report_aggregates, train_config_to_dict
+from ntxbound.cli import main, parse_train_config, parse_verify_config, report_aggregates
 from ntxbound.errors import ConfigError, InvalidDatasetParamsError, InvalidGridError
 from ntxbound.serialize import TRACE_COLUMNS, dumps, load_json, parse_trace_csv, trace_to_csv, write_text
-from ntxbound.trainer import AugmentConfig, DatasetParams, TrainConfig, TrainTrace, train
+from ntxbound.trainer import AugmentConfig, DatasetParams, TrainConfig, train
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -60,7 +60,7 @@ QUICK = TrainConfig(
 
 
 def quick_train_config(**overrides):
-    doc = train_config_to_dict(QUICK)
+    doc = dataclasses.asdict(QUICK)
     doc.update(overrides)
     return doc
 
@@ -74,7 +74,7 @@ def assert_usage_error(argv, capsys):
 
 
 VERIFY_DOC = {"ns": [2], "ms": [3], "taus": [1.0], "distributions": ["gaussian"], "trials": 5}
-TRAIN_DOC = train_config_to_dict(QUICK)
+TRAIN_DOC = dataclasses.asdict(QUICK)
 
 
 def without(doc, key):
@@ -84,8 +84,8 @@ def without(doc, key):
 class TestConfigLoader:
     def test_train_config_round_trips(self):
         assert QUICK != TrainConfig()
-        assert parse_train_config(train_config_to_dict(QUICK)) == QUICK
-        assert parse_train_config(json.loads(dumps(train_config_to_dict(QUICK)))) == QUICK
+        assert parse_train_config(dataclasses.asdict(QUICK)) == QUICK
+        assert parse_train_config(json.loads(dumps(dataclasses.asdict(QUICK)))) == QUICK
 
     def test_shipped_configs_are_the_defaults(self):
         assert parse_train_config(load_json(CONFIGS / "train_desk.json")) == TrainConfig()
@@ -140,6 +140,27 @@ class TestConfigLoader:
         write_json(path, {**VERIFY_DOC, "bogus": 1})
         err = assert_usage_error(["verify", "--config", str(path)], capsys)
         assert "['distributions', 'ms', 'ns', 'seed', 'taus', 'trials']" in err
+
+    @pytest.mark.parametrize(
+        ("command", "doc", "key"),
+        [("verify", VERIFY_DOC, "trials"), ("train", TRAIN_DOC, "steps"), ("train", TRAIN_DOC, "noise_sigma")],
+        ids=["verify-top-level", "train-top-level", "train-augment"],
+    )
+    def test_duplicate_key_exits_2(self, tmp_path, capsys, monkeypatch, command, doc, key):
+        """A key given twice in one object, at the top or nested in ``augment``, is refused rather than last-wins."""
+
+        def not_run(*args):
+            raise AssertionError("command ran")
+
+        monkeypatch.setattr(cli, "train", not_run)
+        monkeypatch.setattr(cli, "monte_carlo_verify", not_run)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc).replace(f'"{key}": ', f'"{key}": 3, "{key}": ', 1), encoding="utf-8")
+        with pytest.raises(ConfigError, match=f"duplicate key '{key}'"):
+            load_json(path)
+        err = assert_usage_error([command, "--config", str(path), "--out", str(tmp_path / "out")], capsys)
+        assert f"duplicate key '{key}'" in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestUnusableInputs:
@@ -344,7 +365,7 @@ class TestGradcheckCommand:
 
         def corrupt_param(model, fwd, p):
             out = real_param(model, fwd, p)
-            out.param_grad[..., 0] += 1e-2
+            out[1][..., 0] += 1e-2
             return out
 
         for level, name, corrupt, tol in (
@@ -408,7 +429,7 @@ def _over_budget_argv(command, tmp_path):
     if command == "verify":
         write_json(path, {"ns": [2, 20000], "ms": [8], "taus": [0.5], "distributions": ["gaussian"], "trials": 1})
     else:
-        doc = train_config_to_dict(TrainConfig())
+        doc = dataclasses.asdict(TrainConfig())
         doc["dataset"]["points"] = 10**9
         write_json(path, doc)
     return [command, "--config", str(path), "--out", str(tmp_path / "out")]
@@ -477,7 +498,7 @@ class TestTrainCommand:
         write_json(cfg_path, quick_train_config(tau=-1.0))
         assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
 
-    def test_bound_violation_exits_3(self, tmp_path, monkeypatch):
+    def test_bound_violation_exits_3(self, tmp_path, monkeypatch, trace_from_records):
         """Exit-3 branch, driven by a stubbed trainer: the honest math cannot violate.
 
         Records are built on demand from the trace's columns, so the violated record goes in through the constructor.
@@ -490,7 +511,7 @@ class TestTrainCommand:
         def rigged(cfg):
             records = real_train(cfg).records
             records[0] = dataclasses.replace(records[0], strict_gap=-1e-3)
-            return TrainTrace.from_records(records)
+            return trace_from_records(records)
 
         monkeypatch.setattr(cli, "train", rigged)
         assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 3
@@ -597,11 +618,11 @@ class TestSerialization:
 
     @pytest.mark.parametrize("column", TRACE_COLUMNS[1:])
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
-    def test_trace_writer_refuses_non_finite_values(self, column, bad):
+    def test_trace_writer_refuses_non_finite_values(self, column, bad, trace_from_records):
         records = train(dataclasses.replace(QUICK, steps=3)).records
         records[1] = dataclasses.replace(records[1], **{column: bad})
         with pytest.raises(ValueError, match="non-finite"):
-            trace_to_csv(TrainTrace.from_records(records))
+            trace_to_csv(trace_from_records(records))
 
     def test_write_text_replaces_the_file(self, tmp_path):
         target = tmp_path / "doc.txt"

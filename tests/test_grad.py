@@ -21,7 +21,7 @@ from ntxbound.gradcheck import (
     loss_level_check,
     worst_error,
 )
-from ntxbound.trainer import Mlp, SimclrModel, loss_and_param_grads
+from ntxbound.trainer import Mlp, SimclrModel, _backprop, _forward_pass
 
 FD_STEP = 1e-5
 
@@ -268,19 +268,21 @@ def reference_loss_level(trials, seed, n_pairs=4, dim=8, tau=0.5):
 
 
 def reference_draw(cfg, seed, trial):
-    """One end-to-end trial drawn alone: its model, views and analytic pass, and the redraw k they came from.
+    """One end-to-end trial drawn alone: its model, views, analytic pass and the redraw k they came from.
 
-    k is None when the trial is still dead after every redraw.
+    The analytic pass is the forward and its latent and parameter gradients. k is None when the trial is
+    still dead after every redraw.
     """
     for k in range(DEAD_RELU_REDRAWS + 1):
         rng = bounds._stream(seed, 1, trial) if k == 0 else bounds._stream(seed, 1, trial, k)
         model = SimclrModel.init(cfg, rng)
         views = unit_rms(rng.standard_normal((2 * cfg.n_pairs, cfg.input_dim)))
-        out = loss_and_param_grads(model, views, cfg)
-        traces = (out.forward.encoder_trace, out.forward.projector_trace)
+        fwd, p, _ = _forward_pass(model, views, cfg)
+        latent_grad, param_grad = _backprop(model, fwd, p)
+        traces = (fwd.encoder_trace, fwd.projector_trace)
         if all(np.any(pre > 0) for trace in traces for pre in trace.pre[:-1]):
-            return model, views, out, k
-    return model, views, out, None
+            return model, views, (fwd, latent_grad, param_grad), k
+    return model, views, (fwd, latent_grad, param_grad), None
 
 
 def reference_end_to_end(trials, seed):
@@ -289,13 +291,13 @@ def reference_end_to_end(trials, seed):
     cfg_loss = LossConfig(tau=cfg.tau)
     records, redrawn = [], []
     for trial in range(trials):
-        model, views, out, k = reference_draw(cfg, seed, trial)
+        model, views, (fwd, latent_grad, param_grad), k = reference_draw(cfg, seed, trial)
         if k != 0:
             redrawn.append(trial)
         if k is None:
             records.append((trial, math.inf, (0,), 0.0))
             continue
-        ortho = float(np.max(np.abs(np.sum(out.latent_grad * out.forward.batch.rows, axis=1))))
+        ortho = float(np.max(np.abs(np.sum(latent_grad * EmbeddingBatch(fwd.latents).rows, axis=1))))
 
         def loss_at(probes, model=model, views=views):
             probe = SimclrModel(model.encoder_dims, model.projector_dims, probes[0])
@@ -303,7 +305,7 @@ def reference_end_to_end(trials, seed):
             return _stack_losses(probe.projector.forward_trace(hidden).act[-1], cfg_loss)
 
         numeric = central_difference(loss_at, model.params[None], chunk=REFERENCE_CHUNK)[0]
-        records.append((trial, *worst_error(out.param_grad, numeric), ortho))
+        records.append((trial, *worst_error(param_grad, numeric), ortho))
     return records, redrawn
 
 

@@ -1,6 +1,7 @@
 """Synthetic data, augmentation, MLP forward/backward, and the training loop."""
 
 import copy
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -35,7 +36,8 @@ from ntxbound.trainer import (
     StepRecord,
     TrainTrace,
     _augment_batch,
-    loss_and_param_grads,
+    _backprop,
+    _forward_pass,
 )
 
 
@@ -157,7 +159,7 @@ class TestMlpForward:
         proj.weights[0][...] = np.eye(3)
         views = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
         out = forward(eye, proj, views)
-        np.testing.assert_array_equal(out.batch.rows, views)
+        np.testing.assert_array_equal(EmbeddingBatch(out.latents).rows, views)
         np.testing.assert_array_equal(out.encoder_trace.act[-1], views)
 
     def test_zero_weight_projector_constant_output(self):
@@ -167,8 +169,9 @@ class TestMlpForward:
         proj.biases[0][...] = [0.5, -1.0, 2.0]
         views = make_rng(0).standard_normal((8, 2))
         out = forward(enc, proj, views)
-        np.testing.assert_array_equal(out.batch.rows, np.tile([0.5, -1.0, 2.0], (8, 1)))
-        total = nt_xent(out.batch, LossConfig(tau=0.5)).total
+        batch = EmbeddingBatch(out.latents)
+        np.testing.assert_array_equal(batch.rows, np.tile([0.5, -1.0, 2.0], (8, 1)))
+        total = nt_xent(batch, LossConfig(tau=0.5)).total
         assert total == pytest.approx(math.log(7), abs=1e-12)
 
     def test_matches_scalar_loop_oracle(self):
@@ -197,7 +200,8 @@ class TestMlpForward:
 
         out = forward(enc, proj, views)
         np.testing.assert_allclose(out.encoder_trace.act[-1], mlp_oracle(enc, views), rtol=1e-12, atol=1e-14)
-        np.testing.assert_allclose(out.batch.rows, mlp_oracle(proj, mlp_oracle(enc, views)), rtol=1e-12, atol=1e-14)
+        latents = EmbeddingBatch(out.latents).rows
+        np.testing.assert_allclose(latents, mlp_oracle(proj, mlp_oracle(enc, views)), rtol=1e-12, atol=1e-14)
 
     def test_hidden_layers_nonnegative(self):
         rng = make_rng(12)
@@ -337,12 +341,13 @@ class TestParameterLayout:
             params, views = params[0], views[0]
         dims = (cfg.input_dim, *cfg.encoder_dims), (cfg.encoder_out, *cfg.projector_dims)
         model = SimclrModel(*dims, params)
-        out = loss_and_param_grads(model, views, cfg)
-        projector_grad, grad_hidden = model.projector.backward(out.forward.projector_trace, out.latent_grad)
-        encoder_grad, _ = model.encoder.backward(out.forward.encoder_trace, grad_hidden)
+        fwd, p, _ = _forward_pass(model, views, cfg)
+        latent_grad, param_grad = _backprop(model, fwd, p)
+        projector_grad, grad_hidden = model.projector.backward(fwd.projector_trace, latent_grad)
+        encoder_grad, _ = model.encoder.backward(fwd.encoder_trace, grad_hidden)
         oracle = np.concatenate([encoder_grad, projector_grad], axis=-1)
-        assert out.param_grad.shape == params.shape
-        assert out.param_grad.tobytes() == oracle.tobytes()
+        assert param_grad.shape == params.shape
+        assert param_grad.tobytes() == oracle.tobytes()
 
     def test_backward_can_skip_the_input_gradient(self):
         """Without the input's gradient, backward returns None for it and writes the same parameter gradient."""
@@ -373,7 +378,7 @@ class TestParameterLayout:
         hidden = stacked.encoder.forward_trace(views).act[-1]
         latents = stacked.projector.forward_trace(hidden).act[-1]
         for k, model in enumerate(models):
-            want = forward(model.encoder, model.projector, views).batch.rows
+            want = EmbeddingBatch(forward(model.encoder, model.projector, views).latents).rows
             np.testing.assert_allclose(latents[k], want, rtol=0, atol=1e-14)
 
 
@@ -425,9 +430,10 @@ class TestTrainStep:
         points = make_rng(6).standard_normal((cfg.n_pairs, cfg.input_dim))
         rec = train_step(model, points, cfg, make_rng(7), step=0)
 
-        out = loss_and_param_grads(before, _augment_batch(points, cfg.augment, make_rng(7)), cfg)
-        assert rec.grad_norm == pytest.approx(float(np.linalg.norm(out.param_grad)), rel=1e-12)
-        np.testing.assert_array_equal(model.params, before.params - cfg.learning_rate * out.param_grad)
+        fwd, p, _ = _forward_pass(before, _augment_batch(points, cfg.augment, make_rng(7)), cfg)
+        _, grad = _backprop(before, fwd, p)
+        assert rec.grad_norm == pytest.approx(float(np.linalg.norm(grad)), rel=1e-12)
+        np.testing.assert_array_equal(model.params, before.params - cfg.learning_rate * grad)
 
     def test_descent_direction(self):
         """A small step decreases the loss on the same views nearly always."""
@@ -458,7 +464,7 @@ class TestTrainStep:
             fwd = forward(model.encoder, model.projector, views)
             from ntxbound import nt_xent_grad
 
-            gz = nt_xent_grad(fwd.batch, loss_cfg)
+            gz = nt_xent_grad(EmbeddingBatch(fwd.latents), loss_cfg)
             pg, ghid = model.projector.backward(fwd.projector_trace, gz)
             eg, _ = model.encoder.backward(fwd.encoder_trace, ghid)
             analytic = {"enc": Mlp(model.encoder_dims, eg), "proj": Mlp(model.projector_dims, pg)}
@@ -467,12 +473,12 @@ class TestTrainStep:
                 probe = copy.deepcopy(model)
                 mutate(probe)
                 out = forward(probe.encoder, probe.projector, views)
-                return nt_xent(out.batch, loss_cfg).total
+                return nt_xent(EmbeddingBatch(out.latents), loss_cfg).total
 
             h = 1e-5
             for which, mlps in (("enc", "encoder"), ("proj", "projector")):
                 mlp = getattr(model, mlps)
-                for l in range(mlp.n_layers):
+                for l in range(len(mlp.weights)):
                     for kind, arrs in (("w", mlp.weights), ("b", mlp.biases)):
                         arr = arrs[l]
                         for idx in np.ndindex(arr.shape):
@@ -541,7 +547,7 @@ class TestTrain:
         """Force constant latents through a zero-weight projector."""
         cfg = tiny_config()
         model = SimclrModel.init(cfg, make_rng(0))
-        for l in range(model.projector.n_layers):
+        for l in range(len(model.projector.weights)):
             model.projector.weights[l][:] = 0.0
             model.projector.biases[l][:] = np.arange(1.0, 1.0 + model.projector.biases[l].size)
         points = make_rng(1).standard_normal((cfg.n_pairs, cfg.input_dim))
@@ -560,7 +566,7 @@ class TestTrain:
         views = _augment_batch(points, cfg.augment, make_rng(2))  # the views train_step draws from make_rng(2)
 
         def spread(scale):
-            return 1.0 - loss_and_param_grads(_near_constant_model(cfg, scale), views, cfg).min_similarity
+            return 1.0 - _forward_pass(_near_constant_model(cfg, scale), views, cfg)[2]
 
         scale = 1e-3 * math.sqrt(2 * COLLAPSE_TOL / spread(1e-3))
         assert COLLAPSE_TOL < spread(scale) < 4 * COLLAPSE_TOL
@@ -573,11 +579,11 @@ class TestTrain:
         models = [SimclrModel.init(cfg, make_rng(s)) for s in range(3)]
         stacked = SimclrModel(models[0].encoder_dims, models[0].projector_dims, np.stack([m.params for m in models]))
         views = make_rng(7).standard_normal((3, 2 * cfg.n_pairs, cfg.input_dim))
-        outs = [loss_and_param_grads(stacked, views, cfg)]
-        outs += [loss_and_param_grads(model, v, cfg) for model, v in zip(models, views)]
-        for out in outs:
-            latents = out.forward.latents.reshape(-1, 2 * cfg.n_pairs, cfg.latent_dim)
-            for rows, got in zip(latents, np.reshape(out.min_similarity, -1)):
+        outs = [_forward_pass(stacked, views, cfg)]
+        outs += [_forward_pass(model, v, cfg) for model, v in zip(models, views)]
+        for fwd, _, min_similarity in outs:
+            latents = fwd.latents.reshape(-1, 2 * cfg.n_pairs, cfg.latent_dim)
+            for rows, got in zip(latents, np.reshape(min_similarity, -1)):
                 whole = similarity_matrix(EmbeddingBatch(rows), cfg.tau).sims
                 assert got == whole[::2].min() >= whole.min()
 
@@ -629,7 +635,7 @@ class TestTrain:
         peaks = []
         for steps in (40, 400):
             config = tmp_path / f"train{steps}.json"
-            config.write_text(json.dumps(cli.train_config_to_dict(TrainConfig(steps=steps))), encoding="utf-8")
+            config.write_text(json.dumps(dataclasses.asdict(TrainConfig(steps=steps))), encoding="utf-8")
             argv = ["train", "--config", str(config), "--out", str(tmp_path / f"run{steps}")]
             assert cli.main(argv) == 0  # warm-up: first-call allocations are not the run's
             tracemalloc.start()
@@ -697,19 +703,19 @@ def _force(monkeypatch, failures):
 
 class TestBlocks:
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_train_is_a_loop_of_train_step(self, seed):
+    def test_train_is_a_loop_of_train_step(self, seed, trace_from_records):
         """Blocks of evaluations give every record of a step-by-step run bit for bit, over several blocks."""
         cfg = TrainConfig(seed=seed)
         trace = train(cfg)
         records, error = _step_by_step(cfg)
         assert error is None and len(trace) == len(records) == cfg.steps > 3 * BLOCK_STEPS
-        assert _columns(trace) == _columns(TrainTrace.from_records(records))
+        assert _columns(trace) == _columns(trace_from_records(records))
         assert trace.records == records
-        assert trace.collapse_step == TrainTrace.from_records(records).collapse_step
+        assert trace.collapse_step == trace_from_records(records).collapse_step
 
     @pytest.mark.parametrize("kind", ["pass", "evaluation", "gradient"])
     @pytest.mark.parametrize("step", [0, BLOCK_STEPS - 1, BLOCK_STEPS, BLOCK_STEPS + 6, 199])
-    def test_a_failing_step_is_named_as_step_by_step(self, monkeypatch, kind, step):
+    def test_a_failing_step_is_named_as_step_by_step(self, monkeypatch, kind, step, trace_from_records):
         """The error names the step, reason and trace a step-by-step run gives, in a full block or the short last one."""
         cfg = TrainConfig(steps=200)
         _force(monkeypatch, {step: kind})
@@ -721,7 +727,7 @@ class TestBlocks:
         assert (got.step, got.reason) == (want.step, want.reason) == (step, got.reason)
         assert ("forced" in got.reason) == (kind != "evaluation")
         assert len(got.trace) == step
-        assert _columns(got.trace) == _columns(TrainTrace.from_records(records))
+        assert _columns(got.trace) == _columns(trace_from_records(records))
 
     @pytest.mark.parametrize(
         "failures",
@@ -733,7 +739,7 @@ class TestBlocks:
             {70: "gradient", 71: "evaluation"},
         ],
     )
-    def test_the_first_failing_step_wins(self, monkeypatch, failures):
+    def test_the_first_failing_step_wins(self, monkeypatch, failures, trace_from_records):
         """A refusal found only when its block is evaluated still stops the run at its own, earlier, step."""
         cfg = TrainConfig(steps=200)
         _force(monkeypatch, failures)
@@ -742,7 +748,7 @@ class TestBlocks:
         _force(monkeypatch, failures)
         records, want = _step_by_step(cfg)
         assert (err.value.step, err.value.reason) == (want.step, want.reason) == (min(failures), want.reason)
-        assert _columns(err.value.trace) == _columns(TrainTrace.from_records(records))
+        assert _columns(err.value.trace) == _columns(trace_from_records(records))
 
     def test_a_step_whose_evaluation_and_gradient_fail_names_its_evaluation(self, monkeypatch):
         """As before blocks, a step's diagnostics are checked before its gradient is formed."""
@@ -790,7 +796,7 @@ class TestBlocks:
 
         monkeypatch.setattr(StepRecord, "__init__", counted)
         config = tmp_path / "train.json"
-        config.write_text(json.dumps(cli.train_config_to_dict(TrainConfig(steps=70))), encoding="utf-8")
+        config.write_text(json.dumps(dataclasses.asdict(TrainConfig(steps=70))), encoding="utf-8")
         assert cli.main(["train", "--config", str(config), "--out", str(tmp_path / "run")]) == 0
         assert built == []
         assert len(train(TrainConfig(steps=3)).records) == len(built) == 3  # the spy sees records when they are built
