@@ -135,13 +135,8 @@ class BatchEvaluation:
 def lse_bounds(xs) -> LseBounds:
     """Evaluate LSE(xs) together with its lower (max) and upper (max + log n) bounds."""
     arr = np.asarray(xs, dtype=np.float64)
-    if arr.size == 0:
-        raise EmptyInputError("lse_bounds of an empty sequence")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("lse_bounds arguments must be finite")
-    lower = float(np.max(arr))
-    n = int(arr.size)
-    return LseBounds(lower=lower, upper=lower + math.log(n), value=logsumexp(arr), n=n)
+    value, lower = logsumexp(arr), float(np.max(arr))  # logsumexp refuses an empty or non-finite sequence
+    return LseBounds(lower=lower, upper=lower + math.log(arr.size), value=value, n=arr.size)
 
 
 def avg_positive_similarity(batch: EmbeddingBatch) -> float:

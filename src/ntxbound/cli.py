@@ -73,7 +73,11 @@ def _as_int(value, ctx: str) -> int:
 def _as_num(value, ctx: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{ctx}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError as exc:  # an integer beyond float64's range
+        digits = len(str(value))
+        raise ConfigError(f"{ctx}: expected a number within float range, got an integer of {digits} digits") from exc
 
 
 def _as_str(value, ctx: str) -> str:

@@ -128,7 +128,8 @@ def load_json(path) -> dict:
     text = _read_text(path, "config")
     try:
         doc = json.loads(text, object_pairs_hook=_unique_keys)
-    except (json.JSONDecodeError, RecursionError, ConfigError) as exc:  # RecursionError: nesting too deep
+    # ValueError: malformed, or an integer of more digits than Python converts; RecursionError: nesting too deep
+    except (ValueError, RecursionError, ConfigError) as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"top-level JSON value in {path} must be an object")

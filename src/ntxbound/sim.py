@@ -105,20 +105,6 @@ def _unit_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return unit, norms
 
 
-def _check_rows(rows: np.ndarray) -> None:
-    """Refuse what :class:`EmbeddingBatch` refuses, in a batch ``(2N, m)`` or a stack ``(..., 2N, m)``.
-
-    The row count must be even and >= 2 and the dimension >= 1; non-finite
-    entries raise ValueError and zero-norm rows ZeroVectorError.
-    """
-    n, m = rows.shape[-2:]
-    if n < 2 or n % 2 != 0:
-        raise ValueError(f"row count must be even and >= 2, got {n}")
-    if m < 1:
-        raise DimensionMismatchError("latent dimension must be >= 1")
-    _row_scales(rows)
-
-
 @functools.lru_cache(maxsize=128)
 def _anchor_index(n_rows: int, step: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Anchor rows ``0, step, 2*step, ...`` of ``n_rows`` rows: (positions, anchor rows, their partners).
@@ -166,7 +152,12 @@ class EmbeddingBatch:
         arr = np.array(rows, dtype=np.float64, order="C")
         if arr.ndim != 2:
             raise DimensionMismatchError(f"batch must be 2-D, got shape {arr.shape}")
-        _check_rows(arr)
+        n, m = arr.shape
+        if n < 2 or n % 2 != 0:
+            raise ValueError(f"row count must be even and >= 2, got {n}")
+        if m < 1:
+            raise DimensionMismatchError("latent dimension must be >= 1")
+        _row_scales(arr)
         arr.setflags(write=False)
         self.rows = arr
 
@@ -206,14 +197,6 @@ class SimilarityMatrix:
             raise DimensionMismatchError("similarity matrix must be square")
         _check_tau(self.tau)
 
-    @property
-    def n_rows(self) -> int:
-        return self.sims.shape[0]
-
-    @property
-    def n_pairs(self) -> int:
-        return self.sims.shape[0] // 2
-
 
 def l2_normalize(v) -> np.ndarray:
     """Scale ``v`` to unit Euclidean norm, preserving direction.
@@ -232,7 +215,7 @@ def cosine_sim(a, b) -> float:
     va, vb = _as_vector(a), _as_vector(b)
     if va.shape != vb.shape:
         raise DimensionMismatchError(f"dimensions differ: {va.shape[0]} vs {vb.shape[0]}")
-    dot = float(np.dot(l2_normalize(va), l2_normalize(vb)))
+    dot = float(np.dot(_unit_rows(va)[0], _unit_rows(vb)[0]))
     return min(1.0, max(-1.0, dot))
 
 

@@ -18,6 +18,10 @@ the config seed via SeedSequence spawn keys: (0,) for the dataset, (1,) for
 weight init, (2,) for minibatch sampling and augmentation. Each step takes
 three draws from stream (2,) in this order: the N point indices, the noise
 for all 2N views, then their dropout mask.
+
+A :func:`train` or :func:`train_step` run enters numpy's error state once, quiet
+on overflow and invalid values, which its checks refuse; direct :func:`forward`
+and :meth:`Mlp.forward_trace` calls follow the caller's error state.
 """
 
 from __future__ import annotations
@@ -81,7 +85,14 @@ def _layer_views(layer_dims: tuple[int, ...], params: np.ndarray) -> list[tuple[
 
 @functools.lru_cache(maxsize=16)
 def _init_scale(*layouts: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Each parameter's init uniform as ``low`` and ``high - low`` (P,), over layouts laid end to end."""
+    """Each parameter's init uniform as ``low`` and ``high - low`` (P,), over layouts laid end to end.
+
+    Weights are uniform in [-1/sqrt(fan_in), 1/sqrt(fan_in)] and biases in a
+    tenth of that: nonzero, so a dead ReLU layer still emits a direction, and
+    small, so their shared component does not dominate the initial cosines.
+    One ``rng.random(P)`` scaled by these draws every parameter in flat order:
+    the numbers of one ``rng.uniform`` per layer's weights, then biases.
+    """
     low = []
     for dims in layouts:
         for fan_in, fan_out in zip(dims[:-1], dims[1:]):
@@ -155,22 +166,6 @@ class Mlp:
         # Copies rebuild their views on the copied params: copied views would not share its memory.
         return type(self), (self.layer_dims, self.params)
 
-    @classmethod
-    def init(cls, layer_dims, rng: np.random.Generator) -> "Mlp":
-        """Seeded init: weights uniform in [-1/sqrt(fan_in), +1/sqrt(fan_in)].
-
-        Biases use a tenth of that range: nonzero, so a fully dead ReLU layer
-        still emits a latent with a direction, but small, because the bias is
-        shared across rows and would otherwise dominate the initial cosine
-        geometry with a common component. One ``rng.random(P)`` draws every
-        parameter in the order of the flat layout, scaled per layer: the same
-        numbers as one ``rng.uniform`` per layer's weights, then biases.
-        """
-        dims = tuple(int(d) for d in layer_dims)
-        if len(dims) < 2 or any(d < 1 for d in dims):
-            raise DimensionMismatchError(f"need at least input and output dims >= 1, got {dims}")
-        return cls(layer_dims=dims, params=_init_params(rng.random(_param_count(dims)), dims))
-
     def forward_trace(self, x: np.ndarray) -> MlpTrace:
         x = np.asarray(x, dtype=np.float64)
         if x.ndim < 2 or x.shape[-1] != self.layer_dims[0]:
@@ -178,12 +173,10 @@ class Mlp:
                 f"input shape {x.shape} does not match first layer dim {self.layer_dims[0]}"
             )
         pre, act, last = [], [x], len(self.weights) - 1
-        # Overflow to inf is a handled divergence signal, not a warning-worthy event.
-        with np.errstate(over="ignore", invalid="ignore"):
-            for l, (w, b) in enumerate(zip(self.weights, self.biases)):
-                z = act[-1] @ w + b
-                pre.append(z)
-                act.append(np.maximum(z, 0.0) if l < last else z)
+        for l, (w, b) in enumerate(zip(self.weights, self.biases)):
+            z = act[-1] @ w + b
+            pre.append(z)
+            act.append(np.maximum(z, 0.0) if l < last else z)
         return MlpTrace(pre=pre, act=act)
 
     def backward(
@@ -369,7 +362,7 @@ class SimclrModel:
 
     @classmethod
     def init(cls, cfg: TrainConfig, rng: np.random.Generator) -> "SimclrModel":
-        """Both networks as :meth:`Mlp.init` draws them, the encoder first, from one ``rng.random(P)``."""
+        """Both networks as :func:`_init_scale` describes them, the encoder first, from one ``rng.random(P)``."""
         dims = (cfg.input_dim, *cfg.encoder_dims), (cfg.encoder_out, *cfg.projector_dims)
         return cls(*dims, _init_params(rng.random(cfg.n_params), *dims))
 
@@ -615,8 +608,9 @@ def train_step(
     gradients raise NonFiniteLossError.
     """
     run = _Run(cfg, 1, step)
-    run.step(model, np.asarray(points, dtype=np.float64), rng)
-    run.flush()
+    with np.errstate(over="ignore", invalid="ignore"):  # a diverging step is refused by its checks, not warned of
+        run.step(model, np.asarray(points, dtype=np.float64), rng)
+        run.flush()
     return run.trace.records[0]
 
 
@@ -634,10 +628,11 @@ def train(cfg: TrainConfig) -> TrainTrace:
 
     run = _Run(cfg, cfg.steps)
     try:
-        for _ in range(cfg.steps):
-            idx = loop_rng.integers(0, cfg.dataset.points, size=cfg.n_pairs)
-            run.step(model, dataset.points[idx], loop_rng)
-        run.flush()
+        with np.errstate(over="ignore", invalid="ignore"):  # a diverging step is refused by its checks, not warned of
+            for _ in range(cfg.steps):
+                idx = loop_rng.integers(0, cfg.dataset.points, size=cfg.n_pairs)
+                run.step(model, dataset.points[idx], loop_rng)
+            run.flush()
     except NonFiniteLossError as exc:
         exc.trace = run.trace._head(exc.step)
         raise

@@ -187,6 +187,17 @@ class TestUnusableInputs:
         assert_usage_error(["train", "--config", str(latin1), "--out", str(tmp_path / "out")], capsys)
         assert_usage_error(["report", "--trace", str(latin1), "--out", str(tmp_path / "out")], capsys)
 
+    def test_integer_beyond_float_range(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        write_json(path, quick_train_config(tau=10**400))
+        err = assert_usage_error(["train", "--config", str(path), "--out", str(tmp_path / "out")], capsys)
+        assert "tau: expected a number within float range, got an integer of 401 digits" in err
+
+    def test_integer_of_too_many_digits(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(quick_train_config()).replace('"steps": 30', '"steps": ' + "9" * 5000))
+        assert_usage_error(["train", "--config", str(path), "--out", str(tmp_path / "out")], capsys)
+
     def test_deeply_nested_config(self, tmp_path, capsys):
         deep = tmp_path / "deep.json"
         deep.write_text("[" * 100_000, encoding="utf-8")

@@ -172,11 +172,11 @@ class TestStackedCentralDifference:
         with pytest.raises(ZeroVectorError):
             _stack_losses(stack, cfg)
 
-    def test_stacked_mlp_forward_matches_each_slice(self):
+    def test_stacked_mlp_forward_matches_each_slice(self, init_mlp):
         rng = np.random.default_rng(33)
         dims = (3, 5, 4)
         x = rng.standard_normal((6, 3))
-        nets = [Mlp.init(dims, rng) for _ in range(4)]
+        nets = [init_mlp(dims, rng) for _ in range(4)]
         trace = Mlp(dims, np.stack([n.params for n in nets])).forward_trace(x)
         for k, net in enumerate(nets):
             single = net.forward_trace(x)
@@ -478,10 +478,10 @@ class TestNoPerTrialWork:
 
 
 class TestStackedBackward:
-    def test_stacked_backward_equals_each_model(self):
+    def test_stacked_backward_equals_each_model(self, init_mlp):
         rng = np.random.default_rng(36)
         dims = (3, 5, 4, 2)
-        nets = [Mlp.init(dims, rng) for _ in range(4)]
+        nets = [init_mlp(dims, rng) for _ in range(4)]
         x = rng.standard_normal((4, 6, 3))
         grad_out = rng.standard_normal((4, 6, 2))
         stack = Mlp(dims, np.stack([n.params for n in nets]))

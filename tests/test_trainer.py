@@ -174,11 +174,11 @@ class TestMlpForward:
         total = nt_xent(batch, LossConfig(tau=0.5)).total
         assert total == pytest.approx(math.log(7), abs=1e-12)
 
-    def test_matches_scalar_loop_oracle(self):
+    def test_matches_scalar_loop_oracle(self, init_mlp):
         """Independent per-layer forward pass written with plain loops."""
         rng = make_rng(7)
-        enc = Mlp.init((3, 4, 2), rng)
-        proj = Mlp.init((2, 5, 3), rng)
+        enc = init_mlp((3, 4, 2), rng)
+        proj = init_mlp((2, 5, 3), rng)
         views = rng.standard_normal((4, 3))
 
         def mlp_oracle(mlp, xs):
@@ -203,15 +203,15 @@ class TestMlpForward:
         latents = EmbeddingBatch(out.latents).rows
         np.testing.assert_allclose(latents, mlp_oracle(proj, mlp_oracle(enc, views)), rtol=1e-12, atol=1e-14)
 
-    def test_hidden_layers_nonnegative(self):
+    def test_hidden_layers_nonnegative(self, init_mlp):
         rng = make_rng(12)
-        mlp = Mlp.init((4, 8, 8, 2), rng)
+        mlp = init_mlp((4, 8, 8, 2), rng)
         trace = mlp.forward_trace(rng.standard_normal((10, 4)))
         for act in trace.act[1:-1]:
             assert np.all(act >= 0.0)
 
-    def test_init_parameter_range(self):
-        mlp = Mlp.init((9, 5), make_rng(0))
+    def test_init_parameter_range(self, init_mlp):
+        mlp = init_mlp((9, 5), make_rng(0))
         bound = 1.0 / 3.0
         assert np.all(np.abs(mlp.weights[0]) <= bound)
         assert np.all(np.abs(mlp.biases[0]) <= bound)
@@ -235,10 +235,10 @@ class TestOneDrawInit:
     """One ``random(P)`` per model, scaled per layer, gives the per-layer uniforms bit for bit."""
 
     @pytest.mark.parametrize("dims", INIT_LAYOUTS)
-    def test_mlp_init_equals_per_layer_uniforms(self, dims):
+    def test_mlp_init_equals_per_layer_uniforms(self, dims, init_mlp):
         for seed in range(50):
             rng, twin = make_rng(seed), make_rng(seed)
-            np.testing.assert_array_equal(Mlp.init(dims, rng).params, per_layer_uniforms([dims], twin))
+            np.testing.assert_array_equal(init_mlp(dims, rng).params, per_layer_uniforms([dims], twin))
             assert rng.random() == twin.random()
 
     @pytest.mark.parametrize(
@@ -279,8 +279,8 @@ class TestParameterLayout:
         assert np.flatnonzero(mlp.params).tolist() == [2, 7, 11, 18]
         assert mlp.params[[2, 7, 11, 18]].tolist() == [1.0, 2.0, 3.0, 4.0]
 
-    def test_assigning_a_layer_raises(self):
-        mlp = Mlp.init((3, 2), make_rng(0))
+    def test_assigning_a_layer_raises(self, init_mlp):
+        mlp = init_mlp((3, 2), make_rng(0))
         with pytest.raises(TypeError):
             mlp.weights[0] = np.zeros((3, 2))
         with pytest.raises(TypeError):
@@ -349,10 +349,10 @@ class TestParameterLayout:
         assert param_grad.shape == params.shape
         assert param_grad.tobytes() == oracle.tobytes()
 
-    def test_backward_can_skip_the_input_gradient(self):
+    def test_backward_can_skip_the_input_gradient(self, init_mlp):
         """Without the input's gradient, backward returns None for it and writes the same parameter gradient."""
         rng = make_rng(4)
-        mlp = Mlp.init((3, 5, 4), rng)
+        mlp = init_mlp((3, 5, 4), rng)
         trace = mlp.forward_trace(rng.standard_normal((6, 3)))
         grad_out = rng.standard_normal((6, 4))
         want, grad_in = mlp.backward(trace, grad_out)
