@@ -14,7 +14,7 @@ class DimensionMismatchError(NtxBoundError):
 
 
 class InvalidTemperatureError(NtxBoundError):
-    """Temperature must be a finite, strictly positive real."""
+    """Temperature must be a real in [TAU_MIN, TAU_MAX] = [1e-12, 1e4] (see ``ntxbound.sim``)."""
 
 
 class EmptyInputError(NtxBoundError):

@@ -26,7 +26,6 @@ and :meth:`Mlp.forward_trace` calls follow the caller's error state.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field, fields
 
@@ -83,7 +82,6 @@ def _layer_views(layer_dims: tuple[int, ...], params: np.ndarray) -> list[tuple[
     return views
 
 
-@functools.lru_cache(maxsize=16)
 def _init_scale(*layouts: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Each parameter's init uniform as ``low`` and ``high - low`` (P,), over layouts laid end to end.
 
@@ -100,7 +98,6 @@ def _init_scale(*layouts: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
             low += [np.full(fan_in * fan_out, -bound), np.full(fan_out, -0.1 * bound)]
     low = np.concatenate(low)
     span = -2.0 * low  # high is -low: high - low exactly as rng.uniform computes it
-    low.flags.writeable = span.flags.writeable = False  # cached, so shared by every caller
     return low, span
 
 

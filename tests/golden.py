@@ -1,0 +1,101 @@
+"""Committed sha256 digests of the commands' outputs, so that "byte-identical" is a tier-1 check.
+
+``tests/golden.json`` maps an environment key (numpy version, OpenBLAS core
+name, machine) to the digest of each output of ``COMMANDS``: exit code and
+stdout per command, and every file they write. Another numpy, another BLAS
+kernel or another machine moves last bits (README "Determinism"), so
+``tests/test_golden.py`` compares only where its key is in the file.
+
+A change that means to alter an output rewrites this environment's entry,
+keeping the others, with::
+
+    python tests/golden.py --update
+
+The diff of ``golden.json`` then shows which outputs changed. Never rewrite
+it to make a failure pass without saying what changed the output and why.
+"""
+
+import argparse
+import contextlib
+import ctypes
+import hashlib
+import io
+import json
+import platform
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from ntxbound import cli
+
+GOLDEN = Path(__file__).with_name("golden.json")
+DESK = Path(__file__).resolve().parent.parent / "configs" / "train_desk.json"
+TRAIN_SEEDS = (0, 1, 2)
+
+#: The stock verify, the desk train at three seeds, gradcheck at a passing and a failing seed, and a report.
+COMMANDS = {
+    "verify": ["verify", "--out", "{tmp}/out/verify"],
+    **{f"train{s}": ["train", "--config", f"{{tmp}}/desk{s}.json", "--out", f"{{tmp}}/out/train{s}"] for s in TRAIN_SEEDS},
+    **{f"gradcheck{s}": ["gradcheck", "--trials", "20", "--seed", str(s)] for s in (0, 2)},
+    "report": ["report", "--trace", "{tmp}/out/train0/train_trace.csv", "--out", "{tmp}/out/report"],
+}
+
+
+def run_commands(tmp: Path, configs: dict, commands: dict) -> dict[str, bytes]:
+    """Run ``commands`` in process, in order, after writing each config to ``tmp/<name>.json``.
+
+    ``{tmp}`` in an argument, and ``tmp`` in what a command prints, read as
+    the literal ``{tmp}``. Returns each command's exit code and stdout under
+    its name, and each file written under ``tmp/out`` under its path there.
+    """
+    for name, config in configs.items():
+        (tmp / f"{name}.json").write_text(json.dumps(config))
+    outputs = {}
+    for name, argv in commands.items():
+        printed = io.StringIO()
+        with contextlib.redirect_stdout(printed):
+            code = cli.main([arg.format(tmp=tmp) for arg in argv])
+        outputs[name] = f"{code}\n{printed.getvalue()}".replace(str(tmp), "{tmp}").encode()
+    out = tmp / "out"
+    outputs.update((p.relative_to(out).as_posix(), p.read_bytes()) for p in sorted(out.rglob("*")) if p.is_file())
+    return outputs
+
+
+def openblas_core() -> str:
+    """The kernel numpy's bundled OpenBLAS runs, or "unknown" where numpy bundles no scipy-openblas."""
+    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*")):
+        corename = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.argtypes, corename.restype = [], ctypes.c_char_p
+            return corename().decode()
+    return "unknown"
+
+
+def environment_key() -> str:
+    return f"numpy {np.__version__} / OpenBLAS {openblas_core()} / {platform.machine()}"
+
+
+def digests() -> dict[str, str]:
+    desk = json.loads(DESK.read_text())
+    configs = {f"desk{seed}": {**desk, "seed": seed} for seed in TRAIN_SEEDS}
+    with tempfile.TemporaryDirectory() as tmp:
+        outputs = run_commands(Path(tmp), configs, COMMANDS)
+    return {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--update", action="store_true", help="rewrite this environment's digests in golden.json")
+    if not parser.parse_args(argv).update:
+        parser.error("nothing to do without --update")
+    table = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    table[environment_key()] = digests()
+    GOLDEN.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n")
+    print(f"golden: wrote {len(table[environment_key()])} digests for {environment_key()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

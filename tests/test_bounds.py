@@ -30,15 +30,11 @@ from ntxbound.bounds import DISTRIBUTIONS, VIOLATION_SLACK, _run_cell, _sample_r
 from ntxbound.loss import _nt_xent_pass
 from ntxbound.sim import TAU_MAX, TAU_MIN
 from ntxbound.serialize import dumps
+from oracle import cosine
 
 LOG3 = 1.0986122886681098
 LOG4 = 1.3862943611198906
 LSE_0_10 = 10.000045398899218  # 10 + log1p(exp(-10)), evaluated by hand
-
-
-def cosine_oracle(a, b):
-    dot = sum(x * y for x, y in zip(a, b))
-    return dot / (math.sqrt(sum(x * x for x in a)) * math.sqrt(sum(y * y for y in b)))
 
 
 class TestLseBounds:
@@ -97,7 +93,7 @@ class TestAvgPositiveSimilarity:
     def test_matches_bruteforce(self):
         rng = np.random.default_rng(8)
         rows = rng.standard_normal((10, 4))
-        want = sum(cosine_oracle(rows[2 * t], rows[2 * t + 1]) for t in range(5)) / 5.0
+        want = sum(cosine(rows[2 * t], rows[2 * t + 1]) for t in range(5)) / 5.0
         assert avg_positive_similarity(EmbeddingBatch(rows)) == pytest.approx(want, abs=1e-12)
 
 

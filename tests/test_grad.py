@@ -22,37 +22,7 @@ from ntxbound.gradcheck import (
     worst_error,
 )
 from ntxbound.trainer import Mlp, SimclrModel, _backprop, _forward_pass
-
-FD_STEP = 1e-5
-
-
-def fd_gradient(rows, cfg, step=FD_STEP):
-    """Central differences of the loss w.r.t. every latent entry."""
-    grad = np.zeros_like(rows)
-    for i in range(rows.shape[0]):
-        for j in range(rows.shape[1]):
-            plus = rows.copy()
-            plus[i, j] += step
-            minus = rows.copy()
-            minus[i, j] -= step
-            grad[i, j] = (
-                nt_xent(EmbeddingBatch(plus), cfg).total - nt_xent(EmbeddingBatch(minus), cfg).total
-            ) / (2.0 * step)
-    return grad
-
-
-def assert_grads_close(analytic, numeric, rel_tol, floor=1e-8):
-    """Per-entry: relative when either magnitude reaches the floor, absolute below it."""
-    for a, n in zip(analytic.ravel(), numeric.ravel()):
-        denom = max(abs(a), abs(n))
-        if denom >= floor:
-            assert abs(a - n) <= rel_tol * denom, f"analytic={a!r} numeric={n!r}"
-        else:
-            assert abs(a - n) <= floor
-
-
-def unit_rms(x):
-    return x / math.sqrt(float(np.mean(x * x)))
+from oracle import latent_fd, unit_rms, worst_rel_error
 
 
 class TestGradientVsFiniteDifferences:
@@ -63,14 +33,14 @@ class TestGradientVsFiniteDifferences:
             m = int(rng.integers(2, 9))
             rows = unit_rms(rng.standard_normal((2 * n_pairs, m)))
             cfg = LossConfig(tau=float(rng.uniform(0.2, 1.0)))
-            assert_grads_close(nt_xent_grad(EmbeddingBatch(rows), cfg), fd_gradient(rows, cfg), rel_tol=1e-5)
+            assert worst_rel_error(nt_xent_grad(EmbeddingBatch(rows), cfg), latent_fd(rows, cfg))[0] <= 1e-5
 
     def test_random_batches_symmetric_mode(self):
         rng = np.random.default_rng(809)
         for _ in range(10):
             rows = unit_rms(rng.standard_normal((6, 4)))
             cfg = LossConfig(tau=0.5, anchor_mode=AnchorMode.SYMMETRIC_2N)
-            assert_grads_close(nt_xent_grad(EmbeddingBatch(rows), cfg), fd_gradient(rows, cfg), rel_tol=1e-5)
+            assert worst_rel_error(nt_xent_grad(EmbeddingBatch(rows), cfg), latent_fd(rows, cfg))[0] <= 1e-5
 
 
 class TestGradientOrthogonality:
@@ -101,7 +71,7 @@ class TestGradientUnderRescaling:
             # degree-0 homogeneity per row: grad(D z) = grad(z) / D
             np.testing.assert_allclose(grad_scaled, grad_base / scales, rtol=1e-11, atol=1e-14)
             # and the scaled-batch gradient still matches finite differences
-            assert_grads_close(grad_scaled, fd_gradient(scaled_rows, cfg), rel_tol=1e-5)
+            assert worst_rel_error(grad_scaled, latent_fd(scaled_rows, cfg))[0] <= 1e-5
 
     def test_gradient_shape_and_finiteness(self):
         rng = np.random.default_rng(9)
@@ -160,7 +130,7 @@ class TestStackedCentralDifference:
             rows = unit_rms(rng.standard_normal((6, 4)))
             cfg = LossConfig(tau=0.4, anchor_mode=mode)
             numeric = central_difference(lambda probes: _stack_losses(probes[0], cfg), rows[None], chunk=chunk)[0]
-            np.testing.assert_allclose(numeric, fd_gradient(rows, cfg), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(numeric, latent_fd(rows, cfg), rtol=0, atol=1e-12)
 
     def test_probes_are_refused_like_a_batch(self):
         cfg = LossConfig(tau=0.5)
@@ -376,18 +346,6 @@ class TestGroupDraws:
         assert max(ks) >= 1  # some trial's draws come from a redraw key (1, t, k)
 
 
-def oracle_worst_error(a, n):
-    """One trial's worst entry, computed entry set by entry set."""
-    denom = np.maximum(np.abs(a), np.abs(n))
-    diff = np.abs(a - n)
-    big = denom >= gradcheck.ABS_FLOOR
-    err = np.zeros_like(denom)
-    err[big] = diff[big] / denom[big]
-    err[~big] = np.where(diff[~big] <= gradcheck.ABS_FLOOR, 0.0, np.inf)
-    j = int(np.argmax(err))
-    return float(err.flat[j]), tuple(int(i) for i in np.unravel_index(j, a.shape))
-
-
 def awkward_gradients(shape):
     """Seven trials' gradients of one shape, each with entries that test one rule of the error pass."""
     rng = np.random.default_rng(41)
@@ -409,7 +367,7 @@ class TestGroupErrorPass:
     def test_matches_per_trial_oracle(self, shape):
         a, n = awkward_gradients(shape)
         with np.errstate(invalid="ignore"):
-            want = [oracle_worst_error(x, y) for x, y in zip(a, n)]
+            want = [worst_rel_error(x, y, gradcheck.ABS_FLOOR) for x, y in zip(a, n)]
             err, index = gradcheck._worst_errors(a, n)
             singles = [worst_error(x, y) for x, y in zip(a, n)]
         np.testing.assert_array_equal(err, [w[0] for w in want])

@@ -25,33 +25,10 @@ from ntxbound import (
 )
 from ntxbound.loss import nt_xent_from_sims
 from ntxbound.sim import TAU_MAX, TAU_MIN
+from oracle import nt_xent_loss
 
 LOG3 = 1.0986122886681098
 LOG4 = 1.3862943611198906
-
-
-def cosine_oracle(a, b):
-    dot = sum(x * y for x, y in zip(a, b))
-    return dot / (math.sqrt(sum(x * x for x in a)) * math.sqrt(sum(y * y for y in b)))
-
-
-def nt_xent_oracle(rows, tau, symmetric=False):
-    """Term-by-term loss evaluation with plain Python floats.
-
-    Follows the ratio form directly: numerator exp of the positive-pair
-    similarity, denominator the sum over non-self similarities, spelled out
-    per anchor with no vectorization and no code shared with the package.
-    """
-    n = len(rows)
-    sims = [[cosine_oracle(rows[i], rows[k]) for k in range(n)] for i in range(n)]
-    anchors = range(n) if symmetric else range(0, n, 2)
-    total = 0.0
-    for a in anchors:
-        partner = a + 1 if a % 2 == 0 else a - 1
-        numerator = math.exp(sims[a][partner] / tau)
-        denominator = sum(math.exp(sims[a][k] / tau) for k in range(n) if k != a)
-        total += -math.log(numerator / denominator)
-    return total / (n // 2)
 
 
 class TestLogsumexp:
@@ -114,7 +91,7 @@ class TestNtXentOracle:
         rng = np.random.default_rng(2024)
         rows = rng.standard_normal((8, 8))  # N = 4, m = 8
         got = nt_xent(EmbeddingBatch(rows), LossConfig(tau=0.5)).total
-        want = nt_xent_oracle([list(r) for r in rows], 0.5)
+        want = nt_xent_loss([list(r) for r in rows], 0.5)
         assert got == pytest.approx(want, rel=1e-10)
 
     def test_more_random_batches_both_modes(self):
@@ -127,9 +104,9 @@ class TestNtXentOracle:
             batch = EmbeddingBatch(rows)
             listed = [list(r) for r in rows]
             got_paper = nt_xent(batch, LossConfig(tau=tau)).total
-            assert got_paper == pytest.approx(nt_xent_oracle(listed, tau), rel=1e-10)
+            assert got_paper == pytest.approx(nt_xent_loss(listed, tau), rel=1e-10)
             got_sym = nt_xent(batch, LossConfig(tau=tau, anchor_mode=AnchorMode.SYMMETRIC_2N)).total
-            assert got_sym == pytest.approx(nt_xent_oracle(listed, tau, symmetric=True), rel=1e-10)
+            assert got_sym == pytest.approx(nt_xent_loss(listed, tau, symmetric=True), rel=1e-10)
 
     def test_modes_differ_in_general(self):
         rng = np.random.default_rng(3)

@@ -7,10 +7,7 @@ the stock sizes. The pinned cases (``test_small_chunks_*``,
 ``TestStackedTrials``, ``TestBlocks``) stay beside this property.
 """
 
-import contextlib
 import functools
-import io
-import json
 import tempfile
 from pathlib import Path
 
@@ -21,39 +18,26 @@ from hypothesis import given, settings, strategies as st
 
 import ntxbound.bounds as bounds
 import ntxbound.trainer as trainer
-from ntxbound.cli import main
+from golden import run_commands
 
 VERIFY = {"ns": [2, 5], "ms": [3], "taus": [0.2], "distributions": ["uniform_sphere", "gaussian", "clustered"],
           "trials": 12, "seed": 3}
 TRAIN = {"n_pairs": 4, "input_dim": 4, "encoder_dims": [8, 8], "projector_dims": [8, 4], "tau": 0.5,
          "learning_rate": 0.05, "steps": 30, "seed": 1, "augment": {"noise_sigma": 0.1, "dropout_prob": 0.1},
          "dataset": {"clusters": 2, "spread": 0.2, "points": 32}}
-
-
-def run_commands(tmp: Path) -> dict[str, bytes]:
-    """A small verify, a 30-step train and ``gradcheck --trials 3``: each exit code with its stdout, and each file."""
-    (tmp / "verify.json").write_text(json.dumps(VERIFY))
-    (tmp / "train.json").write_text(json.dumps(TRAIN))
-    out = tmp / "out"
-    commands = {
-        "verify": ["verify", "--config", str(tmp / "verify.json"), "--out", str(out)],
-        "train": ["train", "--config", str(tmp / "train.json"), "--out", str(out)],
-        "gradcheck": ["gradcheck", "--trials", "3"],
-    }
-    outputs = {}
-    for name, argv in commands.items():
-        printed = io.StringIO()
-        with contextlib.redirect_stdout(printed):
-            code = main(argv)
-        outputs[name] = f"{code}\n{printed.getvalue()}".encode()
-    outputs.update((path.name, path.read_bytes()) for path in sorted(out.iterdir()))
-    return outputs
+CONFIGS = {"verify": VERIFY, "train": TRAIN}
+#: A small verify, a 30-step train and ``gradcheck --trials 3``.
+COMMANDS = {
+    "verify": ["verify", "--config", "{tmp}/verify.json", "--out", "{tmp}/out"],
+    "train": ["train", "--config", "{tmp}/train.json", "--out", "{tmp}/out"],
+    "gradcheck": ["gradcheck", "--trials", "3"],
+}
 
 
 @functools.cache
 def stock_outputs() -> dict[str, bytes]:
     with tempfile.TemporaryDirectory() as tmp:
-        return run_commands(Path(tmp))
+        return run_commands(Path(tmp), CONFIGS, COMMANDS)
 
 
 @settings(max_examples=25, deadline=None)
@@ -64,4 +48,4 @@ def test_outputs_do_not_depend_on_sizes(chunk_log2, block_steps):
     with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
         mp.setattr(bounds, "CHUNK_BYTES", int(2.0**chunk_log2))
         mp.setattr(trainer, "BLOCK_STEPS", block_steps)
-        assert run_commands(Path(tmp)) == want
+        assert run_commands(Path(tmp), CONFIGS, COMMANDS) == want
