@@ -33,11 +33,15 @@ from ntxbound import cli
 GOLDEN = Path(__file__).with_name("golden.json")
 DESK = Path(__file__).resolve().parent.parent / "configs" / "train_desk.json"
 TRAIN_SEEDS = (0, 1, 2)
+#: A non-desk layout: a hidden ReLU layer before the encoder's linear output, and a one-layer projector.
+LAYOUT = {"encoder_dims": [5, 7, 3], "projector_dims": [6]}
 
-#: The stock verify, the desk train at three seeds, gradcheck at a passing and a failing seed, and a report.
+#: The stock verify, the desk train at three seeds and in another layout, gradcheck at a passing and a failing
+#: seed, and a report.
 COMMANDS = {
     "verify": ["verify", "--out", "{tmp}/out/verify"],
     **{f"train{s}": ["train", "--config", f"{{tmp}}/desk{s}.json", "--out", f"{{tmp}}/out/train{s}"] for s in TRAIN_SEEDS},
+    "train_layout": ["train", "--config", "{tmp}/layout.json", "--out", "{tmp}/out/train_layout"],
     **{f"gradcheck{s}": ["gradcheck", "--trials", "20", "--seed", str(s)] for s in (0, 2)},
     "report": ["report", "--trace", "{tmp}/out/train0/train_trace.csv", "--out", "{tmp}/out/report"],
 }
@@ -80,6 +84,7 @@ def environment_key() -> str:
 def digests() -> dict[str, str]:
     desk = json.loads(DESK.read_text())
     configs = {f"desk{seed}": {**desk, "seed": seed} for seed in TRAIN_SEEDS}
+    configs["layout"] = {**desk, **LAYOUT}
     with tempfile.TemporaryDirectory() as tmp:
         outputs = run_commands(Path(tmp), configs, COMMANDS)
     return {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()}
