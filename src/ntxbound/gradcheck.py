@@ -1,15 +1,15 @@
 """Finite-difference verification of the analytic gradients.
 
 Two levels are checked: the loss gradient with respect to raw latents, and
-the end-to-end parameter gradient through projector and encoder on a tiny
-model, by central differences with step 1e-5 on inputs pre-scaled to unit
-RMS. No float64 step avoids both truncation and rounding on every draw:
-seeds 2, 17, 19, 28, 30, 42, 52 and 53 of 0-59 FAIL ``ntxb gradcheck
---trials 20`` on correct gradients (ROADMAP item 1).
+the end-to-end parameter gradient through the projection head and encoder
+blocks of a tiny network, by central differences with step 1e-5 on inputs
+pre-scaled to unit RMS. No float64 step avoids both truncation and rounding
+on every draw: seeds 2, 17, 19, 28, 30, 42, 52 and 53 of 0-59 FAIL ``ntxb
+gradcheck --trials 20`` on correct gradients (ROADMAP item 1).
 
 Each level takes its trials in groups. A group gets its analytic gradients
 from one pass (end to end: one forward, pass and backward of a stack of
-models, after redraws of dead trials that run the forward alone), its records
+networks, after redraws of dead trials that run the forward alone), its records
 from one error pass, and the (trial, entry) pairs of all its trials run as one
 sequence of stacks: a stack can end inside one trial's entries and hold the
 next trial's first ones. Each stack is evaluated as its +1e-5 probes, then
@@ -19,10 +19,10 @@ probe of its own at its peak, and a stack as many pairs as the group has
 trials, so memory does not grow with the trial count. Both levels evaluate
 their probes with :func:`_stack_losses`, the one NT-Xent pass, which
 normalizes every row of every probe. Parameter probes are a stack (K, P) of
-flat parameter vectors, K models run through one MLP forward on their
-trials' views.
-Parameter j is entry j of ``SimclrModel.params``: the encoder's layers, then
-the projector's, each layer's weights row-major followed by its biases.
+flat parameter vectors, ``Mlp(cfg.blocks, probes)``: K networks run through
+one forward on their trials' views. Parameter j is entry j of the network's
+``params``: the encoder block's layers, then the projection head's, each
+layer's weights row-major followed by its biases.
 """
 
 from __future__ import annotations
@@ -37,16 +37,7 @@ from . import bounds
 from .bounds import _check_memory, _pass_bytes, _stream
 from .errors import ConfigError
 from .loss import AnchorMode, LossConfig, _breakdown, _latent_grad, _nt_xent_pass
-from .trainer import (
-    ForwardResult,
-    SimclrModel,
-    TrainConfig,
-    _backprop,
-    _forward_floats,
-    _init_params,
-    _step_bytes,
-    forward,
-)
+from .trainer import Mlp, MlpTrace, TrainConfig, _backprop, _forward_floats, _init_params, _step_bytes, forward
 
 FD_STEP = 1e-5
 LOSS_LEVEL_TOL = 1e-5
@@ -196,13 +187,13 @@ def loss_level_check(trials: int, **kwargs) -> list[GradCheckTrial]:
 
 
 # Shim: bench/tracer.py wraps this name; it goes with the tracer rework (ROADMAP item 2).
-def flatten_params(model: SimclrModel) -> np.ndarray:
-    return model.params
+def flatten_params(net: Mlp) -> np.ndarray:
+    return net.params
 
 
 # Shim: bench/tracer.py wraps this name; it goes with the tracer rework (ROADMAP item 2).
-def set_params(model: SimclrModel, vec: np.ndarray) -> None:
-    model.params = vec
+def set_params(net: Mlp, vec: np.ndarray) -> None:
+    net.params[...] = vec
 
 
 # Shim: bench/tracer.py wraps this name; it goes with the tracer rework (ROADMAP item 2).
@@ -224,21 +215,20 @@ def _tiny_config(seed: int) -> TrainConfig:
     )
 
 
-def _dead_relu(fwd: ForwardResult) -> np.ndarray:
-    """Per model: some hidden layer is zero on every row, so all gradients vanish and the trial checks nothing."""
-    dead = np.zeros(fwd.latents.shape[:-2], dtype=bool)
-    for trace in (fwd.encoder_trace, fwd.projector_trace):
-        for pre in trace.pre[:-1]:
+def _dead_relu(net: Mlp, trace: MlpTrace) -> np.ndarray:
+    """Per network: some hidden layer is zero on every row, so all gradients vanish and the trial checks nothing."""
+    dead = np.zeros(trace.act[-1].shape[:-2], dtype=bool)
+    for pre, relu in zip(trace.pre, net.relu):
+        if relu:
             dead |= ~(pre > 0).any(axis=(-2, -1))
     return dead
 
 
 def _end_to_end_group(cfg: TrainConfig, seed: int, first: int, size: int, chunk: int) -> list[GradCheckTrial]:
-    """Check trials first..first+size-1 as one stack of models.
+    """Check trials first..first+size-1 as one stack of networks.
 
-    Each trial draws its model's ``random(P)``, then its views' normals, into its rows of the stack.
+    Each trial draws its network's ``random(P)``, then its views' normals, into its rows of the stack.
     """
-    dims = (cfg.input_dim, *cfg.encoder_dims), (cfg.encoder_out, *cfg.projector_dims)
     uniforms, normals = np.empty((size, cfg.n_params)), np.empty((size, 2 * cfg.n_pairs, cfg.input_dim))
     dead = np.ones(size, dtype=bool)
     for k in range(DEAD_RELU_REDRAWS + 1):
@@ -246,23 +236,22 @@ def _end_to_end_group(cfg: TrainConfig, seed: int, first: int, size: int, chunk:
             rng = _stream(seed, 1, first + i, k) if k else _stream(seed, 1, first + i)
             rng.random(out=uniforms[i])
             rng.standard_normal(out=normals[i])
-        model, views = SimclrModel(*dims, _init_params(uniforms, *dims)), _unit_rms(normals)
-        fwd = forward(model.encoder, model.projector, views)
-        dead = _dead_relu(fwd)
+        net, views = Mlp(cfg.blocks, _init_params(uniforms, cfg.blocks)), _unit_rms(normals)
+        trace = forward(net, views)
+        dead = _dead_relu(net, trace)
         if not dead.any():
             break
-    latent_grad, analytic = _backprop(model, fwd, _nt_xent_pass(fwd.latents, cfg.tau, AnchorMode.PAPER_N))
-    ortho = _orthogonality(latent_grad, fwd.latents)
-    del latent_grad, fwd, uniforms, normals  # the probes need only the parameters and views
+    latent_grad, analytic = _backprop(net, trace, _nt_xent_pass(trace.act[-1], cfg.tau, AnchorMode.PAPER_N))
+    ortho = _orthogonality(latent_grad, trace.act[-1])
+    del latent_grad, trace, uniforms, normals  # the probes need only the parameters and views
 
     cfg_loss = LossConfig(tau=cfg.tau)
 
     def loss_at(probes) -> np.ndarray:
         vecs, point, _ = probes
-        probe = SimclrModel(*dims, vecs)
-        return _stack_losses(forward(probe.encoder, probe.projector, views[point]).latents, cfg_loss)
+        return _stack_losses(forward(Mlp(cfg.blocks, vecs), views[point]).act[-1], cfg_loss)
 
-    records = _trial_records(first, analytic, central_difference(loss_at, model.params, chunk=chunk), ortho)
+    records = _trial_records(first, analytic, central_difference(loss_at, net.params, chunk=chunk), ortho)
     # A trial still dead after every redraw checked nothing: it fails.
     return [
         GradCheckTrial(trial=r.trial, worst_rel_err=math.inf, worst_index=(0,), orthogonality=0.0) if d else r
@@ -271,9 +260,9 @@ def _end_to_end_group(cfg: TrainConfig, seed: int, first: int, size: int, chunk:
 
 
 def iter_end_to_end(trials: int, seed: int = 0) -> Iterator[GradCheckTrial]:
-    """Full parameter gradient of the tiny model vs central differences, trial by trial.
+    """Full parameter gradient of the tiny network vs central differences, trial by trial.
 
-    Trial t draws its model and views from spawn key (1, t). A draw with a
+    Trial t draws its network and views from spawn key (1, t). A draw with a
     dead hidden layer is replaced by one from (1, t, k), k = 1, 2, ...; a
     trial still dead after DEAD_RELU_REDRAWS redraws reports an infinite error.
     Each group's trials are yielded as soon as it is checked. A trial count

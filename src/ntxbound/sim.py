@@ -186,7 +186,8 @@ class SimilarityMatrix:
     """Full 2N x 2N cosine-similarity matrix at a temperature.
 
     The matrix is exactly symmetric, its diagonal is exactly 1, and entries
-    are clamped to [-1, 1].
+    are clamped to [-1, 1]. Construction refuses what :class:`EmbeddingBatch`
+    refuses in rows: a side that is odd or below 2, and non-finite entries.
     """
 
     sims: np.ndarray
@@ -195,6 +196,10 @@ class SimilarityMatrix:
     def __post_init__(self):
         if self.sims.ndim != 2 or self.sims.shape[0] != self.sims.shape[1]:
             raise DimensionMismatchError("similarity matrix must be square")
+        if self.sims.shape[0] < 2 or self.sims.shape[0] % 2:
+            raise DimensionMismatchError(f"similarity matrix side must be even and >= 2, got {self.sims.shape[0]}")
+        if not np.isfinite(self.sims).all():
+            raise ValueError("similarity matrix entries must be finite")
         _check_tau(self.tau)
 
 

@@ -1,8 +1,10 @@
 """Desk-scale SimCLR on synthetic data, instrumented with loss and bound diagnostics.
 
 The four classic components, shrunk to laptop size: a stochastic augmentation
-(Gaussian noise then coordinate dropout), an MLP encoder, an MLP projection
-head with ReLU between layers, and the NT-Xent loss. Every training step
+(Gaussian noise then coordinate dropout), an MLP encoder and an MLP projection
+head, and the NT-Xent loss. Encoder and head are the two blocks of one
+:class:`Mlp` over one flat parameter vector, with ReLU between the layers of
+each block and a linear output at each block's end. Every training step
 keeps the per-anchor terms of its NT-Xent pass *before* the parameter update,
 so the loss breakdown and both similarity-bound variants can be watched live
 while training. A step does only the math that feeds its update, and writes
@@ -21,7 +23,7 @@ for all 2N views, then their dropout mask.
 
 A :func:`train` or :func:`train_step` run enters numpy's error state once, quiet
 on overflow and invalid values, which its checks refuse; direct :func:`forward`
-and :meth:`Mlp.forward_trace` calls follow the caller's error state.
+calls follow the caller's error state.
 """
 
 from __future__ import annotations
@@ -60,21 +62,26 @@ class MlpTrace:
     """Forward-pass intermediates kept for backpropagation."""
 
     pre: list[np.ndarray]
-    act: list[np.ndarray]  # act[0] is the input; act[-1] the output
+    act: list[np.ndarray]  # act[0] is the input; act[-1] the output, the latents of a desk model
 
 
-def _param_count(layer_dims: tuple[int, ...]) -> int:
-    return sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:]))
+def _layers(blocks: tuple[tuple[int, ...], ...]) -> list[tuple[int, int]]:
+    """Each layer's (fan_in, fan_out): the layers of every block, laid end to end."""
+    return [(fan_in, fan_out) for dims in blocks for fan_in, fan_out in zip(dims[:-1], dims[1:])]
 
 
-def _layer_views(layer_dims: tuple[int, ...], params: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+def _param_count(blocks: tuple[tuple[int, ...], ...]) -> int:
+    return sum((fan_in + 1) * fan_out for fan_in, fan_out in _layers(blocks))
+
+
+def _layer_views(blocks: tuple[tuple[int, ...], ...], params: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """Each layer's weights (..., fan_in, fan_out) and biases (..., 1, fan_out) as views of params (..., P).
 
     The flat layout is, per layer, the weights row-major, then the biases.
     This is the one place that walks it.
     """
     lead, views, offset = params.shape[:-1], [], 0
-    for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:]):
+    for fan_in, fan_out in _layers(blocks):
         mid = offset + fan_in * fan_out
         w = params[..., offset:mid].reshape(lead + (fan_in, fan_out))
         offset = mid + fan_out
@@ -82,8 +89,8 @@ def _layer_views(layer_dims: tuple[int, ...], params: np.ndarray) -> list[tuple[
     return views
 
 
-def _init_scale(*layouts: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Each parameter's init uniform as ``low`` and ``high - low`` (P,), over layouts laid end to end.
+def _init_scale(blocks: tuple[tuple[int, ...], ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Each parameter's init uniform as ``low`` and ``high - low`` (P,), over the layers of the blocks.
 
     Weights are uniform in [-1/sqrt(fan_in), 1/sqrt(fan_in)] and biases in a
     tenth of that: nonzero, so a dead ReLU layer still emits a direction, and
@@ -92,18 +99,17 @@ def _init_scale(*layouts: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     the numbers of one ``rng.uniform`` per layer's weights, then biases.
     """
     low = []
-    for dims in layouts:
-        for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-            bound = 1.0 / math.sqrt(fan_in)
-            low += [np.full(fan_in * fan_out, -bound), np.full(fan_out, -0.1 * bound)]
+    for fan_in, fan_out in _layers(blocks):
+        bound = 1.0 / math.sqrt(fan_in)
+        low += [np.full(fan_in * fan_out, -bound), np.full(fan_out, -0.1 * bound)]
     low = np.concatenate(low)
     span = -2.0 * low  # high is -low: high - low exactly as rng.uniform computes it
     return low, span
 
 
-def _init_params(uniforms: np.ndarray, *layouts: tuple[int, ...]) -> np.ndarray:
+def _init_params(uniforms: np.ndarray, blocks: tuple[tuple[int, ...], ...]) -> np.ndarray:
     """Parameters (..., P) from draws U[0, 1) (..., P): ``low + (high - low) * u``, as ``rng.uniform`` makes them."""
-    low, span = _init_scale(*layouts)
+    low, span = _init_scale(blocks)
     return uniforms * span + low
 
 
@@ -134,47 +140,41 @@ def _step_bytes(cfg: TrainConfig) -> int:
 
 @dataclass(eq=False, frozen=True)
 class Mlp:
-    """Fully connected network, ReLU between layers, identity at the output.
+    """Fully connected network of blocks laid end to end: ReLU between the layers of a block, identity at its end.
 
-    The parameters are one flat vector ``params`` (P,) in the layout of
+    ``blocks`` holds each block's widths, its input's first; each block
+    starts at the width the one before it ends at. The desk model is
+    ``Mlp(cfg.blocks, params)``: the encoder, then the projection head. The
+    parameters are one flat vector ``params`` (P,) in the layout of
     :func:`_layer_views`; ``weights`` and ``biases`` are tuples of views into
-    it, built once at construction. The fields are frozen, so the views
-    cannot fall out of step with ``params``, and a copy views its own copy
-    of ``params``. Forward maps a (batch, d) array through ``x @ W + b`` per
-    layer, with the ReLU subgradient at 0 taken as 0. A stack ``params``
-    (K, P) is K networks, run at once into (K, batch, d) activations and
-    backpropagated into a stack (K, P) of gradients. Networks compare by
-    identity.
+    it, and ``relu`` says of each layer whether a ReLU follows it, all built
+    once at construction. The fields are frozen, so the views cannot fall out
+    of step with ``params``, and a copy views its own copy of ``params``.
+    :func:`forward` maps a (batch, d) array through ``x @ W + b`` per layer,
+    with the ReLU subgradient at 0 taken as 0. A stack ``params`` (K, P) is K
+    networks, run at once into (K, batch, d) activations and backpropagated
+    into a stack (K, P) of gradients. Networks compare by identity.
     """
 
-    layer_dims: tuple[int, ...]
+    blocks: tuple[tuple[int, ...], ...]
     params: np.ndarray
     weights: tuple[np.ndarray, ...] = field(init=False, repr=False)
     biases: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    relu: tuple[bool, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.params.shape[-1] != _param_count(self.layer_dims):
-            raise DimensionMismatchError(f"{self.params.shape[-1]} parameters do not fit layer dims {self.layer_dims}")
-        layers = _layer_views(self.layer_dims, self.params)
+        if any(dims[-1] != after[0] for dims, after in zip(self.blocks, self.blocks[1:])):
+            raise DimensionMismatchError(f"each block must start at the width the one before it ends at: {self.blocks}")
+        if self.params.shape[-1] != _param_count(self.blocks):
+            raise DimensionMismatchError(f"{self.params.shape[-1]} parameters do not fit blocks {self.blocks}")
+        layers = _layer_views(self.blocks, self.params)
         object.__setattr__(self, "weights", tuple(w for w, _ in layers))
         object.__setattr__(self, "biases", tuple(b for _, b in layers))
+        object.__setattr__(self, "relu", tuple(l < len(dims) - 2 for dims in self.blocks for l in range(len(dims) - 1)))
 
     def __reduce__(self):
         # Copies rebuild their views on the copied params: copied views would not share its memory.
-        return type(self), (self.layer_dims, self.params)
-
-    def forward_trace(self, x: np.ndarray) -> MlpTrace:
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim < 2 or x.shape[-1] != self.layer_dims[0]:
-            raise DimensionMismatchError(
-                f"input shape {x.shape} does not match first layer dim {self.layer_dims[0]}"
-            )
-        pre, act, last = [], [x], len(self.weights) - 1
-        for l, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = act[-1] @ w + b
-            pre.append(z)
-            act.append(np.maximum(z, 0.0) if l < last else z)
-        return MlpTrace(pre=pre, act=act)
+        return type(self), (self.blocks, self.params)
 
     def backward(
         self, trace: MlpTrace, grad_out: np.ndarray, out: Mlp | None = None, input_grad: bool = True
@@ -188,15 +188,32 @@ class Mlp:
         returned for it. A stack of networks takes a stack of traces and
         gradients, one per network.
         """
-        grads = Mlp(self.layer_dims, np.empty_like(self.params)) if out is None else out
+        grads = Mlp(self.blocks, np.empty_like(self.params)) if out is None else out
         g = np.asarray(grad_out, dtype=np.float64)
-        last = len(self.weights) - 1
-        for l in range(last, -1, -1):
-            d_pre = g if l == last else g * (trace.pre[l] > 0)
+        for l in range(len(self.weights) - 1, -1, -1):
+            d_pre = g * (trace.pre[l] > 0) if self.relu[l] else g
             np.matmul(trace.act[l].swapaxes(-1, -2), d_pre, out=grads.weights[l])
             d_pre.sum(axis=-2, keepdims=True, out=grads.biases[l])
             g = d_pre @ self.weights[l].swapaxes(-1, -2) if l or input_grad else None
         return grads.params, g
+
+
+def forward(net: Mlp, views: np.ndarray) -> MlpTrace:
+    """Map views (..., 2N, d) through the network, keeping its trace; the latents, in pairing order, are ``act[-1]``.
+
+    K stacked networks, ``params`` (K, P), map views (K, 2N, d) to K batches.
+    The latents are not checked here: the NT-Xent pass refuses non-finite
+    entries and zero-norm rows as it normalizes them.
+    """
+    x = np.asarray(views, dtype=np.float64)
+    if x.ndim < 2 or x.shape[-1] != net.blocks[0][0]:
+        raise DimensionMismatchError(f"input shape {x.shape} does not match first layer dim {net.blocks[0][0]}")
+    pre, act = [], [x]
+    for w, b, relu in zip(net.weights, net.biases, net.relu):
+        z = act[-1] @ w + b
+        pre.append(z)
+        act.append(np.maximum(z, 0.0) if relu else z)
+    return MlpTrace(pre=pre, act=act)
 
 
 @dataclass(frozen=True)
@@ -273,8 +290,9 @@ class TrainConfig:
         _check_memory(need, what, InvalidDatasetParamsError)
 
     @property
-    def encoder_out(self) -> int:
-        return self.encoder_dims[-1]
+    def blocks(self) -> tuple[tuple[int, ...], ...]:
+        """The desk model's blocks: the encoder's widths from the input's, then the projection head's."""
+        return (self.input_dim, *self.encoder_dims), (self.encoder_dims[-1], *self.projector_dims)
 
     @property
     def latent_dim(self) -> int:
@@ -282,8 +300,7 @@ class TrainConfig:
 
     @property
     def n_params(self) -> int:
-        encoder, projector = (self.input_dim, *self.encoder_dims), (self.encoder_out, *self.projector_dims)
-        return _param_count(encoder) + _param_count(projector)
+        return _param_count(self.blocks)
 
 
 @dataclass
@@ -334,90 +351,6 @@ def _augment_batch(points: np.ndarray, cfg: AugmentConfig, rng: np.random.Genera
     views += rng.normal(0.0, cfg.noise_sigma, size=views.shape)
     views[rng.random(views.shape) < cfg.dropout_prob] = 0.0
     return views
-
-
-@dataclass(eq=False)
-class SimclrModel:
-    """Encoder and projection head over one flat vector (or a stack (K, P) of K models).
-
-    ``params`` holds the encoder's parameters, then the projector's. The two
-    networks are views of it, built on first access and handed out again for
-    as long as ``params`` is the same array: an update in place keeps them,
-    and rebinding ``params`` builds new ones on the new array. The gradient
-    array that backpropagation writes, and the networks viewing it, are kept
-    the same way from the first backward on. A copy copies one array and
-    builds its own networks. Models compare by identity.
-    """
-
-    encoder_dims: tuple[int, ...]
-    projector_dims: tuple[int, ...]
-    params: np.ndarray
-
-    def __reduce__(self):
-        # Copies leave the networks behind: copied views would not share the copied params' memory.
-        return type(self), (self.encoder_dims, self.projector_dims, self.params)
-
-    @classmethod
-    def init(cls, cfg: TrainConfig, rng: np.random.Generator) -> "SimclrModel":
-        """Both networks as :func:`_init_scale` describes them, the encoder first, from one ``rng.random(P)``."""
-        dims = (cfg.input_dim, *cfg.encoder_dims), (cfg.encoder_out, *cfg.projector_dims)
-        return cls(*dims, _init_params(rng.random(cfg.n_params), *dims))
-
-    def _over(self, flat: np.ndarray) -> tuple[Mlp, Mlp]:
-        """An encoder and a projector viewing ``flat``, an array in the layout of ``params``."""
-        split = _param_count(self.encoder_dims)
-        return Mlp(self.encoder_dims, flat[..., :split]), Mlp(self.projector_dims, flat[..., split:])
-
-    def _networks(self) -> tuple[np.ndarray, Mlp, Mlp]:
-        """The params array the networks view, the encoder and the projector; rebuilt once params is rebound."""
-        nets = self.__dict__.get("_nets")
-        if nets is None or nets[0] is not self.params:
-            nets = self._nets = (self.params, *self._over(self.params))
-        return nets
-
-    def _gradient(self) -> tuple[np.ndarray, Mlp, Mlp]:
-        """An array shaped like params for its gradient, and an encoder and a projector viewing it.
-
-        Built on first use, so a model that only runs forward never holds it,
-        and rebuilt once params is rebound.
-        """
-        grads = self.__dict__.get("_grads")
-        if grads is None or grads[0] is not self.params:
-            grad = np.empty_like(self.params, order="C")
-            grads = self._grads = (self.params, grad, *self._over(grad))
-        return grads[1:]
-
-    @property
-    def encoder(self) -> Mlp:
-        return self._networks()[1]
-
-    @property
-    def projector(self) -> Mlp:
-        return self._networks()[2]
-
-
-@dataclass
-class ForwardResult:
-    """Latents in pairing order, (2N, m) or a stack (K, 2N, m), with both networks' traces kept for backpropagation."""
-
-    latents: np.ndarray
-    encoder_trace: MlpTrace
-    projector_trace: MlpTrace
-
-
-def forward(encoder: Mlp, projector: Mlp, views: np.ndarray) -> ForwardResult:
-    """Map 2N augmented views through encoder then projector; K stacked models map views (K, 2N, d) to K batches.
-
-    The latents are not checked here: the NT-Xent pass refuses non-finite
-    entries and zero-norm rows as it normalizes them.
-    """
-    if encoder.layer_dims[-1] != projector.layer_dims[0]:
-        raise DimensionMismatchError(
-            f"encoder output dim {encoder.layer_dims[-1]} != projector input dim {projector.layer_dims[0]}"
-        )
-    etrace = encoder.forward_trace(views)
-    ptrace = projector.forward_trace(etrace.act[-1])
-    return ForwardResult(latents=ptrace.act[-1], encoder_trace=etrace, projector_trace=ptrace)
 
 
 @dataclass(frozen=True)
@@ -481,47 +414,46 @@ class TrainTrace:
         return len(self.step)
 
 
-def _forward_pass(model: SimclrModel, views: np.ndarray, cfg: TrainConfig) -> tuple[ForwardResult, _Pass, np.ndarray]:
+def _forward_pass(net: Mlp, views: np.ndarray, cfg: TrainConfig) -> tuple[MlpTrace, _Pass, np.ndarray]:
     """Forward the views and take their NT-Xent pass, with each batch's smallest anchor-row similarity.
 
     The minimum is read before the pass overwrites the similarities with its
-    logits. A stack of K models, ``params`` (K, P), on views (K, 2N, d) gives
-    K of each from one forward and one pass. Degenerate latents raise
+    logits. A stack of K networks, ``params`` (K, P), on views (K, 2N, d)
+    gives K of each from one forward and one pass. Degenerate latents raise
     ZeroVectorError or ValueError.
     """
-    fwd = forward(model.encoder, model.projector, views)
-    unit, norms = _unit_rows(fwd.latents)
+    trace = forward(net, views)
+    unit, norms = _unit_rows(trace.act[-1])
     sims = _cosine_matrix(unit, AnchorMode.PAPER_N.step)
     min_similarity = sims.min(axis=(-2, -1))
-    return fwd, _Pass(sims, cfg.tau, AnchorMode.PAPER_N, unit, norms), min_similarity
+    return trace, _Pass(sims, cfg.tau, AnchorMode.PAPER_N, unit, norms), min_similarity
 
 
-def _backprop(model: SimclrModel, fwd: ForwardResult, p: _Pass) -> tuple[np.ndarray, np.ndarray]:
-    """The pass's latent gradient, and the model's gradient array (..., P) it is backpropagated into.
+def _backprop(net: Mlp, trace: MlpTrace, p: _Pass, out: Mlp | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The pass's latent gradient, and the network's parameter gradient (..., P), written into ``out`` if given.
 
-    A non-finite latent gradient raises ValueError. The encoder's input is
-    data, so its gradient is not formed. The model's next backward writes the
-    same gradient array again.
+    A non-finite latent gradient raises ValueError. The network's input is
+    data, so its gradient is not formed.
     """
     grad_z = _latent_grad(p)
-    grad, encoder_grad, projector_grad = model._gradient()
-    _, grad_hidden = model.projector.backward(fwd.projector_trace, grad_z, out=projector_grad)
-    model.encoder.backward(fwd.encoder_trace, grad_hidden, out=encoder_grad, input_grad=False)
+    grad, _ = net.backward(trace, grad_z, out=out, input_grad=False)
     return grad_z, grad
 
 
 class _Run:
-    """A run's trace, filled a block of steps at a time.
+    """A run of one network's steps, and its trace, filled a block of steps at a time.
 
-    Each step writes what its diagnostics need into row ``kept`` of the block:
-    its pass's ``lse``, ``pos`` and ``max_excl`` and its pair similarities
-    (rows, N), its smallest anchor-row similarity and its squared gradient
-    norm (rows,). A full block, and the last one, is evaluated into the trace
-    columns by one stacked :func:`_evaluation`.
+    Each step writes its parameter gradient into ``grads``, a network built
+    once per run, and what its diagnostics need into row ``kept`` of the
+    block: its pass's ``lse``, ``pos`` and ``max_excl`` and its pair
+    similarities (rows, N), its smallest anchor-row similarity and its
+    squared gradient norm (rows,). A full block, and the last one, is
+    evaluated into the trace columns by one stacked :func:`_evaluation`.
     """
 
-    def __init__(self, cfg: TrainConfig, steps: int, first: int = 0):
-        self.cfg, self.first = cfg, first
+    def __init__(self, net: Mlp, cfg: TrainConfig, steps: int, first: int = 0):
+        self.net, self.cfg, self.first = net, cfg, first
+        self.grads = Mlp(net.blocks, np.empty_like(net.params))
         self.trace = TrainTrace._empty(steps, first)
         rows = min(BLOCK_STEPS, steps)
         self.lse, self.pos, self.max_excl, self.pair_sims = (np.empty((rows, cfg.n_pairs)) for _ in range(4))
@@ -530,8 +462,8 @@ class _Run:
         self.start = 0  # the trace row of the block's first step
         self.kept = 0  # block rows holding a pass
 
-    def step(self, model: SimclrModel, points: np.ndarray, rng: np.random.Generator) -> None:
-        """One full-batch gradient-descent update of ``model`` on 2N views of the points, its diagnostics kept.
+    def step(self, points: np.ndarray, rng: np.random.Generator) -> None:
+        """One full-batch gradient-descent update of the network on 2N views of the points, its diagnostics kept.
 
         Degenerate latents (non-finite entries or a zero-norm row) and
         non-finite gradients raise NonFiniteLossError, once the steps kept
@@ -542,17 +474,18 @@ class _Run:
         row = self.start + i
         views = _augment_batch(points, cfg.augment, rng)
         try:
-            fwd, p, self.min_similarity[i] = _forward_pass(model, views, cfg)
+            trace, p, self.min_similarity[i] = _forward_pass(self.net, views, cfg)
             self.lse[i], self.pos[i], self.max_excl[i], self.pair_sims[i] = p.lse, p.pos, p.max_excl, p.pair_sims
             self.kept = i + 1
-            _, grad = _backprop(model, fwd, p)
+            _, grad = _backprop(self.net, trace, p, self.grads)
         except (ZeroVectorError, ValueError) as exc:
             self._fail(row, f"degenerate latents or loss: {exc}", exc)
         sq = np.vdot(grad, grad)
         if not math.isfinite(sq):
             self._fail(row, "non-finite parameter gradient")
         self.grad_sq[i] = sq
-        model.params -= cfg.learning_rate * grad
+        params = self.net.params
+        params -= cfg.learning_rate * grad
         if self.kept == len(self.lse):
             self.flush()
 
@@ -589,24 +522,29 @@ class _Run:
 
 
 def train_step(
-    model: SimclrModel,
+    net: Mlp,
     points: np.ndarray,
     cfg: TrainConfig,
     rng: np.random.Generator,
     step: int = 0,
 ) -> StepRecord:
-    """One full-batch gradient-descent update, as a run of one step; the model is mutated in place.
+    """One full-batch gradient-descent update, as a run of one step; the network's params are updated in place.
 
-    Augments the N points into 2N views, takes one NT-Xent pass on the
-    resulting latents, backpropagates its loss gradient through projector and
-    encoder, and applies ``-learning_rate * grad``. The returned record holds
-    the pre-update diagnostics. Degenerate latents (non-finite entries or a
-    zero-norm row), a loss or bound that its checks refuse, and non-finite
-    gradients raise NonFiniteLossError.
+    Augments the N points (N, input_dim) into 2N views, takes one NT-Xent
+    pass on the resulting latents, backpropagates its loss gradient through
+    the network, and applies ``-learning_rate * grad``. The returned record
+    holds the pre-update diagnostics. Points of another shape raise
+    DimensionMismatchError before any draw. Degenerate latents (non-finite
+    entries or a zero-norm row), a loss or bound that its checks refuse, and
+    non-finite gradients raise NonFiniteLossError.
     """
-    run = _Run(cfg, 1, step)
+    points = np.asarray(points, dtype=np.float64)
+    if points.shape != (cfg.n_pairs, cfg.input_dim):
+        want = (cfg.n_pairs, cfg.input_dim)
+        raise DimensionMismatchError(f"points must have shape (n_pairs, input_dim) = {want}, got {points.shape}")
+    run = _Run(net, cfg, 1, step)
     with np.errstate(over="ignore", invalid="ignore"):  # a diverging step is refused by its checks, not warned of
-        run.step(model, np.asarray(points, dtype=np.float64), rng)
+        run.step(points, rng)
         run.flush()
     return run.trace.records[0]
 
@@ -620,15 +558,15 @@ def train(cfg: TrainConfig) -> TrainTrace:
     the trace of the steps before it in its ``trace`` attribute.
     """
     dataset = gen_synthetic(cfg.input_dim, cfg.dataset, _stream(cfg.seed, 0))
-    model = SimclrModel.init(cfg, _stream(cfg.seed, 1))
+    net = Mlp(cfg.blocks, _init_params(_stream(cfg.seed, 1).random(cfg.n_params), cfg.blocks))
     loop_rng = _stream(cfg.seed, 2)
 
-    run = _Run(cfg, cfg.steps)
+    run = _Run(net, cfg, cfg.steps)
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # a diverging step is refused by its checks, not warned of
             for _ in range(cfg.steps):
                 idx = loop_rng.integers(0, cfg.dataset.points, size=cfg.n_pairs)
-                run.step(model, dataset.points[idx], loop_rng)
+                run.step(dataset.points[idx], loop_rng)
             run.flush()
     except NonFiniteLossError as exc:
         exc.trace = run.trace._head(exc.step)

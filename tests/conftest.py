@@ -3,7 +3,7 @@
 import pytest
 
 import ntxbound.gradcheck as gradcheck
-from ntxbound.trainer import Mlp, TrainTrace, _init_params, _param_count
+from ntxbound.trainer import TrainTrace
 
 
 @pytest.fixture
@@ -32,15 +32,5 @@ def trace_from_records():
         for name in TrainTrace.__dataclass_fields__:
             getattr(trace, name)[:] = [getattr(rec, name) for rec in records]
         return trace
-
-    return build
-
-
-@pytest.fixture
-def init_mlp():
-    """Builds a network as a model's init draws one: ``random(P)`` from the generator, scaled per layer."""
-
-    def build(layer_dims, rng) -> Mlp:
-        return Mlp(layer_dims, _init_params(rng.random(_param_count(layer_dims)), layer_dims))
 
     return build

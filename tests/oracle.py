@@ -6,12 +6,14 @@ Float64 references:
   and share no code with ``src/``.
 * ``latent_fd`` and ``param_grads``' numeric half are central differences of
   the package's own ``nt_xent`` (and, for parameters, its ``forward``), one
-  entry at a time; ``param_grads``' analytic half is the public chain
-  ``forward`` -> ``nt_xent_grad`` -> ``Mlp.backward``, whose last link,
-  ``chain_grads``, is each network's own backward.
+  entry at a time; ``param_grads``' analytic half is ``forward`` ->
+  ``nt_xent_grad`` -> ``chain_grads``, a layer walk of its own that shares no
+  code with ``Mlp.backward``.
 * ``worst_rel_error`` is the per-entry error rule of ``gradcheck``, written
   out entry set by entry set; a nan entry on either side fails.
 * ``unit_rms`` scales a test input to unit root mean square.
+* ``init_net`` draws a network as ``train`` draws its model: one
+  ``random(P)``, scaled per layer.
 
 Exact references (60 digits, mpmath): ``exact_cosines``,
 ``exact_anchor_terms`` and ``exact_evaluation`` evaluate the cosines, the
@@ -20,12 +22,12 @@ inputs taken as exact, and share no code with ``src/``. mpmath comes with the
 ``test`` extra; without it they are unavailable and their tests skip.
 """
 
-import copy
 import math
 
 import numpy as np
 
-from ntxbound import EmbeddingBatch, SimclrModel, forward, nt_xent, nt_xent_grad
+from ntxbound import EmbeddingBatch, Mlp, forward, nt_xent, nt_xent_grad
+from ntxbound.trainer import _init_params, _param_count
 
 try:
     from mpmath import mp
@@ -64,6 +66,10 @@ def unit_rms(x):
     return x / math.sqrt(float(np.mean(x * x)))
 
 
+def init_net(blocks, rng):
+    return Mlp(blocks, _init_params(rng.random(_param_count(blocks)), blocks))
+
+
 def latent_fd(rows, cfg, h=1e-5):
     """Central differences of the loss w.r.t. every latent entry."""
     grad = np.zeros_like(rows)
@@ -77,40 +83,41 @@ def latent_fd(rows, cfg, h=1e-5):
     return grad
 
 
-def chain_grads(model, fwd, latent_grad):
-    """The parameter gradient, flat in the layout of ``params``, by the projector's then the encoder's ``Mlp.backward``."""
-    pg, ghid = model.projector.backward(fwd.projector_trace, latent_grad)
-    eg, _ = model.encoder.backward(fwd.encoder_trace, ghid)
-    return np.concatenate([eg, pg], axis=-1)
+def chain_grads(net, trace, latent_grad):
+    """The parameter gradient, flat in the layout of ``params``, walking the layers from the last.
+
+    Per layer: the weights' gradient is the layer input's transpose times the
+    pre-activation gradient, the biases' is its sum over rows, and the input's
+    is the pre-activation gradient times the weights' transpose. Below a hidden
+    layer (one that is not its block's last) the gradient is masked where its
+    ReLU was off.
+    """
+    hidden = [l < len(dims) - 2 for dims in net.blocks for l in range(len(dims) - 1)]
+    lead, g, parts = latent_grad.shape[:-2], latent_grad, []
+    for l in reversed(range(len(hidden))):
+        d = g * (trace.pre[l] > 0) if hidden[l] else g
+        parts = [(trace.act[l].swapaxes(-1, -2) @ d).reshape(lead + (-1,)), d.sum(axis=-2)] + parts
+        g = d @ net.weights[l].swapaxes(-1, -2)
+    return np.concatenate(parts, axis=-1)
 
 
-def param_grads(model, views, loss_cfg, h=1e-5):
-    """A model's parameter gradient on ``views``, analytic and by central differences, entry for entry (flat).
+def param_grads(net, views, loss_cfg, h=1e-5):
+    """A network's parameter gradient on ``views``, analytic and by central differences, entry for entry (flat).
 
     Analytic: ``forward``, ``nt_xent_grad``, then :func:`chain_grads`.
-    Numeric: each weight and bias entry of each network is bumped by +-h in a
-    deep copy of the model, and the loss re-run through ``forward`` and
-    ``nt_xent``.
+    Numeric: each entry of ``params`` is bumped by +-h in a copy, and the
+    loss re-run through ``forward`` on a network over that copy and ``nt_xent``.
     """
-    fwd = forward(model.encoder, model.projector, views)
-    flat = chain_grads(model, fwd, nt_xent_grad(EmbeddingBatch(fwd.latents), loss_cfg))
-    grads = SimclrModel(model.encoder_dims, model.projector_dims, flat)
+    trace = forward(net, views)
+    analytic = chain_grads(net, trace, nt_xent_grad(EmbeddingBatch(trace.act[-1]), loss_cfg))
 
-    def loss_with_bump(which, kind, l, idx, delta):
-        probe = copy.deepcopy(model)
-        getattr(getattr(probe, which), kind)[l][idx] += delta
-        return nt_xent(EmbeddingBatch(forward(probe.encoder, probe.projector, views).latents), loss_cfg).total
+    def loss_with_bump(j, delta):
+        params = net.params.copy()
+        params[j] += delta
+        return nt_xent(EmbeddingBatch(forward(Mlp(net.blocks, params), views).act[-1]), loss_cfg).total
 
-    analytic, numeric = [], []
-    for which in ("encoder", "projector"):
-        for kind in ("weights", "biases"):
-            for l, arr in enumerate(getattr(getattr(grads, which), kind)):
-                for idx in np.ndindex(arr.shape):
-                    fp = loss_with_bump(which, kind, l, idx, +h)
-                    fm = loss_with_bump(which, kind, l, idx, -h)
-                    numeric.append((fp - fm) / (2 * h))
-                    analytic.append(arr[idx])
-    return np.array(analytic), np.array(numeric)
+    numeric = [(loss_with_bump(j, +h) - loss_with_bump(j, -h)) / (2 * h) for j in range(net.params.size)]
+    return analytic, np.array(numeric)
 
 
 def worst_rel_error(a, n, floor=1e-8):

@@ -17,7 +17,6 @@ import pytest
 from ntxbound import (
     EmbeddingBatch,
     LossConfig,
-    SimclrModel,
     forward,
     lse_bounds,
     nt_xent,
@@ -27,7 +26,7 @@ from ntxbound import (
 from ntxbound.cli import main
 from ntxbound.serialize import dumps, parse_trace_csv
 from ntxbound.trainer import TrainConfig
-from oracle import latent_fd, param_grads, unit_rms, worst_rel_error
+from oracle import init_net, latent_fd, param_grads, unit_rms, worst_rel_error
 
 LOG3 = 1.0986122886681098
 
@@ -212,9 +211,9 @@ def test_criterion_5_gradient_correctness():
     loss_cfg = LossConfig(tau=tiny.tau)
     for trial in range(5):
         trng = np.random.default_rng(7000 + trial)
-        model = SimclrModel.init(tiny, trng)
+        model = init_net(tiny.blocks, trng)
         views = unit_rms(trng.standard_normal((4, 2)))
-        latents = forward(model.encoder, model.projector, views).latents
+        latents = forward(model, views).act[-1]
         gz = nt_xent_grad(EmbeddingBatch(latents), loss_cfg)
         worst_ortho = max(worst_ortho, float(np.max(np.abs(np.sum(gz * latents, axis=1)))))
         end_to_end.append(worst_rel_error(*param_grads(model, views, loss_cfg))[0])

@@ -8,7 +8,7 @@ import pytest
 
 import ntxbound.bounds as bounds
 import ntxbound.gradcheck as gradcheck
-from ntxbound import AnchorMode, EmbeddingBatch, LossConfig, nt_xent, nt_xent_grad
+from ntxbound import AnchorMode, EmbeddingBatch, LossConfig, forward, nt_xent, nt_xent_grad
 from ntxbound.cli import main
 from ntxbound.errors import ConfigError, ZeroVectorError
 from ntxbound.gradcheck import (
@@ -21,8 +21,8 @@ from ntxbound.gradcheck import (
     loss_level_check,
     worst_error,
 )
-from ntxbound.trainer import Mlp, SimclrModel, _backprop, _forward_pass
-from oracle import latent_fd, unit_rms, worst_rel_error
+from ntxbound.trainer import Mlp, _backprop, _forward_pass
+from oracle import init_net, latent_fd, unit_rms, worst_rel_error
 
 
 class TestGradientVsFiniteDifferences:
@@ -142,14 +142,14 @@ class TestStackedCentralDifference:
         with pytest.raises(ZeroVectorError):
             _stack_losses(stack, cfg)
 
-    def test_stacked_mlp_forward_matches_each_slice(self, init_mlp):
+    def test_stacked_mlp_forward_matches_each_slice(self):
         rng = np.random.default_rng(33)
-        dims = (3, 5, 4)
+        blocks = ((3, 5, 4),)
         x = rng.standard_normal((6, 3))
-        nets = [init_mlp(dims, rng) for _ in range(4)]
-        trace = Mlp(dims, np.stack([n.params for n in nets])).forward_trace(x)
+        nets = [init_net(blocks, rng) for _ in range(4)]
+        trace = forward(Mlp(blocks, np.stack([n.params for n in nets])), x)
         for k, net in enumerate(nets):
-            single = net.forward_trace(x)
+            single = forward(net, x)
             for got, want in zip(trace.pre + trace.act[1:], single.pre + single.act[1:]):
                 np.testing.assert_allclose(got[k], want, rtol=0, atol=1e-14)
 
@@ -245,14 +245,13 @@ def reference_draw(cfg, seed, trial):
     """
     for k in range(DEAD_RELU_REDRAWS + 1):
         rng = bounds._stream(seed, 1, trial) if k == 0 else bounds._stream(seed, 1, trial, k)
-        model = SimclrModel.init(cfg, rng)
+        model = init_net(cfg.blocks, rng)
         views = unit_rms(rng.standard_normal((2 * cfg.n_pairs, cfg.input_dim)))
-        fwd, p, _ = _forward_pass(model, views, cfg)
-        latent_grad, param_grad = _backprop(model, fwd, p)
-        traces = (fwd.encoder_trace, fwd.projector_trace)
-        if all(np.any(pre > 0) for trace in traces for pre in trace.pre[:-1]):
-            return model, views, (fwd, latent_grad, param_grad), k
-    return model, views, (fwd, latent_grad, param_grad), None
+        trace, p, _ = _forward_pass(model, views, cfg)
+        latent_grad, param_grad = _backprop(model, trace, p)
+        if all(np.any(pre > 0) for pre, relu in zip(trace.pre, model.relu) if relu):
+            return model, views, (trace, latent_grad, param_grad), k
+    return model, views, (trace, latent_grad, param_grad), None
 
 
 def reference_end_to_end(trials, seed):
@@ -261,18 +260,16 @@ def reference_end_to_end(trials, seed):
     cfg_loss = LossConfig(tau=cfg.tau)
     records, redrawn = [], []
     for trial in range(trials):
-        model, views, (fwd, latent_grad, param_grad), k = reference_draw(cfg, seed, trial)
+        model, views, (trace, latent_grad, param_grad), k = reference_draw(cfg, seed, trial)
         if k != 0:
             redrawn.append(trial)
         if k is None:
             records.append((trial, math.inf, (0,), 0.0))
             continue
-        ortho = float(np.max(np.abs(np.sum(latent_grad * EmbeddingBatch(fwd.latents).rows, axis=1))))
+        ortho = float(np.max(np.abs(np.sum(latent_grad * EmbeddingBatch(trace.act[-1]).rows, axis=1))))
 
         def loss_at(probes, model=model, views=views):
-            probe = SimclrModel(model.encoder_dims, model.projector_dims, probes[0])
-            hidden = probe.encoder.forward_trace(views).act[-1]
-            return _stack_losses(probe.projector.forward_trace(hidden).act[-1], cfg_loss)
+            return _stack_losses(forward(Mlp(model.blocks, probes[0]), views).act[-1], cfg_loss)
 
         numeric = central_difference(loss_at, model.params[None], chunk=REFERENCE_CHUNK)[0]
         records.append((trial, *worst_error(param_grad, numeric), ortho))
@@ -329,9 +326,9 @@ class TestGroupDraws:
         stacks = []
         real = gradcheck._backprop
 
-        def spy(model, fwd, p):
-            stacks.append((model.params.copy(), fwd.encoder_trace.act[0].copy()))
-            return real(model, fwd, p)
+        def spy(model, trace, p):
+            stacks.append((model.params.copy(), trace.act[0].copy()))
+            return real(model, trace, p)
 
         monkeypatch.setattr(gradcheck, "_backprop", spy)
         end_to_end_check(20, seed=seed)
@@ -436,16 +433,16 @@ class TestNoPerTrialWork:
 
 
 class TestStackedBackward:
-    def test_stacked_backward_equals_each_model(self, init_mlp):
+    def test_stacked_backward_equals_each_model(self):
         rng = np.random.default_rng(36)
-        dims = (3, 5, 4, 2)
-        nets = [init_mlp(dims, rng) for _ in range(4)]
+        blocks = ((3, 5, 4, 2),)
+        nets = [init_net(blocks, rng) for _ in range(4)]
         x = rng.standard_normal((4, 6, 3))
         grad_out = rng.standard_normal((4, 6, 2))
-        stack = Mlp(dims, np.stack([n.params for n in nets]))
-        grad, grad_in = stack.backward(stack.forward_trace(x), grad_out)
+        stack = Mlp(blocks, np.stack([n.params for n in nets]))
+        grad, grad_in = stack.backward(forward(stack, x), grad_out)
         assert grad.shape == (4, stack.params.shape[-1]) and grad_in.shape == x.shape
         for k, net in enumerate(nets):
-            want, want_in = net.backward(net.forward_trace(x[k]), grad_out[k])
+            want, want_in = net.backward(forward(net, x[k]), grad_out[k])
             np.testing.assert_array_equal(grad[k], want)
             np.testing.assert_array_equal(grad_in[k], want_in)

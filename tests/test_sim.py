@@ -1,6 +1,7 @@
 """Vector kernels: normalization, cosine similarity, batch similarity matrices."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from ntxbound import (
     EmbeddingBatch,
     InvalidTemperatureError,
     LossConfig,
+    SimilarityMatrix,
     ZeroVectorError,
     cosine_sim,
     l2_normalize,
@@ -173,6 +175,21 @@ class TestSimilarityMatrix:
             assert np.array_equal(sm.sims, sm.sims.T)  # exact symmetry
             np.testing.assert_allclose(np.diag(sm.sims), 1.0, atol=1e-12)
             assert np.all(sm.sims >= -1.0) and np.all(sm.sims <= 1.0)
+
+    @pytest.mark.parametrize("side", [0, 1, 3, 5])
+    def test_odd_or_short_side_is_refused(self, side):
+        """As EmbeddingBatch refuses such row counts: no loss can index a partner past the last row."""
+        with pytest.raises(DimensionMismatchError, match="even and >= 2"):
+            SimilarityMatrix(sims=np.eye(side), tau=0.5)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entries_are_refused_without_a_warning(self, bad):
+        sims = np.eye(4)
+        sims[1, 2] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                SimilarityMatrix(sims=sims, tau=0.5)
 
 
 EPS = np.finfo(np.float64).eps

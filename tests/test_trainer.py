@@ -18,7 +18,6 @@ from ntxbound import (
     LossConfig,
     Mlp,
     NonFiniteLossError,
-    SimclrModel,
     TrainConfig,
     augment,
     forward,
@@ -39,7 +38,7 @@ from ntxbound.trainer import (
     _backprop,
     _forward_pass,
 )
-from oracle import chain_grads, param_grads, unit_rms, worst_rel_error
+from oracle import chain_grads, init_net, param_grads, unit_rms, worst_rel_error
 
 
 def make_rng(seed):
@@ -155,64 +154,77 @@ class TestAugment:
 
 class TestMlpForward:
     def test_identity_network_passes_views_through(self):
-        eye, proj = Mlp((3, 3), np.zeros(12)), Mlp((3, 3), np.zeros(12))
-        eye.weights[0][...] = np.eye(3)
-        proj.weights[0][...] = np.eye(3)
+        net = Mlp(((3, 3), (3, 3)), np.zeros(24))
+        net.weights[0][...] = np.eye(3)
+        net.weights[1][...] = np.eye(3)
         views = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-        out = forward(eye, proj, views)
-        np.testing.assert_array_equal(EmbeddingBatch(out.latents).rows, views)
-        np.testing.assert_array_equal(out.encoder_trace.act[-1], views)
+        out = forward(net, views)
+        np.testing.assert_array_equal(EmbeddingBatch(out.act[-1]).rows, views)
+        np.testing.assert_array_equal(out.act[1], views)
 
     def test_zero_weight_projector_constant_output(self):
         """Constant latents: every cosine similarity is 1, loss hits log(2N-1)."""
-        enc, proj = Mlp((2, 2), np.zeros(6)), Mlp((2, 3), np.zeros(9))
-        enc.weights[0][...] = np.eye(2)
-        proj.biases[0][...] = [0.5, -1.0, 2.0]
+        net = Mlp(((2, 2), (2, 3)), np.zeros(15))
+        net.weights[0][...] = np.eye(2)
+        net.biases[1][...] = [0.5, -1.0, 2.0]
         views = make_rng(0).standard_normal((8, 2))
-        out = forward(enc, proj, views)
-        batch = EmbeddingBatch(out.latents)
+        out = forward(net, views)
+        batch = EmbeddingBatch(out.act[-1])
         np.testing.assert_array_equal(batch.rows, np.tile([0.5, -1.0, 2.0], (8, 1)))
         total = nt_xent(batch, LossConfig(tau=0.5)).total
         assert total == pytest.approx(math.log(7), abs=1e-12)
 
-    def test_matches_scalar_loop_oracle(self, init_mlp):
-        """Independent per-layer forward pass written with plain loops."""
+    def test_matches_scalar_loop_oracle(self):
+        """Independent per-layer forward pass written with plain loops, block by block."""
         rng = make_rng(7)
-        enc = init_mlp((3, 4, 2), rng)
-        proj = init_mlp((2, 5, 3), rng)
+        net = init_net(((3, 4, 2), (2, 5, 3)), rng)
         views = rng.standard_normal((4, 3))
 
-        def mlp_oracle(mlp, xs):
+        def block_oracle(weights, biases, xs):
             outs = []
             for x in xs:
                 h = list(x)
-                for l, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
+                for l, (w, b) in enumerate(zip(weights, biases)):
                     nxt = []
                     for j in range(w.shape[1]):
                         acc = b[0, j]
                         for i in range(w.shape[0]):
                             acc += h[i] * w[i, j]
-                        if l < len(mlp.weights) - 1:
+                        if l < len(weights) - 1:
                             acc = acc if acc > 0 else 0.0
                         nxt.append(acc)
                     h = nxt
                 outs.append(h)
             return np.array(outs)
 
-        out = forward(enc, proj, views)
-        np.testing.assert_allclose(out.encoder_trace.act[-1], mlp_oracle(enc, views), rtol=1e-12, atol=1e-14)
-        latents = EmbeddingBatch(out.latents).rows
-        np.testing.assert_allclose(latents, mlp_oracle(proj, mlp_oracle(enc, views)), rtol=1e-12, atol=1e-14)
+        out = forward(net, views)
+        hidden = block_oracle(net.weights[:2], net.biases[:2], views)
+        np.testing.assert_allclose(out.act[2], hidden, rtol=1e-12, atol=1e-14)
+        latents = block_oracle(net.weights[2:], net.biases[2:], hidden)
+        np.testing.assert_allclose(EmbeddingBatch(out.act[-1]).rows, latents, rtol=1e-12, atol=1e-14)
 
-    def test_hidden_layers_nonnegative(self, init_mlp):
+    def test_hidden_layers_nonnegative(self):
         rng = make_rng(12)
-        mlp = init_mlp((4, 8, 8, 2), rng)
-        trace = mlp.forward_trace(rng.standard_normal((10, 4)))
+        mlp = init_net(((4, 8, 8, 2),), rng)
+        trace = forward(mlp, rng.standard_normal((10, 4)))
         for act in trace.act[1:-1]:
             assert np.all(act >= 0.0)
 
-    def test_init_parameter_range(self, init_mlp):
-        mlp = init_mlp((9, 5), make_rng(0))
+    def test_block_outputs_pass_negatives_and_hidden_layers_clip_them(self):
+        """ReLU follows each layer inside a block; the last layer of every block, not only the network's, is linear."""
+        net = Mlp(((2, 2, 2), (2, 2, 2)), np.zeros(24))
+        for w, b in zip(net.weights, net.biases):
+            w[...] = np.eye(2)
+            b[...] = -1.0
+        trace = forward(net, np.array([[3.0, 0.5], [0.5, 3.0]]))
+        assert net.relu == (True, False, True, False)
+        for pre, act, relu in zip(trace.pre, trace.act[1:], net.relu):
+            assert (pre < 0).any()
+            np.testing.assert_array_equal(act, np.maximum(pre, 0.0) if relu else pre)
+        assert (trace.act[2] < 0).any()  # the encoder's output reaches the projection head unclipped
+
+    def test_init_parameter_range(self):
+        mlp = init_net(((9, 5),), make_rng(0))
         bound = 1.0 / 3.0
         assert np.all(np.abs(mlp.weights[0]) <= bound)
         assert np.all(np.abs(mlp.biases[0]) <= bound)
@@ -236,10 +248,10 @@ class TestOneDrawInit:
     """One ``random(P)`` per model, scaled per layer, gives the per-layer uniforms bit for bit."""
 
     @pytest.mark.parametrize("dims", INIT_LAYOUTS)
-    def test_mlp_init_equals_per_layer_uniforms(self, dims, init_mlp):
+    def test_mlp_init_equals_per_layer_uniforms(self, dims):
         for seed in range(50):
             rng, twin = make_rng(seed), make_rng(seed)
-            np.testing.assert_array_equal(init_mlp(dims, rng).params, per_layer_uniforms([dims], twin))
+            np.testing.assert_array_equal(init_net((dims,), rng).params, per_layer_uniforms([dims], twin))
             assert rng.random() == twin.random()
 
     @pytest.mark.parametrize(
@@ -250,7 +262,7 @@ class TestOneDrawInit:
         for seed in range(50):
             rng, twin = make_rng(seed), make_rng(seed)
             want = per_layer_uniforms([encoder, (encoder[-1], *projector)], twin)
-            np.testing.assert_array_equal(SimclrModel.init(cfg, rng).params, want)
+            np.testing.assert_array_equal(init_net(cfg.blocks, rng).params, want)
             assert rng.random() == twin.random()
 
 
@@ -259,7 +271,7 @@ class TestParameterLayout:
         """Per network, per layer: the weights row-major, then the biases, drawn in that order."""
         cfg = TrainConfig(input_dim=3, encoder_dims=(4, 2), projector_dims=(5, 3))
         rng, twin = make_rng(21), make_rng(21)
-        model = SimclrModel.init(cfg, rng)
+        model = init_net(cfg.blocks, rng)
         expected = []
         for dims in ((3, 4, 2), (2, 5, 3)):
             for fan_in, fan_out in zip(dims[:-1], dims[1:]):
@@ -268,10 +280,10 @@ class TestParameterLayout:
                 expected.append(twin.uniform(-0.1 * bound, 0.1 * bound, size=fan_out))
         np.testing.assert_array_equal(model.params, np.concatenate(expected))
         assert rng.bit_generator.state == twin.bit_generator.state
-        assert model.encoder_dims == (3, 4, 2) and model.projector_dims == (2, 5, 3)
+        assert cfg.blocks == ((3, 4, 2), (2, 5, 3))
 
     def test_weights_and_biases_are_views_of_params(self):
-        mlp = Mlp((3, 2, 4), np.zeros(3 * 2 + 2 + 2 * 4 + 4))
+        mlp = Mlp(((3, 2, 4),), np.zeros(3 * 2 + 2 + 2 * 4 + 4))
         mlp.weights[0][1, 0] = 1.0
         mlp.biases[0][0, 1] = 2.0
         mlp.weights[1][0, 3] = 3.0
@@ -280,8 +292,8 @@ class TestParameterLayout:
         assert np.flatnonzero(mlp.params).tolist() == [2, 7, 11, 18]
         assert mlp.params[[2, 7, 11, 18]].tolist() == [1.0, 2.0, 3.0, 4.0]
 
-    def test_assigning_a_layer_raises(self, init_mlp):
-        mlp = init_mlp((3, 2), make_rng(0))
+    def test_assigning_a_layer_raises(self):
+        mlp = init_net(((3, 2),), make_rng(0))
         with pytest.raises(TypeError):
             mlp.weights[0] = np.zeros((3, 2))
         with pytest.raises(TypeError):
@@ -289,69 +301,56 @@ class TestParameterLayout:
 
     def test_wrong_parameter_count_is_refused(self):
         with pytest.raises(DimensionMismatchError):
-            Mlp((3, 2), np.zeros(7))
+            Mlp(((3, 2),), np.zeros(7))
         with pytest.raises(DimensionMismatchError):
-            SimclrModel((3, 2), (2, 2), np.zeros(13)).projector
+            Mlp(((3, 2), (2, 2)), np.zeros(13))
+
+    def test_blocks_that_do_not_meet_are_refused(self):
+        with pytest.raises(DimensionMismatchError, match="start at the width"):
+            Mlp(((3, 2), (3, 2)), np.zeros(16))
 
     def test_deepcopy_stays_independent(self):
-        model = SimclrModel.init(tiny_config(), make_rng(3))
+        model = init_net(tiny_config().blocks, make_rng(3))
         twin = copy.deepcopy(model)
         snapshot = model.params.copy()
-        model.params -= 1.0
+        model.params[...] -= 1.0
         np.testing.assert_array_equal(twin.params, snapshot)
-        twin.encoder.weights[0][...] = 5.0
+        twin.weights[0][...] = 5.0
         np.testing.assert_array_equal(model.params, snapshot - 1.0)
-        assert np.shares_memory(twin.projector.biases[-1], twin.params)
+        assert np.shares_memory(twin.biases[-1], twin.params)
 
     def test_copy_after_access_views_its_own_params(self):
-        """Networks kept on a model are not copied with it: a twin's networks view the twin's params."""
-        model = SimclrModel.init(tiny_config(), make_rng(3))
-        nets = model.encoder, model.projector
-        twin, net_twin = copy.deepcopy(model), copy.deepcopy(nets[0])
-        for net, params in ((twin.encoder, twin.params), (twin.projector, twin.params), (net_twin, net_twin.params)):
-            assert net not in nets
-            for arr in (*net.weights, *net.biases):
-                assert np.shares_memory(arr, params) and not np.shares_memory(arr, model.params)
+        """A twin's layers view the twin's params, never the original's."""
+        model = init_net(tiny_config().blocks, make_rng(3))
+        twin = copy.deepcopy(model)
+        for arr in (*twin.weights, *twin.biases):
+            assert np.shares_memory(arr, twin.params) and not np.shares_memory(arr, model.params)
         snapshot = model.params.copy()
-        twin.encoder.weights[0][...] = 5.0
-        twin.projector.biases[-1][...] = 6.0
-        assert np.count_nonzero(twin.params == 5.0) == twin.encoder.weights[0].size
-        assert np.count_nonzero(twin.params == 6.0) == twin.projector.biases[-1].size
+        twin.weights[0][...] = 5.0
+        twin.biases[-1][...] = 6.0
+        assert np.count_nonzero(twin.params == 5.0) == twin.weights[0].size
+        assert np.count_nonzero(twin.params == 6.0) == twin.biases[-1].size
         np.testing.assert_array_equal(model.params, snapshot)
 
-    def test_networks_follow_the_params_array(self):
-        """An update in place keeps the networks; rebinding params builds them on the new array."""
-        model = SimclrModel.init(tiny_config(), make_rng(3))
-        encoder, projector = model.encoder, model.projector
-        model.params -= 1.0
-        assert model.encoder is encoder and model.projector is projector
-        model.params = model.params + 1.0
-        assert np.shares_memory(model.encoder.params, model.params)
-        assert np.shares_memory(model.projector.biases[-1], model.params)
-        assert not np.shares_memory(model.encoder.params, encoder.params)
-        model.encoder.weights[0][...] = 9.0
-        assert not (encoder.weights[0] == 9.0).any()
-
     @pytest.mark.parametrize("models", [1, 3])
-    def test_param_grad_is_each_networks_own_backward(self, models):
-        """The gradient written in place equals, bit for bit, the concatenation of each network's own backward."""
+    def test_param_grad_matches_the_oracle(self, models):
+        """The gradient written in place equals, bit for bit, the oracle's own walk over the layers."""
         cfg = tiny_config(n_pairs=3, input_dim=3, encoder_dims=(5, 4), projector_dims=(6, 3))
-        params = np.stack([SimclrModel.init(cfg, make_rng(50 + s)).params for s in range(models)])
+        params = np.stack([init_net(cfg.blocks, make_rng(50 + s)).params for s in range(models)])
         views = make_rng(7).standard_normal((models, 2 * cfg.n_pairs, cfg.input_dim))
         if models == 1:
             params, views = params[0], views[0]
-        dims = (cfg.input_dim, *cfg.encoder_dims), (cfg.encoder_out, *cfg.projector_dims)
-        model = SimclrModel(*dims, params)
-        fwd, p, _ = _forward_pass(model, views, cfg)
-        latent_grad, param_grad = _backprop(model, fwd, p)
+        model = Mlp(cfg.blocks, params)
+        trace, p, _ = _forward_pass(model, views, cfg)
+        latent_grad, param_grad = _backprop(model, trace, p)
         assert param_grad.shape == params.shape
-        assert param_grad.tobytes() == chain_grads(model, fwd, latent_grad).tobytes()
+        assert param_grad.tobytes() == chain_grads(model, trace, latent_grad).tobytes()
 
-    def test_backward_can_skip_the_input_gradient(self, init_mlp):
+    def test_backward_can_skip_the_input_gradient(self):
         """Without the input's gradient, backward returns None for it and writes the same parameter gradient."""
         rng = make_rng(4)
-        mlp = init_mlp((3, 5, 4), rng)
-        trace = mlp.forward_trace(rng.standard_normal((6, 3)))
+        mlp = init_net(((3, 5, 4),), rng)
+        trace = forward(mlp, rng.standard_normal((6, 3)))
         grad_out = rng.standard_normal((6, 4))
         want, grad_in = mlp.backward(trace, grad_out)
         got, none = mlp.backward(trace, grad_out, input_grad=False)
@@ -359,32 +358,27 @@ class TestParameterLayout:
         assert got.tobytes() == want.tobytes()
 
     def test_models_compare_by_identity(self):
-        """Array fields make value equality ambiguous, so models and networks compare as objects."""
-        model = SimclrModel.init(tiny_config(), make_rng(3))
-        twin = copy.deepcopy(model)
+        """Array fields make value equality ambiguous, so networks compare as objects."""
+        model = init_net(tiny_config().blocks, make_rng(3))
         assert (model == model) is True
-        assert (model == twin) is False and (model != twin) is True
-        net = model.projector
-        assert (net == net) is True
-        assert (net == copy.deepcopy(net)) is False
+        assert (model == copy.deepcopy(model)) is False and (model != copy.deepcopy(model)) is True
 
     def test_stacked_model_is_one_model_per_row(self):
         cfg = tiny_config()
-        models = [SimclrModel.init(cfg, make_rng(s)) for s in range(3)]
-        stacked = SimclrModel(models[0].encoder_dims, models[0].projector_dims, np.stack([m.params for m in models]))
+        models = [init_net(cfg.blocks, make_rng(s)) for s in range(3)]
+        stacked = Mlp(cfg.blocks, np.stack([m.params for m in models]))
         views = make_rng(9).standard_normal((4, cfg.input_dim))
-        hidden = stacked.encoder.forward_trace(views).act[-1]
-        latents = stacked.projector.forward_trace(hidden).act[-1]
+        latents = forward(stacked, views).act[-1]
         for k, model in enumerate(models):
-            want = EmbeddingBatch(forward(model.encoder, model.projector, views).latents).rows
+            want = EmbeddingBatch(forward(model, views).act[-1]).rows
             np.testing.assert_allclose(latents[k], want, rtol=0, atol=1e-14)
 
 
 def _near_constant_model(cfg, scale):
     """A model whose latents are the projector's last bias plus ``scale`` times the last layer's weighted input."""
-    model = SimclrModel.init(cfg, make_rng(0))
-    model.projector.weights[-1][:] *= scale
-    model.projector.biases[-1][:] = np.arange(1.0, 1.0 + model.projector.biases[-1].size)
+    model = init_net(cfg.blocks, make_rng(0))
+    model.weights[-1][:] *= scale
+    model.biases[-1][:] = np.arange(1.0, 1.0 + model.biases[-1].size)
     return model
 
 
@@ -411,7 +405,7 @@ class TestTrainStep:
         parameters are unchanged to ~1e-295 and the pre-update loss of a
         repeated step (same rng stream) is bit-identical."""
         cfg = tiny_config(learning_rate=1e-300)  # config requires lr > 0
-        model = SimclrModel.init(cfg, make_rng(5))
+        model = init_net(cfg.blocks, make_rng(5))
         frozen = copy.deepcopy(model)
         points = make_rng(6).standard_normal((cfg.n_pairs, cfg.input_dim))
 
@@ -423,13 +417,13 @@ class TestTrainStep:
     def test_update_is_minus_lr_times_grad(self):
         """grad_norm is the norm of every parameter gradient; each parameter moves by -lr * grad."""
         cfg = tiny_config(learning_rate=0.1, augment=AugmentConfig(noise_sigma=0.1, dropout_prob=0.2))
-        model = SimclrModel.init(cfg, make_rng(5))
+        model = init_net(cfg.blocks, make_rng(5))
         before = copy.deepcopy(model)
         points = make_rng(6).standard_normal((cfg.n_pairs, cfg.input_dim))
         rec = train_step(model, points, cfg, make_rng(7), step=0)
 
-        fwd, p, _ = _forward_pass(before, _augment_batch(points, cfg.augment, make_rng(7)), cfg)
-        _, grad = _backprop(before, fwd, p)
+        trace, p, _ = _forward_pass(before, _augment_batch(points, cfg.augment, make_rng(7)), cfg)
+        _, grad = _backprop(before, trace, p)
         assert rec.grad_norm == pytest.approx(float(np.linalg.norm(grad)), rel=1e-12)
         np.testing.assert_array_equal(model.params, before.params - cfg.learning_rate * grad)
 
@@ -439,7 +433,7 @@ class TestTrainStep:
         trials = 100
         for seed in range(trials):
             cfg = tiny_config(learning_rate=1e-3, n_pairs=4, dataset=DatasetParams(2, 0.3, 16))
-            model = SimclrModel.init(cfg, make_rng(1000 + seed))
+            model = init_net(cfg.blocks, make_rng(1000 + seed))
             points = make_rng(2000 + seed).standard_normal((cfg.n_pairs, cfg.input_dim))
 
             before = train_step(model, points, cfg, make_rng(3000 + seed), step=0).loss_total
@@ -455,14 +449,25 @@ class TestTrainStep:
         loss_cfg = LossConfig(tau=cfg.tau)
         for seed in range(5):
             rng = make_rng(400 + seed)
-            model = SimclrModel.init(cfg, rng)
+            model = init_net(cfg.blocks, rng)
             views = unit_rms(rng.standard_normal((2 * cfg.n_pairs, cfg.input_dim)))
             assert worst_rel_error(*param_grads(model, views, loss_cfg))[0] <= 1e-4
 
+    @pytest.mark.parametrize("shape", [(3, 8), (16, 5), (8,)])
+    def test_points_of_another_shape_are_refused_before_any_draw(self, shape):
+        """A short batch, a wrong width or 1-D points is the caller's shape error, not a diverging step."""
+        cfg = TrainConfig(steps=1)
+        model, rng = init_net(cfg.blocks, make_rng(0)), make_rng(1)
+        params, state = model.params.copy(), rng.bit_generator.state
+        with pytest.raises(DimensionMismatchError, match=r"\(n_pairs, input_dim\) = \(16, 8\)"):
+            train_step(model, np.ones(shape), cfg, rng)
+        np.testing.assert_array_equal(model.params, params)
+        assert rng.bit_generator.state == state
+
     def test_divergent_latents_raise_nonfinite(self):
         cfg = tiny_config()
-        model = SimclrModel.init(cfg, make_rng(0))
-        model.projector.weights[-1][...] = np.inf
+        model = init_net(cfg.blocks, make_rng(0))
+        model.weights[-1][...] = np.inf
         points = make_rng(1).standard_normal((cfg.n_pairs, cfg.input_dim))
         with pytest.raises(NonFiniteLossError):
             train_step(model, points, cfg, make_rng(2), step=3)
@@ -509,10 +514,10 @@ class TestTrain:
     def test_collapsed_batch_is_flagged(self):
         """Force constant latents through a zero-weight projector."""
         cfg = tiny_config()
-        model = SimclrModel.init(cfg, make_rng(0))
-        for l in range(len(model.projector.weights)):
-            model.projector.weights[l][:] = 0.0
-            model.projector.biases[l][:] = np.arange(1.0, 1.0 + model.projector.biases[l].size)
+        model = init_net(cfg.blocks, make_rng(0))
+        for l in range(len(cfg.encoder_dims), len(model.weights)):
+            model.weights[l][:] = 0.0
+            model.biases[l][:] = np.arange(1.0, 1.0 + model.biases[l].size)
         points = make_rng(1).standard_normal((cfg.n_pairs, cfg.input_dim))
         rec = train_step(model, points, cfg, make_rng(2), step=0)
         assert rec.collapsed
@@ -539,13 +544,13 @@ class TestTrain:
     def test_min_similarity_is_the_smallest_anchor_row_similarity(self):
         """One model and a stack of three: the minimum over the anchor rows, never below the whole matrix's."""
         cfg = TrainConfig()
-        models = [SimclrModel.init(cfg, make_rng(s)) for s in range(3)]
-        stacked = SimclrModel(models[0].encoder_dims, models[0].projector_dims, np.stack([m.params for m in models]))
+        models = [init_net(cfg.blocks, make_rng(s)) for s in range(3)]
+        stacked = Mlp(cfg.blocks, np.stack([m.params for m in models]))
         views = make_rng(7).standard_normal((3, 2 * cfg.n_pairs, cfg.input_dim))
         outs = [_forward_pass(stacked, views, cfg)]
         outs += [_forward_pass(model, v, cfg) for model, v in zip(models, views)]
-        for fwd, _, min_similarity in outs:
-            latents = fwd.latents.reshape(-1, 2 * cfg.n_pairs, cfg.latent_dim)
+        for trace, _, min_similarity in outs:
+            latents = trace.act[-1].reshape(-1, 2 * cfg.n_pairs, cfg.latent_dim)
             for rows, got in zip(latents, np.reshape(min_similarity, -1)):
                 whole = similarity_matrix(EmbeddingBatch(rows), cfg.tau).sims
                 assert got == whole[::2].min() >= whole.min()
@@ -556,7 +561,7 @@ class TestTrain:
         post_init = Mlp.__post_init__
 
         def counted(self):
-            built.append(self.layer_dims)
+            built.append(self.blocks)
             post_init(self)
 
         monkeypatch.setattr(Mlp, "__post_init__", counted)
@@ -614,7 +619,7 @@ class TestTrain:
 def _step_by_step(cfg):
     """The oracle of the block path: train(cfg) as a loop of the public train_step; returns its records and error."""
     dataset = gen_synthetic(cfg.input_dim, cfg.dataset, bounds._stream(cfg.seed, 0))
-    model = SimclrModel.init(cfg, bounds._stream(cfg.seed, 1))
+    model = init_net(cfg.blocks, bounds._stream(cfg.seed, 1))
     rng = bounds._stream(cfg.seed, 2)
     records = []
     for step in range(cfg.steps):
