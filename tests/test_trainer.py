@@ -340,10 +340,10 @@ class TestParameterLayout:
         views = make_rng(7).standard_normal((models, 2 * cfg.n_pairs, cfg.input_dim))
         if models == 1:
             params, views = params[0], views[0]
-        model = Mlp(cfg.blocks, params)
+        model, grads = Mlp(cfg.blocks, params), Mlp(cfg.blocks, np.empty_like(params))
         trace, p, _ = _forward_pass(model, views, cfg)
-        latent_grad, param_grad = _backprop(model, trace, p)
-        assert param_grad.shape == params.shape
+        latent_grad, param_grad = _backprop(model, trace, p, grads)
+        assert param_grad is grads.params and param_grad.shape == params.shape
         assert param_grad.tobytes() == chain_grads(model, trace, latent_grad).tobytes()
 
     def test_backward_can_skip_the_input_gradient(self):
