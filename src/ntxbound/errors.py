@@ -36,11 +36,11 @@ class InvalidDatasetParamsError(NtxBoundError):
 class NonFiniteLossError(NtxBoundError):
     """Training produced a non-finite or degenerate loss (divergence signal).
 
-    Carries the step index at which divergence was detected and, when raised
-    from a full training run, the trace accumulated up to that step.
+    Carries the step index at which divergence was detected and the trace of
+    the steps of its run before that step.
     """
 
-    def __init__(self, step: int, reason: str, trace=None):
+    def __init__(self, step: int, reason: str, trace):
         super().__init__(f"non-finite loss at step {step}: {reason}")
         self.step = step
         self.reason = reason

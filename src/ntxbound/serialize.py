@@ -11,23 +11,14 @@ from __future__ import annotations
 import json
 import math
 import os
+from dataclasses import fields
 from pathlib import Path
 
 from .errors import ConfigError
+from .trainer import StepRecord
 
-#: Fixed column order of the training trace CSV.
-TRACE_COLUMNS = (
-    "step",
-    "loss_total",
-    "loss_alignment",
-    "loss_distribution",
-    "avg_pos_sim",
-    "paper_bound",
-    "strict_bound",
-    "paper_gap",
-    "strict_gap",
-    "grad_norm",
-)
+#: Fixed column order of the training trace CSV: the step, then every float field of a StepRecord, in its order.
+TRACE_COLUMNS = tuple(f.name for f in fields(StepRecord) if f.name != "collapsed")
 
 
 def format_float(x: float) -> str:
@@ -37,16 +28,16 @@ def format_float(x: float) -> str:
     return format(x, ".17g")
 
 
-def _render(obj, level: int, indent: int) -> str:
-    pad = " " * (indent * (level + 1))
-    close_pad = " " * (indent * level)
+def _render(obj, level: int) -> str:
+    pad = "  " * (level + 1)
+    close_pad = "  " * level
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = [f'{pad}{json.dumps(str(k))}: {_render(v, level + 1, indent)}' for k, v in obj.items()]
+        items = [f'{pad}{json.dumps(str(k))}: {_render(v, level + 1)}' for k, v in obj.items()]
         return "{\n" + ",\n".join(items) + "\n" + close_pad + "}"
     if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_render(v, level, indent) for v in obj) + "]"
+        return "[" + ", ".join(_render(v, level) for v in obj) + "]"
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if obj is None:
@@ -60,9 +51,9 @@ def _render(obj, level: int, indent: int) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def dumps(obj, indent: int = 2) -> str:
-    """Render a JSON document (trailing newline included)."""
-    return _render(obj, 0, indent) + "\n"
+def dumps(obj) -> str:
+    """Render a JSON document, indented by two spaces per level (trailing newline included)."""
+    return _render(obj, 0) + "\n"
 
 
 def check_writable(path) -> None:

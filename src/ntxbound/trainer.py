@@ -7,10 +7,11 @@ head, and the NT-Xent loss. Encoder and head are the two blocks of one
 each block and a linear output at each block's end. Every training step
 keeps the per-anchor terms of its NT-Xent pass *before* the parameter update,
 so the loss breakdown and both similarity-bound variants can be watched live
-while training. A step does only the math that feeds its update, and writes
-what the diagnostics need into block arrays of BLOCK_STEPS rows. One stacked
-evaluation per block (and one for the last, short block) gives every step's
-diagnostics, bit for bit as one step evaluated alone, with every check of
+while training. A step does only the math that feeds its update, writes its
+collapse flag and gradient norm into the trace, and keeps its pass values in
+block arrays of BLOCK_STEPS rows. One stacked evaluation per block (and one
+for the last, short block) gives every step's loss and bound diagnostics, bit
+for bit as one step evaluated alone, with every check of
 :class:`LossBreakdown` and :class:`BoundReport`. A refusal found in a block
 is evaluated again step by step, so it names its step. The trace is columns
 (steps,); its :class:`StepRecord` rows are built on demand.
@@ -119,8 +120,8 @@ def _forward_floats(cfg: TrainConfig) -> int:
 
 
 def _block_bytes(cfg: TrainConfig) -> int:
-    """Bytes of a run's block: four (rows, N) arrays of pass values and two (rows,) of scalars per step."""
-    return 8 * min(BLOCK_STEPS, cfg.steps) * (4 * cfg.n_pairs + 2)
+    """Bytes of a run's block: four (rows, N) arrays of pass values."""
+    return 8 * min(BLOCK_STEPS, cfg.steps) * 4 * cfg.n_pairs
 
 
 def _step_bytes(cfg: TrainConfig) -> int:
@@ -163,6 +164,8 @@ class Mlp:
     relu: tuple[bool, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
+        if not self.blocks or any(len(dims) < 2 or min(dims) < 1 for dims in self.blocks):
+            raise DimensionMismatchError(f"blocks must be one or more of at least two widths >= 1, got {self.blocks}")
         if any(dims[-1] != after[0] for dims, after in zip(self.blocks, self.blocks[1:])):
             raise DimensionMismatchError(f"each block must start at the width the one before it ends at: {self.blocks}")
         if self.params.shape[-1] != _param_count(self.blocks):
@@ -176,17 +179,14 @@ class Mlp:
         # Copies rebuild their views on the copied params: copied views would not share its memory.
         return type(self), (self.blocks, self.params)
 
-    def backward(
-        self, trace: MlpTrace, grad_out: np.ndarray, out: Mlp | None = None, input_grad: bool = True
-    ) -> tuple[np.ndarray, np.ndarray | None]:
+    def backward(self, trace: MlpTrace, grad_out: np.ndarray, out: Mlp | None = None) -> np.ndarray:
         """Backpropagate ``grad_out`` (w.r.t. the output) through the trace of a forward of this network.
 
-        Returns (parameter gradient in the layout of ``params``, grad w.r.t. the input).
-        The parameter gradient is written into the layers of ``out``, a network of
-        this one's shape whose ``params`` receive it, or else of a new one. With
-        ``input_grad`` false the input's gradient is not formed, and None is
-        returned for it. A stack of networks takes a stack of traces and
-        gradients, one per network.
+        Returns the parameter gradient in the layout of ``params``, written into
+        the layers of ``out``, a network of this one's shape whose ``params``
+        receive it, or else of a new one. The input's gradient is not formed.
+        A stack of networks takes a stack of traces and gradients, one per
+        network.
         """
         grads = Mlp(self.blocks, np.empty_like(self.params)) if out is None else out
         g = np.asarray(grad_out, dtype=np.float64)
@@ -194,8 +194,9 @@ class Mlp:
             d_pre = g * (trace.pre[l] > 0) if self.relu[l] else g
             np.matmul(trace.act[l].swapaxes(-1, -2), d_pre, out=grads.weights[l])
             d_pre.sum(axis=-2, keepdims=True, out=grads.biases[l])
-            g = d_pre @ self.weights[l].swapaxes(-1, -2) if l or input_grad else None
-        return grads.params, g
+            if l:
+                g = d_pre @ self.weights[l].swapaxes(-1, -2)
+        return grads.params
 
 
 def forward(net: Mlp, views: np.ndarray) -> MlpTrace:
@@ -432,23 +433,22 @@ def _forward_pass(net: Mlp, views: np.ndarray, cfg: TrainConfig) -> tuple[MlpTra
 def _backprop(net: Mlp, trace: MlpTrace, p: _Pass, out: Mlp | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The pass's latent gradient, and the network's parameter gradient (..., P), written into ``out`` if given.
 
-    A non-finite latent gradient raises ValueError. The network's input is
-    data, so its gradient is not formed.
+    A non-finite latent gradient raises ValueError.
     """
     grad_z = _latent_grad(p)
-    grad, _ = net.backward(trace, grad_z, out=out, input_grad=False)
-    return grad_z, grad
+    return grad_z, net.backward(trace, grad_z, out=out)
 
 
 class _Run:
     """A run of one network's steps, and its trace, filled a block of steps at a time.
 
     Each step writes its parameter gradient into ``grads``, a network built
-    once per run, and what its diagnostics need into row ``kept`` of the
-    block: its pass's ``lse``, ``pos`` and ``max_excl`` and its pair
-    similarities (rows, N), its smallest anchor-row similarity and its
-    squared gradient norm (rows,). A full block, and the last one, is
-    evaluated into the trace columns by one stacked :func:`_evaluation`.
+    once per run, its collapse flag and gradient norm into its trace row, and
+    its pass's ``lse``, ``pos``, ``max_excl`` and pair similarities (rows, N)
+    into row ``kept`` of the block. A full block, and the last one, is
+    evaluated into the trace's loss and bound columns by one stacked
+    :func:`_evaluation`. A divergence raises NonFiniteLossError carrying the
+    trace of the steps before it.
     """
 
     def __init__(self, net: Mlp, cfg: TrainConfig, steps: int, first: int = 0):
@@ -457,8 +457,6 @@ class _Run:
         self.trace = TrainTrace._empty(steps, first)
         rows = min(BLOCK_STEPS, steps)
         self.lse, self.pos, self.max_excl, self.pair_sims = (np.empty((rows, cfg.n_pairs)) for _ in range(4))
-        self.min_similarity = np.empty(rows)
-        self.grad_sq = np.zeros(rows)  # a step that fails leaves its row; zeros keep its square root quiet
         self.start = 0  # the trace row of the block's first step
         self.kept = 0  # block rows holding a pass
 
@@ -474,7 +472,8 @@ class _Run:
         row = self.start + i
         views = _augment_batch(points, cfg.augment, rng)
         try:
-            trace, p, self.min_similarity[i] = _forward_pass(self.net, views, cfg)
+            trace, p, min_similarity = _forward_pass(self.net, views, cfg)
+            self.trace.collapsed[row] = min_similarity >= 1.0 - COLLAPSE_TOL
             self.lse[i], self.pos[i], self.max_excl[i], self.pair_sims[i] = p.lse, p.pos, p.max_excl, p.pair_sims
             self.kept = i + 1
             _, grad = _backprop(self.net, trace, p, self.grads)
@@ -483,7 +482,7 @@ class _Run:
         sq = np.vdot(grad, grad)
         if not math.isfinite(sq):
             self._fail(row, "non-finite parameter gradient")
-        self.grad_sq[i] = sq
+        self.trace.grad_norm[row] = math.sqrt(sq)
         params = self.net.params
         params -= cfg.learning_rate * grad
         if self.kept == len(self.lse):
@@ -491,7 +490,7 @@ class _Run:
 
     def _fail(self, row: int, reason: str, cause: Exception | None = None):
         self.flush()
-        raise NonFiniteLossError(self.first + row, reason) from cause
+        raise NonFiniteLossError(self.first + row, reason, self.trace._head(row)) from cause
 
     def flush(self) -> None:
         """Evaluate the kept steps at once; a refusal is evaluated again step by step, to name its first step."""
@@ -505,7 +504,8 @@ class _Run:
                 try:
                     self._evaluate(i, self.start + i)
                 except ValueError as exc:
-                    raise NonFiniteLossError(self.first + self.start + i, f"degenerate latents or loss: {exc}") from exc
+                    row, reason = self.start + i, f"degenerate latents or loss: {exc}"
+                    raise NonFiniteLossError(self.first + row, reason, self.trace._head(row)) from exc
             raise
         self.start += n
         self.kept = 0
@@ -517,8 +517,6 @@ class _Run:
         t.loss_total[at], t.loss_alignment[at], t.loss_distribution[at] = b.total, b.alignment, b.distribution
         t.avg_pos_sim[at], t.paper_bound[at], t.strict_bound[at] = r.avg_pos_sim, r.paper_bound, r.strict_bound
         t.paper_gap[at], t.strict_gap[at] = r.paper_gap, r.strict_gap
-        t.grad_norm[at] = np.sqrt(self.grad_sq[rows])
-        t.collapsed[at] = self.min_similarity[rows] >= 1.0 - COLLAPSE_TOL
 
 
 def train_step(
@@ -533,11 +531,14 @@ def train_step(
     Augments the N points (N, input_dim) into 2N views, takes one NT-Xent
     pass on the resulting latents, backpropagates its loss gradient through
     the network, and applies ``-learning_rate * grad``. The returned record
-    holds the pre-update diagnostics. Points of another shape raise
-    DimensionMismatchError before any draw. Degenerate latents (non-finite
-    entries or a zero-norm row), a loss or bound that its checks refuse, and
-    non-finite gradients raise NonFiniteLossError.
+    holds the pre-update diagnostics. A network whose blocks are not
+    ``cfg.blocks``, and points of another shape, raise DimensionMismatchError
+    before any draw. Degenerate latents (non-finite entries or a zero-norm
+    row), a loss or bound that its checks refuse, and non-finite gradients
+    raise NonFiniteLossError.
     """
+    if net.blocks != cfg.blocks:
+        raise DimensionMismatchError(f"network blocks {net.blocks} are not the config's {cfg.blocks}")
     points = np.asarray(points, dtype=np.float64)
     if points.shape != (cfg.n_pairs, cfg.input_dim):
         want = (cfg.n_pairs, cfg.input_dim)
@@ -562,13 +563,9 @@ def train(cfg: TrainConfig) -> TrainTrace:
     loop_rng = _stream(cfg.seed, 2)
 
     run = _Run(net, cfg, cfg.steps)
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):  # a diverging step is refused by its checks, not warned of
-            for _ in range(cfg.steps):
-                idx = loop_rng.integers(0, cfg.dataset.points, size=cfg.n_pairs)
-                run.step(dataset.points[idx], loop_rng)
-            run.flush()
-    except NonFiniteLossError as exc:
-        exc.trace = run.trace._head(exc.step)
-        raise
+    with np.errstate(over="ignore", invalid="ignore"):  # a diverging step is refused by its checks, not warned of
+        for _ in range(cfg.steps):
+            idx = loop_rng.integers(0, cfg.dataset.points, size=cfg.n_pairs)
+            run.step(dataset.points[idx], loop_rng)
+        run.flush()
     return run.trace

@@ -6,7 +6,14 @@ stdout per command, and every file they write. Another numpy, another BLAS
 kernel or another machine moves last bits (README "Determinism"), so
 ``tests/test_golden.py`` compares only where its key is in the file.
 
-A change that means to alter an output rewrites this environment's entry,
+Run from the repository root with ``src`` on ``PYTHONPATH``::
+
+    python tests/golden.py
+
+lists each digest that was added, changed or is missing against this
+environment's committed entry, and exits 1 if any differ (0, saying "no
+entry", where the environment has none). A change that means to alter an
+output prints the same list and then rewrites this environment's entry,
 keeping the others, with::
 
     python tests/golden.py --update
@@ -94,16 +101,36 @@ def digests() -> dict[str, str]:
     return {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()}
 
 
+def differences(committed: dict[str, str], now: dict[str, str]) -> list[str]:
+    """One line per output whose digest was added, changed or is missing in ``now`` against ``committed``."""
+    lines = []
+    for name in sorted(committed.keys() | now.keys()):
+        if name not in committed:
+            lines.append(f"added {name}")
+        elif name not in now:
+            lines.append(f"missing {name}")
+        elif committed[name] != now[name]:
+            lines.append(f"changed {name}")
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--update", action="store_true", help="rewrite this environment's digests in golden.json")
-    if not parser.parse_args(argv).update:
-        parser.error("nothing to do without --update")
+    update = parser.parse_args(argv).update
     table = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
-    table[environment_key()] = digests()
-    GOLDEN.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n")
-    print(f"golden: wrote {len(table[environment_key()])} digests for {environment_key()}")
-    return 0
+    key, now = environment_key(), digests()
+    if key not in table:
+        print(f"golden: no entry for {key}")
+        diff = []
+    else:
+        diff = differences(table[key], now)
+        print("\n".join(f"golden: {line}" for line in diff) or f"golden: all {len(now)} digests match for {key}")
+    if update:
+        table[key] = now
+        GOLDEN.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n")
+        print(f"golden: wrote {len(now)} digests for {key}")
+    return 1 if diff and not update else 0
 
 
 if __name__ == "__main__":

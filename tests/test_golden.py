@@ -12,4 +12,11 @@ def test_outputs_match_committed_digests():
     key = golden.environment_key()
     if key not in table:
         pytest.skip(f"no digests for {key!r}: outputs move in their last bits across numpy, BLAS kernel and machine")
-    assert golden.digests() == table[key]
+    assert golden.differences(table[key], golden.digests()) == []
+
+
+def test_differences_name_each_added_changed_and_missing_output():
+    committed = {"kept": "a", "moved": "b", "gone": "c"}
+    now = {"kept": "a", "moved": "x", "new": "d"}
+    assert golden.differences(committed, now) == ["missing gone", "changed moved", "added new"]
+    assert golden.differences(now, now) == []

@@ -309,6 +309,13 @@ class TestParameterLayout:
         with pytest.raises(DimensionMismatchError, match="start at the width"):
             Mlp(((3, 2), (3, 2)), np.zeros(16))
 
+    def test_blocks_a_train_config_refuses_are_refused(self):
+        """No blocks, a block of fewer than two widths, or a width below 1, each with as many params as it counts."""
+        for blocks in [(), ((),), ((3,),), ((3, 2), (2,)), ((8, 0, 4),), ((8, -1, 4),), ((0, 4),)]:
+            params = np.zeros(max(trainer._param_count(blocks), 0))
+            with pytest.raises(DimensionMismatchError, match="at least two widths >= 1"):
+                Mlp(blocks, params)
+
     def test_deepcopy_stays_independent(self):
         model = init_net(tiny_config().blocks, make_rng(3))
         twin = copy.deepcopy(model)
@@ -345,17 +352,6 @@ class TestParameterLayout:
         latent_grad, param_grad = _backprop(model, trace, p, grads)
         assert param_grad is grads.params and param_grad.shape == params.shape
         assert param_grad.tobytes() == chain_grads(model, trace, latent_grad).tobytes()
-
-    def test_backward_can_skip_the_input_gradient(self):
-        """Without the input's gradient, backward returns None for it and writes the same parameter gradient."""
-        rng = make_rng(4)
-        mlp = init_net(((3, 5, 4),), rng)
-        trace = forward(mlp, rng.standard_normal((6, 3)))
-        grad_out = rng.standard_normal((6, 4))
-        want, grad_in = mlp.backward(trace, grad_out)
-        got, none = mlp.backward(trace, grad_out, input_grad=False)
-        assert grad_in.shape == (6, 3) and none is None
-        assert got.tobytes() == want.tobytes()
 
     def test_models_compare_by_identity(self):
         """Array fields make value equality ambiguous, so networks compare as objects."""
@@ -461,6 +457,17 @@ class TestTrainStep:
         params, state = model.params.copy(), rng.bit_generator.state
         with pytest.raises(DimensionMismatchError, match=r"\(n_pairs, input_dim\) = \(16, 8\)"):
             train_step(model, np.ones(shape), cfg, rng)
+        np.testing.assert_array_equal(model.params, params)
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("blocks", [((8, 16, 16), (16, 4)), ((5, 16, 16), (16, 16, 8))], ids=["head", "input"])
+    def test_a_network_of_other_blocks_is_refused_before_any_draw(self, blocks):
+        """Another projection head, or another input width, is refused with params and generator state untouched."""
+        cfg = TrainConfig(steps=1)
+        model, rng = init_net(blocks, make_rng(0)), make_rng(1)
+        params, state = model.params.copy(), rng.bit_generator.state
+        with pytest.raises(DimensionMismatchError):
+            train_step(model, np.ones((cfg.n_pairs, cfg.input_dim)), cfg, rng)
         np.testing.assert_array_equal(model.params, params)
         assert rng.bit_generator.state == state
 
