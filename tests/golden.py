@@ -44,15 +44,26 @@ TRAIN_SEEDS = (0, 1, 2)
 LAYOUT = {"encoder_dims": [5, 7, 3], "projector_dims": [6]}
 #: A step so large that the second step's latents are not finite: the run stops after one row, with exit code 1.
 DIVERGE = {"learning_rate": 1e300}
+#: A small verify grid at both ends of the accepted tau range, with a single pair and a single dimension.
+GRID = {
+    "ns": [1, 3],
+    "ms": [1, 5],
+    "taus": [1e-12, 10000.0],
+    "distributions": ["uniform_sphere", "gaussian", "clustered"],
+    "trials": 20,
+    "seed": 3,
+}
 
-#: The stock verify, the desk train at three seeds, in another layout and diverging, gradcheck at a passing and a
-#: failing seed, and a report.
+#: The stock verify and a small grid, the desk train at three seeds, in another layout and diverging, gradcheck at
+#: a passing and a failing seed and at another shape and tau, and a report.
 COMMANDS = {
     "verify": ["verify", "--out", "{tmp}/out/verify"],
+    "verify_grid": ["verify", "--config", "{tmp}/grid.json", "--out", "{tmp}/out/verify_grid"],
     **{f"train{s}": ["train", "--config", f"{{tmp}}/desk{s}.json", "--out", f"{{tmp}}/out/train{s}"] for s in TRAIN_SEEDS},
     "train_layout": ["train", "--config", "{tmp}/layout.json", "--out", "{tmp}/out/train_layout"],
     "train_diverge": ["train", "--config", "{tmp}/diverge.json", "--out", "{tmp}/out/train_diverge"],
     **{f"gradcheck{s}": ["gradcheck", "--trials", "20", "--seed", str(s)] for s in (0, 2)},
+    "gradcheck_shape": ["gradcheck", "--trials", "5", "--n-pairs", "3", "--dim", "5", "--tau", "0.05"],
     "report": ["report", "--trace", "{tmp}/out/train0/train_trace.csv", "--out", "{tmp}/out/report"],
 }
 
@@ -96,6 +107,7 @@ def digests() -> dict[str, str]:
     configs = {f"desk{seed}": {**desk, "seed": seed} for seed in TRAIN_SEEDS}
     configs["layout"] = {**desk, **LAYOUT}
     configs["diverge"] = {**desk, **DIVERGE}
+    configs["grid"] = GRID
     with tempfile.TemporaryDirectory() as tmp:
         outputs = run_commands(Path(tmp), configs, COMMANDS)
     return {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()}
