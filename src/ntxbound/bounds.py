@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import EmptyInputError, InvalidGridError, UnsupportedModeError
 from .loss import AnchorMode, LossBreakdown, LossConfig, _breakdown, _nt_xent_pass, _Pass, logsumexp
-from .sim import EmbeddingBatch, _anchor_index, _check_seed, _check_tau, _cosine_matrix, _unit_rows
+from .sim import EmbeddingBatch, _check_seed, _check_tau, _unit_rows
 
 #: Distributions understood by the Monte Carlo verifier.
 DISTRIBUTIONS = ("uniform_sphere", "gaussian", "clustered")
@@ -140,11 +140,8 @@ def lse_bounds(xs) -> LseBounds:
 
 
 def avg_positive_similarity(batch: EmbeddingBatch) -> float:
-    """Mean cosine similarity over the N positive pairs (rows 2t and 2t+1)."""
-    unit, _ = batch.unit_rows()
-    step = AnchorMode.PAPER_N.step
-    rows, _, partners = _anchor_index(batch.n_rows, step)
-    return float(np.mean(_cosine_matrix(unit, step)[rows, partners]))
+    """Mean cosine similarity over the N positive pairs (rows 2t and 2t+1): a pass's pair similarities at tau 1."""
+    return float(np.mean(_nt_xent_pass(batch.rows, 1.0, AnchorMode.PAPER_N).pair_sims))
 
 
 def _evaluation(

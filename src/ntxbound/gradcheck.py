@@ -1,25 +1,27 @@
 """Finite-difference verification of the analytic gradients.
 
-Two levels are checked: the loss gradient with respect to raw latents, and
-the end-to-end parameter gradient through the projection head and encoder
-blocks of a tiny network, by central differences with step 1e-5 on inputs
-pre-scaled to unit RMS. No float64 step avoids both truncation and rounding
-on every draw: seeds 2, 17, 19, 28, 30, 42, 52 and 53 of 0-59 FAIL ``ntxb
-gradcheck --trials 20`` on correct gradients (ROADMAP item 1).
+Two levels are checked: the loss gradient with respect to raw latents, and the
+end-to-end parameter gradient through the encoder and projection head blocks
+of a tiny network, NET_BLOCKS at NET_N_PAIRS and NET_TAU, by central
+differences with step 1e-5 on inputs pre-scaled to unit RMS. No float64 step
+avoids both truncation and rounding on every draw: seeds 2, 17, 19, 28, 30,
+42, 52 and 53 of 0-59 FAIL ``ntxb gradcheck --trials 20`` on correct gradients
+(ROADMAP item 1).
 
 Each level takes its trials in groups. A group gets its analytic gradients
 from one pass (end to end: one forward, pass and backward of a stack of
-networks, after redraws of dead trials that run the forward alone), its records
-from one error pass, and the (trial, entry) pairs of all its trials run as one
-sequence of stacks: a stack can end inside one trial's entries and hold the
-next trial's first ones. Each stack is evaluated as its +1e-5 probes, then
-its -1e-5 probes, and every probe comes with its trial and entry. A group
+networks, after redraws of dead trials that run the forward alone), its
+records from one error pass, and the (trial, entry) pairs of all its trials
+run as one sequence of stacks: a stack can end inside one trial's entries and
+hold the next trial's first ones. Each stack is evaluated as its +1e-5 probes,
+then its -1e-5 probes, and every probe comes with its trial and entry. A group
 holds as many trials as fit ``bounds.CHUNK_BYTES``, each counted with one
 probe of its own at its peak, and a stack as many pairs as the group has
-trials, so memory does not grow with the trial count. Both levels evaluate
-their probes with :func:`_stack_losses`, the one NT-Xent pass, which
+trials, so memory does not grow with the trial count. An end-to-end trial is
+counted by its probing bytes alone, which cover its analytic step. Both levels
+evaluate their probes with :func:`_stack_losses`, the one NT-Xent pass, which
 normalizes every row of every probe. Parameter probes are a stack (K, P) of
-flat parameter vectors, ``Mlp(cfg.blocks, probes)``: K networks run through
+flat parameter vectors, ``Mlp(NET_BLOCKS, probes)``: K networks run through
 one forward on their trials' views. Parameter j is entry j of the network's
 ``params``: the encoder block's layers, then the projection head's, each
 layer's weights row-major followed by its biases.
@@ -37,7 +39,8 @@ from . import bounds
 from .bounds import _check_memory, _pass_bytes, _stream
 from .errors import ConfigError
 from .loss import AnchorMode, LossConfig, _breakdown, _latent_grad, _nt_xent_pass
-from .trainer import Mlp, MlpTrace, TrainConfig, _backprop, _forward_floats, _init_params, _step_bytes, forward
+from .sim import _check_seed
+from .trainer import Mlp, MlpTrace, _backprop, _forward_floats, _init_params, _param_count, forward
 
 FD_STEP = 1e-5
 LOSS_LEVEL_TOL = 1e-5
@@ -46,6 +49,17 @@ ABS_FLOOR = 1e-8
 
 #: Redraws allowed for an end-to-end trial whose hidden ReLU layer is dead on every row.
 DEAD_RELU_REDRAWS = 10
+
+#: The end-to-end network: d0 = d = m = 2, two layers per block so the ReLU path is exercised, at N = 2 and tau 0.5.
+NET_BLOCKS = ((2, 2, 2), (2, 2, 2))
+NET_N_PAIRS = 2
+NET_TAU = 0.5
+
+#: Bytes an end-to-end trial holds while its probes run: its parameters, analytic gradient, two values per parameter
+#: and their difference, and one probe's parameters, forward and normalization. The error pass's three floats per
+#: parameter, beside the parameters and both gradients, fit in that, and so does the trial's analytic step.
+_NET_TRIAL_BYTES = 8 * 6 * _param_count(NET_BLOCKS)
+_NET_TRIAL_BYTES += _pass_bytes(NET_N_PAIRS, _forward_floats(NET_BLOCKS) + 2 * NET_BLOCKS[-1][-1])
 
 
 def central_difference(f, points: np.ndarray, *, chunk: int) -> np.ndarray:
@@ -158,9 +172,11 @@ def iter_loss_level(
 
     Trial t's batch is the t-th draw of shape (2N, m) from stream (0,). Each
     group's trials are yielded as soon as it is checked, so nothing is kept
-    across groups. A count below 1 raises ConfigError before any draw.
+    across groups. A count below 1, or a seed that is not a u64, raises
+    ConfigError before any draw.
     """
     _check_counts(trials=trials, n_pairs=n_pairs, dim=dim)
+    _check_seed(seed, ConfigError)
     # A trial peaks while its probes run, or while its record is made; it keeps its rows and analytic
     # gradient throughout. While probing it also keeps two probe values per entry, and a probe holds its
     # rows and unit rows. The analytic pass holds N anchor rows each of similarities and logits, and their
@@ -201,20 +217,6 @@ def flatten_param_grads(enc_grads: np.ndarray, proj_grads: np.ndarray) -> np.nda
     return np.concatenate([enc_grads, proj_grads])
 
 
-def _tiny_config(seed: int) -> TrainConfig:
-    # d0 = d = m = 2, N = 2; two layers each so the ReLU path is exercised.
-    return TrainConfig(
-        n_pairs=2,
-        input_dim=2,
-        encoder_dims=(2, 2),
-        projector_dims=(2, 2),
-        tau=0.5,
-        learning_rate=1e-3,
-        steps=1,
-        seed=seed,
-    )
-
-
 def _dead_relu(net: Mlp, trace: MlpTrace) -> np.ndarray:
     """Per network: some hidden layer is zero on every row, so all gradients vanish and the trial checks nothing."""
     dead = np.zeros(trace.act[-1].shape[:-2], dtype=bool)
@@ -224,32 +226,33 @@ def _dead_relu(net: Mlp, trace: MlpTrace) -> np.ndarray:
     return dead
 
 
-def _end_to_end_group(cfg: TrainConfig, seed: int, first: int, size: int, chunk: int) -> list[GradCheckTrial]:
+def _end_to_end_group(seed: int, first: int, size: int, chunk: int) -> list[GradCheckTrial]:
     """Check trials first..first+size-1 as one stack of networks.
 
     Each trial draws its network's ``random(P)``, then its views' normals, into its rows of the stack.
     """
-    uniforms, normals = np.empty((size, cfg.n_params)), np.empty((size, 2 * cfg.n_pairs, cfg.input_dim))
+    uniforms = np.empty((size, _param_count(NET_BLOCKS)))
+    normals = np.empty((size, 2 * NET_N_PAIRS, NET_BLOCKS[0][0]))
     dead = np.ones(size, dtype=bool)
     for k in range(DEAD_RELU_REDRAWS + 1):
         for i in np.flatnonzero(dead).tolist():
             rng = _stream(seed, 1, first + i, k) if k else _stream(seed, 1, first + i)
             rng.random(out=uniforms[i])
             rng.standard_normal(out=normals[i])
-        net, views = Mlp(cfg.blocks, _init_params(uniforms, cfg.blocks)), _unit_rms(normals)
+        net, views = Mlp(NET_BLOCKS, _init_params(uniforms, NET_BLOCKS)), _unit_rms(normals)
         trace = forward(net, views)
         dead = _dead_relu(net, trace)
         if not dead.any():
             break
-    latent_grad, analytic = _backprop(net, trace, _nt_xent_pass(trace.act[-1], cfg.tau, AnchorMode.PAPER_N))
+    latent_grad, analytic = _backprop(net, trace, _nt_xent_pass(trace.act[-1], NET_TAU, AnchorMode.PAPER_N))
     ortho = _orthogonality(latent_grad, trace.act[-1])
     del latent_grad, trace, uniforms, normals  # the probes need only the parameters and views
 
-    cfg_loss = LossConfig(tau=cfg.tau)
+    cfg_loss = LossConfig(tau=NET_TAU)
 
     def loss_at(probes) -> np.ndarray:
         vecs, point, _ = probes
-        return _stack_losses(forward(Mlp(cfg.blocks, vecs), views[point]).act[-1], cfg_loss)
+        return _stack_losses(forward(Mlp(NET_BLOCKS, vecs), views[point]).act[-1], cfg_loss)
 
     records = _trial_records(first, analytic, central_difference(loss_at, net.params, chunk=chunk), ortho)
     # A trial still dead after every redraw checked nothing: it fails.
@@ -266,17 +269,13 @@ def iter_end_to_end(trials: int, seed: int = 0) -> Iterator[GradCheckTrial]:
     dead hidden layer is replaced by one from (1, t, k), k = 1, 2, ...; a
     trial still dead after DEAD_RELU_REDRAWS redraws reports an infinite error.
     Each group's trials are yielded as soon as it is checked. A trial count
-    below 1 raises ConfigError before any draw.
+    below 1, or a seed that is not a u64, raises ConfigError before any draw.
     """
     _check_counts(trials=trials)
-    cfg = _tiny_config(seed)
-    # A trial peaks in its analytic step, or while its probes run: its parameters, analytic gradient, two
-    # values per parameter and their difference, and one probe's parameters, forward and normalization.
-    # The error pass's three floats per parameter, beside the parameters and both gradients, fit in that.
-    probing = 8 * 6 * cfg.n_params + _pass_bytes(cfg.n_pairs, _forward_floats(cfg) + 2 * cfg.latent_dim)
-    group = max(1, bounds.CHUNK_BYTES // max(_step_bytes(cfg), probing))
+    _check_seed(seed, ConfigError)
+    group = max(1, bounds.CHUNK_BYTES // _NET_TRIAL_BYTES)
     for first in range(0, trials, group):
-        yield from _end_to_end_group(cfg, seed, first, min(group, trials - first), group)
+        yield from _end_to_end_group(seed, first, min(group, trials - first), group)
 
 
 def end_to_end_check(trials: int, seed: int = 0) -> list[GradCheckTrial]:

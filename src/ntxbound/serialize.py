@@ -15,10 +15,10 @@ from dataclasses import fields
 from pathlib import Path
 
 from .errors import ConfigError
-from .trainer import StepRecord
+from .trainer import TrainTrace
 
-#: Fixed column order of the training trace CSV: the step, then every float field of a StepRecord, in its order.
-TRACE_COLUMNS = tuple(f.name for f in fields(StepRecord) if f.name != "collapsed")
+#: Fixed column order of the training trace CSV: the step, then every float column of a TrainTrace, in its order.
+TRACE_COLUMNS = tuple(f.name for f in fields(TrainTrace) if f.name != "collapsed")
 
 
 def format_float(x: float) -> str:

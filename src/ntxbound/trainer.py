@@ -13,8 +13,9 @@ block arrays of BLOCK_STEPS rows. One stacked evaluation per block (and one
 for the last, short block) gives every step's loss and bound diagnostics, bit
 for bit as one step evaluated alone, with every check of
 :class:`LossBreakdown` and :class:`BoundReport`. A refusal found in a block
-is evaluated again step by step, so it names its step. The trace is columns
-(steps,); its :class:`StepRecord` rows are built on demand.
+is evaluated again step by step, so it names its step. A :class:`TrainTrace`
+of columns (steps,) is the one per-step record; :func:`train_step` returns one
+of one row.
 
 Randomness is PCG64 throughout. A run derives three independent streams from
 the config seed via SeedSequence spawn keys: (0,) for the dataset, (1,) for
@@ -22,14 +23,15 @@ weight init, (2,) for minibatch sampling and augmentation. Each step takes
 three draws from stream (2,) in this order: the N point indices, the noise
 for all 2N views, then their dropout mask.
 
-A :func:`train` or :func:`train_step` run enters numpy's error state once, quiet
-on overflow and invalid values, which its checks refuse; direct :func:`forward`
-calls follow the caller's error state.
+:func:`train` and :func:`train_step` share one driver, ``_Run.run``, which
+enters numpy's error state once, quiet on overflow and invalid values, which
+its checks refuse; direct :func:`forward` calls follow the caller's error state.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -114,9 +116,9 @@ def _init_params(uniforms: np.ndarray, blocks: tuple[tuple[int, ...], ...]) -> n
     return uniforms * span + low
 
 
-def _forward_floats(cfg: TrainConfig) -> int:
-    """Floats per row a model forward keeps: its view, and each layer's pre-activation and activation."""
-    return cfg.input_dim + 2 * sum(cfg.encoder_dims + cfg.projector_dims)
+def _forward_floats(blocks: tuple[tuple[int, ...], ...]) -> int:
+    """Floats per row a forward of the blocks keeps: its view, and each layer's pre-activation and activation."""
+    return blocks[0][0] + 2 * sum(fan_out for _, fan_out in _layers(blocks))
 
 
 def _block_bytes(cfg: TrainConfig) -> int:
@@ -135,7 +137,7 @@ def _step_bytes(cfg: TrainConfig) -> int:
     product.
     """
     widest = max(cfg.input_dim, *cfg.encoder_dims, *cfg.projector_dims)
-    row_floats = _forward_floats(cfg) + 3 * widest + 4 * cfg.latent_dim
+    row_floats = _forward_floats(cfg.blocks) + 3 * widest + 4 * cfg.latent_dim
     return _pass_bytes(cfg.n_pairs, row_floats) + 8 * 3 * cfg.n_params
 
 
@@ -146,7 +148,7 @@ class Mlp:
     ``blocks`` holds each block's widths, its input's first; each block
     starts at the width the one before it ends at. The desk model is
     ``Mlp(cfg.blocks, params)``: the encoder, then the projection head. The
-    parameters are one flat vector ``params`` (P,) in the layout of
+    parameters are one flat float64 array ``params`` (P,) in the layout of
     :func:`_layer_views`; ``weights`` and ``biases`` are tuples of views into
     it, and ``relu`` says of each layer whether a ReLU follows it, all built
     once at construction. The fields are frozen, so the views cannot fall out
@@ -168,6 +170,10 @@ class Mlp:
             raise DimensionMismatchError(f"blocks must be one or more of at least two widths >= 1, got {self.blocks}")
         if any(dims[-1] != after[0] for dims, after in zip(self.blocks, self.blocks[1:])):
             raise DimensionMismatchError(f"each block must start at the width the one before it ends at: {self.blocks}")
+        if not isinstance(self.params, np.ndarray) or self.params.ndim < 1:
+            raise DimensionMismatchError(f"params must be an array of at least one dimension, got {self.params!r:.60}")
+        if self.params.dtype != np.float64:
+            raise ValueError(f"params must be float64, got {self.params.dtype}")
         if self.params.shape[-1] != _param_count(self.blocks):
             raise DimensionMismatchError(f"{self.params.shape[-1]} parameters do not fit blocks {self.blocks}")
         layers = _layer_views(self.blocks, self.params)
@@ -354,29 +360,11 @@ def _augment_batch(points: np.ndarray, cfg: AugmentConfig, rng: np.random.Genera
     return views
 
 
-@dataclass(frozen=True)
-class StepRecord:
-    """Per-step diagnostics, evaluated before the parameter update, as Python numbers: one row of a trace."""
-
-    step: int
-    loss_total: float
-    loss_alignment: float
-    loss_distribution: float
-    avg_pos_sim: float
-    paper_bound: float
-    strict_bound: float
-    paper_gap: float
-    strict_gap: float
-    grad_norm: float
-    collapsed: bool = False
-
-
 @dataclass(eq=False)
 class TrainTrace:
-    """A run's diagnostics as columns (steps,), one per :class:`StepRecord` field and in its order.
+    """A run's per-step diagnostics, evaluated before each parameter update, as columns (steps,); row i is step[i].
 
-    ``records`` builds the records from the columns on demand. Traces
-    compare by identity; compare their records or columns instead.
+    Traces compare by identity; compare their columns instead.
     """
 
     step: np.ndarray
@@ -400,10 +388,6 @@ class TrainTrace:
     def _head(self, steps: int) -> "TrainTrace":
         """The first ``steps`` rows, as views."""
         return TrainTrace(*(getattr(self, f.name)[:steps] for f in fields(self)))
-
-    @property
-    def records(self) -> list[StepRecord]:
-        return [StepRecord(*row) for row in zip(*(getattr(self, f.name).tolist() for f in fields(self)))]
 
     @property
     def collapse_step(self) -> int | None:
@@ -448,7 +432,7 @@ class _Run:
     into row ``kept`` of the block. A full block, and the last one, is
     evaluated into the trace's loss and bound columns by one stacked
     :func:`_evaluation`. A divergence raises NonFiniteLossError carrying the
-    trace of the steps before it.
+    trace of the steps before it. :meth:`run` drives the steps.
     """
 
     def __init__(self, net: Mlp, cfg: TrainConfig, steps: int, first: int = 0):
@@ -459,6 +443,14 @@ class _Run:
         self.lse, self.pos, self.max_excl, self.pair_sims = (np.empty((rows, cfg.n_pairs)) for _ in range(4))
         self.start = 0  # the trace row of the block's first step
         self.kept = 0  # block rows holding a pass
+
+    def run(self, batches: Iterable[np.ndarray], rng: np.random.Generator) -> TrainTrace:
+        """Take one step on each batch of points in turn, then evaluate the last block; returns the trace."""
+        with np.errstate(over="ignore", invalid="ignore"):  # a diverging step is refused by its checks, not warned of
+            for points in batches:
+                self.step(points, rng)
+            self.flush()
+        return self.trace
 
     def step(self, points: np.ndarray, rng: np.random.Generator) -> None:
         """One full-batch gradient-descent update of the network on 2N views of the points, its diagnostics kept.
@@ -525,17 +517,17 @@ def train_step(
     cfg: TrainConfig,
     rng: np.random.Generator,
     step: int = 0,
-) -> StepRecord:
+) -> TrainTrace:
     """One full-batch gradient-descent update, as a run of one step; the network's params are updated in place.
 
     Augments the N points (N, input_dim) into 2N views, takes one NT-Xent
     pass on the resulting latents, backpropagates its loss gradient through
-    the network, and applies ``-learning_rate * grad``. The returned record
-    holds the pre-update diagnostics. A network whose blocks are not
-    ``cfg.blocks``, and points of another shape, raise DimensionMismatchError
-    before any draw. Degenerate latents (non-finite entries or a zero-norm
-    row), a loss or bound that its checks refuse, and non-finite gradients
-    raise NonFiniteLossError.
+    the network, and applies ``-learning_rate * grad``. Returns the run's
+    trace: one row of pre-update diagnostics, whose step is ``step``. A
+    network whose blocks are not ``cfg.blocks``, and points of another shape,
+    raise DimensionMismatchError before any draw. Degenerate latents
+    (non-finite entries or a zero-norm row), a loss or bound that its checks
+    refuse, and non-finite gradients raise NonFiniteLossError.
     """
     if net.blocks != cfg.blocks:
         raise DimensionMismatchError(f"network blocks {net.blocks} are not the config's {cfg.blocks}")
@@ -543,11 +535,7 @@ def train_step(
     if points.shape != (cfg.n_pairs, cfg.input_dim):
         want = (cfg.n_pairs, cfg.input_dim)
         raise DimensionMismatchError(f"points must have shape (n_pairs, input_dim) = {want}, got {points.shape}")
-    run = _Run(net, cfg, 1, step)
-    with np.errstate(over="ignore", invalid="ignore"):  # a diverging step is refused by its checks, not warned of
-        run.step(points, rng)
-        run.flush()
-    return run.trace.records[0]
+    return _Run(net, cfg, 1, step).run([points], rng)
 
 
 def train(cfg: TrainConfig) -> TrainTrace:
@@ -561,11 +549,6 @@ def train(cfg: TrainConfig) -> TrainTrace:
     dataset = gen_synthetic(cfg.input_dim, cfg.dataset, _stream(cfg.seed, 0))
     net = Mlp(cfg.blocks, _init_params(_stream(cfg.seed, 1).random(cfg.n_params), cfg.blocks))
     loop_rng = _stream(cfg.seed, 2)
-
-    run = _Run(net, cfg, cfg.steps)
-    with np.errstate(over="ignore", invalid="ignore"):  # a diverging step is refused by its checks, not warned of
-        for _ in range(cfg.steps):
-            idx = loop_rng.integers(0, cfg.dataset.points, size=cfg.n_pairs)
-            run.step(dataset.points[idx], loop_rng)
-        run.flush()
-    return run.trace
+    # Each step's indices are drawn just before its augmentation, as the stream order asks.
+    batches = (dataset.points[loop_rng.integers(0, cfg.dataset.points, size=cfg.n_pairs)] for _ in range(cfg.steps))
+    return _Run(net, cfg, cfg.steps).run(batches, loop_rng)

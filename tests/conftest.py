@@ -1,5 +1,6 @@
 """Fixtures shared by the test modules."""
 
+import numpy as np
 import pytest
 
 import ntxbound.gradcheck as gradcheck
@@ -24,13 +25,12 @@ def gradcheck_chunks(monkeypatch):
 
 
 @pytest.fixture
-def trace_from_records():
-    """Builds the trace whose rows are a sequence of StepRecords: the inverse of ``TrainTrace.records``."""
+def concat_traces():
+    """Joins a sequence of traces, such as the one-row traces of ``train_step``, column by column into one."""
 
-    def build(records) -> TrainTrace:
-        trace = TrainTrace._empty(len(records))
-        for name in TrainTrace.__dataclass_fields__:
-            getattr(trace, name)[:] = [getattr(rec, name) for rec in records]
-        return trace
+    def join(traces) -> TrainTrace:
+        parts = [TrainTrace._empty(0), *traces]  # an empty sequence joins to an empty trace
+        names = TrainTrace.__dataclass_fields__
+        return TrainTrace(*(np.concatenate([getattr(t, name) for t in parts]) for name in names))
 
-    return build
+    return join

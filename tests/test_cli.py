@@ -509,20 +509,18 @@ class TestTrainCommand:
         write_json(cfg_path, quick_train_config(tau=-1.0))
         assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
 
-    def test_bound_violation_exits_3(self, tmp_path, monkeypatch, trace_from_records):
-        """Exit-3 branch, driven by a stubbed trainer: the honest math cannot violate.
-
-        Records are built on demand from the trace's columns, so the violated record goes in through the constructor.
-        """
+    def test_bound_violation_exits_3(self, tmp_path, monkeypatch):
+        """Exit-3 branch, driven by a stubbed trainer that writes a violated gap into its trace's column: the honest
+        math cannot violate."""
         cfg_path = tmp_path / "train.json"
         write_json(cfg_path, quick_train_config(steps=2))
 
         real_train = cli.train
 
         def rigged(cfg):
-            records = real_train(cfg).records
-            records[0] = dataclasses.replace(records[0], strict_gap=-1e-3)
-            return trace_from_records(records)
+            trace = real_train(cfg)
+            trace.strict_gap[0] = -1e-3
+            return trace
 
         monkeypatch.setattr(cli, "train", rigged)
         assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 3
@@ -605,12 +603,27 @@ class TestReportCommand:
                 dataset=DatasetParams(clusters=2, spread=0.2, points=16),
             )
         )
-        in_memory = report_aggregates([rec.__dict__ for rec in trace.records])
+        columns = [getattr(trace, column).tolist() for column in TRACE_COLUMNS]
+        in_memory = report_aggregates([dict(zip(TRACE_COLUMNS, row)) for row in zip(*columns)])
         parsed = report_aggregates(parse_trace_csv(trace_to_csv(trace)))
         assert parsed == in_memory  # exact equality: 17 significant digits round-trip
 
 
 class TestSerialization:
+    def test_trace_columns_are_the_float_columns_of_a_trace_after_its_step(self):
+        assert TRACE_COLUMNS == (
+            "step",
+            "loss_total",
+            "loss_alignment",
+            "loss_distribution",
+            "avg_pos_sim",
+            "paper_bound",
+            "strict_bound",
+            "paper_gap",
+            "strict_gap",
+            "grad_norm",
+        )
+
     def test_floats_use_17_significant_digits(self):
         assert dumps({"x": 0.1}) == '{\n  "x": 0.10000000000000001\n}\n'
 
@@ -623,17 +636,18 @@ class TestSerialization:
     def test_trace_rows_are_format_float_joins(self):
         trace = train(dataclasses.replace(QUICK, steps=4))
         want = [",".join(TRACE_COLUMNS)]
-        for rec in trace.records:
-            want.append(",".join([str(rec.step), *(serialize.format_float(getattr(rec, c)) for c in TRACE_COLUMNS[1:])]))
+        for i in range(len(trace)):
+            row = (serialize.format_float(float(getattr(trace, c)[i])) for c in TRACE_COLUMNS[1:])
+            want.append(",".join([str(int(trace.step[i])), *row]))
         assert trace_to_csv(trace) == "\n".join(want) + "\n"
 
     @pytest.mark.parametrize("column", TRACE_COLUMNS[1:])
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
-    def test_trace_writer_refuses_non_finite_values(self, column, bad, trace_from_records):
-        records = train(dataclasses.replace(QUICK, steps=3)).records
-        records[1] = dataclasses.replace(records[1], **{column: bad})
+    def test_trace_writer_refuses_non_finite_values(self, column, bad):
+        trace = train(dataclasses.replace(QUICK, steps=3))
+        getattr(trace, column)[1] = bad
         with pytest.raises(ValueError, match="non-finite"):
-            trace_to_csv(trace_from_records(records))
+            trace_to_csv(trace)
 
     def test_write_text_replaces_the_file(self, tmp_path):
         target = tmp_path / "doc.txt"

@@ -235,7 +235,7 @@ def stubs(outcome: dict, calls: list) -> dict:
         (gc, "iter_end_to_end"): iter_end_to_end,
         # What the real levels run once their arguments pass: drawn records, no gradient work.
         (gc, "_loss_level_group"): lambda rows, cfg, first, chunk: records(first, len(rows)),
-        (gc, "_end_to_end_group"): lambda cfg, seed, first, size, chunk: records(first, size),
+        (gc, "_end_to_end_group"): lambda seed, first, size, chunk: records(first, size),
         (bounds, "MEMORY_BUDGET"): 16 << 20,
     }
 

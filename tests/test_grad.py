@@ -15,13 +15,12 @@ from ntxbound.gradcheck import (
     DEAD_RELU_REDRAWS,
     END_TO_END_TOL,
     _stack_losses,
-    _tiny_config,
     central_difference,
     end_to_end_check,
     loss_level_check,
     worst_error,
 )
-from ntxbound.trainer import Mlp, _backprop, _forward_pass
+from ntxbound.trainer import Mlp, TrainConfig, _backprop, _forward_pass, _step_bytes
 from oracle import init_net, latent_fd, unit_rms, worst_rel_error
 
 
@@ -105,6 +104,27 @@ class TestCountsAreChecked:
     def test_end_to_end(self, trials):
         with pytest.raises(ConfigError, match="trials must be >= 1"):
             end_to_end_check(trials)
+
+
+class TestSeedIsChecked:
+    """A seed that is not a u64 is refused by either level as the CLI refuses it, as ConfigError, before any draw."""
+
+    @pytest.fixture(autouse=True)
+    def no_draws(self, monkeypatch):
+        def drawn(*args):
+            raise AssertionError("a stream was drawn from")
+
+        monkeypatch.setattr(gradcheck, "_stream", drawn)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_loss_level(self, seed):
+        with pytest.raises(ConfigError, match="u64"):
+            loss_level_check(1, seed=seed)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_end_to_end(self, seed):
+        with pytest.raises(ConfigError, match="u64"):
+            end_to_end_check(1, seed=seed)
 
 
 class TestStackedCentralDifference:
@@ -237,6 +257,19 @@ def reference_loss_level(trials, seed, n_pairs=4, dim=8, tau=0.5):
     return records
 
 
+#: The end-to-end network's layout as a training config, written out apart from gradcheck's constants.
+TINY = TrainConfig(n_pairs=2, input_dim=2, encoder_dims=(2, 2), projector_dims=(2, 2), tau=0.5, steps=1)
+
+
+def test_reference_layout_is_the_end_to_end_network():
+    assert (TINY.blocks, TINY.n_pairs, TINY.tau) == (gradcheck.NET_BLOCKS, gradcheck.NET_N_PAIRS, gradcheck.NET_TAU)
+
+
+def test_a_trials_analytic_step_holds_less_than_its_probes():
+    """An end-to-end trial is counted by its probing bytes alone, since one training step of its network holds less."""
+    assert _step_bytes(TINY) < gradcheck._NET_TRIAL_BYTES
+
+
 def reference_draw(cfg, seed, trial):
     """One end-to-end trial drawn alone: its model, views, analytic pass and the redraw k they came from.
 
@@ -256,7 +289,7 @@ def reference_draw(cfg, seed, trial):
 
 def reference_end_to_end(trials, seed):
     """One model at a time, with its probes on its own views; returns the records and the redrawn trials."""
-    cfg = _tiny_config(seed)
+    cfg = TINY
     cfg_loss = LossConfig(tau=cfg.tau)
     records, redrawn = [], []
     for trial in range(trials):
@@ -333,7 +366,7 @@ class TestGroupDraws:
         monkeypatch.setattr(gradcheck, "_backprop", spy)
         end_to_end_check(20, seed=seed)
         ((params, views),) = stacks
-        cfg = _tiny_config(seed)
+        cfg = TINY
         ks = []
         for trial in range(20):
             model, want_views, _, k = reference_draw(cfg, seed, trial)

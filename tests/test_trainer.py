@@ -32,7 +32,6 @@ from ntxbound.trainer import (
     BLOCK_STEPS,
     COLLAPSE_TOL,
     _RECORD_BYTES,
-    StepRecord,
     TrainTrace,
     _augment_batch,
     _backprop,
@@ -316,6 +315,16 @@ class TestParameterLayout:
             with pytest.raises(DimensionMismatchError, match="at least two widths >= 1"):
                 Mlp(blocks, params)
 
+    def test_params_other_than_a_float64_array_are_refused(self):
+        """A list or a 0-d array is a shape error; an int64 or a float32 vector, of the right length, a dtype error."""
+        blocks = ((3, 2),)
+        for params in ([0.0] * 8, np.array(0.0)):
+            with pytest.raises(DimensionMismatchError, match="array of at least one dimension"):
+                Mlp(blocks, params)
+        for dtype in (np.int64, np.float32):
+            with pytest.raises(ValueError, match="params must be float64"):
+                Mlp(blocks, np.zeros(8, dtype=dtype))
+
     def test_deepcopy_stays_independent(self):
         model = init_net(tiny_config().blocks, make_rng(3))
         twin = copy.deepcopy(model)
@@ -408,7 +417,20 @@ class TestTrainStep:
         rec1 = train_step(model, points, cfg, make_rng(7), step=0)
         np.testing.assert_allclose(frozen.params, model.params, atol=1e-290)
         rec2 = train_step(frozen, points, cfg, make_rng(7), step=0)
-        assert rec1.loss_total == rec2.loss_total
+        assert rec1.loss_total[0] == rec2.loss_total[0]
+
+    def test_a_step_returns_its_one_row_trace(self):
+        """The step label is the one row's step; every column has that one row, in the dtype a run's trace has."""
+        cfg = tiny_config()
+        points = make_rng(6).standard_normal((cfg.n_pairs, cfg.input_dim))
+        rec = train_step(init_net(cfg.blocks, make_rng(5)), points, cfg, make_rng(7), step=41)
+        assert isinstance(rec, TrainTrace) and len(rec) == 1
+        assert rec.step.tolist() == [41]
+        assert all(getattr(rec, name).shape == (1,) for name in TrainTrace.__dataclass_fields__)
+        run = train(cfg)
+        assert [getattr(rec, name).dtype for name in TrainTrace.__dataclass_fields__] == [
+            getattr(run, name).dtype for name in TrainTrace.__dataclass_fields__
+        ]
 
     def test_update_is_minus_lr_times_grad(self):
         """grad_norm is the norm of every parameter gradient; each parameter moves by -lr * grad."""
@@ -420,7 +442,7 @@ class TestTrainStep:
 
         trace, p, _ = _forward_pass(before, _augment_batch(points, cfg.augment, make_rng(7)), cfg)
         _, grad = _backprop(before, trace, p)
-        assert rec.grad_norm == pytest.approx(float(np.linalg.norm(grad)), rel=1e-12)
+        assert rec.grad_norm[0] == pytest.approx(float(np.linalg.norm(grad)), rel=1e-12)
         np.testing.assert_array_equal(model.params, before.params - cfg.learning_rate * grad)
 
     def test_descent_direction(self):
@@ -432,9 +454,10 @@ class TestTrainStep:
             model = init_net(cfg.blocks, make_rng(1000 + seed))
             points = make_rng(2000 + seed).standard_normal((cfg.n_pairs, cfg.input_dim))
 
-            before = train_step(model, points, cfg, make_rng(3000 + seed), step=0).loss_total
+            before = train_step(model, points, cfg, make_rng(3000 + seed), step=0).loss_total[0]
             # re-evaluate the updated model on the same augmented views
-            after = train_step(model, points, tiny_config(learning_rate=1e-300, n_pairs=4), make_rng(3000 + seed), step=0).loss_total
+            frozen = tiny_config(learning_rate=1e-300, n_pairs=4)
+            after = train_step(model, points, frozen, make_rng(3000 + seed), step=0).loss_total[0]
             if after <= before:
                 wins += 1
         assert wins >= 95, f"loss decreased in only {wins}/{trials} trials"
@@ -484,29 +507,27 @@ class TestTrain:
     def test_single_step_trace(self):
         trace = train(tiny_config(steps=1))
         assert len(trace) == 1
-        assert trace.records[0].step == 0
+        assert trace.step.tolist() == [0]
 
     def test_deterministic_traces(self):
         cfg = tiny_config(steps=25, seed=11)
         a, b = train(cfg), train(cfg)
-        assert a.records == b.records
+        assert _columns(a) == _columns(b)
         assert a.collapse_step == b.collapse_step
 
     def test_records_and_bound_hold(self):
         trace = train(tiny_config(steps=50, n_pairs=4, seed=2, dataset=DatasetParams(2, 0.3, 32)))
         assert len(trace) == 50
-        for rec in trace.records:
-            assert rec.paper_gap >= -1e-9
-            assert rec.strict_gap >= -1e-9
-            assert rec.strict_bound <= rec.paper_bound + 1e-12
-            assert math.isfinite(rec.grad_norm)
+        assert (trace.paper_gap >= -1e-9).all()
+        assert (trace.strict_gap >= -1e-9).all()
+        assert (trace.strict_bound <= trace.paper_bound + 1e-12).all()
+        assert np.isfinite(trace.grad_norm).all()
 
     def test_desk_config_learns(self):
         cfg = TrainConfig(steps=120)
         trace = train(cfg)
-        first, last = trace.records[0], trace.records[-1]
-        assert last.loss_total < first.loss_total
-        assert last.avg_pos_sim > first.avg_pos_sim
+        assert trace.loss_total[-1] < trace.loss_total[0]
+        assert trace.avg_pos_sim[-1] > trace.avg_pos_sim[0]
 
     def test_huge_learning_rate_diverges_with_partial_trace(self):
         """Forward-pass overflow raises NonFiniteLossError carrying the trace
@@ -527,8 +548,8 @@ class TestTrain:
             model.biases[l][:] = np.arange(1.0, 1.0 + model.biases[l].size)
         points = make_rng(1).standard_normal((cfg.n_pairs, cfg.input_dim))
         rec = train_step(model, points, cfg, make_rng(2), step=0)
-        assert rec.collapsed
-        assert rec.loss_total == pytest.approx(math.log(2 * cfg.n_pairs - 1), abs=1e-12)
+        assert rec.collapsed[0]
+        assert rec.loss_total[0] == pytest.approx(math.log(2 * cfg.n_pairs - 1), abs=1e-12)
 
     def test_spread_just_beyond_tolerance_is_not_flagged(self):
         """Latents spread so their smallest anchor-row similarity sits between 1 - 4 tol and 1 - tol: not collapsed.
@@ -545,8 +566,8 @@ class TestTrain:
 
         scale = 1e-3 * math.sqrt(2 * COLLAPSE_TOL / spread(1e-3))
         assert COLLAPSE_TOL < spread(scale) < 4 * COLLAPSE_TOL
-        assert not train_step(_near_constant_model(cfg, scale), points, cfg, make_rng(2)).collapsed
-        assert train_step(_near_constant_model(cfg, scale / 10), points, cfg, make_rng(2)).collapsed
+        assert not train_step(_near_constant_model(cfg, scale), points, cfg, make_rng(2)).collapsed[0]
+        assert train_step(_near_constant_model(cfg, scale / 10), points, cfg, make_rng(2)).collapsed[0]
 
     def test_min_similarity_is_the_smallest_anchor_row_similarity(self):
         """One model and a stack of three: the minimum over the anchor rows, never below the whole matrix's."""
@@ -624,18 +645,18 @@ class TestTrain:
 
 
 def _step_by_step(cfg):
-    """The oracle of the block path: train(cfg) as a loop of the public train_step; returns its records and error."""
+    """The oracle of the block path: train(cfg) as a loop of train_step; returns its one-row traces and its error."""
     dataset = gen_synthetic(cfg.input_dim, cfg.dataset, bounds._stream(cfg.seed, 0))
     model = init_net(cfg.blocks, bounds._stream(cfg.seed, 1))
     rng = bounds._stream(cfg.seed, 2)
-    records = []
+    rows = []
     for step in range(cfg.steps):
         idx = rng.integers(0, cfg.dataset.points, size=cfg.n_pairs)
         try:
-            records.append(train_step(model, dataset.points[idx], cfg, rng, step))
+            rows.append(train_step(model, dataset.points[idx], cfg, rng, step))
         except NonFiniteLossError as exc:
-            return records, exc
-    return records, None
+            return rows, exc
+    return rows, None
 
 
 def _columns(trace):
@@ -678,31 +699,30 @@ def _force(monkeypatch, failures):
 
 class TestBlocks:
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_train_is_a_loop_of_train_step(self, seed, trace_from_records):
-        """Blocks of evaluations give every record of a step-by-step run bit for bit, over several blocks."""
+    def test_train_is_a_loop_of_train_step(self, seed, concat_traces):
+        """Blocks of evaluations give every row of a step-by-step run bit for bit, over several blocks."""
         cfg = TrainConfig(seed=seed)
         trace = train(cfg)
-        records, error = _step_by_step(cfg)
-        assert error is None and len(trace) == len(records) == cfg.steps > 3 * BLOCK_STEPS
-        assert _columns(trace) == _columns(trace_from_records(records))
-        assert trace.records == records
-        assert trace.collapse_step == trace_from_records(records).collapse_step
+        rows, error = _step_by_step(cfg)
+        assert error is None and len(trace) == len(rows) == cfg.steps > 3 * BLOCK_STEPS
+        assert _columns(trace) == _columns(concat_traces(rows))
+        assert trace.collapse_step == concat_traces(rows).collapse_step
 
     @pytest.mark.parametrize("kind", ["pass", "evaluation", "gradient"])
     @pytest.mark.parametrize("step", [0, BLOCK_STEPS - 1, BLOCK_STEPS, BLOCK_STEPS + 6, 199])
-    def test_a_failing_step_is_named_as_step_by_step(self, monkeypatch, kind, step, trace_from_records):
+    def test_a_failing_step_is_named_as_step_by_step(self, monkeypatch, kind, step, concat_traces):
         """The error names the step, reason and trace a step-by-step run gives, in a full block or the short last one."""
         cfg = TrainConfig(steps=200)
         _force(monkeypatch, {step: kind})
         with pytest.raises(NonFiniteLossError) as err:
             train(cfg)
         _force(monkeypatch, {step: kind})
-        records, want = _step_by_step(cfg)
+        rows, want = _step_by_step(cfg)
         got = err.value
         assert (got.step, got.reason) == (want.step, want.reason) == (step, got.reason)
         assert ("forced" in got.reason) == (kind != "evaluation")
         assert len(got.trace) == step
-        assert _columns(got.trace) == _columns(trace_from_records(records))
+        assert _columns(got.trace) == _columns(concat_traces(rows))
 
     @pytest.mark.parametrize(
         "failures",
@@ -714,16 +734,16 @@ class TestBlocks:
             {70: "gradient", 71: "evaluation"},
         ],
     )
-    def test_the_first_failing_step_wins(self, monkeypatch, failures, trace_from_records):
+    def test_the_first_failing_step_wins(self, monkeypatch, failures, concat_traces):
         """A refusal found only when its block is evaluated still stops the run at its own, earlier, step."""
         cfg = TrainConfig(steps=200)
         _force(monkeypatch, failures)
         with pytest.raises(NonFiniteLossError) as err:
             train(cfg)
         _force(monkeypatch, failures)
-        records, want = _step_by_step(cfg)
+        rows, want = _step_by_step(cfg)
         assert (err.value.step, err.value.reason) == (want.step, want.reason) == (min(failures), want.reason)
-        assert _columns(err.value.trace) == _columns(trace_from_records(records))
+        assert _columns(err.value.trace) == _columns(concat_traces(rows))
 
     def test_a_step_whose_evaluation_and_gradient_fail_names_its_evaluation(self, monkeypatch):
         """As before blocks, a step's diagnostics are checked before its gradient is formed."""
@@ -759,19 +779,3 @@ class TestBlocks:
             counts.append(len(calls))
         assert counts == [1, 1, 2, 4]
         assert calls == [(64, 16), (64, 16), (64, 16), (8, 16)]
-
-    def test_the_train_command_builds_no_step_record(self, tmp_path, monkeypatch):
-        """The CSV, the summary and the exit code read the trace's columns; records are built only on demand."""
-        built = []
-        init = StepRecord.__init__
-
-        def counted(self, *args, **kwargs):
-            built.append(None)
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(StepRecord, "__init__", counted)
-        config = tmp_path / "train.json"
-        config.write_text(json.dumps(dataclasses.asdict(TrainConfig(steps=70))), encoding="utf-8")
-        assert cli.main(["train", "--config", str(config), "--out", str(tmp_path / "run")]) == 0
-        assert built == []
-        assert len(train(TrainConfig(steps=3)).records) == len(built) == 3  # the spy sees records when they are built
