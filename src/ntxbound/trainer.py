@@ -14,8 +14,8 @@ for the last, short block) gives every step's loss and bound diagnostics, bit
 for bit as one step evaluated alone, with every check of
 :class:`LossBreakdown` and :class:`BoundReport`. A refusal found in a block
 is evaluated again step by step, so it names its step. A :class:`TrainTrace`
-of columns (steps,) is the one per-step record; :func:`train_step` returns one
-of one row.
+of columns (steps,) is the one per-step record; :func:`train_step` returns a
+trace of one row.
 
 Randomness is PCG64 throughout. A run derives three independent streams from
 the config seed via SeedSequence spawn keys: (0,) for the dataset, (1,) for
