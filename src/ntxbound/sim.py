@@ -162,23 +162,15 @@ class EmbeddingBatch:
         self.rows = arr
 
     @property
-    def n_rows(self) -> int:
-        return self.rows.shape[0]
-
-    @property
     def n_pairs(self) -> int:
         return self.rows.shape[0] // 2
-
-    @property
-    def dim(self) -> int:
-        return self.rows.shape[1]
 
     def unit_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """Unit-norm rows and the original row norms."""
         return _unit_rows(self.rows)
 
     def __repr__(self) -> str:
-        return f"EmbeddingBatch(n_pairs={self.n_pairs}, dim={self.dim})"
+        return f"EmbeddingBatch(n_pairs={self.n_pairs}, dim={self.rows.shape[1]})"
 
 
 @dataclass

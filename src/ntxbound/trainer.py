@@ -310,30 +310,20 @@ class TrainConfig:
         return _param_count(self.blocks)
 
 
-@dataclass
-class SyntheticDataset:
-    """Sampled mixture points plus the ground truth used to generate them."""
-
-    points: np.ndarray  # (points, dim)
-    means: np.ndarray  # (clusters, dim)
-    labels: np.ndarray  # (points,) cluster index per point
-
-
-def gen_synthetic(dim: int, params: DatasetParams, seed) -> SyntheticDataset:
-    """Gaussian-mixture points in R^dim, deterministic given the seed.
+def gen_synthetic(dim: int, params: DatasetParams, seed) -> np.ndarray:
+    """Gaussian-mixture points (points, dim) in R^dim, deterministic given the seed.
 
     ``seed`` is anything ``np.random.default_rng`` takes: an int, a
-    SeedSequence or a Generator. Cluster means are standard normal; point p
-    belongs to cluster p % clusters and equals its mean plus ``spread``-scaled
-    Gaussian noise.
+    SeedSequence or a Generator. Cluster means are the stream's first draw,
+    ``standard_normal((clusters, dim))``; point p is mean p % clusters plus
+    ``spread`` times row p of its next, ``standard_normal((points, dim))``.
     """
     if dim < 1:
         raise InvalidDatasetParamsError(f"dim must be >= 1, got {dim}")
     rng = np.random.default_rng(seed)
     means = rng.standard_normal((params.clusters, dim))
     labels = np.arange(params.points) % params.clusters
-    points = means[labels] + params.spread * rng.standard_normal((params.points, dim))
-    return SyntheticDataset(points=points, means=means, labels=labels)
+    return means[labels] + params.spread * rng.standard_normal((params.points, dim))
 
 
 def augment(x: np.ndarray, cfg: AugmentConfig, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -364,7 +354,8 @@ def _augment_batch(points: np.ndarray, cfg: AugmentConfig, rng: np.random.Genera
 class TrainTrace:
     """A run's per-step diagnostics, evaluated before each parameter update, as columns (steps,); row i is step[i].
 
-    Traces compare by identity; compare their columns instead.
+    Every column is 1-D and as long as ``step``, or DimensionMismatchError is
+    raised. Traces compare by identity; compare their columns instead.
     """
 
     step: np.ndarray
@@ -378,6 +369,11 @@ class TrainTrace:
     strict_gap: np.ndarray
     grad_norm: np.ndarray
     collapsed: np.ndarray
+
+    def __post_init__(self):
+        shapes = {f.name: np.shape(getattr(self, f.name)) for f in fields(self)}
+        if any(len(shape) != 1 or shape != shapes["step"] for shape in shapes.values()):
+            raise DimensionMismatchError(f"trace columns must be 1-D and as long as step, got shapes {shapes}")
 
     @classmethod
     def _empty(cls, steps: int, first: int = 0) -> "TrainTrace":
@@ -546,9 +542,9 @@ def train(cfg: TrainConfig) -> TrainTrace:
     BLOCK_STEPS steps at a time. On divergence the NonFiniteLossError carries
     the trace of the steps before it in its ``trace`` attribute.
     """
-    dataset = gen_synthetic(cfg.input_dim, cfg.dataset, _stream(cfg.seed, 0))
+    points = gen_synthetic(cfg.input_dim, cfg.dataset, _stream(cfg.seed, 0))
     net = Mlp(cfg.blocks, _init_params(_stream(cfg.seed, 1).random(cfg.n_params), cfg.blocks))
     loop_rng = _stream(cfg.seed, 2)
     # Each step's indices are drawn just before its augmentation, as the stream order asks.
-    batches = (dataset.points[loop_rng.integers(0, cfg.dataset.points, size=cfg.n_pairs)] for _ in range(cfg.steps))
+    batches = (points[loop_rng.integers(0, cfg.dataset.points, size=cfg.n_pairs)] for _ in range(cfg.steps))
     return _Run(net, cfg, cfg.steps).run(batches, loop_rng)

@@ -102,14 +102,15 @@ def environment_key() -> str:
     return f"numpy {np.__version__} / OpenBLAS {openblas_core()} / {platform.machine()}"
 
 
-def digests() -> dict[str, str]:
+def digests(commands: dict = COMMANDS) -> dict[str, str]:
+    """The digest of each output of ``commands``, a part of ``COMMANDS`` in its order or all of it."""
     desk = json.loads(DESK.read_text())
     configs = {f"desk{seed}": {**desk, "seed": seed} for seed in TRAIN_SEEDS}
     configs["layout"] = {**desk, **LAYOUT}
     configs["diverge"] = {**desk, **DIVERGE}
     configs["grid"] = GRID
     with tempfile.TemporaryDirectory() as tmp:
-        outputs = run_commands(Path(tmp), configs, COMMANDS)
+        outputs = run_commands(Path(tmp), configs, commands)
     return {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()}
 
 

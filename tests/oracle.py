@@ -14,12 +14,17 @@ Float64 references:
 * ``unit_rms`` scales a test input to unit root mean square.
 * ``init_net`` draws a network as ``train`` draws its model: one
   ``random(P)``, scaled per layer.
+* ``mixture_truth`` gives the cluster means and labels ``gen_synthetic``
+  draws its points from: the stream's first ``standard_normal((clusters,
+  dim))``, and ``p % clusters`` for point p.
 
 Exact references (60 digits, mpmath): ``exact_cosines``,
 ``exact_anchor_terms`` and ``exact_evaluation`` evaluate the cosines, the
 per-anchor terms and every output of ``evaluate_batch`` from the float64
-inputs taken as exact, and share no code with ``src/``. mpmath comes with the
-``test`` extra; without it they are unavailable and their tests skip.
+inputs taken as exact, and ``exact_latent_grad`` the loss's gradient with
+respect to every latent entry, by a 60-digit central difference. They share
+no code with ``src/``. mpmath comes with the ``test`` extra; without it they
+are unavailable and their tests skip.
 """
 
 import math
@@ -68,6 +73,12 @@ def unit_rms(x):
 
 def init_net(blocks, rng):
     return Mlp(blocks, _init_params(rng.random(_param_count(blocks)), blocks))
+
+
+def mixture_truth(dim, params, seed):
+    """The (clusters, dim) means and (points,) cluster labels of ``gen_synthetic(dim, params, seed)``."""
+    means = np.random.default_rng(seed).standard_normal((params.clusters, dim))
+    return means, np.arange(params.points) % params.clusters
 
 
 def latent_fd(rows, cfg, h=1e-5):
@@ -137,9 +148,9 @@ def worst_rel_error(a, n, floor=1e-8):
 
 
 def exact_cosines(rows):
-    """The cosine of every pair of rows, as a list of rows of mpf."""
+    """The cosine of every pair of rows, float64 or mpf entries, as a list of rows of mpf."""
     with mp.workdps(DIGITS):
-        vecs = [[mp.mpf(float(x)) for x in row] for row in rows]
+        vecs = [[mp.mpf(x) for x in row] for row in rows]
         norms = [mp.sqrt(mp.fdot(v, v)) for v in vecs]
         return [[mp.fdot(a, b) / (na * nb) for b, nb in zip(vecs, norms)] for a, na in zip(vecs, norms)]
 
@@ -177,3 +188,23 @@ def exact_evaluation(rows, tau):
             "paper_gap": paper - avg,
             "strict_gap": strict - avg,
         }
+
+
+def exact_latent_grad(rows, tau):
+    """d(loss)/d(rows[i][j]) for every entry, as a list of rows of mpf: a central difference of the exact loss.
+
+    The step is h = 1e-25 at 60 digits. The truncation error is about h**2
+    times the loss's third derivative, ~1e-50 at unit scale (~1e-41 at tau
+    1e-3), and the rounding about 10**-60 |loss| / h, ~1e-35: exact for float64
+    purposes.
+    """
+    with mp.workdps(DIGITS):
+        base, h = [[mp.mpf(float(x)) for x in row] for row in rows], mp.mpf("1e-25")
+
+        def loss(i, j, delta):
+            moved = [row[:] for row in base]
+            moved[i][j] += delta
+            terms = exact_anchor_terms(moved, tau)
+            return mp.fsum(lse - pos for lse, pos, _ in terms) / len(terms)
+
+        return [[(loss(i, j, h) - loss(i, j, -h)) / (2 * h) for j in range(len(row))] for i, row in enumerate(base)]

@@ -16,6 +16,21 @@ at tau >= 1.
 batches: Gaussian, clustered and near-collapsed, N 1-16, m 8, the taus of
 ``TAUS``), the largest error over its bound at C = 1 was 3.37 (``strict_gap``
 at tau 1e-3, N 9, clustered), so C leaves a margin of 2.4.
+
+``nt_xent_grad`` against the exact latent gradient, entry by entry. Row i's
+gradient sums terms of size about 1 / (tau |z_i|): softmax weights less 1 at
+the partner, over N tau, times unit rows, over the row's norm. Each term is
+rounded at about u relative, and a softmax weight strictly between 0 and 1
+also moves by about u / tau relative, the rounding of its logit cos / tau. So
+the stated bound on entry (i, j) is ``C_GRAD u (1 + 1/tau) / (tau |z_i|)``.
+The 1/tau term is earned by near-ties at small tau: a batch whose anchor is
+equally close to its partner and to another row (``tie_rows``) has errors of
+46-180 times ``u / (tau |z_i|)`` at tau 1e-3.
+
+``C_GRAD`` = 6. Over seeds 0-299 of ``draw_rows`` at m 4 and at m 8 (N 1-4,
+every kind, taus of ``GRAD_TAUS``: 5,400 batches) and 60 ``tie_rows``
+batches at tau 1e-3 and 0.5, the largest error over its bound at C_GRAD = 1
+was 2.00 (tau 1e4, N 2, Gaussian, m 4), so C_GRAD leaves a margin of 3.0.
 """
 
 import dataclasses
@@ -28,14 +43,16 @@ mpmath = pytest.importorskip("mpmath")
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from ntxbound import EmbeddingBatch, LossConfig, evaluate_batch
+from ntxbound import EmbeddingBatch, LossConfig, evaluate_batch, nt_xent_grad
 from ntxbound.bounds import VIOLATION_SLACK
 from ntxbound.sim import TAU_MAX
-from oracle import exact_evaluation
+from oracle import exact_evaluation, exact_latent_grad
 
 U = 2.0**-53
 C = 8.0
+C_GRAD = 6.0
 TAUS = (1e-3, 0.05, 0.5, 1.0, 100.0, 1e4)
+GRAD_TAUS = (1e-3, 0.5, 1e4)
 KINDS = ("gaussian", "clustered", "collapsed")
 LOSS_FIELDS = ("total", "alignment", "distribution")
 
@@ -52,6 +69,42 @@ def draw_rows(kind, n_pairs, rng, dim=8):
     if kind == "clustered":
         return np.repeat(rng.standard_normal((n_pairs, dim)), 2, axis=0) + 0.1 * rng.standard_normal((2 * n_pairs, dim))
     return rng.standard_normal(dim) + 1e-9 * rng.standard_normal((2 * n_pairs, dim))
+
+
+def tie_rows(rng, dim=5):
+    """Four rows: an anchor, its partner, a third row at the partner's angle mirrored about the anchor, and a normal.
+
+    Each row is scaled by a factor in [0.5, 2], which the cosines do not see.
+    """
+    basis = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+    angle = rng.uniform(0.2, 1.2)
+    side = np.sin(angle) * basis[1]
+    rows = np.array([basis[0], np.cos(angle) * basis[0] + side, np.cos(angle) * basis[0] - side, rng.standard_normal(dim)])
+    return rows * rng.uniform(0.5, 2.0, (4, 1))
+
+
+def grad_errors(rows, tau, c):
+    """Each entry's |nt_xent_grad - exact| over ``c u (1 + 1/tau) / (tau |z_i|)``."""
+    got = nt_xent_grad(EmbeddingBatch(rows), LossConfig(tau))
+    want = exact_latent_grad(rows, tau)
+    scale = c * U * (1.0 + 1.0 / tau) / (tau * np.linalg.norm(rows, axis=1))
+    errors = [[float(abs(mpmath.mpf(float(g)) - w)) for g, w in zip(*pair)] for pair in zip(got, want)]
+    return np.array(errors) / scale[:, None]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("tau", GRAD_TAUS)
+def test_nt_xent_grad_is_within_its_error_bound_of_exact(tau, kind):
+    for seed in range(4):
+        rows = draw_rows(kind, seed + 1, np.random.default_rng(seed), dim=4)
+        assert grad_errors(rows, tau, C_GRAD).max() <= 1.0, (seed, kind, tau)
+
+
+def test_a_near_tie_at_small_tau_needs_the_bounds_one_over_tau_term():
+    rows, tau = tie_rows(np.random.default_rng(1)), 1e-3
+    errors = grad_errors(rows, tau, C_GRAD)
+    assert errors.max() <= 1.0
+    assert errors.max() * (1.0 + 1.0 / tau) > 1.0  # over C_GRAD u / (tau |z_i|), the bound without the term
 
 
 @settings(max_examples=30, deadline=None)

@@ -85,10 +85,11 @@ def _whole_matrix_grad(batch, tau, mode):
     """The latent gradient through the whole 2N x 2N similarity gradient: zero off the anchor rows, then symmetrized."""
     unit, norms = batch.unit_rows()
     x = similarity_matrix(batch, tau).sims / tau
-    anchors, partners = anchor_indices(batch.n_rows, mode)
+    n_rows = batch.rows.shape[0]
+    anchors, partners = anchor_indices(n_rows, mode)
     x[anchors, anchors] = -np.inf
     weights = np.exp(x[anchors] - x[anchors].max(axis=1, keepdims=True))
-    grad_s = np.zeros((batch.n_rows, batch.n_rows))
+    grad_s = np.zeros((n_rows, n_rows))
     grad_s[anchors] = weights / weights.sum(axis=1, keepdims=True)
     grad_s[anchors, partners] -= 1.0
     grad_s /= batch.n_pairs * tau

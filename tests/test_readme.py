@@ -12,3 +12,4 @@ def test_library_use_block_runs():
     namespace = {}
     exec(compile(block, "README.md: Library use", "exec"), namespace)
     assert namespace["grad"].shape == (8, 16)  # as the block says
+    assert {"lse_bounds", "AnchorMode"} <= namespace.keys()  # the sandwich lemma and the symmetric anchor mode run too

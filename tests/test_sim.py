@@ -102,7 +102,8 @@ class TestCosineSim:
 class TestEmbeddingBatch:
     def test_basic_properties(self):
         b = EmbeddingBatch(np.ones((6, 3)))
-        assert (b.n_rows, b.n_pairs, b.dim) == (6, 3, 3)
+        assert (b.rows.shape, b.n_pairs) == ((6, 3), 3)
+        assert repr(b) == "EmbeddingBatch(n_pairs=3, dim=3)"
 
     def test_odd_row_count_rejected(self):
         with pytest.raises(ValueError):

@@ -37,7 +37,7 @@ from ntxbound.trainer import (
     _backprop,
     _forward_pass,
 )
-from oracle import chain_grads, init_net, param_grads, unit_rms, worst_rel_error
+from oracle import chain_grads, init_net, mixture_truth, param_grads, unit_rms, worst_rel_error
 
 
 def make_rng(seed):
@@ -47,25 +47,37 @@ def make_rng(seed):
 class TestGenSynthetic:
     def test_tiny_spread_concentrates(self):
         params = DatasetParams(clusters=1, spread=1e-4, points=10)
-        ds = gen_synthetic(6, params, seed=0)
-        deviations = np.linalg.norm(ds.points - ds.means[0], axis=1)
+        points = gen_synthetic(6, params, seed=0)
+        means, _ = mixture_truth(6, params, seed=0)
+        deviations = np.linalg.norm(points - means[0], axis=1)
         assert np.max(deviations) < 10 * params.spread * math.sqrt(6)
 
     def test_same_seed_identical(self):
         params = DatasetParams(clusters=3, spread=0.5, points=64)
         a = gen_synthetic(4, params, seed=9)
         b = gen_synthetic(4, params, seed=9)
-        np.testing.assert_array_equal(a.points, b.points)
-        np.testing.assert_array_equal(a.means, b.means)
+        np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(mixture_truth(4, params, seed=9)[0], mixture_truth(4, params, seed=9)[0])
 
     def test_cluster_means_recovered(self):
         """Law of large numbers: empirical cluster means approach the truth."""
         dim, params = 5, DatasetParams(clusters=4, spread=0.2, points=1000)
-        ds = gen_synthetic(dim, params, seed=3)
+        points = gen_synthetic(dim, params, seed=3)
+        means, labels = mixture_truth(dim, params, seed=3)
         for c in range(params.clusters):
-            member = ds.points[ds.labels == c]
-            err = np.linalg.norm(member.mean(axis=0) - ds.means[c])
+            member = points[labels == c]
+            err = np.linalg.norm(member.mean(axis=0) - means[c])
             assert err < 3 * params.spread / math.sqrt(len(member)) * math.sqrt(dim)
+
+    def test_points_are_the_truths_means_plus_the_streams_next_draw(self):
+        """The oracle's means and labels are the ones gen_synthetic draws from, bit for bit."""
+        dim, params = 3, DatasetParams(clusters=5, spread=0.3, points=40)
+        points = gen_synthetic(dim, params, seed=7)
+        means, labels = mixture_truth(dim, params, seed=7)
+        rng = np.random.default_rng(7)
+        rng.standard_normal((params.clusters, dim))  # the means' draw
+        assert isinstance(points, np.ndarray) and points.shape == (params.points, dim)
+        np.testing.assert_array_equal(points, means[labels] + params.spread * rng.standard_normal((params.points, dim)))
 
     def test_bad_params_rejected(self):
         with pytest.raises(InvalidDatasetParamsError):
@@ -503,6 +515,23 @@ class TestTrainStep:
             train_step(model, points, cfg, make_rng(2), step=3)
 
 
+class TestTrainTrace:
+    @pytest.mark.parametrize(
+        "columns",
+        [
+            # len 3, while trace_to_csv, which zips the columns, would write two rows
+            (np.arange(3), *[np.ones(2)] * 9, np.zeros(3, bool)),
+            (np.arange(3), *[np.ones((3, 1))] * 9, np.zeros(3, bool)),
+            (np.array(0), *[np.array(1.0)] * 9, np.array(False)),
+            (np.arange(3), *[np.ones(3)] * 9, np.zeros(2, bool)),
+        ],
+        ids=["short-floats", "2-d", "0-d", "short-collapsed"],
+    )
+    def test_columns_that_are_not_1d_of_the_steps_length_are_refused(self, columns):
+        with pytest.raises(DimensionMismatchError):
+            TrainTrace(*columns)
+
+
 class TestTrain:
     def test_single_step_trace(self):
         trace = train(tiny_config(steps=1))
@@ -646,14 +675,14 @@ class TestTrain:
 
 def _step_by_step(cfg):
     """The oracle of the block path: train(cfg) as a loop of train_step; returns its one-row traces and its error."""
-    dataset = gen_synthetic(cfg.input_dim, cfg.dataset, bounds._stream(cfg.seed, 0))
+    points = gen_synthetic(cfg.input_dim, cfg.dataset, bounds._stream(cfg.seed, 0))
     model = init_net(cfg.blocks, bounds._stream(cfg.seed, 1))
     rng = bounds._stream(cfg.seed, 2)
     rows = []
     for step in range(cfg.steps):
         idx = rng.integers(0, cfg.dataset.points, size=cfg.n_pairs)
         try:
-            rows.append(train_step(model, dataset.points[idx], cfg, rng, step))
+            rows.append(train_step(model, points[idx], cfg, rng, step))
         except NonFiniteLossError as exc:
             return rows, exc
     return rows, None
