@@ -28,17 +28,11 @@ from .errors import (
 )
 from .loss import AnchorMode, LossBreakdown, LossConfig, logsumexp, nt_xent, nt_xent_grad
 from .sim import EmbeddingBatch, SimilarityMatrix, cosine_sim, l2_normalize, similarity_matrix
-from .trainer import (
-    AugmentConfig,
-    DatasetParams,
-    Mlp,
-    TrainConfig,
-    TrainTrace,
-    augment,
-    forward,
-    gen_synthetic,
-    train,
-    train_step,
+
+#: The trainer's public names. They load on first access (PEP 562), so importing the package, or a
+#: command that does not train, does not compile and run the trainer.
+_TRAINER_NAMES = frozenset(
+    "AugmentConfig DatasetParams Mlp TrainConfig TrainTrace augment forward gen_synthetic train train_step".split()
 )
 
 __version__ = "0.1.0"
@@ -88,3 +82,15 @@ __all__ = [
     "train",
     "train_step",
 ]
+
+
+def __getattr__(name: str):
+    if name in _TRAINER_NAMES:
+        from . import trainer
+
+        return getattr(trainer, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _TRAINER_NAMES)

@@ -2,8 +2,10 @@
 
 Exit codes: 0 success, 1 scientific failure (bound violation in verify,
 divergence, gradient threshold breach), 2 usage or config error, 3 a bound
-violated during training. Every command is deterministic given its config and
-seed; output files are byte-identical across repeated runs.
+violated during training, 141 stdout closed before the command finished (the
+code a shell gives a process that SIGPIPE ended). Every command is
+deterministic given its config and seed; output files are byte-identical
+across repeated runs.
 """
 
 from __future__ import annotations
@@ -11,11 +13,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
+import os
 import sys
 import typing
 from pathlib import Path
 
-from . import gradcheck as gc
 from .bounds import VIOLATION_SLACK, VerifyGrid, default_grid, monte_carlo_verify
 from .errors import (
     ConfigError,
@@ -26,7 +28,6 @@ from .errors import (
     NonFiniteLossError,
 )
 from .serialize import (
-    TRACE_COLUMNS,
     check_writable,
     format_float,
     load_json,
@@ -36,7 +37,13 @@ from .serialize import (
     write_text,
 )
 from .sim import _check_seed
-from .trainer import TrainConfig, train
+
+# The trainer and gradcheck modules are imported by the functions that use them, so that `ntxb verify` loads neither.
+if typing.TYPE_CHECKING:
+    from .trainer import TrainConfig
+
+#: Exit code of a run whose stdout was closed before it finished, as in ``ntxb gradcheck | head -1``.
+EXIT_BROKEN_PIPE = 141
 
 _USAGE_ERRORS = (
     ConfigError,
@@ -134,6 +141,8 @@ def parse_verify_config(doc: dict) -> tuple[VerifyGrid, int, int]:
 
 def parse_train_config(doc: dict) -> TrainConfig:
     """Validate a train config document and build the TrainConfig."""
+    from .trainer import TrainConfig
+
     return _load(TrainConfig, doc, "train config")
 
 
@@ -187,6 +196,8 @@ def _print_trials(trials, line: str) -> tuple[float, float]:
 
 
 def cmd_gradcheck(args) -> int:
+    from . import gradcheck as gc
+
     worst_loss, ortho_loss = _print_trials(
         gc.iter_loss_level(args.trials, n_pairs=args.n_pairs, dim=args.dim, tau=args.tau, seed=args.seed),
         "gradcheck loss-level trial {t.trial:3d}: worst rel err {t.worst_rel_err:.3e} at entry {t.worst_index}",
@@ -229,6 +240,8 @@ def _train_summary(trace, status: str, nonfinite=None) -> dict:
 
 
 def cmd_train(args) -> int:
+    from .trainer import train
+
     cfg = parse_train_config(load_json(args.config))
     out = _outdir(args.out, ["train_trace.csv", "train_summary.json"])
     nonfinite = None
@@ -279,6 +292,8 @@ def report_aggregates(rows: list[dict]) -> dict:
 
 
 def cmd_report(args) -> int:
+    from .trainer import TRACE_COLUMNS
+
     rows = read_trace_csv(args.trace)
     series = {metric: f"series_{metric}.csv" for metric in TRACE_COLUMNS[1:]}
     out = _outdir(args.out, [*series.values(), "gap_tightness.json"])
@@ -348,4 +363,12 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    """The console script: exit with :func:`main`'s code, or EXIT_BROKEN_PIPE when stdout was closed early."""
+    try:
+        code = main()
+        sys.stdout.flush()  # a pipe closed after the last print shows here, not in the flush at exit
+    except BrokenPipeError:
+        # As the Python docs' note on SIGPIPE does: point stdout at devnull, so the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    sys.exit(code)

@@ -11,21 +11,30 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import fields
 from pathlib import Path
 
-from .errors import ConfigError
-from .trainer import TrainTrace
+import numpy as np
 
-#: Fixed column order of the training trace CSV: the step, then every float column of a TrainTrace, in its order.
-TRACE_COLUMNS = tuple(f.name for f in fields(TrainTrace) if f.name != "collapsed")
+from .errors import ConfigError
+
+#: The digit format of every float written, by :func:`format_float` and by :func:`trace_to_csv`'s rows.
+_FLOAT_FORMAT = "%.17g"
+
+
+def __getattr__(name: str):
+    # The trace columns are read from the trainer's TrainTrace, which a command that writes no trace never loads.
+    if name == "TRACE_COLUMNS":
+        from .trainer import TRACE_COLUMNS
+
+        return TRACE_COLUMNS
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def format_float(x: float) -> str:
     """17-significant-digit decimal form; exact float64 round-trip."""
     if not math.isfinite(x):
         raise ValueError(f"cannot serialize non-finite number {x!r}")
-    return format(x, ".17g")
+    return _FLOAT_FORMAT % x
 
 
 def _render(obj, level: int) -> str:
@@ -130,12 +139,20 @@ def load_json(path) -> dict:
 def trace_to_csv(trace) -> str:
     """Render a train trace's columns as CSV with the fixed column order.
 
-    Each row is the step, then each float column through :func:`format_float`,
-    which refuses a non-finite value with ValueError.
+    Each row is the step, then each float column in :func:`format_float`'s
+    digits, all through one ``%`` format. A column holding a non-finite value
+    is refused first, with :func:`format_float`'s ValueError.
     """
-    steps, *floats = (getattr(trace, column).tolist() for column in TRACE_COLUMNS)
+    from .trainer import TRACE_COLUMNS
+
+    steps, *floats = (getattr(trace, column) for column in TRACE_COLUMNS)
+    for column in floats:
+        bad = column[~np.isfinite(column)]
+        if bad.size:
+            format_float(bad[0].item())  # raises
+    row = ",".join(["%d", *[_FLOAT_FORMAT] * len(floats)])
     lines = [",".join(TRACE_COLUMNS)]
-    lines += [f"{step},{','.join(map(format_float, row))}" for step, *row in zip(steps, *floats)]
+    lines += [row % values for values in zip(steps.tolist(), *(column.tolist() for column in floats))]
     lines.append("")  # the final newline, without a second copy of the text
     return "\n".join(lines)
 
@@ -145,6 +162,8 @@ def parse_trace_csv(text: str) -> list[dict]:
 
     Every value must be finite and steps must strictly increase.
     """
+    from .trainer import TRACE_COLUMNS
+
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ConfigError("trace CSV is empty")

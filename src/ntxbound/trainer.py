@@ -395,6 +395,10 @@ class TrainTrace:
         return len(self.step)
 
 
+#: Fixed column order of the training trace CSV: the step, then every float column of a TrainTrace, in its order.
+TRACE_COLUMNS = tuple(f.name for f in fields(TrainTrace) if f.name != "collapsed")
+
+
 def _forward_pass(net: Mlp, views: np.ndarray, cfg: TrainConfig) -> tuple[MlpTrace, _Pass, np.ndarray]:
     """Forward the views and take their NT-Xent pass, with each batch's smallest anchor-row similarity.
 

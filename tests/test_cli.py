@@ -128,7 +128,7 @@ class TestConfigLoader:
         def not_run(*args):
             raise AssertionError("command ran")
 
-        monkeypatch.setattr(cli, "train", not_run)
+        monkeypatch.setattr(trainer, "train", not_run)
         monkeypatch.setattr(cli, "monte_carlo_verify", not_run)
         path = tmp_path / "cfg.json"
         write_json(path, doc)
@@ -152,7 +152,7 @@ class TestConfigLoader:
         def not_run(*args):
             raise AssertionError("command ran")
 
-        monkeypatch.setattr(cli, "train", not_run)
+        monkeypatch.setattr(trainer, "train", not_run)
         monkeypatch.setattr(cli, "monte_carlo_verify", not_run)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(doc).replace(f'"{key}": ', f'"{key}": 3, "{key}": ', 1), encoding="utf-8")
@@ -243,8 +243,9 @@ class TestUnusableInputs:
         def must_not_run(*args):
             raise AssertionError(f"{command} started work with {name} blocked")
 
-        for attr in ("monte_carlo_verify", "train", "report_aggregates"):
+        for attr in ("monte_carlo_verify", "report_aggregates"):
             monkeypatch.setattr(cli, attr, must_not_run)
+        monkeypatch.setattr(trainer, "train", must_not_run)
         argv = {
             "verify": ["verify"],
             "train": ["train", "--config", str(cfg)],
@@ -515,14 +516,14 @@ class TestTrainCommand:
         cfg_path = tmp_path / "train.json"
         write_json(cfg_path, quick_train_config(steps=2))
 
-        real_train = cli.train
+        real_train = trainer.train
 
         def rigged(cfg):
             trace = real_train(cfg)
             trace.strict_gap[0] = -1e-3
             return trace
 
-        monkeypatch.setattr(cli, "train", rigged)
+        monkeypatch.setattr(trainer, "train", rigged)
         assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 3
 
 

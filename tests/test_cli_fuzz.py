@@ -35,6 +35,7 @@ from hypothesis import given, settings, strategies as st
 import ntxbound.bounds as bounds
 import ntxbound.cli as cli
 import ntxbound.gradcheck as gc
+import ntxbound.trainer as trainer
 from ntxbound.bounds import DISTRIBUTIONS, VerifyGrid, VerifySummary
 from ntxbound.errors import NonFiniteLossError
 from ntxbound.serialize import TRACE_COLUMNS
@@ -230,7 +231,7 @@ def stubs(outcome: dict, calls: list) -> dict:
 
     return {
         (cli, "monte_carlo_verify"): monte_carlo_verify,
-        (cli, "train"): train,
+        (trainer, "train"): train,
         (gc, "iter_loss_level"): iter_loss_level,
         (gc, "iter_end_to_end"): iter_end_to_end,
         # What the real levels run once their arguments pass: drawn records, no gradient work.

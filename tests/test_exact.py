@@ -40,8 +40,6 @@ import numpy as np
 import pytest
 
 mpmath = pytest.importorskip("mpmath")
-hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
 
 from ntxbound import EmbeddingBatch, LossConfig, evaluate_batch, nt_xent_grad
 from ntxbound.bounds import VIOLATION_SLACK
@@ -107,17 +105,24 @@ def test_a_near_tie_at_small_tau_needs_the_bounds_one_over_tau_term():
     assert errors.max() * (1.0 + 1.0 / tau) > 1.0  # over C_GRAD u / (tau |z_i|), the bound without the term
 
 
-@settings(max_examples=30, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), n_pairs=st.integers(1, 16), tau=st.sampled_from(TAUS), kind=st.sampled_from(KINDS))
-def test_evaluate_batch_is_within_its_error_bound_of_exact(seed, n_pairs, tau, kind):
-    rows = draw_rows(kind, n_pairs, np.random.default_rng(seed))
-    ev = evaluate_batch(EmbeddingBatch(rows), LossConfig(tau))
-    got = {**dataclasses.asdict(ev.breakdown), **dataclasses.asdict(ev.report)}
-    want = exact_evaluation(rows, tau)
-    bound = error_bound(tau, n_pairs, float(want["total"]))
-    for name, exact in want.items():
-        err = float(abs(mpmath.mpf(float(got[name])) - exact))
-        assert err <= (bound / tau if name in LOSS_FIELDS else bound), (name, err)
+def test_evaluate_batch_is_within_its_error_bound_of_exact():
+    """The one test that draws with hypothesis, so only it skips without hypothesis."""
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_pairs=st.integers(1, 16), tau=st.sampled_from(TAUS), kind=st.sampled_from(KINDS))
+    def check(seed, n_pairs, tau, kind):
+        rows = draw_rows(kind, n_pairs, np.random.default_rng(seed))
+        ev = evaluate_batch(EmbeddingBatch(rows), LossConfig(tau))
+        got = {**dataclasses.asdict(ev.breakdown), **dataclasses.asdict(ev.report)}
+        want = exact_evaluation(rows, tau)
+        bound = error_bound(tau, n_pairs, float(want["total"]))
+        for name, exact in want.items():
+            err = float(abs(mpmath.mpf(float(got[name])) - exact))
+            assert err <= (bound / tau if name in LOSS_FIELDS else bound), (name, err)
+
+    check()
 
 
 def test_error_bound_at_tau_max_is_far_below_the_violation_slack():

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import golden
-from ntxbound import cli, gradcheck
+from ntxbound import cli, gradcheck, trainer
 
 
 def committed_digests():
@@ -80,7 +80,7 @@ def test_one_ulp_in_the_verify_summary_moves_the_summary_and_stdout(monkeypatch)
     ],
 )
 def test_one_ulp_in_a_desk_trace_moves_exactly_the_outputs_that_carry_it(monkeypatch, column, row, outputs):
-    changed = changed_after(monkeypatch, cli, "train", nudged_column(column, row), {"train0", "report"})
+    changed = changed_after(monkeypatch, trainer, "train", nudged_column(column, row), {"train0", "report"})
     assert changed == [f"changed {output}" for output in outputs]
 
 
