@@ -28,6 +28,7 @@ from .errors import (
     NonFiniteLossError,
 )
 from .serialize import (
+    TRACE_COLUMNS,
     check_writable,
     format_float,
     load_json,
@@ -38,7 +39,7 @@ from .serialize import (
 )
 from .sim import _check_seed
 
-# The trainer and gradcheck modules are imported by the functions that use them, so that `ntxb verify` loads neither.
+# The trainer and gradcheck modules are imported by the functions that use them; `verify` and `report` load neither.
 if typing.TYPE_CHECKING:
     from .trainer import TrainConfig
 
@@ -292,8 +293,6 @@ def report_aggregates(rows: list[dict]) -> dict:
 
 
 def cmd_report(args) -> int:
-    from .trainer import TRACE_COLUMNS
-
     rows = read_trace_csv(args.trace)
     series = {metric: f"series_{metric}.csv" for metric in TRACE_COLUMNS[1:]}
     out = _outdir(args.out, [*series.values(), "gap_tightness.json"])

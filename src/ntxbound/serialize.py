@@ -1,4 +1,8 @@
-"""Deterministic serialization: JSON documents and trace CSV.
+"""Deterministic serialization: JSON documents, and the train trace with its CSV.
+
+A :class:`TrainTrace` is a run's per-step record in memory;
+:func:`trace_to_csv` writes its ``TRACE_COLUMNS`` and :func:`parse_trace_csv`
+reads them back, so the trace's schema has this one home.
 
 All floating-point numbers are written with 17 significant digits so 64-bit
 values round-trip losslessly and repeated runs produce byte-identical files.
@@ -11,23 +15,15 @@ from __future__ import annotations
 import json
 import math
 import os
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DimensionMismatchError
 
 #: The digit format of every float written, by :func:`format_float` and by :func:`trace_to_csv`'s rows.
 _FLOAT_FORMAT = "%.17g"
-
-
-def __getattr__(name: str):
-    # The trace columns are read from the trainer's TrainTrace, which a command that writes no trace never loads.
-    if name == "TRACE_COLUMNS":
-        from .trainer import TRACE_COLUMNS
-
-        return TRACE_COLUMNS
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def format_float(x: float) -> str:
@@ -103,10 +99,12 @@ def write_json(path, obj) -> None:
 
 
 def _read_text(path, kind: str) -> str:
-    """UTF-8 text of an input file; a missing, unreadable or non-UTF-8 file raises ConfigError."""
+    """UTF-8 text of an input file; a missing, non-regular, unreadable or non-UTF-8 file raises ConfigError."""
     p = Path(path)
-    if not p.is_file():
+    if not p.exists():
         raise ConfigError(f"{kind} file not found: {p}")
+    if not p.is_file():
+        raise ConfigError(f"{kind} file is not a regular file: {p}")
     try:
         return p.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -136,15 +134,62 @@ def load_json(path) -> dict:
     return doc
 
 
-def trace_to_csv(trace) -> str:
+@dataclass(eq=False)
+class TrainTrace:
+    """A run's per-step diagnostics, evaluated before each parameter update, as columns (steps,); row i is step[i].
+
+    Every column is 1-D and as long as ``step``, or DimensionMismatchError is
+    raised. Traces compare by identity; compare their columns instead.
+    """
+
+    step: np.ndarray
+    loss_total: np.ndarray
+    loss_alignment: np.ndarray
+    loss_distribution: np.ndarray
+    avg_pos_sim: np.ndarray
+    paper_bound: np.ndarray
+    strict_bound: np.ndarray
+    paper_gap: np.ndarray
+    strict_gap: np.ndarray
+    grad_norm: np.ndarray
+    collapsed: np.ndarray
+
+    def __post_init__(self):
+        shapes = {f.name: np.shape(getattr(self, f.name)) for f in fields(self)}
+        if any(len(shape) != 1 or shape != shapes["step"] for shape in shapes.values()):
+            raise DimensionMismatchError(f"trace columns must be 1-D and as long as step, got shapes {shapes}")
+
+    @classmethod
+    def _empty(cls, steps: int, first: int = 0) -> "TrainTrace":
+        """Columns of steps first, first + 1, ..., whose values are to be filled in."""
+        floats = [np.empty(steps) for _ in fields(cls)[1:-1]]
+        return cls(np.arange(first, first + steps), *floats, np.zeros(steps, dtype=bool))
+
+    def _head(self, steps: int) -> "TrainTrace":
+        """The first ``steps`` rows, as views."""
+        return TrainTrace(*(getattr(self, f.name)[:steps] for f in fields(self)))
+
+    @property
+    def collapse_step(self) -> int | None:
+        """The first collapsed step, or None."""
+        hit = np.flatnonzero(self.collapsed)
+        return int(self.step[hit[0]]) if hit.size else None
+
+    def __len__(self) -> int:
+        return len(self.step)
+
+
+#: Fixed column order of the training trace CSV: the step, then every float column of a TrainTrace, in its order.
+TRACE_COLUMNS = tuple(f.name for f in fields(TrainTrace) if f.name != "collapsed")
+
+
+def trace_to_csv(trace: TrainTrace) -> str:
     """Render a train trace's columns as CSV with the fixed column order.
 
     Each row is the step, then each float column in :func:`format_float`'s
     digits, all through one ``%`` format. A column holding a non-finite value
     is refused first, with :func:`format_float`'s ValueError.
     """
-    from .trainer import TRACE_COLUMNS
-
     steps, *floats = (getattr(trace, column) for column in TRACE_COLUMNS)
     for column in floats:
         bad = column[~np.isfinite(column)]
@@ -162,8 +207,6 @@ def parse_trace_csv(text: str) -> list[dict]:
 
     Every value must be finite and steps must strictly increase.
     """
-    from .trainer import TRACE_COLUMNS
-
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ConfigError("trace CSV is empty")

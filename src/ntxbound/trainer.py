@@ -14,8 +14,8 @@ for the last, short block) gives every step's loss and bound diagnostics, bit
 for bit as one step evaluated alone, with every check of
 :class:`LossBreakdown` and :class:`BoundReport`. A refusal found in a block
 is evaluated again step by step, so it names its step. A :class:`TrainTrace`
-of columns (steps,) is the one per-step record; :func:`train_step` returns a
-trace of one row.
+of columns (steps,), defined in ``serialize`` beside its CSV, is the one
+per-step record; :func:`train_step` returns a trace of one row.
 
 Randomness is PCG64 throughout. A run derives three independent streams from
 the config seed via SeedSequence spawn keys: (0,) for the dataset, (1,) for
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,6 +44,7 @@ from .errors import (
     ZeroVectorError,
 )
 from .loss import AnchorMode, _latent_grad, _Pass
+from .serialize import TrainTrace
 from .sim import _check_seed, _check_tau, _cosine_matrix, _unit_rows
 
 #: Every anchor-row similarity at least this close to 1 counts as a collapsed batch. The anchor rows hold
@@ -350,55 +351,6 @@ def _augment_batch(points: np.ndarray, cfg: AugmentConfig, rng: np.random.Genera
     return views
 
 
-@dataclass(eq=False)
-class TrainTrace:
-    """A run's per-step diagnostics, evaluated before each parameter update, as columns (steps,); row i is step[i].
-
-    Every column is 1-D and as long as ``step``, or DimensionMismatchError is
-    raised. Traces compare by identity; compare their columns instead.
-    """
-
-    step: np.ndarray
-    loss_total: np.ndarray
-    loss_alignment: np.ndarray
-    loss_distribution: np.ndarray
-    avg_pos_sim: np.ndarray
-    paper_bound: np.ndarray
-    strict_bound: np.ndarray
-    paper_gap: np.ndarray
-    strict_gap: np.ndarray
-    grad_norm: np.ndarray
-    collapsed: np.ndarray
-
-    def __post_init__(self):
-        shapes = {f.name: np.shape(getattr(self, f.name)) for f in fields(self)}
-        if any(len(shape) != 1 or shape != shapes["step"] for shape in shapes.values()):
-            raise DimensionMismatchError(f"trace columns must be 1-D and as long as step, got shapes {shapes}")
-
-    @classmethod
-    def _empty(cls, steps: int, first: int = 0) -> "TrainTrace":
-        """Columns of steps first, first + 1, ..., whose values are to be filled in."""
-        floats = [np.empty(steps) for _ in fields(cls)[1:-1]]
-        return cls(np.arange(first, first + steps), *floats, np.zeros(steps, dtype=bool))
-
-    def _head(self, steps: int) -> "TrainTrace":
-        """The first ``steps`` rows, as views."""
-        return TrainTrace(*(getattr(self, f.name)[:steps] for f in fields(self)))
-
-    @property
-    def collapse_step(self) -> int | None:
-        """The first collapsed step, or None."""
-        hit = np.flatnonzero(self.collapsed)
-        return int(self.step[hit[0]]) if hit.size else None
-
-    def __len__(self) -> int:
-        return len(self.step)
-
-
-#: Fixed column order of the training trace CSV: the step, then every float column of a TrainTrace, in its order.
-TRACE_COLUMNS = tuple(f.name for f in fields(TrainTrace) if f.name != "collapsed")
-
-
 def _forward_pass(net: Mlp, views: np.ndarray, cfg: TrainConfig) -> tuple[MlpTrace, _Pass, np.ndarray]:
     """Forward the views and take their NT-Xent pass, with each batch's smallest anchor-row similarity.
 
@@ -481,12 +433,13 @@ class _Run:
             self.flush()
 
     def _fail(self, row: int, reason: str, cause: Exception | None = None):
+        """Raise NonFiniteLossError at trace row ``row``, with the rows before it, once the kept steps are evaluated."""
         self.flush()
         raise NonFiniteLossError(self.first + row, reason, self.trace._head(row)) from cause
 
     def flush(self) -> None:
         """Evaluate the kept steps at once; a refusal is evaluated again step by step, to name its first step."""
-        n = self.kept
+        n, self.kept = self.kept, 0  # taken first, so that the flush of a refusal's _fail finds nothing kept
         if not n:
             return
         try:
@@ -496,11 +449,9 @@ class _Run:
                 try:
                     self._evaluate(i, self.start + i)
                 except ValueError as exc:
-                    row, reason = self.start + i, f"degenerate latents or loss: {exc}"
-                    raise NonFiniteLossError(self.first + row, reason, self.trace._head(row)) from exc
+                    self._fail(self.start + i, f"degenerate latents or loss: {exc}", exc)
             raise
         self.start += n
-        self.kept = 0
 
     def _evaluate(self, rows, at) -> None:
         """Diagnostics of block ``rows`` into trace rows ``at``: slices, or one index each, so a refusal shows scalars."""

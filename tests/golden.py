@@ -1,10 +1,11 @@
 """Committed sha256 digests of the commands' outputs, so that "byte-identical" is a tier-1 check.
 
 ``tests/golden.json`` maps an environment key (numpy version, OpenBLAS core
-name, machine) to the digest of each output of ``COMMANDS``: exit code and
-stdout per command, and every file they write. Another numpy, another BLAS
-kernel or another machine moves last bits (README "Determinism"), so
-``tests/test_golden.py`` compares only where its key is in the file.
+name, machine, and on x86 numpy's SIMD level) to the digest of each output of
+``COMMANDS``: exit code and stdout per command, and every file they write.
+Another numpy, another BLAS kernel, another machine or another SIMD dispatch
+moves last bits (README "Determinism"), so ``tests/test_golden.py`` compares
+only where its key is in the file.
 
 Run from the repository root with ``src`` on ``PYTHONPATH``::
 
@@ -98,8 +99,25 @@ def openblas_core() -> str:
     return "unknown"
 
 
+def simd_level() -> str | None:
+    """The highest x86-64 level (``X86_V2``, ``X86_V3``, ``X86_V4``) numpy's SIMD dispatch has enabled; None off x86.
+
+    ``NPY_DISABLE_CPU_FEATURES`` lowers it: numpy's ``exp`` and ``log`` return
+    other last bits on its AVX2 and AVX-512 paths.
+    """
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy 1.x, whose feature names have no X86_V level
+        from numpy.core._multiarray_umath import __cpu_features__
+
+    enabled = [name for name, on in __cpu_features__.items() if on and name.startswith("X86_V")]
+    return max(enabled, default=None)
+
+
 def environment_key() -> str:
-    return f"numpy {np.__version__} / OpenBLAS {openblas_core()} / {platform.machine()}"
+    key = f"numpy {np.__version__} / OpenBLAS {openblas_core()} / {platform.machine()}"
+    level = simd_level()
+    return f"{key} / {level}" if level else key
 
 
 def digests(commands: dict = COMMANDS) -> dict[str, str]:

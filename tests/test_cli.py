@@ -527,6 +527,23 @@ class TestTrainCommand:
         assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 3
 
 
+INPUT_FLAGS = [["train", "--config"], ["verify", "--config"], ["report", "--trace"]]
+
+
+@pytest.mark.parametrize("argv", INPUT_FLAGS, ids=lambda argv: argv[0])
+@pytest.mark.parametrize(
+    "make, fault", [(None, "not found"), (Path.mkdir, "is not a regular file")], ids=["missing", "dir"]
+)
+def test_a_missing_or_non_file_input_exits_2_saying_which(tmp_path, capsys, argv, make, fault):
+    path = tmp_path / "input"
+    if make is not None:
+        make(path)
+    assert main([*argv, str(path), "--out", str(tmp_path / "out")]) == 2
+    kind = argv[1].removeprefix("--")
+    assert capsys.readouterr().err == f"ntxb {argv[0]}: {kind} file {fault}: {path}\n"
+    assert not (tmp_path / "out").exists()
+
+
 class TestReportCommand:
     def test_series_files_for_all_metrics(self, tmp_path):
         cfg_path = tmp_path / "train.json"

@@ -10,6 +10,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import ntxbound.serialize as serialize
+import ntxbound.trainer as trainer
 from ntxbound.cli import EXIT_BROKEN_PIPE
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -45,6 +47,34 @@ def test_verify_loads_neither_the_trainer_nor_gradcheck(tmp_path):
     assert loaded["rc"] == 0
     assert "ntxbound.trainer" not in loaded["loaded"]
     assert "ntxbound.gradcheck" not in loaded["loaded"]
+
+
+def test_serialize_loads_neither_the_trainer_nor_gradcheck():
+    loaded = fresh(f"import json, sys\nimport ntxbound.serialize\nprint(json.dumps({LOADED}))\n")
+    assert "ntxbound.serialize" in loaded
+    assert "ntxbound.trainer" not in loaded
+    assert "ntxbound.gradcheck" not in loaded
+
+
+def test_report_loads_neither_the_trainer_nor_gradcheck(tmp_path):
+    """The trace is written here, by a run in this process; the fresh one only reads it."""
+    trace = tmp_path / "train_trace.csv"
+    serialize.write_text(trace, serialize.trace_to_csv(trainer.train(trainer.TrainConfig(steps=3))))
+    out = tmp_path / "report"
+    loaded = fresh(
+        "import json, sys\n"
+        "import ntxbound.cli as cli\n"
+        f"rc = cli.main(['report', '--trace', {str(trace)!r}, '--out', {str(out)!r}])\n"
+        f"print(json.dumps({{'rc': rc, 'loaded': {LOADED}}}))\n"
+    )
+    assert loaded["rc"] == 0
+    assert (out / "gap_tightness.json").is_file()
+    assert "ntxbound.trainer" not in loaded["loaded"]
+    assert "ntxbound.gradcheck" not in loaded["loaded"]
+
+
+def test_the_trainer_runs_on_the_trace_class_of_serialize():
+    assert trainer.TrainTrace is serialize.TrainTrace
 
 
 def test_a_train_config_does_not_load_gradcheck():

@@ -10,6 +10,10 @@ is, and only a change that reaches the printed digits, such as 1%, moves one.
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +26,8 @@ def committed_digests():
     table = json.loads(golden.GOLDEN.read_text())
     key = golden.environment_key()
     if key not in table:
-        pytest.skip(f"no digests for {key!r}: outputs move in their last bits across numpy, BLAS kernel and machine")
+        why = "outputs move in their last bits across numpy, BLAS kernel, machine and SIMD dispatch"
+        pytest.skip(f"no digests for {key!r}: {why}")
     return table[key]
 
 
@@ -35,6 +40,17 @@ def test_differences_name_each_added_changed_and_missing_output():
     now = {"kept": "a", "moved": "x", "new": "d"}
     assert golden.differences(committed, now) == ["missing gone", "changed moved", "added new"]
     assert golden.differences(now, now) == []
+
+
+@pytest.mark.skipif(golden.simd_level() != "X86_V4", reason="numpy's SIMD dispatch here is not X86_V4")
+def test_a_lower_simd_dispatch_is_another_key():
+    """Under AVX2 dispatch ``exp`` and ``log`` return other last bits, so the digests are keyed apart and skip there."""
+    tests = Path(golden.__file__).parent
+    path = os.pathsep.join(filter(None, [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
+    code = "import golden; print(golden.environment_key())"
+    child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert child.stdout.strip() != golden.environment_key()
 
 
 def one_ulp(x):
