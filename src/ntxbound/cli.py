@@ -2,10 +2,10 @@
 
 Exit codes: 0 success, 1 scientific failure (bound violation in verify,
 divergence, gradient threshold breach), 2 usage or config error, 3 a bound
-violated during training, 141 stdout closed before the command finished (the
-code a shell gives a process that SIGPIPE ended). Every command is
-deterministic given its config and seed; output files are byte-identical
-across repeated runs.
+violated during training, 130 interrupted (Ctrl-C), 141 stdout closed before
+the command finished (the code a shell gives a process that SIGPIPE ended).
+Every command is deterministic given its config and seed; output files are
+byte-identical across repeated runs.
 """
 
 from __future__ import annotations
@@ -45,6 +45,9 @@ if typing.TYPE_CHECKING:
 
 #: Exit code of a run whose stdout was closed before it finished, as in ``ntxb gradcheck | head -1``.
 EXIT_BROKEN_PIPE = 141
+
+#: Exit code of a run ended by Ctrl-C, the code a shell gives a process that SIGINT ended.
+EXIT_INTERRUPTED = 130
 
 _USAGE_ERRORS = (
     ConfigError,
@@ -359,10 +362,14 @@ def main(argv=None) -> int:
     except _USAGE_ERRORS as exc:
         print(f"ntxb {args.command}: {exc}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt as exc:
+        exc.command = args.command  # for entry's one line; the interrupt goes on, so a caller's loop ends too
+        raise
 
 
 def entry() -> None:
-    """The console script: exit with :func:`main`'s code, or EXIT_BROKEN_PIPE when stdout was closed early."""
+    """The console script: exit with :func:`main`'s code, EXIT_BROKEN_PIPE when stdout was closed early, or
+    EXIT_INTERRUPTED with one stderr line on Ctrl-C."""
     try:
         code = main()
         sys.stdout.flush()  # a pipe closed after the last print shows here, not in the flush at exit
@@ -370,4 +377,8 @@ def entry() -> None:
         # As the Python docs' note on SIGPIPE does: point stdout at devnull, so the flush at exit cannot fail again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = EXIT_BROKEN_PIPE
+    except KeyboardInterrupt as exc:
+        command = getattr(exc, "command", None)
+        print(f"ntxb {command}: interrupted" if command else "ntxb: interrupted", file=sys.stderr)
+        code = EXIT_INTERRUPTED
     sys.exit(code)

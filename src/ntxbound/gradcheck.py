@@ -39,8 +39,8 @@ from . import bounds
 from .bounds import _check_memory, _pass_bytes, _stream
 from .errors import ConfigError
 from .loss import AnchorMode, LossConfig, _breakdown, _latent_grad, _nt_xent_pass
+from .mlp import Mlp, MlpTrace, _forward_floats, _init_params, _param_count, forward
 from .sim import _check_seed
-from .trainer import Mlp, MlpTrace, _backprop, _forward_floats, _init_params, _param_count, forward
 
 FD_STEP = 1e-5
 LOSS_LEVEL_TOL = 1e-5
@@ -244,7 +244,8 @@ def _end_to_end_group(seed: int, first: int, size: int, chunk: int) -> list[Grad
         dead = _dead_relu(net, trace)
         if not dead.any():
             break
-    latent_grad, analytic = _backprop(net, trace, _nt_xent_pass(trace.act[-1], NET_TAU, AnchorMode.PAPER_N))
+    latent_grad = _latent_grad(_nt_xent_pass(trace.act[-1], NET_TAU, AnchorMode.PAPER_N))
+    analytic = net.backward(trace, latent_grad)
     ortho = _orthogonality(latent_grad, trace.act[-1])
     del latent_grad, trace, uniforms, normals  # the probes need only the parameters and views
 

@@ -20,10 +20,16 @@ from pathlib import Path
 
 import numpy as np
 
+from .bounds import _check_memory
 from .errors import ConfigError, DimensionMismatchError
 
 #: The digit format of every float written, by :func:`format_float` and by :func:`trace_to_csv`'s rows.
 _FLOAT_FORMAT = "%.17g"
+
+#: Bytes each trace row adds to ``ntxb report`` beyond two copies of its line: the line's string header and list
+#: slots, its row of ten numbers, and its line of a series file. A report grows by 585-625 per row beyond twice
+#: the file under tracemalloc (400 rows against 4,000: desk traces, and fields of 1 or 24 characters).
+_REPORT_ROW_BYTES = 768
 
 
 def format_float(x: float) -> str:
@@ -98,13 +104,18 @@ def write_json(path, obj) -> None:
     write_text(path, dumps(obj))
 
 
-def _read_text(path, kind: str) -> str:
-    """UTF-8 text of an input file; a missing, non-regular, unreadable or non-UTF-8 file raises ConfigError."""
+def _input_file(path, kind: str) -> Path:
+    """The path of an input file; a missing or non-regular file raises ConfigError."""
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"{kind} file not found: {p}")
     if not p.is_file():
         raise ConfigError(f"{kind} file is not a regular file: {p}")
+    return p
+
+
+def _read_text(p: Path) -> str:
+    """UTF-8 text of an input file; an unreadable or non-UTF-8 file raises ConfigError."""
     try:
         return p.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -123,7 +134,7 @@ def _unique_keys(pairs: list) -> dict:
 
 def load_json(path) -> dict:
     """Parse a JSON config document; malformed input, or an object with a repeated key, raises ConfigError."""
-    text = _read_text(path, "config")
+    text = _read_text(_input_file(path, "config"))
     try:
         doc = json.loads(text, object_pairs_hook=_unique_keys)
     # ValueError: malformed, or an integer of more digits than Python converts; RecursionError: nesting too deep
@@ -235,4 +246,17 @@ def parse_trace_csv(text: str) -> list[dict]:
 
 
 def read_trace_csv(path) -> list[dict]:
-    return parse_trace_csv(_read_text(path, "trace"))
+    """Parse a trace CSV file; one whose report would need over the memory budget raises ConfigError unparsed.
+
+    Its size and lines are taken in one streaming pass first: the text and its
+    lines hold the file twice, and each row adds at most _REPORT_ROW_BYTES.
+    """
+    p = _input_file(path, "trace")
+    try:
+        with open(p, "rb") as fh:
+            lines = 1 + sum(block.count(b"\n") for block in iter(lambda: fh.read(1 << 16), b""))
+            size = fh.tell()
+    except OSError as exc:
+        raise ConfigError(f"cannot read {p}: {exc}") from exc
+    _check_memory(2 * size + lines * _REPORT_ROW_BYTES, f"reporting a trace of {lines} lines", ConfigError)
+    return parse_trace_csv(_read_text(p))

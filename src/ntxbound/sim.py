@@ -131,7 +131,7 @@ def _cosine_matrix(unit: np.ndarray, step: int) -> np.ndarray:
     hold row by row on the values the loss uses.
     """
     sims = unit[..., ::step, :] @ unit.swapaxes(-1, -2)
-    sims.clip(-1.0, 1.0, out=sims)
+    sims.real.clip(-1.0, 1.0, out=sims.real)  # a complex entry of real part 1 clipped whole loses its imaginary part
     rows, anchors, _ = _anchor_index(unit.shape[-2], step)
     sims[..., rows, anchors] = 1.0
     return sims

@@ -3,7 +3,7 @@
 The four classic components, shrunk to laptop size: a stochastic augmentation
 (Gaussian noise then coordinate dropout), an MLP encoder and an MLP projection
 head, and the NT-Xent loss. Encoder and head are the two blocks of one
-:class:`Mlp` over one flat parameter vector, with ReLU between the layers of
+:class:`Mlp` (module ``mlp``) over one flat parameter vector, with ReLU between the layers of
 each block and a linear output at each block's end. Every training step
 keeps the per-anchor terms of its NT-Xent pass *before* the parameter update,
 so the loss breakdown and both similarity-bound variants can be watched live
@@ -44,6 +44,7 @@ from .errors import (
     ZeroVectorError,
 )
 from .loss import AnchorMode, _latent_grad, _Pass
+from .mlp import Mlp, MlpTrace, _forward_floats, _init_params, _param_count, forward
 from .serialize import TrainTrace
 from .sim import _check_seed, _check_tau, _cosine_matrix, _unit_rows
 
@@ -59,67 +60,6 @@ BLOCK_STEPS = 64
 #: per step under tracemalloc (steps 40 against 400, seeds 0-2). Numbers of 23 characters (a sign, 17 digits
 #: and an exponent), against 18.4 on average there, would add under 90: a line is held twice at most.
 _RECORD_BYTES = 640
-
-
-@dataclass
-class MlpTrace:
-    """Forward-pass intermediates kept for backpropagation."""
-
-    pre: list[np.ndarray]
-    act: list[np.ndarray]  # act[0] is the input; act[-1] the output, the latents of a desk model
-
-
-def _layers(blocks: tuple[tuple[int, ...], ...]) -> list[tuple[int, int]]:
-    """Each layer's (fan_in, fan_out): the layers of every block, laid end to end."""
-    return [(fan_in, fan_out) for dims in blocks for fan_in, fan_out in zip(dims[:-1], dims[1:])]
-
-
-def _param_count(blocks: tuple[tuple[int, ...], ...]) -> int:
-    return sum((fan_in + 1) * fan_out for fan_in, fan_out in _layers(blocks))
-
-
-def _layer_views(blocks: tuple[tuple[int, ...], ...], params: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Each layer's weights (..., fan_in, fan_out) and biases (..., 1, fan_out) as views of params (..., P).
-
-    The flat layout is, per layer, the weights row-major, then the biases.
-    This is the one place that walks it.
-    """
-    lead, views, offset = params.shape[:-1], [], 0
-    for fan_in, fan_out in _layers(blocks):
-        mid = offset + fan_in * fan_out
-        w = params[..., offset:mid].reshape(lead + (fan_in, fan_out))
-        offset = mid + fan_out
-        views.append((w, params[..., None, mid:offset]))
-    return views
-
-
-def _init_scale(blocks: tuple[tuple[int, ...], ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Each parameter's init uniform as ``low`` and ``high - low`` (P,), over the layers of the blocks.
-
-    Weights are uniform in [-1/sqrt(fan_in), 1/sqrt(fan_in)] and biases in a
-    tenth of that: nonzero, so a dead ReLU layer still emits a direction, and
-    small, so their shared component does not dominate the initial cosines.
-    One ``rng.random(P)`` scaled by these draws every parameter in flat order:
-    the numbers of one ``rng.uniform`` per layer's weights, then biases.
-    """
-    low = []
-    for fan_in, fan_out in _layers(blocks):
-        bound = 1.0 / math.sqrt(fan_in)
-        low += [np.full(fan_in * fan_out, -bound), np.full(fan_out, -0.1 * bound)]
-    low = np.concatenate(low)
-    span = -2.0 * low  # high is -low: high - low exactly as rng.uniform computes it
-    return low, span
-
-
-def _init_params(uniforms: np.ndarray, blocks: tuple[tuple[int, ...], ...]) -> np.ndarray:
-    """Parameters (..., P) from draws U[0, 1) (..., P): ``low + (high - low) * u``, as ``rng.uniform`` makes them."""
-    low, span = _init_scale(blocks)
-    return uniforms * span + low
-
-
-def _forward_floats(blocks: tuple[tuple[int, ...], ...]) -> int:
-    """Floats per row a forward of the blocks keeps: its view, and each layer's pre-activation and activation."""
-    return blocks[0][0] + 2 * sum(fan_out for _, fan_out in _layers(blocks))
 
 
 def _block_bytes(cfg: TrainConfig) -> int:
@@ -141,87 +81,6 @@ def _step_bytes(cfg: TrainConfig) -> int:
     row_floats = _forward_floats(cfg.blocks) + 3 * widest + 4 * cfg.latent_dim
     return _pass_bytes(cfg.n_pairs, row_floats) + 8 * 3 * cfg.n_params
 
-
-@dataclass(eq=False, frozen=True)
-class Mlp:
-    """Fully connected network of blocks laid end to end: ReLU between the layers of a block, identity at its end.
-
-    ``blocks`` holds each block's widths, its input's first; each block
-    starts at the width the one before it ends at. The desk model is
-    ``Mlp(cfg.blocks, params)``: the encoder, then the projection head. The
-    parameters are one flat float64 array ``params`` (P,) in the layout of
-    :func:`_layer_views`; ``weights`` and ``biases`` are tuples of views into
-    it, and ``relu`` says of each layer whether a ReLU follows it, all built
-    once at construction. The fields are frozen, so the views cannot fall out
-    of step with ``params``, and a copy views its own copy of ``params``.
-    :func:`forward` maps a (batch, d) array through ``x @ W + b`` per layer,
-    with the ReLU subgradient at 0 taken as 0. A stack ``params`` (K, P) is K
-    networks, run at once into (K, batch, d) activations and backpropagated
-    into a stack (K, P) of gradients. Networks compare by identity.
-    """
-
-    blocks: tuple[tuple[int, ...], ...]
-    params: np.ndarray
-    weights: tuple[np.ndarray, ...] = field(init=False, repr=False)
-    biases: tuple[np.ndarray, ...] = field(init=False, repr=False)
-    relu: tuple[bool, ...] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        if not self.blocks or any(len(dims) < 2 or min(dims) < 1 for dims in self.blocks):
-            raise DimensionMismatchError(f"blocks must be one or more of at least two widths >= 1, got {self.blocks}")
-        if any(dims[-1] != after[0] for dims, after in zip(self.blocks, self.blocks[1:])):
-            raise DimensionMismatchError(f"each block must start at the width the one before it ends at: {self.blocks}")
-        if not isinstance(self.params, np.ndarray) or self.params.ndim < 1:
-            raise DimensionMismatchError(f"params must be an array of at least one dimension, got {self.params!r:.60}")
-        if self.params.dtype != np.float64:
-            raise ValueError(f"params must be float64, got {self.params.dtype}")
-        if self.params.shape[-1] != _param_count(self.blocks):
-            raise DimensionMismatchError(f"{self.params.shape[-1]} parameters do not fit blocks {self.blocks}")
-        layers = _layer_views(self.blocks, self.params)
-        object.__setattr__(self, "weights", tuple(w for w, _ in layers))
-        object.__setattr__(self, "biases", tuple(b for _, b in layers))
-        object.__setattr__(self, "relu", tuple(l < len(dims) - 2 for dims in self.blocks for l in range(len(dims) - 1)))
-
-    def __reduce__(self):
-        # Copies rebuild their views on the copied params: copied views would not share its memory.
-        return type(self), (self.blocks, self.params)
-
-    def backward(self, trace: MlpTrace, grad_out: np.ndarray, out: Mlp | None = None) -> np.ndarray:
-        """Backpropagate ``grad_out`` (w.r.t. the output) through the trace of a forward of this network.
-
-        Returns the parameter gradient in the layout of ``params``, written into
-        the layers of ``out``, a network of this one's shape whose ``params``
-        receive it, or else of a new one. The input's gradient is not formed.
-        A stack of networks takes a stack of traces and gradients, one per
-        network.
-        """
-        grads = Mlp(self.blocks, np.empty_like(self.params)) if out is None else out
-        g = np.asarray(grad_out, dtype=np.float64)
-        for l in range(len(self.weights) - 1, -1, -1):
-            d_pre = g * (trace.pre[l] > 0) if self.relu[l] else g
-            np.matmul(trace.act[l].swapaxes(-1, -2), d_pre, out=grads.weights[l])
-            d_pre.sum(axis=-2, keepdims=True, out=grads.biases[l])
-            if l:
-                g = d_pre @ self.weights[l].swapaxes(-1, -2)
-        return grads.params
-
-
-def forward(net: Mlp, views: np.ndarray) -> MlpTrace:
-    """Map views (..., 2N, d) through the network, keeping its trace; the latents, in pairing order, are ``act[-1]``.
-
-    K stacked networks, ``params`` (K, P), map views (K, 2N, d) to K batches.
-    The latents are not checked here: the NT-Xent pass refuses non-finite
-    entries and zero-norm rows as it normalizes them.
-    """
-    x = np.asarray(views, dtype=np.float64)
-    if x.ndim < 2 or x.shape[-1] != net.blocks[0][0]:
-        raise DimensionMismatchError(f"input shape {x.shape} does not match first layer dim {net.blocks[0][0]}")
-    pre, act = [], [x]
-    for w, b, relu in zip(net.weights, net.biases, net.relu):
-        z = act[-1] @ w + b
-        pre.append(z)
-        act.append(np.maximum(z, 0.0) if relu else z)
-    return MlpTrace(pre=pre, act=act)
 
 
 @dataclass(frozen=True)
@@ -366,15 +225,6 @@ def _forward_pass(net: Mlp, views: np.ndarray, cfg: TrainConfig) -> tuple[MlpTra
     return trace, _Pass(sims, cfg.tau, AnchorMode.PAPER_N, unit, norms), min_similarity
 
 
-def _backprop(net: Mlp, trace: MlpTrace, p: _Pass, out: Mlp | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """The pass's latent gradient, and the network's parameter gradient (..., P), written into ``out`` if given.
-
-    A non-finite latent gradient raises ValueError.
-    """
-    grad_z = _latent_grad(p)
-    return grad_z, net.backward(trace, grad_z, out=out)
-
-
 class _Run:
     """A run of one network's steps, and its trace, filled a block of steps at a time.
 
@@ -420,7 +270,7 @@ class _Run:
             self.trace.collapsed[row] = min_similarity >= 1.0 - COLLAPSE_TOL
             self.lse[i], self.pos[i], self.max_excl[i], self.pair_sims[i] = p.lse, p.pos, p.max_excl, p.pair_sims
             self.kept = i + 1
-            _, grad = _backprop(self.net, trace, p, self.grads)
+            grad = self.net.backward(trace, _latent_grad(p), out=self.grads)
         except (ZeroVectorError, ValueError) as exc:
             self._fail(row, f"degenerate latents or loss: {exc}", exc)
         sq = np.vdot(grad, grad)

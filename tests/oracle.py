@@ -32,7 +32,7 @@ import math
 import numpy as np
 
 from ntxbound import EmbeddingBatch, Mlp, forward, nt_xent, nt_xent_grad
-from ntxbound.trainer import _init_params, _param_count
+from ntxbound.mlp import _init_params, _param_count
 
 try:
     from mpmath import mp

@@ -368,24 +368,24 @@ class TestGradcheckCommand:
 
     def test_corrupt_gradient_exits_1(self, capsys, monkeypatch):
         """A wrong analytic gradient at either level fails the check: 1e-2 on one entry of every trial's gradient."""
-        real_latent, real_param = gc._latent_grad, gc._backprop
+        real_latent, real_param = gc._latent_grad, gc.Mlp.backward
 
         def corrupt_latent(p):
             grad = real_latent(p)
             grad[..., 0, 0] += 1e-2
             return grad
 
-        def corrupt_param(model, fwd, p):
-            out = real_param(model, fwd, p)
-            out[1][..., 0] += 1e-2
-            return out
+        def corrupt_param(model, trace, grad_out, out=None):
+            grad = real_param(model, trace, grad_out, out)
+            grad[..., 0] += 1e-2
+            return grad
 
-        for level, name, corrupt, tol in (
-            ("loss-level", "_latent_grad", corrupt_latent, gc.LOSS_LEVEL_TOL),
-            ("end-to-end", "_backprop", corrupt_param, gc.END_TO_END_TOL),
+        for level, owner, name, corrupt, tol in (
+            ("loss-level", gc, "_latent_grad", corrupt_latent, gc.LOSS_LEVEL_TOL),
+            ("end-to-end", gc.Mlp, "backward", corrupt_param, gc.END_TO_END_TOL),
         ):
             with monkeypatch.context() as patch:
-                patch.setattr(gc, name, corrupt)
+                patch.setattr(owner, name, corrupt)
                 assert main(["gradcheck", "--trials", "2"]) == 1
             out = capsys.readouterr().out
             lines = [line for line in out.splitlines() if line.startswith(f"gradcheck {level} trial")]
@@ -608,6 +608,37 @@ class TestReportCommand:
         agg = json.loads((tmp_path / "rep" / "gap_tightness.json").read_text())
         assert agg["paper_gap"] == {"min": 1e308, "mean": 1e308, "final": 1e308}
         assert agg["strict_gap"]["mean"] == 0.5
+
+    def test_each_row_adds_at_most_its_row_bytes(self, tmp_path):
+        """Traced peaks of the report on the first 40 and 400 rows of a desk trace: beyond twice the file's growth,
+        they differ by at most _REPORT_ROW_BYTES per row."""
+        lines = trace_to_csv(train(TrainConfig(steps=400))).splitlines(keepends=True)
+        sizes, peaks = [], []
+        for rows in (40, 400):
+            trace = tmp_path / f"trace{rows}.csv"
+            trace.write_text("".join(lines[: rows + 1]), encoding="utf-8")
+            argv = ["report", "--trace", str(trace), "--out", str(tmp_path / f"rep{rows}")]
+            assert main(argv) == 0  # warm-up: first-call allocations are not the run's
+            sizes.append(trace.stat().st_size)
+            peaks.append(_traced_peak(argv))
+        growth = (peaks[1] - peaks[0] - 2 * (sizes[1] - sizes[0])) / 360
+        assert 0 < growth <= serialize._REPORT_ROW_BYTES
+
+    def test_over_budget_exits_2_before_parsing(self, tmp_path, capsys, monkeypatch):
+        """Size and line count alone refuse the trace: one stderr line, exit 2, no parse, no output directory."""
+        row = ",".join(["1"] * 9)
+        trace = tmp_path / "trace.csv"
+        trace.write_text(f"{','.join(TRACE_COLUMNS)}\n0,{row}\n1,{row}\n", encoding="utf-8")
+
+        def no_parse(text):
+            raise AssertionError("trace parsed")
+
+        monkeypatch.setattr(serialize, "parse_trace_csv", no_parse)
+        monkeypatch.setattr(bounds, "MEMORY_BUDGET", 1 << 10)
+        assert main(["report", "--trace", str(trace), "--out", str(tmp_path / "rep")]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and not (tmp_path / "rep").exists()
+        assert err.count("\n") == 1 and "memory budget" in err and err.startswith("ntxb report: ")
 
     def test_csv_round_trip_preserves_aggregates(self):
         trace = train(

@@ -1,7 +1,7 @@
-"""What a fresh ``ntxb`` process loads, and how it ends when its stdout closes.
+"""What a fresh ``ntxb`` process loads, and how it ends when its stdout closes or it is interrupted.
 
-Each test starts its own interpreter, since the pytest process has imported
-every module already and cannot close its own stdout.
+The load and pipe tests start their own interpreter, since the pytest process
+has imported every module already and cannot close its own stdout.
 """
 
 import json
@@ -10,9 +10,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+import ntxbound.cli as cli
+import ntxbound.mlp as mlp
 import ntxbound.serialize as serialize
 import ntxbound.trainer as trainer
-from ntxbound.cli import EXIT_BROKEN_PIPE
+from ntxbound.cli import EXIT_BROKEN_PIPE, EXIT_INTERRUPTED
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -47,6 +51,24 @@ def test_verify_loads_neither_the_trainer_nor_gradcheck(tmp_path):
     assert loaded["rc"] == 0
     assert "ntxbound.trainer" not in loaded["loaded"]
     assert "ntxbound.gradcheck" not in loaded["loaded"]
+    assert "ntxbound.mlp" not in loaded["loaded"]
+
+
+def test_gradcheck_loads_the_network_but_not_the_trainer():
+    loaded = fresh(
+        "import json, sys\n"
+        "import ntxbound.cli as cli\n"
+        "rc = cli.main(['gradcheck', '--trials', '1'])\n"
+        f"print(json.dumps({{'rc': rc, 'loaded': {LOADED}}}))\n"
+    )
+    assert loaded["rc"] == 0
+    assert {"ntxbound.mlp", "ntxbound.gradcheck"} <= set(loaded["loaded"])
+    assert "ntxbound.trainer" not in loaded["loaded"]
+
+
+def test_the_trainer_runs_the_network_of_mlp():
+    assert trainer.Mlp is mlp.Mlp
+    assert trainer.forward is mlp.forward
 
 
 def test_serialize_loads_neither_the_trainer_nor_gradcheck():
@@ -71,6 +93,7 @@ def test_report_loads_neither_the_trainer_nor_gradcheck(tmp_path):
     assert (out / "gap_tightness.json").is_file()
     assert "ntxbound.trainer" not in loaded["loaded"]
     assert "ntxbound.gradcheck" not in loaded["loaded"]
+    assert "ntxbound.mlp" not in loaded["loaded"]
 
 
 def test_the_trainer_runs_on_the_trace_class_of_serialize():
@@ -84,7 +107,7 @@ def test_a_train_config_does_not_load_gradcheck():
         f"cli.parse_train_config(serialize.load_json({str(DESK)!r}))\n"
         f"print(json.dumps({LOADED}))\n"
     )
-    assert "ntxbound.trainer" in loaded
+    assert {"ntxbound.mlp", "ntxbound.trainer"} <= set(loaded)
     assert "ntxbound.gradcheck" not in loaded
 
 
@@ -116,3 +139,26 @@ def test_a_closed_stdout_exits_with_the_pipe_code_and_no_traceback():
     assert proc.wait() == EXIT_BROKEN_PIPE == 141
     assert first.startswith("gradcheck loss-level trial   0:")
     assert err == ""  # no traceback, and no "Exception ignored" line from the flush at exit
+
+
+def _interrupt(*args):
+    raise KeyboardInterrupt
+
+
+@pytest.mark.parametrize(
+    ("argv", "patched", "line"),
+    [
+        (["verify"], "cmd_verify", "ntxb verify: interrupted"),
+        (["gradcheck"], "cmd_gradcheck", "ntxb gradcheck: interrupted"),
+        (["train", "--config", "c.json", "--out", "o"], "cmd_train", "ntxb train: interrupted"),
+        (["report", "--trace", "t.csv", "--out", "o"], "cmd_report", "ntxb report: interrupted"),
+        (["verify"], "build_parser", "ntxb: interrupted"),  # before a command is parsed
+    ],
+)
+def test_an_interrupt_exits_130_with_one_line_and_no_traceback(argv, patched, line, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["ntxb", *argv])
+    monkeypatch.setattr(cli, patched, _interrupt)
+    with pytest.raises(SystemExit) as exited:
+        cli.entry()
+    assert exited.value.code == EXIT_INTERRUPTED == 130
+    assert capsys.readouterr() == ("", line + "\n")

@@ -31,6 +31,15 @@ equally close to its partner and to another row (``tie_rows``) has errors of
 every kind, taus of ``GRAD_TAUS``: 5,400 batches) and 60 ``tie_rows``
 batches at tau 1e-3 and 0.5, the largest error over its bound at C_GRAD = 1
 was 2.00 (tau 1e4, N 2, Gaussian, m 4), so C_GRAD leaves a margin of 3.0.
+
+A complex step of gradcheck's NT-Xent pass, ``Im L(z + ih e_ij) / h`` at
+h = 1e-30, against the same exact gradient and the same bound form, with
+``C_STEP`` = 4. Over seeds 0-2 of ``draw_rows`` at m 4 (N 1-3, every kind, taus
+1e-3, 0.01, 0.5, 1e3 and 1e4: 135 batches) the largest error over its bound at
+C_STEP = 1 was 1.93 (Gaussian; clustered 1.21, near-collapsed 0.36), so C_STEP
+leaves a margin of 2.07. The pass must keep each probe's imaginary part: the
+clip of the cosines to [-1, 1] reads their real parts only, since a complex
+number of real part 1 compares above 1 and would be clipped to a real 1.
 """
 
 import dataclasses
@@ -43,12 +52,14 @@ mpmath = pytest.importorskip("mpmath")
 
 from ntxbound import EmbeddingBatch, LossConfig, evaluate_batch, nt_xent_grad
 from ntxbound.bounds import VIOLATION_SLACK
+from ntxbound.gradcheck import _stack_losses
 from ntxbound.sim import TAU_MAX
 from oracle import exact_evaluation, exact_latent_grad
 
 U = 2.0**-53
 C = 8.0
 C_GRAD = 6.0
+C_STEP = 4.0
 TAUS = (1e-3, 0.05, 0.5, 1.0, 100.0, 1e4)
 GRAD_TAUS = (1e-3, 0.5, 1e4)
 KINDS = ("gaussian", "clustered", "collapsed")
@@ -81,9 +92,16 @@ def tie_rows(rng, dim=5):
     return rows * rng.uniform(0.5, 2.0, (4, 1))
 
 
-def grad_errors(rows, tau, c):
-    """Each entry's |nt_xent_grad - exact| over ``c u (1 + 1/tau) / (tau |z_i|)``."""
-    got = nt_xent_grad(EmbeddingBatch(rows), LossConfig(tau))
+def complex_step_grad(rows, tau, h=1e-30):
+    """``Im L / h`` of ``_stack_losses`` over one probe per entry of the rows, each moved by ih at its entry."""
+    probes = rows + 1j * h * np.eye(rows.size).reshape(rows.size, *rows.shape)
+    return (_stack_losses(probes, LossConfig(tau)).imag / h).reshape(rows.shape)
+
+
+def grad_errors(rows, tau, c, got=None):
+    """Each entry's |got - exact| over ``c u (1 + 1/tau) / (tau |z_i|)``; ``got`` is ``nt_xent_grad``'s if not given."""
+    if got is None:
+        got = nt_xent_grad(EmbeddingBatch(rows), LossConfig(tau))
     want = exact_latent_grad(rows, tau)
     scale = c * U * (1.0 + 1.0 / tau) / (tau * np.linalg.norm(rows, axis=1))
     errors = [[float(abs(mpmath.mpf(float(g)) - w)) for g, w in zip(*pair)] for pair in zip(got, want)]
@@ -96,6 +114,14 @@ def test_nt_xent_grad_is_within_its_error_bound_of_exact(tau, kind):
     for seed in range(4):
         rows = draw_rows(kind, seed + 1, np.random.default_rng(seed), dim=4)
         assert grad_errors(rows, tau, C_GRAD).max() <= 1.0, (seed, kind, tau)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("tau", GRAD_TAUS)
+def test_a_complex_step_of_the_pass_is_within_its_error_bound_of_exact(tau, kind):
+    for seed in range(4):
+        rows = draw_rows(kind, seed + 1, np.random.default_rng(seed), dim=4)
+        assert grad_errors(rows, tau, C_STEP, complex_step_grad(rows, tau)).max() <= 1.0, (seed, kind, tau)
 
 
 def test_a_near_tie_at_small_tau_needs_the_bounds_one_over_tau_term():

@@ -20,7 +20,9 @@ from ntxbound.gradcheck import (
     loss_level_check,
     worst_error,
 )
-from ntxbound.trainer import Mlp, TrainConfig, _backprop, _forward_pass, _step_bytes
+from ntxbound.loss import _latent_grad
+from ntxbound.mlp import Mlp
+from ntxbound.trainer import TrainConfig, _forward_pass, _step_bytes
 from oracle import init_net, latent_fd, unit_rms, worst_rel_error
 
 
@@ -281,7 +283,8 @@ def reference_draw(cfg, seed, trial):
         model = init_net(cfg.blocks, rng)
         views = unit_rms(rng.standard_normal((2 * cfg.n_pairs, cfg.input_dim)))
         trace, p, _ = _forward_pass(model, views, cfg)
-        latent_grad, param_grad = _backprop(model, trace, p)
+        latent_grad = _latent_grad(p)
+        param_grad = model.backward(trace, latent_grad)
         if all(np.any(pre > 0) for pre, relu in zip(trace.pre, model.relu) if relu):
             return model, views, (trace, latent_grad, param_grad), k
     return model, views, (trace, latent_grad, param_grad), None
@@ -357,13 +360,13 @@ class TestGroupDraws:
     def test_stacked_draws_equal_per_trial_draws(self, seed, monkeypatch):
         """The group's parameters and views, redraws included, are each trial's own draws bit for bit."""
         stacks = []
-        real = gradcheck._backprop
+        real = Mlp.backward
 
-        def spy(model, trace, p):
+        def spy(model, trace, grad_out, out=None):
             stacks.append((model.params.copy(), trace.act[0].copy()))
-            return real(model, trace, p)
+            return real(model, trace, grad_out, out)
 
-        monkeypatch.setattr(gradcheck, "_backprop", spy)
+        monkeypatch.setattr(Mlp, "backward", spy)
         end_to_end_check(20, seed=seed)
         ((params, views),) = stacks
         cfg = TINY
@@ -443,18 +446,18 @@ class TestNoPerTrialWork:
             keys.append(key)
             return CountingGenerator(bounds._stream(seed, *key), calls)
 
-        def counting(name):
-            real = getattr(gradcheck, name)
+        def counting(owner, name):
+            real = getattr(owner, name)
 
             def spy(*args):
                 passes[name] += 1
                 return real(*args)
 
-            monkeypatch.setattr(gradcheck, name, spy)
+            monkeypatch.setattr(owner, name, spy)
 
         monkeypatch.setattr(gradcheck, "_stream", stream)
-        for name in ("_backprop", "_worst_errors", "worst_error"):
-            counting(name)
+        for owner, name in ((Mlp, "backward"), (gradcheck, "_worst_errors"), (gradcheck, "worst_error")):
+            counting(owner, name)
         monkeypatch.setattr(bounds, "CHUNK_BYTES", budget)
         assert main(["gradcheck", "--trials", "20", "--seed", "0"]) == 0
         capsys.readouterr()
@@ -462,7 +465,7 @@ class TestNoPerTrialWork:
         assert len(redraws) == 2  # seed 0 redraws two trials once each
         assert calls["uniform"] == 0 and calls["random"] == 20 + len(redraws)
         # Loss-level and end-to-end groups: one error pass per group of each, and one backward per end-to-end group.
-        assert passes == {"_backprop": groups[1], "_worst_errors": sum(groups)}
+        assert passes == {"backward": groups[1], "_worst_errors": sum(groups)}
 
 
 class TestStackedBackward:

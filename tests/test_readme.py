@@ -13,3 +13,4 @@ def test_library_use_block_runs():
     exec(compile(block, "README.md: Library use", "exec"), namespace)
     assert namespace["grad"].shape == (8, 16)  # as the block says
     assert {"lse_bounds", "AnchorMode"} <= namespace.keys()  # the sandwich lemma and the symmetric anchor mode run too
+    assert len(namespace["step"]) == 1 and "train_step" in namespace  # so does one training step

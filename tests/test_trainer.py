@@ -28,13 +28,13 @@ from ntxbound import (
     train_step,
 )
 from ntxbound import bounds, cli, trainer
+from ntxbound.loss import _latent_grad
 from ntxbound.trainer import (
     BLOCK_STEPS,
     COLLAPSE_TOL,
     _RECORD_BYTES,
     TrainTrace,
     _augment_batch,
-    _backprop,
     _forward_pass,
 )
 from oracle import chain_grads, init_net, mixture_truth, param_grads, unit_rms, worst_rel_error
@@ -370,7 +370,8 @@ class TestParameterLayout:
             params, views = params[0], views[0]
         model, grads = Mlp(cfg.blocks, params), Mlp(cfg.blocks, np.empty_like(params))
         trace, p, _ = _forward_pass(model, views, cfg)
-        latent_grad, param_grad = _backprop(model, trace, p, grads)
+        latent_grad = _latent_grad(p)
+        param_grad = model.backward(trace, latent_grad, out=grads)
         assert param_grad is grads.params and param_grad.shape == params.shape
         assert param_grad.tobytes() == chain_grads(model, trace, latent_grad).tobytes()
 
@@ -453,7 +454,7 @@ class TestTrainStep:
         rec = train_step(model, points, cfg, make_rng(7), step=0)
 
         trace, p, _ = _forward_pass(before, _augment_batch(points, cfg.augment, make_rng(7)), cfg)
-        _, grad = _backprop(before, trace, p)
+        grad = before.backward(trace, _latent_grad(p))
         assert rec.grad_norm[0] == pytest.approx(float(np.linalg.norm(grad)), rel=1e-12)
         np.testing.assert_array_equal(model.params, before.params - cfg.learning_rate * grad)
 
