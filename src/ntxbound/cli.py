@@ -286,26 +286,27 @@ def _mean(series: list[float]) -> float:
     return sum(v / len(series) for v in series)
 
 
-def report_aggregates(rows: list[dict]) -> dict:
-    """Min/mean/final for both gap series of a parsed trace."""
+def report_aggregates(columns: dict) -> dict:
+    """Min/mean/final for both gap series of a trace's columns."""
     agg = {}
     for col in ("paper_gap", "strict_gap"):
-        series = [row[col] for row in rows]
+        series = columns[col]
         agg[col] = {"min": min(series), "mean": _mean(series), "final": series[-1]}
     return agg
 
 
 def cmd_report(args) -> int:
-    rows = read_trace_csv(args.trace)
+    columns = read_trace_csv(args.trace)
     series = {metric: f"series_{metric}.csv" for metric in TRACE_COLUMNS[1:]}
     out = _outdir(args.out, [*series.values(), "gap_tightness.json"])
-    aggregates = report_aggregates(rows)
+    aggregates = report_aggregates(columns)
     for metric, name in series.items():
         lines = ["metric,step,value"]
-        lines += [f"{metric},{row['step']},{format_float(row[metric])}" for row in rows]
-        write_text(out / name, "\n".join(lines) + "\n")
+        lines += [f"{metric},{step},{format_float(value)}" for step, value in zip(columns["step"], columns[metric])]
+        lines.append("")  # the final newline, without a second copy of the text
+        write_text(out / name, "\n".join(lines))
     write_json(out / "gap_tightness.json", aggregates)
-    print(f"report: {len(rows)} steps, {len(TRACE_COLUMNS) - 1} series files written to {out}")
+    print(f"report: {len(columns['step'])} steps, {len(TRACE_COLUMNS) - 1} series files written to {out}")
     return 0
 
 

@@ -26,10 +26,10 @@ from .errors import ConfigError, DimensionMismatchError
 #: The digit format of every float written, by :func:`format_float` and by :func:`trace_to_csv`'s rows.
 _FLOAT_FORMAT = "%.17g"
 
-#: Bytes each trace row adds to ``ntxb report`` beyond two copies of its line: the line's string header and list
-#: slots, its row of ten numbers, and its line of a series file. A report grows by 585-625 per row beyond twice
-#: the file under tracemalloc (400 rows against 4,000: desk traces, and fields of 1 or 24 characters).
-_REPORT_ROW_BYTES = 768
+#: Bytes each trace row adds to ``ntxb report``: its ten numbers in the columns, and its line of a series file. A
+#: report grows by 459-582 per row under tracemalloc (400 rows against 4,000: desk traces, fields of 1 or 24
+#: characters, and 24-character fields with steps of 20), no more than a train step's trainer._RECORD_BYTES.
+_REPORT_ROW_BYTES = 640
 
 
 def format_float(x: float) -> str:
@@ -114,14 +114,6 @@ def _input_file(path, kind: str) -> Path:
     return p
 
 
-def _read_text(p: Path) -> str:
-    """UTF-8 text of an input file; an unreadable or non-UTF-8 file raises ConfigError."""
-    try:
-        return p.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read {p}: {exc}") from exc
-
-
 def _unique_keys(pairs: list) -> dict:
     """An object's members as a dict; a key given twice raises ConfigError, at any depth."""
     doc = {}
@@ -134,7 +126,11 @@ def _unique_keys(pairs: list) -> dict:
 
 def load_json(path) -> dict:
     """Parse a JSON config document; malformed input, or an object with a repeated key, raises ConfigError."""
-    text = _read_text(_input_file(path, "config"))
+    p = _input_file(path, "config")
+    try:
+        text = p.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {p}: {exc}") from exc
     try:
         doc = json.loads(text, object_pairs_hook=_unique_keys)
     # ValueError: malformed, or an integer of more digits than Python converts; RecursionError: nesting too deep
@@ -213,50 +209,83 @@ def trace_to_csv(trace: TrainTrace) -> str:
     return "\n".join(lines)
 
 
-def parse_trace_csv(text: str) -> list[dict]:
-    """Parse a trace CSV back into row dicts; malformed input raises ConfigError.
+def parse_trace_csv(lines) -> dict[str, list]:
+    """Parse a trace CSV's lines into its columns, a list under each name of TRACE_COLUMNS; malformed input raises
+    ConfigError.
 
-    Every value must be finite and steps must strictly increase.
+    ``lines`` is any iterable of lines, with or without their line ends: an
+    open text file, or ``text.splitlines()``. One line is held at a time, and
+    a row's fields are counted before it is split. Blank lines are skipped
+    but counted, so an error names the line's number in the file. Every value
+    must be finite, and steps must fit in int64, as a TrainTrace's do, and
+    strictly increase.
     """
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ConfigError("trace CSV is empty")
-    header = tuple(lines[0].split(","))
-    if header != TRACE_COLUMNS:
-        raise ConfigError(f"unexpected trace header {header!r}")
-    if len(lines) < 2:
-        raise ConfigError("trace CSV has no data rows")
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != len(TRACE_COLUMNS):
-            raise ConfigError(f"trace line {lineno} has {len(parts)} fields, expected {len(TRACE_COLUMNS)}")
+    columns = {column: [] for column in TRACE_COLUMNS}
+    steps, floats = columns["step"], [columns[column] for column in TRACE_COLUMNS[1:]]
+    header = ",".join(TRACE_COLUMNS)
+    seen_header = False
+    for lineno, line in enumerate(lines, start=1):
+        line = line.rstrip("\r\n")
+        if not line.strip():
+            continue
+        if not seen_header:
+            if line != header:
+                raise ConfigError(f"unexpected trace header {line!r}")
+            seen_header = True
+            continue
+        fields = line.count(",") + 1
+        if fields != len(TRACE_COLUMNS):
+            raise ConfigError(f"trace line {lineno} has {fields} fields, expected {len(TRACE_COLUMNS)}")
+        step, *values = line.split(",")
         try:
-            row = {"step": int(parts[0])}
-            for col, val in zip(TRACE_COLUMNS[1:], parts[1:]):
-                row[col] = float(val)
+            step, values = int(step), [float(value) for value in values]
         except ValueError as exc:
             raise ConfigError(f"trace line {lineno} is not numeric: {exc}") from exc
-        if not all(math.isfinite(row[col]) for col in TRACE_COLUMNS[1:]):
+        if not all(map(math.isfinite, values)):
             raise ConfigError(f"trace line {lineno} has a non-finite value")
-        if rows and row["step"] <= rows[-1]["step"]:
-            raise ConfigError(f"trace line {lineno}: step {row['step']} does not follow step {rows[-1]['step']}")
-        rows.append(row)
-    return rows
+        if not -(1 << 63) <= step < 1 << 63:
+            raise ConfigError(f"trace line {lineno}: step {step} does not fit in int64")
+        if steps and step <= steps[-1]:
+            raise ConfigError(f"trace line {lineno}: step {step} does not follow step {steps[-1]}")
+        steps.append(step)
+        for column, value in zip(floats, values):
+            column.append(value)
+    if not seen_header:
+        raise ConfigError("trace CSV is empty")
+    if not steps:
+        raise ConfigError("trace CSV has no data rows")
+    return columns
 
 
-def read_trace_csv(path) -> list[dict]:
-    """Parse a trace CSV file; one whose report would need over the memory budget raises ConfigError unparsed.
+def _count_lines(p: Path) -> tuple[int, int]:
+    """The lines of a file, as its newlines plus one, and the bytes of its longest line that spans a 64 KiB
+    read (any other is shorter than a read), in one streaming pass."""
+    lines, longest, run = 1, 0, 0  # run: the bytes since the last newline
+    with open(p, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 16), b""):
+            if b"\n" in block:
+                lines += block.count(b"\n")
+                longest = max(longest, run + block.index(b"\n"))
+                run = len(block) - 1 - block.rindex(b"\n")
+            else:
+                run += len(block)
+    return lines, max(longest, run)
 
-    Its size and lines are taken in one streaming pass first: the text and its
-    lines hold the file twice, and each row adds at most _REPORT_ROW_BYTES.
+
+def read_trace_csv(path) -> dict[str, list]:
+    """Parse a trace CSV file into its columns; one whose report would need over the memory budget raises
+    ConfigError unparsed.
+
+    Its lines are counted in one streaming pass first: each row adds at most
+    _REPORT_ROW_BYTES, and the line in flight is held at most three times, as
+    read, without its line end, and split. The parse then reads the file as
+    UTF-8 text whose lines end at ``\\n``, one line at a time.
     """
     p = _input_file(path, "trace")
     try:
-        with open(p, "rb") as fh:
-            lines = 1 + sum(block.count(b"\n") for block in iter(lambda: fh.read(1 << 16), b""))
-            size = fh.tell()
-    except OSError as exc:
+        lines, longest = _count_lines(p)
+        _check_memory(lines * _REPORT_ROW_BYTES + 3 * longest, f"reporting a trace of {lines} lines", ConfigError)
+        with open(p, encoding="utf-8", newline="\n") as fh:
+            return parse_trace_csv(fh)
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {p}: {exc}") from exc
-    _check_memory(2 * size + lines * _REPORT_ROW_BYTES, f"reporting a trace of {lines} lines", ConfigError)
-    return parse_trace_csv(_read_text(p))

@@ -236,15 +236,16 @@ def test_criterion_5_gradient_correctness():
 
 def test_criterion_6_bound_under_training(train_run):
     out, rc, elapsed = train_run
-    rows = parse_trace_csv((out / "train_trace.csv").read_text(encoding="utf-8"))
+    columns = parse_trace_csv((out / "train_trace.csv").read_text(encoding="utf-8").splitlines())
     summary = json.loads((out / "train_summary.json").read_text(encoding="utf-8"))
-    min_strict = min(r["strict_gap"] for r in rows)
+    loss, avg = columns["loss_total"], columns["avg_pos_sim"]
+    min_strict = min(columns["strict_gap"])
     checks = [
         (rc == 0, f"train exit code {rc}"),
-        (len(rows) == 500, f"expected 500 steps, got {len(rows)}"),
+        (len(columns["step"]) == 500, f"expected 500 steps, got {len(columns['step'])}"),
         (summary["status"] == "ok", f'status {summary["status"]}'),
-        (rows[-1]["loss_total"] < rows[0]["loss_total"], "final loss did not decrease"),
-        (rows[-1]["avg_pos_sim"] > rows[0]["avg_pos_sim"], "average positive similarity did not increase"),
+        (loss[-1] < loss[0], "final loss did not decrease"),
+        (avg[-1] > avg[0], "average positive similarity did not increase"),
         (min_strict >= -1e-9, f"min strict gap {min_strict:.3e} below -1e-9"),
     ]
     _finish(6, "bound under training, N=16 x 500 steps", elapsed, 60.0, checks)

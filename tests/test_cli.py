@@ -609,20 +609,77 @@ class TestReportCommand:
         assert agg["paper_gap"] == {"min": 1e308, "mean": 1e308, "final": 1e308}
         assert agg["strict_gap"]["mean"] == 0.5
 
+    def test_errors_name_the_line_of_the_file_blank_lines_included(self, tmp_path, capsys):
+        row = ",".join(["1"] * 9)
+        trace = tmp_path / "trace.csv"
+        trace.write_text(f"{','.join(TRACE_COLUMNS)}\n\n0,{row}\n1,x,{row[2:]}\n", encoding="utf-8")
+        assert main(["report", "--trace", str(trace), "--out", str(tmp_path / "rep")]) == 2
+        assert capsys.readouterr().err.startswith("ntxb report: trace line 4 is not numeric: ")
+
+    def test_crlf_line_ends_give_the_same_report(self, tmp_path):
+        text = trace_to_csv(train(dataclasses.replace(QUICK, steps=5)))
+        for name, ends in (("lf", "\n"), ("crlf", "\r\n")):
+            (tmp_path / f"{name}.csv").write_bytes(text.replace("\n", ends).encode())
+            assert main(["report", "--trace", str(tmp_path / f"{name}.csv"), "--out", str(tmp_path / name)]) == 0
+        for written in (tmp_path / "lf").iterdir():
+            assert (tmp_path / "crlf" / written.name).read_bytes() == written.read_bytes()
+
+    @pytest.mark.parametrize("step", [-(2**63) - 1, 2**63])
+    def test_a_step_beyond_int64_exits_2(self, tmp_path, capsys, step):
+        """A trace's step column is int64, and a longer step would make each row cost more than its row bytes."""
+        trace = tmp_path / "trace.csv"
+        trace.write_text(f"{','.join(TRACE_COLUMNS)}\n{step},{','.join(['1'] * 9)}\n", encoding="utf-8")
+        assert main(["report", "--trace", str(trace), "--out", str(tmp_path / "rep")]) == 2
+        assert capsys.readouterr().err == f"ntxb report: trace line 2: step {step} does not fit in int64\n"
+
     def test_each_row_adds_at_most_its_row_bytes(self, tmp_path):
-        """Traced peaks of the report on the first 40 and 400 rows of a desk trace: beyond twice the file's growth,
-        they differ by at most _REPORT_ROW_BYTES per row."""
+        """Traced peaks of the report on the first 40 and 400 rows of a desk trace differ by at most
+        _REPORT_ROW_BYTES per row, which is no more than a train step's _RECORD_BYTES."""
         lines = trace_to_csv(train(TrainConfig(steps=400))).splitlines(keepends=True)
-        sizes, peaks = [], []
+        peaks = []
         for rows in (40, 400):
             trace = tmp_path / f"trace{rows}.csv"
             trace.write_text("".join(lines[: rows + 1]), encoding="utf-8")
             argv = ["report", "--trace", str(trace), "--out", str(tmp_path / f"rep{rows}")]
             assert main(argv) == 0  # warm-up: first-call allocations are not the run's
-            sizes.append(trace.stat().st_size)
             peaks.append(_traced_peak(argv))
-        growth = (peaks[1] - peaks[0] - 2 * (sizes[1] - sizes[0])) / 360
-        assert 0 < growth <= serialize._REPORT_ROW_BYTES
+        growth = (peaks[1] - peaks[0]) / 360
+        assert 0 < growth <= serialize._REPORT_ROW_BYTES <= trainer._RECORD_BYTES
+
+    def test_the_longest_run_train_admits_can_be_reported(self, tmp_path, monkeypatch):
+        """The longest run at the smallest layout that TrainConfig admits is refused one step later, and the line
+        count of its trace passes the report's guard; the count is stubbed, so no large file is written."""
+        smallest = dict(n_pairs=2, input_dim=1, encoder_dims=(1,), projector_dims=(1,))
+        smallest["dataset"] = DatasetParams(clusters=1, points=4)
+        steps = 1_677_713
+        TrainConfig(steps=steps, **smallest)
+        with pytest.raises(InvalidDatasetParamsError, match="memory budget"):
+            TrainConfig(steps=steps + 1, **smallest)
+        longest_row = ",".join([str(steps - 1), *["-1.2345678901234567e-100"] * 9])  # 24 characters a float at most
+        trace = tmp_path / "trace.csv"
+        trace.write_text(trace_to_csv(train(TrainConfig(steps=2, **smallest))), encoding="utf-8")
+        monkeypatch.setattr(serialize, "_count_lines", lambda p: (steps + 2, len(longest_row)))  # header, rows, end
+        assert main(["report", "--trace", str(trace), "--out", str(tmp_path / "rep")]) == 0
+
+    def test_the_longest_line_counts_towards_the_guard(self, tmp_path, capsys, monkeypatch):
+        """One long line, which the parse holds at once, is refused before parsing however few lines there are."""
+        trace = tmp_path / "trace.csv"
+        trace.write_text(f"{','.join(TRACE_COLUMNS)}\n0," + "0" * (1 << 20) + f"1{',1' * 8}\n", encoding="utf-8")
+        monkeypatch.setattr(bounds, "MEMORY_BUDGET", 3 << 20)
+        assert main(["report", "--trace", str(trace), "--out", str(tmp_path / "rep")]) == 2
+        assert "memory budget" in capsys.readouterr().err
+        monkeypatch.setattr(bounds, "MEMORY_BUDGET", 4 << 20)
+        assert main(["report", "--trace", str(trace), "--out", str(tmp_path / "rep")]) == 0
+
+    @pytest.mark.parametrize("lengths", [[5, 3, 0], [70_000, 10], [65_535, 65_536, 1], [200_000], [10, 131_072, 2]])
+    def test_lines_and_the_longest_line_are_counted_across_reads(self, tmp_path, lengths):
+        """Lines of the given lengths, each but the last ended by a newline: lines spanning a 64 KiB read are
+        measured exactly."""
+        path = tmp_path / "lines"
+        path.write_bytes(b"\n".join(b"x" * n for n in lengths))
+        lines, longest = serialize._count_lines(path)
+        assert lines == len(lengths)
+        assert longest == max(lengths) or max(lengths) < 1 << 16 and longest <= max(lengths)
 
     def test_over_budget_exits_2_before_parsing(self, tmp_path, capsys, monkeypatch):
         """Size and line count alone refuse the trace: one stderr line, exit 2, no parse, no output directory."""
@@ -652,10 +709,10 @@ class TestReportCommand:
                 dataset=DatasetParams(clusters=2, spread=0.2, points=16),
             )
         )
-        columns = [getattr(trace, column).tolist() for column in TRACE_COLUMNS]
-        in_memory = report_aggregates([dict(zip(TRACE_COLUMNS, row)) for row in zip(*columns)])
-        parsed = report_aggregates(parse_trace_csv(trace_to_csv(trace)))
-        assert parsed == in_memory  # exact equality: 17 significant digits round-trip
+        columns = {column: getattr(trace, column).tolist() for column in TRACE_COLUMNS}
+        parsed = parse_trace_csv(trace_to_csv(trace).splitlines())
+        assert parsed == columns  # exact equality: 17 significant digits round-trip
+        assert report_aggregates(parsed) == report_aggregates(columns)
 
 
 class TestSerialization:
