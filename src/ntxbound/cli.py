@@ -278,20 +278,16 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _mean(series: list[float]) -> float:
-    """Mean of a finite series; finite even where the plain sum overflows float64."""
-    total = sum(series)
-    if math.isfinite(total):
-        return total / len(series)
-    return sum(v / len(series) for v in series)
-
-
 def report_aggregates(columns: dict) -> dict:
-    """Min/mean/final for both gap series of a trace's columns."""
+    """Min/mean/final for both gap series of a trace's columns.
+
+    The mean is the correctly rounded sum of each value over the count, the
+    same on every Python, and finite wherever the values are.
+    """
     agg = {}
     for col in ("paper_gap", "strict_gap"):
         series = columns[col]
-        agg[col] = {"min": min(series), "mean": _mean(series), "final": series[-1]}
+        agg[col] = {"min": min(series), "mean": math.fsum(v / len(series) for v in series), "final": series[-1]}
     return agg
 
 

@@ -609,6 +609,15 @@ class TestReportCommand:
         assert agg["paper_gap"] == {"min": 1e308, "mean": 1e308, "final": 1e308}
         assert agg["strict_gap"]["mean"] == 0.5
 
+    def test_gap_mean_of_mixed_magnitudes_is_summed_exactly(self, tmp_path):
+        """Paper gaps 1, 1e100, 1, -1e100: a plain float sum loses both ones, so the mean read 0, not 0.5."""
+        trace = tmp_path / "trace.csv"
+        rows = [f"{step},{','.join(['1'] * 6)},{gap},0.5,1" for step, gap in enumerate(["1", "1e100", "1", "-1e100"])]
+        trace.write_text("\n".join([",".join(TRACE_COLUMNS), *rows, ""]), encoding="utf-8")
+        assert main(["report", "--trace", str(trace), "--out", str(tmp_path / "rep")]) == 0
+        agg = json.loads((tmp_path / "rep" / "gap_tightness.json").read_text())
+        assert agg["paper_gap"] == {"min": -1e100, "mean": 0.5, "final": -1e100}
+
     def test_errors_name_the_line_of_the_file_blank_lines_included(self, tmp_path, capsys):
         row = ",".join(["1"] * 9)
         trace = tmp_path / "trace.csv"
