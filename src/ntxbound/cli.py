@@ -220,12 +220,13 @@ def cmd_gradcheck(args) -> int:
     return 0 if ok else 1
 
 
-def _train_summary(trace, status: str, nonfinite=None) -> dict:
-    """The summary document of a run, read from its trace's columns."""
+def _write_run(out: Path, trace, status: str, nonfinite=None) -> dict:
+    """Write a run's trace, then its summary document, read from the trace's columns; returns the summary."""
+    write_text(out / "train_trace.csv", trace_to_csv(trace))
     loss, avg = trace.loss_total.tolist(), trace.avg_pos_sim.tolist()
     paper, strict = trace.paper_gap.tolist(), trace.strict_gap.tolist()
     collapse_step = trace.collapse_step
-    return {
+    summary = {
         "status": status,
         "steps_completed": len(loss),
         "collapse": collapse_step is not None,
@@ -241,6 +242,8 @@ def _train_summary(trace, status: str, nonfinite=None) -> dict:
         "nonfinite_step": nonfinite.step if nonfinite else None,
         "nonfinite_reason": nonfinite.reason if nonfinite else None,
     }
+    write_json(out / "train_summary.json", summary)
+    return summary
 
 
 def cmd_train(args) -> int:
@@ -254,11 +257,13 @@ def cmd_train(args) -> int:
     except NonFiniteLossError as exc:
         nonfinite = exc
         trace = exc.trace
+    except KeyboardInterrupt as exc:
+        if hasattr(exc, "trace"):  # the trace of the steps completed, if the run had begun
+            _write_run(out, exc.trace, "interrupted")
+        raise
 
     status = "ok" if nonfinite is None else "nonfinite_loss"
-    summary = _train_summary(trace, status, nonfinite)
-    write_text(out / "train_trace.csv", trace_to_csv(trace))
-    write_json(out / "train_summary.json", summary)
+    summary = _write_run(out, trace, status, nonfinite)
 
     violated = bool((trace.paper_gap < -VIOLATION_SLACK).any() or (trace.strict_gap < -VIOLATION_SLACK).any())
     if len(trace):
@@ -279,11 +284,7 @@ def cmd_train(args) -> int:
 
 
 def report_aggregates(columns: dict) -> dict:
-    """Min/mean/final for both gap series of a trace's columns.
-
-    The mean is the correctly rounded sum of each value over the count, the
-    same on every Python, and finite wherever the values are.
-    """
+    """Min/mean/final for both gap series of a trace's columns; the mean is fsum's correctly rounded sum of v / n."""
     agg = {}
     for col in ("paper_gap", "strict_gap"):
         series = columns[col]
@@ -297,10 +298,8 @@ def cmd_report(args) -> int:
     out = _outdir(args.out, [*series.values(), "gap_tightness.json"])
     aggregates = report_aggregates(columns)
     for metric, name in series.items():
-        lines = ["metric,step,value"]
-        lines += [f"{metric},{step},{format_float(value)}" for step, value in zip(columns["step"], columns[metric])]
-        lines.append("")  # the final newline, without a second copy of the text
-        write_text(out / name, "\n".join(lines))
+        rows = (f"{metric},{step},{format_float(value)}" for step, value in zip(columns["step"], columns[metric]))
+        write_text(out / name, "\n".join(["metric,step,value", *rows, ""]))  # "" ends the text with a newline
     write_json(out / "gap_tightness.json", aggregates)
     print(f"report: {len(columns['step'])} steps, {len(TRACE_COLUMNS) - 1} series files written to {out}")
     return 0

@@ -27,8 +27,8 @@ from .errors import ConfigError, DimensionMismatchError
 _FLOAT_FORMAT = "%.17g"
 
 #: Bytes each trace row adds to ``ntxb report``: its ten numbers in the columns, and its line of a series file. A
-#: report grows by 459-582 per row under tracemalloc (400 rows against 4,000: desk traces, fields of 1 or 24
-#: characters, and 24-character fields with steps of 20), no more than a train step's trainer._RECORD_BYTES.
+#: report grows by 434-518 per row under tracemalloc (400 rows against 4,000: desk traces, fields of 1 or 24
+#: characters, and 24-character fields with int64 steps of 20), no more than a train step's trainer._RECORD_BYTES.
 _REPORT_ROW_BYTES = 640
 
 
@@ -210,30 +210,22 @@ def trace_to_csv(trace: TrainTrace) -> str:
 
 
 def parse_trace_csv(lines) -> dict[str, list]:
-    """Parse a trace CSV's lines into its columns, a list under each name of TRACE_COLUMNS; malformed input raises
-    ConfigError.
+    """Parse trace CSV lines (an open file, or ``text.splitlines()``) one at a time into a list per column of
+    TRACE_COLUMNS; malformed input raises ConfigError, naming its line by its number, blank lines counted.
 
-    ``lines`` is any iterable of lines, with or without their line ends: an
-    open text file, or ``text.splitlines()``. One line is held at a time, and
-    a row's fields are counted before it is split. Blank lines are skipped
-    but counted, so an error names the line's number in the file. Every value
-    must be finite, and steps must fit in int64, as a TrainTrace's do, and
-    strictly increase.
+    Every value must be finite; steps must fit in int64, as a TrainTrace's do, and strictly increase.
     """
     columns = {column: [] for column in TRACE_COLUMNS}
     steps, floats = columns["step"], [columns[column] for column in TRACE_COLUMNS[1:]]
-    header = ",".join(TRACE_COLUMNS)
-    seen_header = False
-    for lineno, line in enumerate(lines, start=1):
-        line = line.rstrip("\r\n")
-        if not line.strip():
-            continue
-        if not seen_header:
-            if line != header:
-                raise ConfigError(f"unexpected trace header {line!r}")
-            seen_header = True
-            continue
-        fields = line.count(",") + 1
+    numbered = ((lineno, line.rstrip("\r\n")) for lineno, line in enumerate(lines, start=1))
+    numbered = ((lineno, line) for lineno, line in numbered if line.strip())
+    _, header = next(numbered, (0, None))
+    if header is None:
+        raise ConfigError("trace CSV is empty")
+    if header != ",".join(TRACE_COLUMNS):
+        raise ConfigError(f"unexpected trace header {header!r}")
+    for lineno, line in numbered:
+        fields = line.count(",") + 1  # counted before the split, which a long line of commas would multiply
         if fields != len(TRACE_COLUMNS):
             raise ConfigError(f"trace line {lineno} has {fields} fields, expected {len(TRACE_COLUMNS)}")
         step, *values = line.split(",")
@@ -250,16 +242,13 @@ def parse_trace_csv(lines) -> dict[str, list]:
         steps.append(step)
         for column, value in zip(floats, values):
             column.append(value)
-    if not seen_header:
-        raise ConfigError("trace CSV is empty")
     if not steps:
         raise ConfigError("trace CSV has no data rows")
     return columns
 
 
 def _count_lines(p: Path) -> tuple[int, int]:
-    """The lines of a file, as its newlines plus one, and the bytes of its longest line that spans a 64 KiB
-    read (any other is shorter than a read), in one streaming pass."""
+    """A file's newlines plus one, and the bytes of its longest line that spans a 64 KiB read, in one pass."""
     lines, longest, run = 1, 0, 0  # run: the bytes since the last newline
     with open(p, "rb") as fh:
         for block in iter(lambda: fh.read(1 << 16), b""):
@@ -276,16 +265,14 @@ def read_trace_csv(path) -> dict[str, list]:
     """Parse a trace CSV file into its columns; one whose report would need over the memory budget raises
     ConfigError unparsed.
 
-    Its lines are counted in one streaming pass first: each row adds at most
-    _REPORT_ROW_BYTES, and the line in flight is held at most three times, as
-    read, without its line end, and split. The parse then reads the file as
-    UTF-8 text whose lines end at ``\\n``, one line at a time.
+    Each row adds at most _REPORT_ROW_BYTES, and the parse holds its longest
+    line three times at most: as read, without its line end, and split.
     """
     p = _input_file(path, "trace")
     try:
         lines, longest = _count_lines(p)
         _check_memory(lines * _REPORT_ROW_BYTES + 3 * longest, f"reporting a trace of {lines} lines", ConfigError)
-        with open(p, encoding="utf-8", newline="\n") as fh:
+        with open(p, encoding="utf-8", newline="\n") as fh:  # lines end at \n, as they are counted
             return parse_trace_csv(fh)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {p}: {exc}") from exc

@@ -245,13 +245,24 @@ class _Run:
         self.lse, self.pos, self.max_excl, self.pair_sims = (np.empty((rows, cfg.n_pairs)) for _ in range(4))
         self.start = 0  # the trace row of the block's first step
         self.kept = 0  # block rows holding a pass
+        self.done = 0  # trace rows of completed steps
 
     def run(self, batches: Iterable[np.ndarray], rng: np.random.Generator) -> TrainTrace:
-        """Take one step on each batch of points in turn, then evaluate the last block; returns the trace."""
+        """Take one step on each batch of points in turn, then evaluate the last block; returns the trace.
+
+        A KeyboardInterrupt drops the step it lands in; it goes on with the
+        trace of the steps completed before it, evaluated, as its ``trace``.
+        """
         with np.errstate(over="ignore", invalid="ignore"):  # a diverging step is refused by its checks, not warned of
-            for points in batches:
-                self.step(points, rng)
-            self.flush()
+            try:
+                for points in batches:
+                    self.step(points, rng)
+                self.flush()
+            except KeyboardInterrupt as exc:
+                self.kept = self.done - self.start  # an interrupted flush evaluates its rows again
+                self.flush()
+                exc.trace = self.trace._head(self.done)
+                raise
         return self.trace
 
     def step(self, points: np.ndarray, rng: np.random.Generator) -> None:
@@ -279,6 +290,7 @@ class _Run:
         self.trace.grad_norm[row] = math.sqrt(sq)
         params = self.net.params
         params -= cfg.learning_rate * grad
+        self.done = row + 1
         if self.kept == len(self.lse):
             self.flush()
 

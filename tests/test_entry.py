@@ -1,9 +1,11 @@
-"""What a fresh ``ntxb`` process loads, and how it ends when its stdout closes or it is interrupted.
+"""What a fresh ``ntxb`` process loads, how it ends when its stdout closes or it is interrupted, and what an
+interrupted train keeps.
 
 The load and pipe tests start their own interpreter, since the pytest process
 has imported every module already and cannot close its own stdout.
 """
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -17,6 +19,8 @@ import ntxbound.mlp as mlp
 import ntxbound.serialize as serialize
 import ntxbound.trainer as trainer
 from ntxbound.cli import EXIT_BROKEN_PIPE, EXIT_INTERRUPTED
+from ntxbound.serialize import trace_to_csv
+from ntxbound.trainer import BLOCK_STEPS, TrainConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -162,3 +166,55 @@ def test_an_interrupt_exits_130_with_one_line_and_no_traceback(argv, patched, li
         cli.entry()
     assert exited.value.code == EXIT_INTERRUPTED == 130
     assert capsys.readouterr() == ("", line + "\n")
+
+
+def _interrupt_call(monkeypatch, name: str, call: int) -> None:
+    """Call ``call`` (from 0) of trainer.<name> raises KeyboardInterrupt; every other call runs as before."""
+    real, calls = getattr(trainer, name), []
+
+    def interrupted(*args):
+        calls.append(None)
+        if len(calls) == call + 1:
+            raise KeyboardInterrupt
+        return real(*args)
+
+    monkeypatch.setattr(trainer, name, interrupted)
+
+
+@pytest.mark.parametrize(
+    ("name", "call", "completed"),
+    [
+        ("_augment_batch", 0, 0),  # at the first step's start
+        ("_augment_batch", 70, 70),  # at a step's start, inside a block
+        ("_augment_batch", BLOCK_STEPS, BLOCK_STEPS),  # at the start of a block's first step
+        ("_latent_grad", 5, 5),  # partway through a step, its pass kept in the block
+        ("_latent_grad", BLOCK_STEPS - 1, BLOCK_STEPS - 1),  # partway through a block's last step
+        ("_evaluation", 0, BLOCK_STEPS),  # in the first block's flush
+        ("_evaluation", 1, 2 * BLOCK_STEPS),  # in the second block's flush
+        ("_evaluation", 3, 200),  # in the last, short block's flush
+    ],
+)
+def test_an_interrupted_train_writes_the_trace_of_its_completed_steps(tmp_path, monkeypatch, capsys, name, call, completed):
+    """The trace written is the uninterrupted run's first rows, byte for byte, and the run exits 130."""
+    cfg = TrainConfig(steps=200)
+    config = tmp_path / "train.json"
+    config.write_text(json.dumps(dataclasses.asdict(cfg)), encoding="utf-8")
+    want = "".join(trace_to_csv(trainer.train(cfg)).splitlines(keepends=True)[: completed + 1])
+    _interrupt_call(monkeypatch, name, call)
+    monkeypatch.setattr(sys, "argv", ["ntxb", "train", "--config", str(config), "--out", str(tmp_path / "run")])
+    with pytest.raises(SystemExit) as exited:
+        cli.entry()
+    assert exited.value.code == EXIT_INTERRUPTED
+    assert capsys.readouterr() == ("", "ntxb train: interrupted\n")
+    assert (tmp_path / "run" / "train_trace.csv").read_bytes() == want.encode()
+    summary = json.loads((tmp_path / "run" / "train_summary.json").read_text(encoding="utf-8"))
+    assert (summary["status"], summary["steps_completed"]) == ("interrupted", completed)
+
+
+def test_a_train_interrupted_before_its_first_step_writes_nothing(tmp_path, monkeypatch, capsys):
+    config = tmp_path / "train.json"
+    config.write_text(json.dumps(dataclasses.asdict(TrainConfig(steps=5))), encoding="utf-8")
+    _interrupt_call(monkeypatch, "gen_synthetic", 0)
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(["train", "--config", str(config), "--out", str(tmp_path / "run")])
+    assert list((tmp_path / "run").iterdir()) == []
