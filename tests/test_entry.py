@@ -211,7 +211,7 @@ def test_an_interrupted_train_writes_the_trace_of_its_completed_steps(tmp_path, 
     assert (summary["status"], summary["steps_completed"]) == ("interrupted", completed)
 
 
-def test_a_train_interrupted_before_its_first_step_writes_nothing(tmp_path, monkeypatch, capsys):
+def test_a_train_interrupted_while_it_is_set_up_writes_nothing(tmp_path, monkeypatch, capsys):
     config = tmp_path / "train.json"
     config.write_text(json.dumps(dataclasses.asdict(TrainConfig(steps=5))), encoding="utf-8")
     _interrupt_call(monkeypatch, "gen_synthetic", 0)
