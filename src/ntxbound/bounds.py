@@ -59,11 +59,8 @@ def _pass_bytes(n_pairs: int, row_floats: int) -> int:
     caller keeps per row), and 8N^2 floats per batch: the N anchor rows of 2N
     similarities, which the logits overwrite, and their gradient's weights,
     2N^2 each, and 4N^2 for the temporaries of the product, the exclusion and
-    the softmax. Those temporaries take less, so full verify stacks peak at
-    0.39-0.77x ``CHUNK_BYTES``. The count stays as it is, since it sets the
-    stack sizes and the stock verify stacks are a measured optimum. A stack of
-    batches fills ``CHUNK_BYTES`` at ``max(1, CHUNK_BYTES // _pass_bytes(...))``
-    batches.
+    the softmax. Those take less, but the count stays: it sizes the stock
+    verify stacks, a measured optimum, at ``CHUNK_BYTES // _pass_bytes(...)``.
     """
     return 8 * (2 * n_pairs * row_floats + 8 * n_pairs * n_pairs)
 

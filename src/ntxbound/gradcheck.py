@@ -15,16 +15,15 @@ records from one error pass, and the (trial, entry) pairs of all its trials
 run as one sequence of stacks: a stack can end inside one trial's entries and
 hold the next trial's first ones. Each stack is evaluated as its +1e-5 probes,
 then its -1e-5 probes, and every probe comes with its trial and entry. A group
-holds as many trials as fit ``bounds.CHUNK_BYTES``, each counted with one
-probe of its own at its peak, and a stack as many pairs as the group has
-trials, so memory does not grow with the trial count. An end-to-end trial is
-counted by its probing bytes alone, which cover its analytic step. Both levels
-evaluate their probes with :func:`_stack_losses`, the one NT-Xent pass, which
-normalizes every row of every probe. Parameter probes are a stack (K, P) of
-flat parameter vectors, ``Mlp(NET_BLOCKS, probes)``: K networks run through
-one forward on their trials' views. Parameter j is entry j of the network's
-``params``: the encoder block's layers, then the projection head's, each
-layer's weights row-major followed by its biases.
+holds as many trials as fit ``bounds.CHUNK_BYTES`` at its level's count of a
+trial with one probe, and a stack as many pairs as the group has trials, so
+memory does not grow with the trial count. Both levels evaluate their probes
+with :func:`_stack_losses`, the one NT-Xent pass, which normalizes every row
+of every probe. Parameter probes are a stack (K, P) of flat parameter vectors,
+``Mlp(NET_BLOCKS, probes)``: K networks run through one forward on their
+trials' views. Parameter j is entry j of the network's ``params``: the encoder
+block's layers, then the projection head's, each layer's weights row-major
+followed by its biases.
 """
 
 from __future__ import annotations
@@ -60,6 +59,12 @@ NET_TAU = 0.5
 #: parameter, beside the parameters and both gradients, fit in that, and so does the trial's analytic step.
 _NET_TRIAL_BYTES = 8 * 6 * _param_count(NET_BLOCKS)
 _NET_TRIAL_BYTES += _pass_bytes(NET_N_PAIRS, _forward_floats(NET_BLOCKS) + 2 * NET_BLOCKS[-1][-1])
+
+
+def _loss_trial_bytes(n_pairs: int, dim: int) -> int:
+    """Bytes a loss-level trial holds at its peak: rows, analytic gradient, two probe values and a probe's rows and unit
+    rows per entry beside its pass, and 256 for a probe's scalars or, with the error pass's floats, its record."""
+    return _pass_bytes(n_pairs, 6 * dim) + 256
 
 
 def central_difference(f, points: np.ndarray, *, chunk: int) -> np.ndarray:
@@ -177,17 +182,7 @@ def iter_loss_level(
     """
     _check_counts(trials=trials, n_pairs=n_pairs, dim=dim)
     _check_seed(seed, ConfigError)
-    # A trial peaks while its probes run, or while its record is made; it keeps its rows and analytic
-    # gradient throughout. While probing it also keeps two probe values per entry, and a probe holds its
-    # rows and unit rows. The analytic pass holds N anchor rows each of similarities and logits, and their
-    # gradient's weights. Whatever the shape, a probe holds ten scalars (its point and entry, the index
-    # arrays built from them and its loss terms). While recording, the probe values have become one
-    # numeric gradient per entry, and the group's error pass holds three floats per entry more (its errors,
-    # denominators and one absolute value): 6.0-6.5 floats per entry under tracemalloc, records included.
-    # The trial's record with its index tuple, floats and trial number takes under 256 bytes.
-    probing = _pass_bytes(n_pairs, 6 * dim) + 8 * 10
-    recording = 8 * 2 * n_pairs * 6 * dim + 256
-    trial_bytes = max(probing, recording)
+    trial_bytes = _loss_trial_bytes(n_pairs, dim)
     _check_memory(trial_bytes, f"a trial at N={n_pairs}, m={dim}", ConfigError)
     group = max(1, bounds.CHUNK_BYTES // trial_bytes)
     rng = _stream(seed, 0)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -25,12 +26,6 @@ from .errors import ConfigError, DimensionMismatchError
 
 #: The digit format of every float written, by :func:`format_float` and by :func:`trace_to_csv`'s rows.
 _FLOAT_FORMAT = "%.17g"
-
-#: Bytes each trace row adds to ``ntxb report``: its ten numbers in the columns, and its line of a series file. A
-#: report grows by 434-518 per row under tracemalloc (400 rows against 4,000: desk traces, fields of 1 or 24
-#: characters, and 24-character fields with int64 steps of 20), no more than a train step's trainer._RECORD_BYTES.
-_REPORT_ROW_BYTES = 640
-
 
 def format_float(x: float) -> str:
     """17-significant-digit decimal form; exact float64 round-trip."""
@@ -141,6 +136,11 @@ def load_json(path) -> dict:
     return doc
 
 
+#: Bytes one trace row adds to ``ntxb train`` (its row of the columns, its numbers and its CSV line) or to ``ntxb
+#: report`` (its ten numbers and its series lines): tracemalloc reads 530-546 per desk step, 434-518 per report row.
+_TRACE_ROW_BYTES = 640
+
+
 @dataclass(eq=False)
 class TrainTrace:
     """A run's per-step diagnostics, evaluated before each parameter update, as columns (steps,); row i is step[i].
@@ -188,6 +188,9 @@ class TrainTrace:
 
 #: Fixed column order of the training trace CSV: the step, then every float column of a TrainTrace, in its order.
 TRACE_COLUMNS = tuple(f.name for f in fields(TrainTrace) if f.name != "collapsed")
+#: What a data line may hold: ASCII letters, digits, ``+-._``, spaces and commas, each its own repr, so int's or
+#: float's message for a field that is not a number holds no more than the field twice over.
+_TRACE_CHARS = re.compile(r"[\w+\-., ]*", re.ASCII)
 
 
 def trace_to_csv(trace: TrainTrace) -> str:
@@ -213,26 +216,36 @@ def parse_trace_csv(lines) -> dict[str, list]:
     """Parse trace CSV lines (an open file, or ``text.splitlines()``) one at a time into a list per column of
     TRACE_COLUMNS; malformed input raises ConfigError, naming its line by its number, blank lines counted.
 
-    Every value must be finite; steps must fit in int64, as a TrainTrace's do, and strictly increase.
+    A trace is ASCII, so lines of bytes are decoded as ASCII. Every value must be finite; steps must fit in int64, as a
+    TrainTrace's do, and strictly increase.
     """
     columns = {column: [] for column in TRACE_COLUMNS}
     steps, floats = columns["step"], [columns[column] for column in TRACE_COLUMNS[1:]]
-    numbered = ((lineno, line.rstrip("\r\n")) for lineno, line in enumerate(lines, start=1))
-    numbered = ((lineno, line) for lineno, line in numbered if line.strip())
-    _, header = next(numbered, (0, None))
-    if header is None:
-        raise ConfigError("trace CSV is empty")
-    if header != ",".join(TRACE_COLUMNS):
-        raise ConfigError(f"unexpected trace header {header!r}")
-    for lineno, line in numbered:
+    lineno, header = 0, None
+    for line in lines:  # not enumerate, whose result tuple would keep each line until the next one
+        lineno += 1
+        try:
+            line = (line.decode("ascii") if isinstance(line, bytes) else line).rstrip("\r\n")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"trace line {lineno} is not ASCII at byte {exc.start + 1}") from None
+        if not line.strip():
+            continue
+        if header is None:
+            if line != ",".join(TRACE_COLUMNS):
+                raise ConfigError(f"unexpected trace header {line[:80]!r}")
+            header = line
+            continue
         fields = line.count(",") + 1  # counted before the split, which a long line of commas would multiply
         if fields != len(TRACE_COLUMNS):
             raise ConfigError(f"trace line {lineno} has {fields} fields, expected {len(TRACE_COLUMNS)}")
+        if not _TRACE_CHARS.fullmatch(line):
+            raise ConfigError(f"trace line {lineno} is not numeric: {line[:80]!r}")
         step, *values = line.split(",")
+        del line  # held once from here, as its fields, beside a refused field's repr and message
         try:
             step, values = int(step), [float(value) for value in values]
         except ValueError as exc:
-            raise ConfigError(f"trace line {lineno} is not numeric: {exc}") from exc
+            raise ConfigError(f"trace line {lineno} is not numeric: {str(exc)[:120]}") from None
         if not all(map(math.isfinite, values)):
             raise ConfigError(f"trace line {lineno} has a non-finite value")
         if not -(1 << 63) <= step < 1 << 63:
@@ -243,7 +256,7 @@ def parse_trace_csv(lines) -> dict[str, list]:
         for column, value in zip(floats, values):
             column.append(value)
     if not steps:
-        raise ConfigError("trace CSV has no data rows")
+        raise ConfigError("trace CSV has no data rows" if header else "trace CSV is empty")
     return columns
 
 
@@ -265,14 +278,14 @@ def read_trace_csv(path) -> dict[str, list]:
     """Parse a trace CSV file into its columns; one whose report would need over the memory budget raises
     ConfigError unparsed.
 
-    Each row adds at most _REPORT_ROW_BYTES, and the parse holds its longest
-    line three times at most: as read, without its line end, and split.
+    Each row adds at most _TRACE_ROW_BYTES. The parse holds its longest line
+    twice as it is read and split, and three times while a field is refused.
     """
     p = _input_file(path, "trace")
     try:
         lines, longest = _count_lines(p)
-        _check_memory(lines * _REPORT_ROW_BYTES + 3 * longest, f"reporting a trace of {lines} lines", ConfigError)
-        with open(p, encoding="utf-8", newline="\n") as fh:  # lines end at \n, as they are counted
+        _check_memory(lines * _TRACE_ROW_BYTES + 3 * longest, f"reporting a trace of {lines} lines", ConfigError)
+        with open(p, "rb") as fh:  # lines end at \n, as they are counted
             return parse_trace_csv(fh)
-    except (OSError, UnicodeDecodeError) as exc:
+    except OSError as exc:
         raise ConfigError(f"cannot read {p}: {exc}") from exc

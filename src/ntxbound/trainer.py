@@ -45,7 +45,7 @@ from .errors import (
 )
 from .loss import AnchorMode, _latent_grad, _Pass
 from .mlp import Mlp, MlpTrace, _forward_floats, _init_params, _param_count, forward
-from .serialize import TrainTrace
+from .serialize import _TRACE_ROW_BYTES, TrainTrace
 from .sim import _check_seed, _check_tau, _cosine_matrix, _unit_rows
 
 #: Every anchor-row similarity at least this close to 1 counts as a collapsed batch. The anchor rows hold
@@ -54,12 +54,6 @@ COLLAPSE_TOL = 1e-12
 
 #: Steps whose diagnostics are evaluated at once, from the pass values they keep in one block.
 BLOCK_STEPS = 64
-
-#: Bytes each step adds to a run: its row of the trace columns, and while the trace is written its values as
-#: Python numbers and its CSV line as a line, in the joined text and encoded. The desk run grows by 530-546
-#: per step under tracemalloc (steps 40 against 400, seeds 0-2). Numbers of 23 characters (a sign, 17 digits
-#: and an exponent), against 18.4 on average there, would add under 90: a line is held twice at most.
-_RECORD_BYTES = 640
 
 
 def _block_bytes(cfg: TrainConfig) -> int:
@@ -149,7 +143,7 @@ class TrainConfig:
         # once; one step and the block run beside them, and every step keeps its row of the trace.
         data = self.dataset
         need = 8 * (data.clusters * self.input_dim + data.points * (3 * self.input_dim + 1))
-        need += _step_bytes(self) + _block_bytes(self) + self.steps * _RECORD_BYTES
+        need += _step_bytes(self) + _block_bytes(self) + self.steps * _TRACE_ROW_BYTES
         what = (
             f"training {self.steps} steps on {data.points} points in {data.clusters} clusters"
             f" of dimension {self.input_dim} at N={self.n_pairs}"

@@ -416,7 +416,7 @@ class TestGradcheckPrintout:
     def test_memory_is_flat_in_trials(self, monkeypatch, gradcheck_chunks):
         """Lines are printed as each group is checked and only maxima are kept, so 10x the trials keeps the peak.
 
-        Groups of 39 loss-level and 77 end-to-end trials are full at both trial counts. CPython keeps freed
+        At this budget both levels' groups hold fewer than 80 trials, so both runs fill them. CPython keeps freed
         tuples on per-size free lists, which a run would fill as it goes; they are filled first, so the
         peaks count only what the run holds. Allocator caches still leave a few KiB that differ between
         runs, so the groups are sized to make that small beside what a group holds.
@@ -429,7 +429,8 @@ class TestGradcheckPrintout:
                 free_lists = [tuple(range(k)) for k in range(1, 20) for _ in range(2000)]
                 del free_lists
                 peaks[trials] = _traced_peak(["gradcheck", "--trials", str(trials)])
-        assert {chunk for _, chunk in gradcheck_chunks} == {39, 77}
+        groups = {bounds.CHUNK_BYTES // gc._loss_trial_bytes(4, 8), bounds.CHUNK_BYTES // gc._NET_TRIAL_BYTES}
+        assert {chunk for _, chunk in gradcheck_chunks} == groups and max(groups) < 80
         assert peaks[800] <= 1.1 * peaks[80]
 
 
@@ -625,6 +626,33 @@ class TestReportCommand:
         assert main(["report", "--trace", str(trace), "--out", str(tmp_path / "rep")]) == 2
         assert capsys.readouterr().err.startswith("ntxb report: trace line 4 is not numeric: ")
 
+    @pytest.mark.parametrize("char", ["x", "\x01", "\\", "\U0001f600"])
+    def test_a_refused_long_field_is_held_no_more_than_the_guard_counts(self, tmp_path, capsys, char):
+        """A second row with a 4 MiB field that is not a number adds to the refusal's traced peak, over that of a
+        one-character field, at most the three times the longer line that the guard counts for it, whatever its
+        characters' reprs; the message quotes a short prefix."""
+        row = ",".join(["1"] * 9)
+        peaks, longest = [], []
+        for width in (1, (4 << 20) // len(char.encode())):
+            trace = tmp_path / f"trace{width}.csv"
+            trace.write_text(f"{','.join(TRACE_COLUMNS)}\n0,{row}\n1,{char * width},{row[2:]}\n", encoding="utf-8")
+            argv = ["report", "--trace", str(trace), "--out", str(tmp_path / "rep")]
+            assert main(argv) == 2  # warm-up: first-call allocations are not the run's
+            peaks.append(_traced_peak(argv))
+            longest.append(serialize._count_lines(trace)[1])
+        assert peaks[1] - peaks[0] <= 3 * (longest[1] - longest[0])
+        for err in capsys.readouterr().err.splitlines():
+            assert err.startswith("ntxb report: trace line 3 is not ") and len(err) < 1000
+
+    def test_a_line_that_is_not_ascii_is_named_with_its_byte(self, tmp_path, capsys):
+        """A line cut inside a UTF-8 sequence is named by its number, and the byte by its place in the line: a trace
+        is ASCII."""
+        row = ",".join(["1"] * 9)
+        trace = tmp_path / "bad.csv"
+        trace.write_bytes(f"{','.join(TRACE_COLUMNS)}\n0,{row}\n1,{row}".encode() + b"\xc3\n")
+        assert main(["report", "--trace", str(trace), "--out", str(tmp_path / "rep")]) == 2
+        assert capsys.readouterr().err == "ntxb report: trace line 3 is not ASCII at byte 20\n"
+
     def test_crlf_line_ends_give_the_same_report(self, tmp_path):
         text = trace_to_csv(train(dataclasses.replace(QUICK, steps=5)))
         for name, ends in (("lf", "\n"), ("crlf", "\r\n")):
@@ -643,7 +671,7 @@ class TestReportCommand:
 
     def test_each_row_adds_at_most_its_row_bytes(self, tmp_path):
         """Traced peaks of the report on the first 40 and 400 rows of a desk trace differ by at most
-        _REPORT_ROW_BYTES per row, which is no more than a train step's _RECORD_BYTES."""
+        _TRACE_ROW_BYTES per row, the bound that a train step's row keeps too."""
         lines = trace_to_csv(train(TrainConfig(steps=400))).splitlines(keepends=True)
         peaks = []
         for rows in (40, 400):
@@ -653,7 +681,7 @@ class TestReportCommand:
             assert main(argv) == 0  # warm-up: first-call allocations are not the run's
             peaks.append(_traced_peak(argv))
         growth = (peaks[1] - peaks[0]) / 360
-        assert 0 < growth <= serialize._REPORT_ROW_BYTES <= trainer._RECORD_BYTES
+        assert 0 < growth <= serialize._TRACE_ROW_BYTES
 
     def test_the_longest_run_train_admits_can_be_reported(self, tmp_path, monkeypatch):
         """The longest run at the smallest layout that TrainConfig admits is refused one step later, and the line

@@ -341,8 +341,8 @@ class TestStackedTrials:
     def test_stacks_across_trials_do_not_change_printout(self, budget, seed, capsys, monkeypatch, gradcheck_chunks):
         """Stacks that end inside one trial's probes and hold the next trial's first ones print the same bytes.
 
-        At 245 (point, entry) pairs a stack of the loss level (64 per trial) and at 484 one of the end-to-end
-        level (24 per trial) straddles trials; at 7 and 14 the 20 trials also fall into several groups.
+        At either budget neither level's stack size divides its pairs per trial (64 at the loss level, 24 end to
+        end), so stacks straddle trials; at the small one the 20 trials also fall into several groups.
         """
         argv = ["gradcheck", "--trials", "20", "--seed", seed]
         rc_default = main(argv)
@@ -351,8 +351,10 @@ class TestStackedTrials:
         monkeypatch.setattr(bounds, "CHUNK_BYTES", budget)
         assert main(argv) == rc_default
         assert capsys.readouterr().out == default
-        # Loss level, then end to end: neither stack size divides its level's pairs per trial.
-        assert {chunk for _, chunk in gradcheck_chunks} in ({245, 484}, {7, 14})
+        loss_level, end_to_end = budget // gradcheck._loss_trial_bytes(4, 8), budget // gradcheck._NET_TRIAL_BYTES
+        assert {chunk for _, chunk in gradcheck_chunks} == {loss_level, end_to_end}
+        assert loss_level % 64 and end_to_end % 24
+        assert budget > 2 * 2560 * 6 or max(loss_level, end_to_end) < 20  # the small budget: several groups of each
 
 
 class TestGroupDraws:
@@ -439,7 +441,7 @@ class TestNoPerTrialWork:
 
     @pytest.mark.parametrize(("budget", "groups"), [(bounds.CHUNK_BYTES, (1, 1)), (2 * 2560 * 6, (3, 2))])
     def test_gradcheck_counts(self, budget, groups, capsys, monkeypatch):
-        """Groups of 251 and 496 trials hold all 20 at the stock budget; at the small one, groups of 7 and 14."""
+        """At the stock budget one group of each level holds all 20 trials; at the small one, each level has several."""
         calls, keys, passes = collections.Counter(), [], collections.Counter()
 
         def stream(seed, *key):

@@ -29,10 +29,10 @@ from ntxbound import (
 )
 from ntxbound import bounds, cli, trainer
 from ntxbound.loss import _latent_grad
+from ntxbound.serialize import _TRACE_ROW_BYTES
 from ntxbound.trainer import (
     BLOCK_STEPS,
     COLLAPSE_TOL,
-    _RECORD_BYTES,
     TrainTrace,
     _augment_batch,
     _forward_pass,
@@ -657,7 +657,7 @@ class TestTrain:
 
     def test_each_step_adds_at_most_its_record_bytes(self, tmp_path, capsys):
         """Traced peaks of the train command at 40 and 400 desk steps, trace and summary written, differ by at most
-        _RECORD_BYTES per step."""
+        _TRACE_ROW_BYTES per step."""
         peaks = []
         for steps in (40, 400):
             config = tmp_path / f"train{steps}.json"
@@ -671,7 +671,7 @@ class TestTrain:
             finally:
                 tracemalloc.stop()
         growth = (peaks[1] - peaks[0]) / 360
-        assert 0 < growth <= _RECORD_BYTES
+        assert 0 < growth <= _TRACE_ROW_BYTES
 
 
 def _step_by_step(cfg):
