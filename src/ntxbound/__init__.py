@@ -1,5 +1,7 @@
 """NT-Xent loss, its alignment/distribution split, and LSE-derived similarity bounds."""
 
+import importlib
+
 from .bounds import (
     BatchEvaluation,
     BoundReport,
@@ -29,11 +31,15 @@ from .errors import (
 from .loss import AnchorMode, LossBreakdown, LossConfig, logsumexp, nt_xent, nt_xent_grad
 from .sim import EmbeddingBatch, SimilarityMatrix, cosine_sim, l2_normalize, similarity_matrix
 
-#: The trainer's public names. They load on first access (PEP 562), so importing the package, or a
+#: Public names that load on first access (PEP 562), each from its home module, so importing the package, or a
 #: command that does not train, does not compile and run the trainer.
-_TRAINER_NAMES = frozenset(
-    "AugmentConfig DatasetParams Mlp TrainConfig TrainTrace augment forward gen_synthetic train train_step".split()
-)
+_LAZY_HOMES = {
+    **dict.fromkeys(("Mlp", "forward"), "mlp"),
+    "TrainTrace": "serialize",
+    **dict.fromkeys(
+        ("AugmentConfig", "DatasetParams", "TrainConfig", "augment", "gen_synthetic", "train", "train_step"), "trainer"
+    ),
+}
 
 __version__ = "0.1.0"
 
@@ -85,12 +91,10 @@ __all__ = [
 
 
 def __getattr__(name: str):
-    if name in _TRAINER_NAMES:
-        from . import trainer
-
-        return getattr(trainer, name)
+    if name in _LAZY_HOMES:
+        return getattr(importlib.import_module(f"{__name__}.{_LAZY_HOMES[name]}"), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__() -> list[str]:
-    return sorted(set(globals()) | _TRAINER_NAMES)
+    return sorted(set(globals()) | set(_LAZY_HOMES))

@@ -29,12 +29,13 @@ DISTRIBUTIONS = ("uniform_sphere", "gaussian", "clustered")
 #: Noise scale for the "clustered" distribution (pair = base vector + noise).
 CLUSTERED_NOISE_SCALE = 0.1
 
-#: Absolute slack for declaring a bound violated; only rounding noise is tolerated.
+#: Absolute slack for declaring a bound violated (see ``_violated``); only rounding noise is tolerated.
 VIOLATION_SLACK = 1e-9
 
 #: Bytes evaluated at once, so peak memory does not grow with the trial or
 #: probe count. Verify stacks its trials and gradcheck groups its trials to
-#: it, each counted by ``_pass_bytes`` as what it holds at its peak.
+#: it (see ``_stack_size``), each counted by ``_pass_bytes`` as what it holds
+#: at its peak.
 CHUNK_BYTES = 1 << 20
 
 #: Largest peak a run may need at one trial per stack (verify, gradcheck) or
@@ -60,9 +61,26 @@ def _pass_bytes(n_pairs: int, row_floats: int) -> int:
     similarities, which the logits overwrite, and their gradient's weights,
     2N^2 each, and 4N^2 for the temporaries of the product, the exclusion and
     the softmax. Those take less, but the count stays: it sizes the stock
-    verify stacks, a measured optimum, at ``CHUNK_BYTES // _pass_bytes(...)``.
+    verify stacks, a measured optimum, through :func:`_verify_trial_bytes`.
     """
     return 8 * (2 * n_pairs * row_floats + 8 * n_pairs * n_pairs)
+
+
+def _verify_trial_bytes(n_pairs: int, dim: int) -> int:
+    """Bytes a verify trial holds at its peak: per row, its rows and unit rows, and the base and noise draws a
+    clustered stack is made from."""
+    return _pass_bytes(n_pairs, 3 * dim)
+
+
+def _stack_size(trial_bytes: int) -> int:
+    """Trials in one stack (a verify stack, a gradcheck group): as many as fit CHUNK_BYTES at ``trial_bytes`` each,
+    and at least one."""
+    return max(1, CHUNK_BYTES // trial_bytes)
+
+
+def _violated(gap):
+    """Where a gap, or each of an array of gaps, counts as a violated bound: below -VIOLATION_SLACK."""
+    return gap < -VIOLATION_SLACK
 
 
 def _check_memory(need: int, what: str, error: type[Exception]) -> None:
@@ -242,7 +260,7 @@ class VerifyGrid:
             if d not in DISTRIBUTIONS:
                 raise InvalidGridError(f"unknown distribution {d!r}; expected one of {DISTRIBUTIONS}")
         n, m = max(self.ns), max(self.ms)
-        _check_memory(_pass_bytes(n, 3 * m), f"a trial at N={n}, m={m}", InvalidGridError)
+        _check_memory(_verify_trial_bytes(n, m), f"a trial at N={n}, m={m}", InvalidGridError)
 
     def cells(self) -> list[tuple[int, int, float, str]]:
         """Grid cells in their fixed evaluation order."""
@@ -282,15 +300,14 @@ def _run_cell(
     Trials are drawn and evaluated as stacks of at most CHUNK_BYTES, through
     the same constructors and checks as a single batch.
     """
-    # Per row: the rows and their unit rows, and the base and noise draws a clustered stack is made from.
-    chunk = max(1, CHUNK_BYTES // _pass_bytes(n_pairs, 3 * dim))
+    chunk = _stack_size(_verify_trial_bytes(n_pairs, dim))
     viol_paper = viol_strict = 0
     min_paper = min_strict = min_margin = math.inf
     for start in range(0, trials, chunk):
         rows = _sample_rows(distribution, min(chunk, trials - start), n_pairs, dim, rng)
         report = _pass_evaluation(_nt_xent_pass(rows, tau, AnchorMode.PAPER_N)).report
-        viol_paper += int(np.count_nonzero(report.paper_gap < -VIOLATION_SLACK))
-        viol_strict += int(np.count_nonzero(report.strict_gap < -VIOLATION_SLACK))
+        viol_paper += int(np.count_nonzero(_violated(report.paper_gap)))
+        viol_strict += int(np.count_nonzero(_violated(report.strict_gap)))
         min_paper = min(min_paper, float(report.paper_gap.min()))
         min_strict = min(min_strict, float(report.strict_gap.min()))
         min_margin = min(min_margin, float((report.paper_bound - report.strict_bound).min()))

@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 scientific failure (bound violation in verify,
 divergence, gradient threshold breach), 2 usage or config error, 3 a bound
-violated during training, 130 interrupted (Ctrl-C), 141 stdout closed before
-the command finished (the code a shell gives a process that SIGPIPE ended).
+violated during training, 74 stdout could not be written (sysexits.h's
+EX_IOERR), 130 interrupted (Ctrl-C), 141 stdout closed before the command
+finished (the code a shell gives a process that SIGPIPE ended).
 Every command is deterministic given its config and seed; output files are
 byte-identical across repeated runs.
 """
@@ -11,6 +12,7 @@ byte-identical across repeated runs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import math
 import os
@@ -18,7 +20,7 @@ import sys
 import typing
 from pathlib import Path
 
-from .bounds import VIOLATION_SLACK, VerifyGrid, default_grid, monte_carlo_verify
+from .bounds import VerifyGrid, _violated, default_grid, monte_carlo_verify
 from .errors import (
     ConfigError,
     DimensionMismatchError,
@@ -48,6 +50,9 @@ EXIT_BROKEN_PIPE = 141
 
 #: Exit code of a run ended by Ctrl-C, the code a shell gives a process that SIGINT ended.
 EXIT_INTERRUPTED = 130
+
+#: Exit code of a run whose stdout could not be written, as on a full device: sysexits.h's EX_IOERR.
+EXIT_STDOUT_ERROR = 74
 
 _USAGE_ERRORS = (
     ConfigError,
@@ -265,7 +270,7 @@ def cmd_train(args) -> int:
     status = "ok" if nonfinite is None else "nonfinite_loss"
     summary = _write_run(out, trace, status, nonfinite)
 
-    violated = bool((trace.paper_gap < -VIOLATION_SLACK).any() or (trace.strict_gap < -VIOLATION_SLACK).any())
+    violated = bool(_violated(trace.paper_gap).any() or _violated(trace.strict_gap).any())
     if len(trace):
         print(
             f"train: status={status} steps={len(trace)} final_loss={format_float(summary['final_loss'])} "
@@ -347,6 +352,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _StdoutError(Exception):
+    """An OSError, other than a closed pipe, that writing or flushing stdout raised; its message is the OSError's."""
+
+
+class _Stdout:
+    """The stdout :func:`entry` runs a command on: it raises an OSError from a write or flush, other than
+    BrokenPipeError, as _StdoutError, which no other file's error is."""
+
+    def __init__(self, stream):
+        self._stream = stream
+
+    def __getattr__(self, name):
+        return getattr(self._stream, name)
+
+    def _call(self, method, *args):
+        try:
+            return method(*args)
+        except BrokenPipeError:
+            raise
+        except OSError as exc:
+            raise _StdoutError(exc) from exc
+
+    def write(self, text: str) -> int:
+        return self._call(self._stream.write, text)
+
+    def flush(self) -> None:
+        self._call(self._stream.flush)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -358,23 +392,42 @@ def main(argv=None) -> int:
     except _USAGE_ERRORS as exc:
         print(f"ntxb {args.command}: {exc}", file=sys.stderr)
         return 2
-    except KeyboardInterrupt as exc:
-        exc.command = args.command  # for entry's one line; the interrupt goes on, so a caller's loop ends too
+    except (KeyboardInterrupt, _StdoutError) as exc:
+        exc.command = args.command  # for entry's one line; it goes on, so an interrupt ends a caller's loop too
         raise
 
 
+def _who(exc: BaseException) -> str:
+    """``ntxb <command>`` for an exception that left :func:`main` after its command was parsed, else ``ntxb``."""
+    command = getattr(exc, "command", None)
+    return f"ntxb {command}" if command else "ntxb"
+
+
 def entry() -> None:
-    """The console script: exit with :func:`main`'s code, EXIT_BROKEN_PIPE when stdout was closed early, or
-    EXIT_INTERRUPTED with one stderr line on Ctrl-C."""
+    """The console script: exit with :func:`main`'s code, or end with one of three events.
+
+    A stdout closed early exits EXIT_BROKEN_PIPE, and one that cannot be
+    written otherwise (a full device, say) EXIT_STDOUT_ERROR with one stderr
+    line; Ctrl-C exits EXIT_INTERRUPTED with one stderr line. A process
+    started with stdout closed runs with it on os.devnull, and stdout escapes
+    what it cannot encode, as stderr does.
+    """
+    stdout = open(os.devnull, "w") if sys.stdout is None else sys.stdout
+    stdout.reconfigure(errors="backslashreplace")
+    sys.stdout = _Stdout(stdout)
     try:
         code = main()
         sys.stdout.flush()  # a pipe closed after the last print shows here, not in the flush at exit
-    except BrokenPipeError:
+    except (BrokenPipeError, _StdoutError) as exc:
         # As the Python docs' note on SIGPIPE does: point stdout at devnull, so the flush at exit cannot fail again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        code = EXIT_BROKEN_PIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stdout.fileno())
+        if isinstance(exc, BrokenPipeError):
+            code = EXIT_BROKEN_PIPE
+        else:
+            code = EXIT_STDOUT_ERROR
+            with contextlib.suppress(OSError):  # a stderr on the same full device: the code alone tells
+                print(f"{_who(exc)}: cannot write to stdout: {exc}", file=sys.stderr)
     except KeyboardInterrupt as exc:
-        command = getattr(exc, "command", None)
-        print(f"ntxb {command}: interrupted" if command else "ntxb: interrupted", file=sys.stderr)
+        print(f"{_who(exc)}: interrupted", file=sys.stderr)
         code = EXIT_INTERRUPTED
     sys.exit(code)

@@ -15,11 +15,11 @@ records from one error pass, and the (trial, entry) pairs of all its trials
 run as one sequence of stacks: a stack can end inside one trial's entries and
 hold the next trial's first ones. Each stack is evaluated as its +1e-5 probes,
 then its -1e-5 probes, and every probe comes with its trial and entry. A group
-holds as many trials as fit ``bounds.CHUNK_BYTES`` at its level's count of a
-trial with one probe, and a stack as many pairs as the group has trials, so
-memory does not grow with the trial count. Both levels evaluate their probes
-with :func:`_stack_losses`, the one NT-Xent pass, which normalizes every row
-of every probe. Parameter probes are a stack (K, P) of flat parameter vectors,
+holds ``bounds._stack_size`` trials at its level's count of a trial with one
+probe, as many as fit ``bounds.CHUNK_BYTES``, and a stack as many pairs as the
+group has trials, so memory does not grow with the trial count. Both levels
+evaluate their probes with :func:`_stack_losses`, the one NT-Xent pass, which
+normalizes every row of every probe. Parameter probes are a stack (K, P) of flat parameter vectors,
 ``Mlp(NET_BLOCKS, probes)``: K networks run through one forward on their
 trials' views. Parameter j is entry j of the network's ``params``: the encoder
 block's layers, then the projection head's, each layer's weights row-major
@@ -34,8 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import bounds
-from .bounds import _check_memory, _pass_bytes, _stream
+from .bounds import _check_memory, _pass_bytes, _stack_size, _stream
 from .errors import ConfigError
 from .loss import AnchorMode, LossConfig, _breakdown, _latent_grad, _nt_xent_pass
 from .mlp import Mlp, MlpTrace, _forward_floats, _init_params, _param_count, forward
@@ -184,7 +183,7 @@ def iter_loss_level(
     _check_seed(seed, ConfigError)
     trial_bytes = _loss_trial_bytes(n_pairs, dim)
     _check_memory(trial_bytes, f"a trial at N={n_pairs}, m={dim}", ConfigError)
-    group = max(1, bounds.CHUNK_BYTES // trial_bytes)
+    group = _stack_size(trial_bytes)
     rng = _stream(seed, 0)
     cfg = LossConfig(tau=tau)
     for first in range(0, trials, group):
@@ -269,7 +268,7 @@ def iter_end_to_end(trials: int, seed: int = 0) -> Iterator[GradCheckTrial]:
     """
     _check_counts(trials=trials)
     _check_seed(seed, ConfigError)
-    group = max(1, bounds.CHUNK_BYTES // _NET_TRIAL_BYTES)
+    group = _stack_size(_NET_TRIAL_BYTES)
     for first in range(0, trials, group):
         yield from _end_to_end_group(seed, first, min(group, trials - first), group)
 

@@ -17,12 +17,16 @@ Float64 references:
 * ``mixture_truth`` gives the cluster means and labels ``gen_synthetic``
   draws its points from: the stream's first ``standard_normal((clusters,
   dim))``, and ``p % clusters`` for point p.
+* ``collapse`` and ``simplex`` build the two tightness witnesses, the
+  batches at which the strict bound is exact: every row parallel, and 2N
+  rows of pairwise cosine -1/(2N-1).
 
 Exact references (60 digits, mpmath): ``exact_cosines``,
 ``exact_anchor_terms`` and ``exact_evaluation`` evaluate the cosines, the
 per-anchor terms and every output of ``evaluate_batch`` from the float64
 inputs taken as exact, and ``exact_latent_grad`` the loss's gradient with
-respect to every latent entry, by a 60-digit central difference. They share
+respect to every latent entry, by a 60-digit central difference.
+``exact_simplex`` is the simplex witness in 60-digit entries. They share
 no code with ``src/``. mpmath comes with the ``test`` extra; without it they
 are unavailable and their tests skip.
 """
@@ -79,6 +83,24 @@ def mixture_truth(dim, params, seed):
     """The (clusters, dim) means and (points,) cluster labels of ``gen_synthetic(dim, params, seed)``."""
     means = np.random.default_rng(seed).standard_normal((params.clusters, dim))
     return means, np.arange(params.points) % params.clusters
+
+
+def collapse(n_pairs, dim, rng):
+    """The collapse witness: one drawn row repeated 2N times, so every cosine is 1."""
+    return np.tile(rng.standard_normal(dim), (2 * n_pairs, 1))
+
+
+def simplex(n_pairs, dim, rng):
+    """The regular simplex witness: 2N rows of pairwise cosine -1/(2N-1), for ``dim`` >= 2N.
+
+    They are the rows of I - 1/(2N), whose dot products are 1 - 1/(2N) on
+    the diagonal and -1/(2N) off it, padded with zeros to ``dim`` columns and
+    rotated by an orthogonal matrix drawn from ``rng``, so every entry is
+    nonzero and the float64 cosines are -1/(2N-1) only to rounding.
+    """
+    rows = np.zeros((2 * n_pairs, dim))
+    rows[:, : 2 * n_pairs] = np.eye(2 * n_pairs) - 1.0 / (2 * n_pairs)
+    return rows @ np.linalg.qr(rng.standard_normal((dim, dim)))[0]
 
 
 def latent_fd(rows, cfg, h=1e-5):
@@ -153,6 +175,12 @@ def exact_cosines(rows):
         vecs = [[mp.mpf(x) for x in row] for row in rows]
         norms = [mp.sqrt(mp.fdot(v, v)) for v in vecs]
         return [[mp.fdot(a, b) / (na * nb) for b, nb in zip(vecs, norms)] for a, na in zip(vecs, norms)]
+
+
+def exact_simplex(n_pairs):
+    """The rows of I - 1/(2N) as lists of mpf: the simplex witness, unrotated, to 60 digits."""
+    with mp.workdps(DIGITS):
+        return [[int(i == k) - mp.mpf(1) / (2 * n_pairs) for k in range(2 * n_pairs)] for i in range(2 * n_pairs)]
 
 
 def exact_anchor_terms(rows, tau):

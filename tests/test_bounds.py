@@ -271,6 +271,11 @@ class TestMonteCarloVerify:
         )
         np.testing.assert_allclose(got[2:], want, rtol=1e-12, atol=0.0)
 
+    def test_a_gap_counts_as_violated_only_below_the_slack(self):
+        at, below = -VIOLATION_SLACK, np.nextafter(-VIOLATION_SLACK, -1.0)
+        assert not bounds._violated(at) and bounds._violated(below)
+        np.testing.assert_array_equal(bounds._violated(np.array([0.0, at, below])), [False, False, True])
+
     def test_cell_count(self):
         grid = VerifyGrid(ns=(2, 4), ms=(3, 5), taus=(0.5,), distributions=("gaussian", "clustered"))
         summary = monte_carlo_verify(grid, trials=5, seed=0)
@@ -285,20 +290,20 @@ def _full(trials):
 
 
 def _verify_stack(n_pairs, distribution):
-    """One verify stack at m = 8, which holds as many trials as fit CHUNK_BYTES at 3m floats per row."""
-    trials = _full(bounds.CHUNK_BYTES // bounds._pass_bytes(n_pairs, 3 * 8))
+    """One verify stack at m = 8: as many trials as fit CHUNK_BYTES at its count."""
+    trials = _full(bounds._stack_size(bounds._verify_trial_bytes(n_pairs, 8)))
     return trials, bounds.CHUNK_BYTES, lambda: _run_cell(bounds._stream(0, 0), n_pairs, 8, 0.5, distribution, trials)
 
 
 def _loss_level_group(n_pairs, dim):
     """A loss-level run of one full group: as many trials as fit CHUNK_BYTES at its count."""
-    trials = _full(bounds.CHUNK_BYTES // gradcheck._loss_trial_bytes(n_pairs, dim))
+    trials = _full(bounds._stack_size(gradcheck._loss_trial_bytes(n_pairs, dim)))
     return trials, bounds.CHUNK_BYTES, lambda: gradcheck.loss_level_check(trials, n_pairs=n_pairs, dim=dim)
 
 
 def _end_to_end_group():
     """An end-to-end run of one full group: as many trials as fit CHUNK_BYTES at its count."""
-    trials = _full(bounds.CHUNK_BYTES // gradcheck._NET_TRIAL_BYTES)
+    trials = _full(bounds._stack_size(gradcheck._NET_TRIAL_BYTES))
     return trials, bounds.CHUNK_BYTES, lambda: gradcheck.end_to_end_check(trials)
 
 
@@ -337,6 +342,24 @@ class TestVerifyStackMemory:
         # weights, and 8 x 8 for the pass's temporaries.
         assert bounds._pass_bytes(4, 24) == 8 * (8 * 24 + 8 * 8 + 2 * 4 * 8)
         assert bounds._pass_bytes(1, 1) == 8 * (2 * 1 + 2 * 2 + 2 * 1 * 2)
+
+    def test_stack_sizes_at_the_stock_shapes(self):
+        """The stock grid's verify stacks (m = 8) and the default gradcheck groups (N 4, m 8, and end to end)."""
+        verify = [bounds._stack_size(bounds._verify_trial_bytes(n, 8)) for n in (2, 4, 8, 16, 32)]
+        assert verify == [1024, 409, 146, 46, 13]
+        assert bounds._stack_size(gradcheck._loss_trial_bytes(4, 8)) == 240
+        assert bounds._stack_size(gradcheck._NET_TRIAL_BYTES) == 496
+
+    def test_a_cell_draws_full_stacks_then_the_rest(self, monkeypatch):
+        stacks, real = [], bounds._sample_rows
+        monkeypatch.setattr(bounds, "_sample_rows", lambda d, trials, *a: stacks.append(trials) or real(d, trials, *a))
+        _run_cell(bounds._stream(0, 0), 32, 8, 0.5, "gaussian", 30)
+        assert stacks == [13, 13, 4]
+
+    def test_a_stack_holds_at_least_one_trial(self):
+        assert bounds._stack_size(bounds.CHUNK_BYTES + 1) == 1
+        assert bounds._stack_size(bounds.CHUNK_BYTES) == 1
+        assert bounds._stack_size(1) == bounds.CHUNK_BYTES
 
     @pytest.mark.parametrize("n_pairs", [8, 16, 32])
     def test_a_pass_holds_one_anchor_rows_array(self, n_pairs):

@@ -94,6 +94,9 @@ class TestConfigLoader:
     def test_verify_seed_defaults_to_zero(self):
         assert parse_verify_config(VERIFY_DOC)[2] == 0
 
+    def test_verify_takes_one_trial_per_cell(self):
+        assert parse_verify_config({**VERIFY_DOC, "trials": 1})[1] == 1
+
     @pytest.mark.parametrize(
         "command, doc",
         [
@@ -429,7 +432,7 @@ class TestGradcheckPrintout:
                 free_lists = [tuple(range(k)) for k in range(1, 20) for _ in range(2000)]
                 del free_lists
                 peaks[trials] = _traced_peak(["gradcheck", "--trials", str(trials)])
-        groups = {bounds.CHUNK_BYTES // gc._loss_trial_bytes(4, 8), bounds.CHUNK_BYTES // gc._NET_TRIAL_BYTES}
+        groups = {bounds._stack_size(gc._loss_trial_bytes(4, 8)), bounds._stack_size(gc._NET_TRIAL_BYTES)}
         assert {chunk for _, chunk in gradcheck_chunks} == groups and max(groups) < 80
         assert peaks[800] <= 1.1 * peaks[80]
 

@@ -1,8 +1,8 @@
-"""What a fresh ``ntxb`` process loads, how it ends when its stdout closes or it is interrupted, and what an
-interrupted train keeps.
+"""What a fresh ``ntxb`` process loads, how it ends when its stdout closes, cannot be written or it is interrupted,
+and what an interrupted train keeps.
 
-The load and pipe tests start their own interpreter, since the pytest process
-has imported every module already and cannot close its own stdout.
+The load and stdout tests start their own interpreter, since the pytest
+process has imported every module already and cannot close its own stdout.
 """
 
 import dataclasses
@@ -18,7 +18,7 @@ import ntxbound.cli as cli
 import ntxbound.mlp as mlp
 import ntxbound.serialize as serialize
 import ntxbound.trainer as trainer
-from ntxbound.cli import EXIT_BROKEN_PIPE, EXIT_INTERRUPTED
+from ntxbound.cli import EXIT_BROKEN_PIPE, EXIT_INTERRUPTED, EXIT_STDOUT_ERROR
 from ntxbound.serialize import trace_to_csv
 from ntxbound.trainer import BLOCK_STEPS, TrainConfig
 
@@ -27,9 +27,14 @@ SRC = ROOT / "src"
 DESK = ROOT / "configs" / "train_desk.json"
 
 
-def python(*args: str, **kwargs) -> subprocess.Popen:
+def run(argv, env=(), **kwargs) -> subprocess.Popen:
+    """``argv`` in a process that imports the package from ``src``, with ``env`` added to its environment."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    return subprocess.Popen([sys.executable, *args], env={**os.environ, "PYTHONPATH": path}, text=True, **kwargs)
+    return subprocess.Popen(argv, env={**os.environ, **dict(env), "PYTHONPATH": path}, text=True, **kwargs)
+
+
+def python(*args: str, **kwargs) -> subprocess.Popen:
+    return run([sys.executable, *args], **kwargs)
 
 
 def fresh(code: str):
@@ -115,6 +120,18 @@ def test_a_train_config_does_not_load_gradcheck():
     assert "ntxbound.gradcheck" not in loaded
 
 
+def test_the_networks_and_the_traces_names_resolve_from_their_home_modules():
+    loaded = fresh(
+        "import json, sys\n"
+        "import ntxbound, ntxbound.mlp, ntxbound.serialize\n"
+        "homes = [ntxbound.Mlp is ntxbound.mlp.Mlp, ntxbound.forward is ntxbound.mlp.forward,\n"
+        "         ntxbound.TrainTrace is ntxbound.serialize.TrainTrace]\n"
+        f"print(json.dumps({{'homes': homes, 'loaded': {LOADED}}}))\n"
+    )
+    assert loaded["homes"] == [True, True, True]
+    assert "ntxbound.trainer" not in loaded["loaded"]
+
+
 def test_every_exported_name_resolves_before_the_trainer_is_loaded():
     names = fresh(
         "import json, sys\n"
@@ -143,6 +160,68 @@ def test_a_closed_stdout_exits_with_the_pipe_code_and_no_traceback():
     assert proc.wait() == EXIT_BROKEN_PIPE == 141
     assert first.startswith("gradcheck loss-level trial   0:")
     assert err == ""  # no traceback, and no "Exception ignored" line from the flush at exit
+
+
+def _stdout_cases(tmp_path):
+    """Each command's argv, on inputs small enough to run in a moment, and the file it writes before it prints."""
+    verify = tmp_path / "verify.json"
+    verify.write_text(json.dumps({"ns": [2], "ms": [4], "taus": [0.5], "distributions": ["gaussian"], "trials": 3}))
+    train = tmp_path / "train.json"
+    train.write_text(json.dumps(dataclasses.asdict(TrainConfig(steps=5))), encoding="utf-8")
+    trace = tmp_path / "trace.csv"
+    serialize.write_text(trace, trace_to_csv(trainer.train(TrainConfig(steps=5))))
+    return {
+        "verify": (["--config", str(verify), "--out", str(tmp_path / "v")], tmp_path / "v" / "verify_summary.json"),
+        "gradcheck": (["--trials", "2"], None),
+        "train": (["--config", str(train), "--out", str(tmp_path / "t")], tmp_path / "t" / "train_summary.json"),
+        "report": (["--trace", str(trace), "--out", str(tmp_path / "r")], tmp_path / "r" / "gap_tightness.json"),
+    }
+
+
+COMMANDS = ["verify", "gradcheck", "train", "report"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+@pytest.mark.parametrize("command", COMMANDS)
+def test_a_stdout_on_a_full_device_exits_with_one_line(tmp_path, command):
+    """Each command's lines fit stdout's buffer, so the write fails in entry's flush, after the files are written."""
+    args, written = _stdout_cases(tmp_path)[command]
+    with open("/dev/full", "w") as full:
+        proc = python("-m", "ntxbound", command, *args, stdout=full, stderr=subprocess.PIPE)
+        _, err = proc.communicate()
+    assert proc.returncode == EXIT_STDOUT_ERROR == 74
+    assert err == f"ntxb {command}: cannot write to stdout: [Errno 28] No space left on device\n"
+    assert written is None or written.is_file()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+def test_a_stderr_on_the_same_full_device_leaves_the_code_alone_to_tell():
+    with open("/dev/full", "w") as full:
+        proc = python("-m", "ntxbound", "gradcheck", "--trials", "2", stdout=full, stderr=full)
+        assert proc.wait() == EXIT_STDOUT_ERROR
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_a_closed_stdout_runs_as_on_devnull(tmp_path, command):
+    """The command runs to its end with its own exit code; nothing is printed on stderr."""
+    args, written = _stdout_cases(tmp_path)[command]
+    argv = ["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m", "ntxbound", command, *args]
+    proc = run(argv, stderr=subprocess.PIPE)
+    _, err = proc.communicate()
+    assert (proc.returncode, err) == (0, "")
+    assert written is None or written.is_file()
+
+
+def test_a_path_stdout_cannot_encode_is_printed_escaped(tmp_path):
+    """Under a strict UTF-8 stdout, the report line quotes an --out named by a byte that is not UTF-8 as ``\\udcff``."""
+    args, _ = _stdout_cases(tmp_path)["report"]
+    out = os.fsdecode(bytes(tmp_path) + b"/r\xff")
+    proc = python("-m", "ntxbound", "report", *args[:2], "--out", out, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                  env={"PYTHONIOENCODING": "utf-8:strict"})
+    stdout, err = proc.communicate()
+    assert (proc.returncode, err) == (0, "")
+    assert stdout.endswith("written to " + out.encode("utf-8", "backslashreplace").decode() + "\n")
+    assert (Path(out) / "gap_tightness.json").is_file()
 
 
 def _interrupt(*args):

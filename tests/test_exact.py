@@ -40,6 +40,11 @@ C_STEP = 1 was 1.93 (Gaussian; clustered 1.21, near-collapsed 0.36), so C_STEP
 leaves a margin of 2.07. The pass must keep each probe's imaginary part: the
 clip of the cosines to [-1, 1] reads their real parts only, since a complex
 number of real part 1 compares above 1 and would be clipped to a real 1.
+
+The tightness witnesses, ``oracle.collapse`` and ``oracle.simplex``: at 60
+digits the strict gap is 0 and the paper gap ``tau log(2N/(2N-1))`` at
+collapse and that plus ``2N/(2N-1)`` at the simplex, and ``evaluate_batch``
+is within the bound above of both, whose exact loss is ``log(2N-1)``.
 """
 
 import dataclasses
@@ -54,7 +59,7 @@ from ntxbound import EmbeddingBatch, LossConfig, evaluate_batch, nt_xent_grad
 from ntxbound.bounds import VIOLATION_SLACK
 from ntxbound.gradcheck import _stack_losses
 from ntxbound.sim import TAU_MAX
-from oracle import exact_evaluation, exact_latent_grad
+from oracle import collapse, exact_evaluation, exact_latent_grad, exact_simplex, simplex
 
 U = 2.0**-53
 C = 8.0
@@ -169,3 +174,39 @@ def test_exact_references_meet_closed_forms():
         assert abs(want["total"] - mpmath.log(3)) < mpmath.mpf(10) ** -55
         assert abs(want["strict_gap"]) < mpmath.mpf(10) ** -55
         assert abs(want["avg_pos_sim"] - 1) < mpmath.mpf(10) ** -55
+
+
+def witness_paper_gaps(n_pairs, tau):
+    """The paper gap at collapse, ``tau log(2N/(2N-1))``, and at the simplex, that plus ``2N/(2N-1)``, in mpf."""
+    ratio = mpmath.mpf(2 * n_pairs) / (2 * n_pairs - 1)
+    least = tau * mpmath.log(ratio)
+    return least, least + ratio
+
+
+@pytest.mark.parametrize("tau", [0.05, 1.0, 1e4])
+@pytest.mark.parametrize("n_pairs", [1, 2, 3, 8])
+def test_the_witnesses_meet_their_closed_forms_to_60_digits(n_pairs, tau):
+    """The strict gap is 0 and the paper gap its closed form. The terms reach tau log 2N, about 1e4 at tau 1e4, so
+    60 digits hold them to about 1e-55: the tolerance, 1e-50, is far below any float64 difference."""
+    with mpmath.mp.workdps(60):
+        at_collapse, at_simplex = witness_paper_gaps(n_pairs, tau)
+        collapsed = collapse(n_pairs, 5, np.random.default_rng(n_pairs))
+        for rows, paper_gap in ((collapsed, at_collapse), (exact_simplex(n_pairs), at_simplex)):
+            want = exact_evaluation(rows, tau)
+            assert abs(want["strict_gap"]) < mpmath.mpf(10) ** -50
+            assert abs(want["paper_gap"] - paper_gap) < mpmath.mpf(10) ** -50
+
+
+@pytest.mark.parametrize("tau", [0.05, 1e4])
+@pytest.mark.parametrize("n_pairs", [1, 2, 3, 8, 32])
+def test_evaluate_batch_is_within_its_error_bound_of_the_witnesses(n_pairs, tau):
+    """At both witnesses the exact loss is log(2N - 1): every logit of an anchor is the same."""
+    rng = np.random.default_rng(n_pairs)
+    bound = error_bound(tau, n_pairs, math.log(2 * n_pairs - 1))
+    with mpmath.mp.workdps(60):
+        at_collapse, at_simplex = witness_paper_gaps(n_pairs, tau)
+        witnesses = ((collapse(n_pairs, 8, rng), at_collapse), (simplex(n_pairs, 2 * n_pairs + 3, rng), at_simplex))
+        for rows, paper_gap in witnesses:
+            report = evaluate_batch(EmbeddingBatch(rows), LossConfig(tau)).report
+            assert abs(report.strict_gap) <= bound
+            assert float(abs(mpmath.mpf(report.paper_gap) - paper_gap)) <= bound

@@ -351,7 +351,8 @@ class TestStackedTrials:
         monkeypatch.setattr(bounds, "CHUNK_BYTES", budget)
         assert main(argv) == rc_default
         assert capsys.readouterr().out == default
-        loss_level, end_to_end = budget // gradcheck._loss_trial_bytes(4, 8), budget // gradcheck._NET_TRIAL_BYTES
+        loss_level = bounds._stack_size(gradcheck._loss_trial_bytes(4, 8))
+        end_to_end = bounds._stack_size(gradcheck._NET_TRIAL_BYTES)
         assert {chunk for _, chunk in gradcheck_chunks} == {loss_level, end_to_end}
         assert loss_level % 64 and end_to_end % 24
         assert budget > 2 * 2560 * 6 or max(loss_level, end_to_end) < 20  # the small budget: several groups of each

@@ -206,6 +206,16 @@ class TestConfigValidation:
                 with pytest.raises(error):
                     build()
 
+    @pytest.mark.parametrize("tau", [0.5, 1000.0])
+    def test_a_matrix_tau_matches_within_1e_15_of_the_larger_of_1_and_tau(self, tau):
+        """At tau 1000 the match is 1e-12, about 8.8 ulps: 4 ulps off is the same tau, 16 ulps off is not."""
+        batch, cfg = EmbeddingBatch(np.random.default_rng(3).standard_normal((4, 3))), LossConfig(tau=tau)
+        ulp = math.ulp(tau)
+        assert 4 * ulp < 1e-15 * max(1.0, tau) < 16 * ulp
+        nt_xent_from_sims(similarity_matrix(batch, tau + 4 * ulp), cfg)
+        with pytest.raises(InvalidTemperatureError, match="scaled with tau"):
+            nt_xent_from_sims(similarity_matrix(batch, tau + 16 * ulp), cfg)
+
     def test_breakdown_identity_enforced(self):
         with pytest.raises(ValueError):
             LossBreakdown(total=1.0, alignment=0.2, distribution=0.2)

@@ -214,6 +214,13 @@ class TestMlpForward:
         latents = block_oracle(net.weights[2:], net.biases[2:], hidden)
         np.testing.assert_allclose(EmbeddingBatch(out.act[-1]).rows, latents, rtol=1e-12, atol=1e-14)
 
+    @pytest.mark.parametrize("shape", [(3,), (4, 2), (4, 4), (2, 4, 2)])
+    def test_views_that_are_not_rows_of_the_first_width_are_refused(self, shape):
+        """forward itself refuses 1-D views, even of the first layer's width, and rows of another width."""
+        net = init_net(((3, 2),), make_rng(0))
+        with pytest.raises(DimensionMismatchError, match="does not match first layer dim 3"):
+            forward(net, np.ones(shape))
+
     def test_hidden_layers_nonnegative(self):
         rng = make_rng(12)
         mlp = init_net(((4, 8, 8, 2),), rng)
