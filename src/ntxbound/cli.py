@@ -12,7 +12,6 @@ byte-identical across repeated runs.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import math
 import os
@@ -388,7 +387,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse handles usage errors and --help itself
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a write that stdout's buffer held fails here, still under the command's name
+        return code
     except _USAGE_ERRORS as exc:
         print(f"ntxb {args.command}: {exc}", file=sys.stderr)
         return 2
@@ -409,15 +410,16 @@ def entry() -> None:
     A stdout closed early exits EXIT_BROKEN_PIPE, and one that cannot be
     written otherwise (a full device, say) EXIT_STDOUT_ERROR with one stderr
     line; Ctrl-C exits EXIT_INTERRUPTED with one stderr line. A process
-    started with stdout closed runs with it on os.devnull, and stdout escapes
-    what it cannot encode, as stderr does.
+    started with stdout closed runs with it on os.devnull, and a strict stdout
+    escapes what it cannot encode, as stderr does.
     """
     stdout = open(os.devnull, "w") if sys.stdout is None else sys.stdout
-    stdout.reconfigure(errors="backslashreplace")
+    if stdout.errors == "strict":  # the one handler that raises; surrogateescape keeps a path's own bytes
+        stdout.reconfigure(errors="backslashreplace")
     sys.stdout = _Stdout(stdout)
     try:
         code = main()
-        sys.stdout.flush()  # a pipe closed after the last print shows here, not in the flush at exit
+        sys.stdout.flush()  # what --help or a usage error left in the buffer fails here, not in the flush at exit
     except (BrokenPipeError, _StdoutError) as exc:
         # As the Python docs' note on SIGPIPE does: point stdout at devnull, so the flush at exit cannot fail again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), stdout.fileno())
@@ -425,8 +427,10 @@ def entry() -> None:
             code = EXIT_BROKEN_PIPE
         else:
             code = EXIT_STDOUT_ERROR
-            with contextlib.suppress(OSError):  # a stderr on the same full device: the code alone tells
+            try:
                 print(f"{_who(exc)}: cannot write to stdout: {exc}", file=sys.stderr)
+            except OSError:  # a stderr on the same full device: the code alone tells, so its flush at exit must not fail
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
     except KeyboardInterrupt as exc:
         print(f"{_who(exc)}: interrupted", file=sys.stderr)
         code = EXIT_INTERRUPTED

@@ -28,9 +28,14 @@ DESK = ROOT / "configs" / "train_desk.json"
 
 
 def run(argv, env=(), **kwargs) -> subprocess.Popen:
-    """``argv`` in a process that imports the package from ``src``, with ``env`` added to its environment."""
+    """``argv`` in a process that imports the package from ``src``, with ``env`` added to its environment.
+
+    PYTHONUNBUFFERED is dropped, so the process's stdout and stderr are
+    buffered, as a user's and CI's are.
+    """
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    return subprocess.Popen(argv, env={**os.environ, **dict(env), "PYTHONPATH": path}, text=True, **kwargs)
+    inherited = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    return subprocess.Popen(argv, env={**inherited, **dict(env), "PYTHONPATH": path}, text=True, **kwargs)
 
 
 def python(*args: str, **kwargs) -> subprocess.Popen:
@@ -184,7 +189,7 @@ COMMANDS = ["verify", "gradcheck", "train", "report"]
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
 @pytest.mark.parametrize("command", COMMANDS)
 def test_a_stdout_on_a_full_device_exits_with_one_line(tmp_path, command):
-    """Each command's lines fit stdout's buffer, so the write fails in entry's flush, after the files are written."""
+    """Each command's lines fit stdout's buffer, so the write fails in main's flush, after the files are written."""
     args, written = _stdout_cases(tmp_path)[command]
     with open("/dev/full", "w") as full:
         proc = python("-m", "ntxbound", command, *args, stdout=full, stderr=subprocess.PIPE)
@@ -222,6 +227,17 @@ def test_a_path_stdout_cannot_encode_is_printed_escaped(tmp_path):
     assert (proc.returncode, err) == (0, "")
     assert stdout.endswith("written to " + out.encode("utf-8", "backslashreplace").decode() + "\n")
     assert (Path(out) / "gap_tightness.json").is_file()
+
+
+def test_a_path_a_surrogateescape_stdout_can_print_keeps_its_bytes(tmp_path):
+    """Under a surrogateescape stdout, a C locale's say, the report line holds the --out's own bytes."""
+    args, _ = _stdout_cases(tmp_path)["report"]
+    out = os.fsdecode(bytes(tmp_path) + b"/r\xff")
+    proc = python("-m", "ntxbound", "report", *args[:2], "--out", out, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                  env={"PYTHONIOENCODING": "utf-8:surrogateescape"}, errors="surrogateescape")
+    stdout, err = proc.communicate()
+    assert (proc.returncode, err) == (0, "")
+    assert stdout.endswith("written to " + out + "\n")
 
 
 def _interrupt(*args):
